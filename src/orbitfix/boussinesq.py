@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numlin import LinearOperator, spectral_derivative
+from .numlin import LinearOperator, fourier_apply, fourier_symbols
 from .solvers import ProblemSpec
 from .symmetry import GroupAction
 
@@ -27,7 +27,6 @@ __all__ = [
     "grid",
     "exact_profile",
     "build_bs_problem",
-    "precond_apply",
     "precond_operator",
     "translation_action",
     "translation_shift",
@@ -39,10 +38,6 @@ __all__ = [
 def grid(n: int, half_length: float) -> np.ndarray:
     """Uniform samples of [-L, L), left endpoint included."""
     return -half_length + (2.0 * half_length / n) * np.arange(n)
-
-
-def _frequencies(n: int, half_length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
 
 
 @dataclass(frozen=True)
@@ -136,10 +131,11 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
                         speed=float(speed), decay=float(decay), ratio=float(ratio))
 
 
-def _linear_part(params: BSParams, u: np.ndarray, eta: np.ndarray):
-    L = params.half_length
-    d2eta = spectral_derivative(eta, L, 2)
-    d2u = spectral_derivative(u, L, 2)
+def _linear_part(params: BSParams, w: np.ndarray):
+    n = params.n
+    u, eta = w[:n], w[n:]
+    d2w = fourier_apply(fourier_symbols(n, params.half_length)[2], w)
+    d2u, d2eta = d2w[:n], d2w[n:]
     r1 = -u + params.speed * (eta - params.b * d2eta)
     r2 = params.speed * (u - params.d * d2u) - (eta + params.c * d2eta)
     return r1, r2
@@ -152,7 +148,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     def F(w):
         w = np.asarray(w, dtype=float)
         u, eta = w[:n], w[n:]
-        r1, r2 = _linear_part(params, u, eta)
+        r1, r2 = _linear_part(params, w)
         return np.concatenate([r1 - u * eta, r2 - 0.5 * u * u])
 
     def jacobian_at(w0):
@@ -161,7 +157,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
         def apply(v):
             vu, ve = v[:n], v[n:]
-            r1, r2 = _linear_part(params, vu, ve)
+            r1, r2 = _linear_part(params, v)
             return np.concatenate([r1 - (eta0 * vu + u0 * ve), r2 - u0 * vu])
 
         return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
@@ -169,44 +165,14 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     return ProblemSpec(dim=2 * n, F=F, jacobian_at=jacobian_at)
 
 
-def precond_apply(s: float, v: np.ndarray, half_length: float) -> np.ndarray:
-    """Apply the inverse shifted Laplacian (s - dxx)^{-1} blockwise.
-
-    v stacks two fields; each is treated independently in Fourier space
-    with multipliers 1/(s + xi^2).
-    """
-    if not s > 0.0:
-        raise ValueError("shift s must be positive")
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] % 2:
-        raise ValueError("state vector must have even length")
-    half = v.shape[0] // 2
-    diag = 1.0 / (s + _frequencies(half, half_length) ** 2)
-    out = np.empty_like(v)
-    out[:half] = np.fft.ifft(np.fft.fft(v[:half]) * diag).real
-    out[half:] = np.fft.ifft(np.fft.fft(v[half:]) * diag).real
-    return out
-
-
 def precond_operator(params: BSParams, s: float) -> LinearOperator:
+    """Inverse shifted Laplacian (s - dxx)^{-1} on each field: multipliers 1/(s + xi^2)."""
     if not s > 0.0:
         raise ValueError("shift s must be positive")
-    diag = 1.0 / (s + _frequencies(params.n, params.half_length) ** 2)
-    n = params.n
-
-    def apply(v):
-        out = np.empty_like(v)
-        out[:n] = np.fft.ifft(np.fft.fft(v[:n]) * diag).real
-        out[n:] = np.fft.ifft(np.fft.fft(v[n:]) * diag).real
-        return out
-
-    return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
-
-
-def _shift_field(v: np.ndarray, alpha: float, half_length: float) -> np.ndarray:
-    n = v.shape[0]
-    xi = _frequencies(n, half_length)
-    return np.fft.ifft(np.fft.fft(v) * np.exp(-1j * xi * alpha)).real
+    xi = fourier_symbols(params.n, params.half_length)[0]
+    diag = 1.0 / (s + xi ** 2)
+    return LinearOperator(dim=2 * params.n, apply=lambda v: fourier_apply(diag, v),
+                          symmetric=True)
 
 
 def _field_center(v: np.ndarray, half_length: float) -> float:
@@ -239,20 +205,13 @@ def translation_action(params: BSParams) -> GroupAction:
     """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields."""
     n = params.n
     L = params.half_length
+    xi, d1, _ = fourier_symbols(n, L)
 
     def act(alpha, w):
-        w = np.asarray(w, dtype=float)
-        return np.concatenate([
-            _shift_field(w[:n], float(alpha), L),
-            _shift_field(w[n:], float(alpha), L),
-        ])
+        return fourier_apply(np.exp(-1j * xi * float(alpha)), w)
 
     def generators(w):
-        w = np.asarray(w, dtype=float)
-        return [np.concatenate([
-            -spectral_derivative(w[:n], L, 1),
-            -spectral_derivative(w[n:], L, 1),
-        ])]
+        return [-fourier_apply(d1, w)]
 
     def align(x, xref):
         delta = _field_center(x[n:], L) - _field_center(xref[n:], L)
@@ -292,12 +251,9 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     nsteps = max(1, int(round(t_end / dt)))
     dt_eff = t_end / nsteps
     n = params.n
-    xi = _frequencies(n, params.half_length)
-    d1 = 1j * xi
-    d1[n // 2] = 0.0
+    xi, d1, lap = fourier_symbols(n, params.half_length)
     mult_eta = d1 / (1.0 + params.b * xi ** 2)
     mult_u = d1 / (1.0 + params.d * xi ** 2)
-    lap = -(xi ** 2)
 
     def rhs(state):
         u, eta = state[:n], state[n:]

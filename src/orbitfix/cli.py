@@ -19,7 +19,7 @@ import numpy as np
 
 from . import boussinesq as bq
 from . import nbody as nb
-from .numlin import dense_eigenvalues, materialize
+from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols, materialize
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       SolverConfig, fixed_point_solve, iteration_matrix_spectrum,
                       newton_solve, petviashvili_map, petviashvili_solve)
@@ -129,16 +129,15 @@ def _write_summary(out: Path, command, config, status=None, final_residual=None,
     return exit_code
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, **extra) -> SolverConfig:
     return SolverConfig(
         tol_residual=args.tol,
         max_outer=args.max_outer,
-        gamma=args.gamma,
         inner_solver=args.inner_solver,
         inner_tol=args.inner_tol,
         inner_maxit=args.inner_maxit,
-        precond_s=args.precond_s,
         divergence_cap=args.cap,
+        **extra,
     )
 
 
@@ -157,18 +156,15 @@ def _add_solver_flags(p, default_method, default_tol):
                    default=default_method)
     p.add_argument("--tol", type=float, default=default_tol)
     p.add_argument("--max-outer", type=int, default=1000, dest="max_outer")
-    p.add_argument("--gamma", type=float, default=2.0 / 3.0)
     p.add_argument("--inner-solver", choices=("pcg", "minres"), default="pcg",
                    dest="inner_solver")
     p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
-    p.add_argument("--precond-s", type=float, default=1.0, dest="precond_s")
     p.add_argument("--cap", type=float, default=1e8)
 
 
 def _add_common_flags(p):
     p.add_argument("--out", default="./out")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_perturb_flags(p, kinds):
@@ -199,16 +195,6 @@ def _nbody_seed(args, qstar):
     raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for nbody")
 
 
-def _run_nbody_solve(problem, qstar, args):
-    config = _solver_config(args)
-    q0 = _nbody_seed(args, qstar)
-    if args.method == "petviashvili":
-        return petviashvili_solve(problem, q0, config, reference=qstar)
-    if args.method == "fixed-point":
-        return fixed_point_solve(problem, q0, config, reference=qstar)
-    return newton_solve(problem, q0, config, reference=qstar)
-
-
 def _write_bodies(out: Path, q):
     pos = q.reshape(-1, 2)
     _write_csv(out / "bodies.csv", ("body", "x", "y"),
@@ -216,18 +202,33 @@ def _write_bodies(out: Path, q):
 
 
 def cmd_nbody_solve(args):
+    """nbody solve and nbody orbit; orbit adds the predicted limit and kernel residual."""
     t0 = time.perf_counter()
     out = _outdir(args)
     cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
-    outcome = _run_nbody_solve(problem, qstar, args)
+    action = nb.rotation_action()
+    config = _solver_config(args, gamma=args.gamma)
+    q0 = _nbody_seed(args, qstar)
+    if args.method == "petviashvili":
+        outcome = petviashvili_solve(problem, q0, config, reference=qstar)
+    elif args.method == "fixed-point":
+        outcome = fixed_point_solve(problem, q0, config, reference=qstar)
+    else:
+        outcome = newton_solve(problem, q0, config, reference=qstar)
     _write_trace(out, outcome.trace)
     _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
     orbit = None
-    if _finite(outcome.x):
-        orbit = align_to_orbit(outcome.x, qstar, nb.rotation_action())
     extras = {"omega": cfg.omega, "pcg_fallbacks": outcome.pcg_fallbacks}
+    if _finite(outcome.x):
+        orbit = align_to_orbit(outcome.x, qstar, action)
+        if args.command == "orbit":
+            extras["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
+            generator = action.generators(qstar)[0]
+            extras["kernel_residual"] = float(
+                np.linalg.norm(materialize(problem.jacobian_at(qstar)) @ generator)
+                / np.linalg.norm(generator))
     code = _EXIT_CODES[outcome.status]
     return _write_summary(out, "nbody " + args.command, _config_echo(args),
                           status=outcome.status, final_residual=outcome.trace.residuals[-1],
@@ -255,33 +256,6 @@ def cmd_nbody_spectrum(args):
     }
     return _write_summary(out, "nbody " + args.command, _config_echo(args),
                           extras=extras, wall_time=time.perf_counter() - t0)
-
-
-def cmd_nbody_orbit(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
-    cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
-    problem = nb.build_nbody(cfg)
-    qstar = nb.polygon_solution(args.bodies)
-    action = nb.rotation_action()
-    q0 = _nbody_seed(args, qstar)
-    outcome = _run_nbody_solve(problem, qstar, args)
-    _write_trace(out, outcome.trace)
-    _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
-    orbit = None
-    extras = {"omega": cfg.omega}
-    if _finite(outcome.x):
-        orbit = align_to_orbit(outcome.x, qstar, action)
-        extras["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
-        generator = action.generators(qstar)[0]
-        extras["kernel_residual"] = float(
-            np.linalg.norm(materialize(problem.jacobian_at(qstar)) @ generator)
-            / np.linalg.norm(generator))
-    code = _EXIT_CODES[outcome.status]
-    return _write_summary(out, "nbody " + args.command, _config_echo(args),
-                          status=outcome.status, final_residual=outcome.trace.residuals[-1],
-                          iterations=outcome.iterations, orbit=orbit, extras=extras,
-                          wall_time=time.perf_counter() - t0, exit_code=code)
 
 
 # ---------------- bs commands ----------------
@@ -318,9 +292,7 @@ def _bs_seed(args, profile):
         bump = args.eps * (x - args.x0) * np.exp(-(x - args.x0) ** 2)
         return w + np.concatenate([bump, bump])
     if args.perturb == "generator-discrete":
-        du = bq.spectral_derivative(w[:n], args.half_length, 1)
-        deta = bq.spectral_derivative(w[n:], args.half_length, 1)
-        return w + args.eps * np.concatenate([du, deta])
+        return w + args.eps * fourier_apply(fourier_symbols(n, args.half_length)[1], w)
     raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for bs")
 
 
@@ -374,9 +346,6 @@ def cmd_bs_solve(args):
                           status=outcome.status, final_residual=outcome.trace.residuals[-1],
                           iterations=outcome.iterations, orbit=orbit, extras=extras,
                           wall_time=time.perf_counter() - t0, exit_code=code)
-
-
-cmd_bs_orbit = cmd_bs_solve
 
 
 def cmd_bs_spectrum(args):
@@ -509,25 +478,20 @@ def _build_parser() -> _Parser:
     def nbody_common(p):
         p.add_argument("--bodies", type=int, default=2)
         p.add_argument("--m0", type=float, default=10.0)
+        p.add_argument("--gamma", type=float, default=2.0 / 3.0)
         _add_common_flags(p)
 
-    p = nbody_cmds.add_parser("solve")
-    nbody_common(p)
-    _add_solver_flags(p, "petviashvili", 1e-7)
-    _add_perturb_flags(p, ("ones", "generator"))
-    p.set_defaults(func=cmd_nbody_solve)
+    for name in ("solve", "orbit"):
+        p = nbody_cmds.add_parser(name)
+        nbody_common(p)
+        _add_solver_flags(p, "petviashvili", 1e-7)
+        _add_perturb_flags(p, ("ones", "generator"))
+        p.set_defaults(func=cmd_nbody_solve)
 
     p = nbody_cmds.add_parser("spectrum")
     nbody_common(p)
     p.add_argument("--map", choices=("plain", "stabilized"), default="plain")
-    p.add_argument("--gamma", type=float, default=2.0 / 3.0)
     p.set_defaults(func=cmd_nbody_spectrum)
-
-    p = nbody_cmds.add_parser("orbit")
-    nbody_common(p)
-    _add_solver_flags(p, "petviashvili", 1e-7)
-    _add_perturb_flags(p, ("ones", "generator"))
-    p.set_defaults(func=cmd_nbody_orbit)
 
     bs = problems.add_parser("bs", help="two-component long-wave system")
     bs_cmds = bs.add_subparsers(dest="command", required=True)
@@ -539,31 +503,28 @@ def _build_parser() -> _Parser:
         p.add_argument("--half-length", type=float, default=50.0, dest="half_length")
         _add_common_flags(p)
 
-    p = bs_cmds.add_parser("solve")
-    bs_common(p)
-    _add_solver_flags(p, "newton", 1e-12)
-    _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
-    p.set_defaults(func=cmd_bs_solve)
+    def bs_solver(p):
+        bs_common(p)
+        _add_solver_flags(p, "newton", 1e-12)
+        p.add_argument("--precond-s", type=float, default=1.0, dest="precond_s")
+
+    for name in ("solve", "orbit"):
+        p = bs_cmds.add_parser(name)
+        bs_solver(p)
+        _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
+        p.set_defaults(func=cmd_bs_solve)
 
     p = bs_cmds.add_parser("spectrum")
     bs_common(p)
     p.set_defaults(func=cmd_bs_spectrum)
 
-    p = bs_cmds.add_parser("orbit")
-    bs_common(p)
-    _add_solver_flags(p, "newton", 1e-12)
-    _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
-    p.set_defaults(func=cmd_bs_orbit)
-
     p = bs_cmds.add_parser("shift-table")
-    bs_common(p)
-    _add_solver_flags(p, "newton", 1e-12)
+    bs_solver(p)
     p.add_argument("--eps", default="0.1,0.05,0.01,0.005")
     p.set_defaults(func=cmd_bs_shift_table)
 
     p = bs_cmds.add_parser("propagate")
-    bs_common(p)
-    _add_solver_flags(p, "newton", 1e-12)
+    bs_solver(p)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--snapshots", default=None)

@@ -8,6 +8,7 @@ callables through one interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "SpectrumReport",
     "as_operator",
     "materialize",
+    "fourier_symbols",
+    "fourier_apply",
     "spectral_derivative",
     "fd_jacobian",
     "dense_eigenvalues",
@@ -91,11 +94,39 @@ def materialize(op) -> np.ndarray:
     return M
 
 
+@lru_cache(maxsize=16)
+def fourier_symbols(n: int, half_length: float):
+    """Wavenumbers xi and the symbols of d/dx and d2/dx2 on n samples of [-L, L).
+
+    Returns read-only arrays (xi, d1, d2) with d1 = i*xi and d2 = -xi^2,
+    shared between callers. d1 zeroes the Nyquist mode, which has no
+    consistent odd-order derivative on an even grid.
+    """
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
+    d1 = 1j * xi
+    d1[n // 2] = 0.0
+    d2 = -(xi ** 2)
+    for a in (xi, d1, d2):
+        a.flags.writeable = False
+    return xi, d1, d2
+
+
+def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Multiply each len(symbol)-sample block of v by symbol in Fourier space.
+
+    A stacked state (u, eta) goes through one batched transform.
+    """
+    v = np.asarray(v, dtype=float)
+    n = symbol.shape[0]
+    if v.ndim != 1 or v.shape[0] % n:
+        raise ValueError("vector length must be a multiple of the symbol length")
+    return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(v.shape)
+
+
 def spectral_derivative(v: np.ndarray, half_length: float, order: int = 1) -> np.ndarray:
     """Fourier differentiation of samples on a uniform grid over [-L, L).
 
-    The first derivative zeroes the Nyquist mode, which has no consistent
-    odd-order derivative on an even grid.
+    The first derivative zeroes the Nyquist mode.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -105,14 +136,7 @@ def spectral_derivative(v: np.ndarray, half_length: float, order: int = 1) -> np
         raise ValueError("order must be 1 or 2")
     if not half_length > 0.0:
         raise ValueError("half_length must be positive")
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
-    vh = np.fft.fft(v)
-    if order == 1:
-        vh *= 1j * xi
-        vh[n // 2] = 0.0
-    else:
-        vh *= -(xi ** 2)
-    return np.fft.ifft(vh).real
+    return fourier_apply(fourier_symbols(n, half_length)[order], v)
 
 
 def fd_jacobian(F: Callable, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:

@@ -75,7 +75,6 @@ class SolverConfig:
     inner_solver: str = "pcg"
     inner_tol: float = 1e-10
     inner_maxit: int = 500
-    precond_s: float = 1.0
     divergence_cap: float = 1e8
 
     def __post_init__(self):
@@ -89,8 +88,6 @@ class SolverConfig:
             raise ValueError("inner_tol must be positive")
         if self.inner_maxit < 1:
             raise ValueError("inner_maxit must be >= 1")
-        if not self.precond_s > 0.0:
-            raise ValueError("precond_s must be positive")
         if not self.divergence_cap > 0.0:
             raise ValueError("divergence_cap must be positive")
 
@@ -178,6 +175,27 @@ def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
     raise AssertionError("unreachable")
 
 
+def _stabilized_parts(problem: ProblemSpec) -> Callable:
+    """x -> (A^{-1}N(x), s) with s = <Ax,x>/<N(x),x>, or None when <N(x),x> = 0."""
+    split = problem.homogeneous_split
+    if split is None:
+        raise ValueError("the stabilized iteration requires a homogeneous split")
+    a_mat = materialize(split.linear)
+
+    def parts(x):
+        nx = np.asarray(split.nonlinear(x), dtype=float)
+        den = float(np.dot(nx, x))
+        s = float(np.dot(a_mat @ x, x) / den) if den != 0.0 else None
+        return np.linalg.solve(a_mat, nx), s
+
+    return parts
+
+
+def _stabilized_next(gx: np.ndarray, s: float, gamma: float) -> np.ndarray:
+    """The stabilized step s^gamma A^{-1}N(x)."""
+    return (s ** gamma) * gx
+
+
 def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
                        config: Optional[SolverConfig] = None,
                        reference: Optional[np.ndarray] = None) -> SolveOutcome:
@@ -187,20 +205,14 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
     solution s = 1, so the recorded factors must approach one on
     convergent runs. The factor for the terminal iterate is recorded too.
     """
-    split = problem.homogeneous_split
-    if split is None:
-        raise ValueError("petviashvili_solve requires a homogeneous split")
+    parts = _stabilized_parts(problem)
     config = config or SolverConfig()
-    a_mat = materialize(split.linear)
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
     for n in range(config.max_outer + 1):
-        nx = np.asarray(split.nonlinear(x), dtype=float)
-        gx = np.linalg.solve(a_mat, nx)
+        gx, s = parts(x)
         residual = float(np.linalg.norm(x - gx))
         ref_error = None if reference is None else float(np.linalg.norm(x - reference))
-        den = float(np.dot(nx, x))
-        s = float(np.dot(a_mat @ x, x) / den) if den != 0.0 else None
         trace.append(residual, ref_error, s)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
@@ -211,7 +223,7 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
         if s < 0.0 and not float(config.gamma).is_integer():
             return SolveOutcome(DIVERGED, x, trace, n,
                                 message="negative stabilizing factor with non-integer exponent")
-        x_next = (s ** config.gamma) * gx
+        x_next = _stabilized_next(gx, s, config.gamma)
         trace.set_step_norm(float(np.linalg.norm(x_next - x)))
         x = x_next
     raise AssertionError("unreachable")
@@ -219,17 +231,8 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
 
 def petviashvili_map(problem: ProblemSpec, gamma: float = 2.0 / 3.0) -> Callable:
     """One step of the stabilized iteration, as a plain map for spectra."""
-    split = problem.homogeneous_split
-    if split is None:
-        raise ValueError("petviashvili_map requires a homogeneous split")
-    a_mat = materialize(split.linear)
-
-    def step(x):
-        nx = np.asarray(split.nonlinear(x), dtype=float)
-        s = float(np.dot(a_mat @ x, x) / np.dot(nx, x))
-        return (s ** gamma) * np.linalg.solve(a_mat, nx)
-
-    return step
+    parts = _stabilized_parts(problem)
+    return lambda x: _stabilized_next(*parts(x), gamma)
 
 
 def newton_solve(problem: ProblemSpec, x0: np.ndarray,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_profile, grid,
-                                 precond_apply, precond_operator, propagate,
+                                 precond_operator, propagate,
                                  translation_action, translation_shift)
 from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize, minres
 from orbitfix.symmetry import kernel_check
@@ -162,18 +162,19 @@ def test_jacobian_spectrum_at_wave():
 # ---------------- preconditioner ----------------
 
 def test_precond_validation():
+    params = _params(n=4, half_length=1.0)
     with pytest.raises(ValueError):
-        precond_apply(0.0, np.ones(8), 1.0)
+        precond_operator(params, 0.0)
     with pytest.raises(ValueError):
-        precond_apply(-1.0, np.ones(8), 1.0)
+        precond_operator(params, -1.0)
     with pytest.raises(ValueError):
-        precond_apply(1.0, np.ones(7), 1.0)
+        precond_operator(params, 1.0).apply(np.ones(7))
 
 
 def test_precond_constant_mode():
     # on constants the operator (s - dxx)^{-1} is multiplication by 1/s
     v = np.concatenate([np.full(16, 3.0), np.full(16, -2.0)])
-    out = precond_apply(4.0, v, 2.0)
+    out = precond_operator(_params(n=16, half_length=2.0), 4.0).apply(v)
     assert np.allclose(out, v / 4.0, atol=1e-13)
 
 
@@ -184,7 +185,7 @@ def test_precond_inverts_shifted_laplacian():
     coeffs = rng.standard_normal(5)
     field = sum(c * np.cos((k + 1) * np.pi * x / L) for k, c in enumerate(coeffs))
     v = np.concatenate([field, 2 * field])
-    out = precond_apply(s, v, L)
+    out = precond_operator(_params(n=n, half_length=L), s).apply(v)
     from orbitfix.numlin import spectral_derivative
     recovered = np.concatenate([
         s * out[:n] - spectral_derivative(out[:n], L, 2),
@@ -198,7 +199,7 @@ def test_precond_single_mode_eigenvalue():
     x = grid(n, L)
     mode = np.sin(3 * x)  # xi = 3 on this domain
     v = np.concatenate([mode, np.zeros(n)])
-    out = precond_apply(s, v, L)
+    out = precond_operator(_params(n=n, half_length=L), s).apply(v)
     assert np.allclose(out[:n], mode / (s + 9.0), atol=1e-12)
 
 

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitfix
 from orbitfix.cli import SUMMARY_SCHEMA, main
 
 try:
@@ -233,12 +236,16 @@ def test_solver_outputs_are_deterministic(tmp_path):
 
 def test_console_script(tmp_path):
     exe = shutil.which("orbitfix")
+    env = None
     if exe:
         cmd = [exe]
     else:
+        # not installed: the subprocess finds the package through src/
         cmd = [sys.executable, "-m", "orbitfix.cli"]
+        paths = [str(Path(orbitfix.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(cmd + ["nbody", "spectrum", "--m0", "10",
                                  "--out", str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "summary.json").exists()

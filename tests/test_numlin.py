@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from orbitfix.numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, as_operator,
-                             dense_eigenvalues, fd_jacobian, materialize, minres, pcg,
-                             spectral_derivative)
+                             dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
+                             materialize, minres, pcg, spectral_derivative)
 
 
 # ---------------- spectral_derivative ----------------
@@ -45,6 +45,40 @@ def test_spectral_derivative_bad_order_and_length():
         spectral_derivative(np.ones(8), 1.0, 3)
     with pytest.raises(ValueError):
         spectral_derivative(np.ones(8), -1.0, 1)
+
+
+# ---------------- fourier_symbols / fourier_apply ----------------
+
+def test_fourier_symbols_are_cached_and_read_only():
+    xi, d1, d2 = fourier_symbols(16, 2.0)
+    assert all(a is b for a, b in zip(fourier_symbols(16, 2.0), (xi, d1, d2)))
+    for a in (xi, d1, d2):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert np.array_equal(d2, -(xi ** 2))
+
+
+def test_fourier_symbols_zero_the_nyquist_first_derivative():
+    xi, d1, _ = fourier_symbols(16, 2.0)
+    assert xi[8] != 0.0 and d1[8] == 0.0
+    keep = np.arange(16) != 8
+    assert np.array_equal(d1[keep], 1j * xi[keep])
+
+
+def test_fourier_apply_blockwise_equals_per_block():
+    n, L = 32, 3.0
+    xi, d1, d2 = fourier_symbols(n, L)
+    v = np.random.default_rng(7).standard_normal(3 * n)
+    for symbol in (d1, d2, 1.0 / (1.7 + xi ** 2), np.exp(-1j * xi * 0.37)):
+        per_block = np.concatenate([np.fft.ifft(np.fft.fft(v[k * n:(k + 1) * n]) * symbol).real
+                                    for k in range(3)])
+        assert np.array_equal(fourier_apply(symbol, v), per_block)
+        assert np.array_equal(fourier_apply(symbol, v[:2 * n]), per_block[:2 * n])
+
+
+def test_fourier_apply_rejects_partial_blocks():
+    with pytest.raises(ValueError):
+        fourier_apply(fourier_symbols(8, 1.0)[1], np.ones(12))
 
 
 # ---------------- fd_jacobian ----------------

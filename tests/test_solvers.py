@@ -18,7 +18,6 @@ from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution
     dict(inner_maxit=0),
     dict(inner_tol=-1.0),
     dict(inner_solver="qmr"),
-    dict(precond_s=0.0),
     dict(divergence_cap=0.0),
 ])
 def test_solver_config_rejects_bad_values(kwargs):
