@@ -19,7 +19,7 @@ import numpy as np
 
 from . import boussinesq as bq
 from . import nbody as nb
-from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols, materialize
+from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       SolverConfig, fixed_point_solve, iteration_matrix_spectrum,
                       newton_solve, petviashvili_map, petviashvili_solve)
@@ -151,9 +151,9 @@ def _config_echo(args) -> dict:
     return out
 
 
-def _add_solver_flags(p, default_method, default_tol):
-    p.add_argument("--method", choices=("fixed-point", "petviashvili", "newton"),
-                   default=default_method)
+def _add_solver_flags(p, methods, default_tol):
+    # the first method is the default; offer only methods the problem runs
+    p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--tol", type=float, default=default_tol)
     p.add_argument("--max-outer", type=int, default=1000, dest="max_outer")
     p.add_argument("--inner-solver", choices=("pcg", "minres"), default="pcg",
@@ -227,7 +227,7 @@ def cmd_nbody_solve(args):
             extras["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
             generator = action.generators(qstar)[0]
             extras["kernel_residual"] = float(
-                np.linalg.norm(materialize(problem.jacobian_at(qstar)) @ generator)
+                np.linalg.norm(problem.jacobian_at(qstar).apply(generator))
                 / np.linalg.norm(generator))
     code = _EXIT_CODES[outcome.status]
     return _write_summary(out, "nbody " + args.command, _config_echo(args),
@@ -297,11 +297,9 @@ def _bs_seed(args, profile):
 
 
 def _bs_solve(problem, params, w0, reference, args):
-    config = _solver_config(args)
-    if args.method == "newton":
-        precond = bq.precond_operator(params, args.precond_s).apply
-        return newton_solve(problem, w0, config, reference=reference, precond=precond)
-    raise _UsageError("bs systems support --method newton only")
+    precond = bq.precond_operator(params, args.precond_s).apply
+    return newton_solve(problem, w0, _solver_config(args), reference=reference,
+                        precond=precond)
 
 
 def _centers(w, params):
@@ -484,7 +482,7 @@ def _build_parser() -> _Parser:
     for name in ("solve", "orbit"):
         p = nbody_cmds.add_parser(name)
         nbody_common(p)
-        _add_solver_flags(p, "petviashvili", 1e-7)
+        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), 1e-7)
         _add_perturb_flags(p, ("ones", "generator"))
         p.set_defaults(func=cmd_nbody_solve)
 
@@ -505,7 +503,7 @@ def _build_parser() -> _Parser:
 
     def bs_solver(p):
         bs_common(p)
-        _add_solver_flags(p, "newton", 1e-12)
+        _add_solver_flags(p, ("newton",), 1e-12)
         p.add_argument("--precond-s", type=float, default=1.0, dest="precond_s")
 
     for name in ("solve", "orbit"):

@@ -102,55 +102,66 @@ def _positions(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     return q.reshape(config.n, 2)
 
 
+def _pairs(config: NBodyConfig, q: np.ndarray):
+    """Coordinates, squared radii and pair offsets of q, collision-checked.
+
+    dx[j, i] = x_j - x_i and likewise dy; the squared pair distances d2
+    carry inf on the diagonal, so self-pairs vanish from every inverse power.
+    """
+    pos = _positions(config, q)
+    x, y = pos[:, 0], pos[:, 1]
+    r2 = x * x + y * y
+    if np.any(r2 < _COLLISION_EPS ** 2):
+        raise ValueError("body collides with the center")
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    if np.any(d2 < _COLLISION_EPS ** 2):
+        raise ValueError("two ring bodies collide")
+    return x, y, r2, dx, dy, d2
+
+
 def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Gradient of the interaction potential at q."""
     a, b = config.coefficients
-    pos = _positions(config, q)
+    x, y, r2, dx, dy, d2 = _pairs(config, q)
     masses = np.asarray(config.masses)
-    g = np.zeros_like(pos)
-    for j in range(config.n):
-        rj = float(np.linalg.norm(pos[j]))
-        if rj < _COLLISION_EPS:
-            raise ValueError("body collides with the center")
-        g[j] = -a * masses[j] * pos[j] / rj ** 3
-        for i in range(config.n):
-            if i == j:
-                continue
-            d = pos[j] - pos[i]
-            dist = float(np.linalg.norm(d))
-            if dist < _COLLISION_EPS:
-                raise ValueError("two ring bodies collide")
-            g[j] -= b * masses[i] * masses[j] * d / dist ** 3
-    return g.ravel()
-
-
-def _pair_block(r: np.ndarray) -> np.ndarray:
-    dist = float(np.linalg.norm(r))
-    return np.eye(2) / dist ** 3 - 3.0 * np.outer(r, r) / dist ** 5
+    central = a * masses * r2 ** -1.5
+    pair = b * np.outer(masses, masses) * d2 ** -1.5
+    g = np.empty(2 * config.n)
+    g[0::2] = -central * x - np.sum(pair * dx, axis=1)
+    g[1::2] = -central * y - np.sum(pair * dy, axis=1)
+    return g
 
 
 def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
-    """Hessian of the interaction potential at q (dense, symmetric)."""
+    """Hessian of the interaction potential at q (dense, symmetric).
+
+    Body j's 2x2 block against body i != j is b m_i m_j (I/d^3 - 3 r r^T/d^5)
+    with r = q_j - q_i; each diagonal block is the central term
+    -a m_j (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks.
+    """
     a, b = config.coefficients
-    pos = _positions(config, q)
+    x, y, r2, dx, dy, d2 = _pairs(config, q)
     masses = np.asarray(config.masses)
     n = config.n
-    H = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        rj = float(np.linalg.norm(pos[j]))
-        if rj < _COLLISION_EPS:
-            raise ValueError("body collides with the center")
-        diag = -a * masses[j] * _pair_block(pos[j])
-        for i in range(n):
-            if i == j:
-                continue
-            d = pos[j] - pos[i]
-            if float(np.linalg.norm(d)) < _COLLISION_EPS:
-                raise ValueError("two ring bodies collide")
-            block = b * masses[i] * masses[j] * _pair_block(d)
-            diag -= block
-            H[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block
-        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = diag
+    inv3 = d2 ** -1.5
+    inv5 = inv3 / d2
+    c = b * np.outer(masses, masses)
+    hxx = c * (inv3 - 3.0 * dx * dx * inv5)
+    hxy = -3.0 * c * dx * dy * inv5
+    hyy = c * (inv3 - 3.0 * dy * dy * inv5)
+    central3 = a * masses * r2 ** -1.5
+    central5 = 3.0 * central3 / r2
+    np.fill_diagonal(hxx, central5 * x * x - central3 - np.sum(hxx, axis=1))
+    np.fill_diagonal(hxy, central5 * x * y - np.sum(hxy, axis=1))
+    np.fill_diagonal(hyy, central5 * y * y - central3 - np.sum(hyy, axis=1))
+    H = np.empty((2 * n, 2 * n))
+    H[0::2, 0::2] = hxx
+    H[0::2, 1::2] = hxy
+    H[1::2, 0::2] = hxy
+    H[1::2, 1::2] = hyy
     return H
 
 

@@ -4,8 +4,45 @@ import pytest
 from orbitfix.nbody import (NBodyConfig, build_nbody, grad_U, hess_U, polygon_solution,
                             reduced_polar_residual, ring_constant, rotation_action)
 from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize
-from orbitfix.solvers import petviashvili_map
+from orbitfix.solvers import iteration_matrix_spectrum, petviashvili_map
 from orbitfix.symmetry import align_to_orbit
+
+
+# ---------------- loop reference for the potential ----------------
+# One body pair at a time, written straight from the formulas; the library's
+# array expressions must agree with it to round-off.
+
+def _loop_grad_U(cfg, q):
+    a, b = cfg.coefficients
+    pos = q.reshape(cfg.n, 2)
+    g = np.zeros_like(pos)
+    for j in range(cfg.n):
+        g[j] = -a * cfg.masses[j] * pos[j] / np.linalg.norm(pos[j]) ** 3
+        for i in range(cfg.n):
+            if i != j:
+                d = pos[j] - pos[i]
+                g[j] -= b * cfg.masses[i] * cfg.masses[j] * d / np.linalg.norm(d) ** 3
+    return g.ravel()
+
+
+def _loop_pair_block(r):
+    dist = np.linalg.norm(r)
+    return np.eye(2) / dist ** 3 - 3.0 * np.outer(r, r) / dist ** 5
+
+
+def _loop_hess_U(cfg, q):
+    a, b = cfg.coefficients
+    pos = q.reshape(cfg.n, 2)
+    H = np.zeros((2 * cfg.n, 2 * cfg.n))
+    for j in range(cfg.n):
+        diag = -a * cfg.masses[j] * _loop_pair_block(pos[j])
+        for i in range(cfg.n):
+            if i != j:
+                block = b * cfg.masses[i] * cfg.masses[j] * _loop_pair_block(pos[j] - pos[i])
+                diag -= block
+                H[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block
+        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = diag
+    return H
 
 
 # ---------------- configuration ----------------
@@ -128,12 +165,33 @@ def test_euler_identity():
     assert np.allclose(hess_U(cfg, q) @ q, -2.0 * grad_U(cfg, q), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 16])
+def test_potential_matches_loop_reference(n):
+    rng = np.random.default_rng(100 + n)
+    cfg = NBodyConfig(n=n, m0=rng.uniform(0.0, 10.0), masses=rng.uniform(0.5, 2.0, n))
+    for _ in range(3):
+        q = polygon_solution(n) + 0.05 * rng.standard_normal(2 * n)
+        g_ref = _loop_grad_U(cfg, q)
+        H_ref = _loop_hess_U(cfg, q)
+        g = grad_U(cfg, q)
+        H = hess_U(cfg, q)
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
+        assert np.array_equal(H, H.T)
+
+
 def test_collision_raises():
-    cfg = NBodyConfig(n=2, m0=1.0)
-    with pytest.raises(ValueError, match="collide"):
-        grad_U(cfg, np.array([1.0, 0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError, match="collide"):
-        grad_U(cfg, np.array([0.0, 0.0, 1.0, 0.0]))
+    two = NBodyConfig(n=2, m0=1.0)
+    three = NBodyConfig(n=3, m0=1.0)
+    for potential in (grad_U, hess_U):
+        with pytest.raises(ValueError, match="two ring bodies collide"):
+            potential(two, np.array([1.0, 0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="body collides with the center"):
+            potential(two, np.array([0.0, 0.0, 1.0, 0.0]))
+        # bodies 1 and 3 coincide, body 2 is elsewhere: the self-pair mask on
+        # the diagonal must not hide a collision between distinct bodies
+        with pytest.raises(ValueError, match="two ring bodies collide"):
+            potential(three, np.array([1.0, 0.5, -1.0, 0.0, 1.0, 0.5]))
 
 
 # ---------------- fixed-point map ----------------
@@ -253,3 +311,13 @@ def test_stabilized_spectrum_filters_dominant_mode():
     vals = sorted(rep.eigenvalues.real)
     expected = sorted([0.0, 1.0, -8.0 / 14.0, 4.0 / 14.0])
     assert np.allclose(vals, expected, atol=1e-5)
+
+
+@pytest.mark.parametrize("m0", [10.0, 1000.0])
+def test_stabilized_map_is_unstable_at_eight_body_polygon(m0):
+    # the stabilized map's dominant modulus at the 8-body polygon is about 5,
+    # so the ring Petviashvili iteration diverging there is the map's own
+    # linear instability, not a solver fault
+    problem = build_nbody(NBodyConfig(n=8, m0=m0))
+    rep = iteration_matrix_spectrum(petviashvili_map(problem, 2.0 / 3.0), polygon_solution(8))
+    assert rep.dominant_modulus > 1.0
