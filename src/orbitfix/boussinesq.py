@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numlin import LinearOperator, fourier_apply, fourier_symbols
+from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply, fourier_symbols
 from .solvers import ProblemSpec
 from .symmetry import GroupAction
 
@@ -165,13 +165,19 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     return ProblemSpec(dim=2 * n, F=F, jacobian_at=jacobian_at)
 
 
-def precond_operator(params: BSParams, s: float) -> LinearOperator:
-    """Inverse shifted Laplacian (s - dxx)^{-1} on each field: multipliers 1/(s + xi^2)."""
-    if not s > 0.0:
-        raise ValueError("shift s must be positive")
+def precond_operator(params: BSParams) -> LinearOperator:
+    """|S|^{-1} for the linear part S of the travelling-wave system.
+
+    Per Fourier mode S is the symmetric block [[-1, cs(1 + b xi^2)],
+    [cs(1 + b xi^2), -(1 - c xi^2)]], indefinite with negative determinant.
+    Its absolute value |S| has the same eigenvectors and the moduli of the
+    eigenvalues, so |S|^{-1} is symmetric positive definite and serves as
+    the MINRES preconditioner for the indefinite Jacobian.
+    """
     xi = fourier_symbols(params.n, params.half_length)[0]
-    diag = 1.0 / (s + xi ** 2)
-    return LinearOperator(dim=2 * params.n, apply=lambda v: fourier_apply(diag, v),
+    a12 = params.speed * (1.0 + params.b * xi ** 2)
+    symbol = abs_inverse_2x2(-1.0, a12, -(1.0 - params.c * xi ** 2))
+    return LinearOperator(dim=2 * params.n, apply=lambda v: fourier_apply(symbol, v),
                           symmetric=True)
 
 

@@ -151,12 +151,12 @@ def _config_echo(args) -> dict:
     return out
 
 
-def _add_solver_flags(p, methods, default_tol):
-    # the first method is the default; offer only methods the problem runs
+def _add_solver_flags(p, methods, inner_solvers, default_tol):
+    # the first method and inner solver are the defaults; offer only what the problem runs
     p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--tol", type=float, default=default_tol)
     p.add_argument("--max-outer", type=int, default=1000, dest="max_outer")
-    p.add_argument("--inner-solver", choices=("pcg", "minres"), default="pcg",
+    p.add_argument("--inner-solver", choices=inner_solvers, default=inner_solvers[0],
                    dest="inner_solver")
     p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
@@ -297,9 +297,10 @@ def _bs_seed(args, profile):
 
 
 def _bs_solve(problem, params, w0, reference, args):
-    precond = bq.precond_operator(params, args.precond_s).apply
+    # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator
     return newton_solve(problem, w0, _solver_config(args), reference=reference,
-                        precond=precond)
+                        precond=bq.precond_operator(params).apply,
+                        generators=bq.translation_action(params).generators)
 
 
 def _centers(w, params):
@@ -333,8 +334,7 @@ def cmd_bs_solve(args):
     _write_trace(out, outcome.trace)
     _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave.vector(), params)
     orbit = None
-    extras = {"pcg_fallbacks": outcome.pcg_fallbacks,
-              "inner_iterations": outcome.inner_iterations}
+    extras = {"inner_iterations": outcome.inner_iterations}
     if _finite(outcome.x):
         extras.update(_centers(outcome.x, params))
         if reference is not None:
@@ -482,7 +482,7 @@ def _build_parser() -> _Parser:
     for name in ("solve", "orbit"):
         p = nbody_cmds.add_parser(name)
         nbody_common(p)
-        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), 1e-7)
+        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), ("pcg", "minres"), 1e-7)
         _add_perturb_flags(p, ("ones", "generator"))
         p.set_defaults(func=cmd_nbody_solve)
 
@@ -503,8 +503,7 @@ def _build_parser() -> _Parser:
 
     def bs_solver(p):
         bs_common(p)
-        _add_solver_flags(p, ("newton",), 1e-12)
-        p.add_argument("--precond-s", type=float, default=1.0, dest="precond_s")
+        _add_solver_flags(p, ("newton",), ("minres",), 1e-12)
 
     for name in ("solve", "orbit"):
         p = bs_cmds.add_parser(name)

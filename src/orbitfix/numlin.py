@@ -22,6 +22,7 @@ __all__ = [
     "materialize",
     "fourier_symbols",
     "fourier_apply",
+    "abs_inverse_2x2",
     "spectral_derivative",
     "fd_jacobian",
     "dense_eigenvalues",
@@ -112,15 +113,46 @@ def fourier_symbols(n: int, half_length: float):
 
 
 def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply each len(symbol)-sample block of v by symbol in Fourier space.
+    """Multiply v by symbol in Fourier space.
 
-    A stacked state (u, eta) goes through one batched transform.
+    A scalar symbol of shape (n,) multiplies each n-sample block of v, so a
+    stacked state (u, eta) goes through one batched transform. A matrix
+    symbol of shape (k, k, n) mixes k stacked fields mode by mode: v holds
+    k blocks of n samples and block i of the result is the sum over j of
+    symbol[i, j] times block j.
     """
     v = np.asarray(v, dtype=float)
-    n = symbol.shape[0]
-    if v.ndim != 1 or v.shape[0] % n:
-        raise ValueError("vector length must be a multiple of the symbol length")
-    return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(v.shape)
+    n = symbol.shape[-1]
+    if symbol.ndim == 1:
+        if v.ndim != 1 or v.shape[0] % n:
+            raise ValueError("vector length must be a multiple of the symbol length")
+        return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(v.shape)
+    k = symbol.shape[0]
+    if symbol.shape != (k, k, n):
+        raise ValueError("matrix symbol must have shape (k, k, n)")
+    if v.shape != (k * n,):
+        raise ValueError("vector length must be the symbol's field count times its length")
+    v_hat = np.fft.fft(v.reshape(k, n))
+    return np.fft.ifft(np.einsum("ijn,jn->in", symbol, v_hat)).real.reshape(v.shape)
+
+
+def abs_inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
+    """Per-mode |A|^{-1} of symmetric 2x2 blocks [[a11, a12], [a12, a22]], shape (2, 2, n).
+
+    |A| = sqrt(A^2) is the SPD matrix with A's eigenvectors and the moduli
+    of its eigenvalues. With B = A^2 + |det A| I and s = |l1| + |l2| =
+    sqrt(tr(A^2) + 2|det A|), |A| = B / s, so |A|^{-1} = adj(B) / (s |det A|)
+    and no eigenvectors are needed. Every block must be nonsingular.
+    """
+    a11, a12, a22 = (np.asarray(a, dtype=float) for a in (a11, a12, a22))
+    absdet = np.abs(a11 * a22 - a12 * a12)
+    if not np.all(absdet > 0.0):
+        raise ValueError("every 2x2 block must be nonsingular")
+    b11 = a11 * a11 + a12 * a12 + absdet
+    b22 = a12 * a12 + a22 * a22 + absdet
+    b12 = a12 * (a11 + a22)
+    scale = np.sqrt(b11 + b22) * absdet
+    return np.stack([np.stack([b22, -b12]), np.stack([-b12, b11])]) / scale
 
 
 def spectral_derivative(v: np.ndarray, half_length: float, order: int = 1) -> np.ndarray:

@@ -235,18 +235,46 @@ def petviashvili_map(problem: ProblemSpec, gamma: float = 2.0 / 3.0) -> Callable
     return lambda x: _stabilized_next(*parts(x), gamma)
 
 
+def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> v minus its orthogonal projection onto span(vectors).
+
+    Gram-Schmidt over the few generator vectors. A vector that projects to
+    exactly zero, such as a generator at a fixed point of the group, adds
+    nothing.
+    """
+    basis = []
+
+    def project(v):
+        for q in basis:
+            v = v - np.dot(q, v) * q
+        return v
+
+    for g in vectors:
+        g = project(np.asarray(g, dtype=float))
+        norm = float(np.linalg.norm(g))
+        if norm > 0.0:
+            basis.append(g / norm)
+    return project
+
+
 def newton_solve(problem: ProblemSpec, x0: np.ndarray,
                  config: Optional[SolverConfig] = None,
                  reference: Optional[np.ndarray] = None,
-                 precond: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> SolveOutcome:
+                 precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 generators: Optional[Callable] = None) -> SolveOutcome:
     """Newton iteration with an iterative linear solve per step.
 
-    The correction solves J(x) dx = -F(x) with PCG (using precond when
-    given) or MINRES per config.inner_solver. On a PCG breakdown, which
-    is expected when J is indefinite, the step falls back to MINRES and
-    the event is counted. The MINRES path runs unpreconditioned: its
-    iterates then stay orthogonal to any Jacobian null direction reached
-    from the right-hand side, so symmetry-induced singularity is harmless.
+    The correction solves J(x) dx = -F(x) with PCG or MINRES per
+    config.inner_solver; both use precond, a symmetric positive definite
+    approximation of J^{-1}, when given. On a PCG breakdown, which is
+    expected when J is indefinite, the step falls back to unpreconditioned
+    MINRES and the event is counted.
+
+    generators, when given, maps a point to the tangent vectors of its
+    group orbit (as GroupAction.generators does). Each step then solves on
+    a slice of the quotient: -F(x) and dx are both projected orthogonal to
+    the generators at x, so the symmetry-induced null direction of J never
+    enters the inner solve and the step has no component along the orbit.
 
     Three consecutive steps whose inner solve exhausts its budget without
     reducing the residual classify the run as MaxIterations.
@@ -282,6 +310,9 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
 
         jac = problem.jacobian_at(x)
         rhs = -fx
+        if generators is not None:
+            deflate = _orthogonal_projector(generators(x))
+            rhs = deflate(rhs)
         if config.inner_solver == "pcg":
             dx, stats = pcg(jac, rhs, precond, tol=config.inner_tol, maxit=config.inner_maxit)
             inner_total += stats.iterations
@@ -290,8 +321,11 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
                 dx, stats = minres(jac, rhs, tol=config.inner_tol, maxit=config.inner_maxit)
                 inner_total += stats.iterations
         else:
-            dx, stats = minres(jac, rhs, tol=config.inner_tol, maxit=config.inner_maxit)
+            dx, stats = minres(jac, rhs, tol=config.inner_tol, maxit=config.inner_maxit,
+                               precond=precond)
             inner_total += stats.iterations
+        if generators is not None:
+            dx = deflate(dx)
         prev_budget_hit = stats.iterations >= config.inner_maxit
         prev_residual = residual
         trace.set_step_norm(float(np.linalg.norm(dx)))

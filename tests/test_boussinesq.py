@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_profile, grid,
                                  precond_operator, propagate,
                                  translation_action, translation_shift)
-from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize, minres
+from orbitfix.numlin import (dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
+                             materialize, minres)
+from orbitfix.solvers import SolverConfig, newton_solve
 from orbitfix.symmetry import kernel_check
 
 
@@ -161,55 +165,140 @@ def test_jacobian_spectrum_at_wave():
 
 # ---------------- preconditioner ----------------
 
+def _s_block(params, xi):
+    """The linear part S at one wavenumber, as a dense 2x2 matrix."""
+    a12 = params.speed * (1.0 + params.b * xi ** 2)
+    return np.array([[-1.0, a12], [a12, -(1.0 - params.c * xi ** 2)]])
+
+
+def _abs_inverse(block):
+    lam, vec = np.linalg.eigh(block)
+    return vec @ np.diag(1.0 / np.abs(lam)) @ vec.T
+
+
 def test_precond_validation():
     params = _params(n=4, half_length=1.0)
-    with pytest.raises(ValueError):
-        precond_operator(params, 0.0)
-    with pytest.raises(ValueError):
-        precond_operator(params, -1.0)
-    with pytest.raises(ValueError):
-        precond_operator(params, 1.0).apply(np.ones(7))
+    M = precond_operator(params)
+    assert M.dim == 8
+    for bad in (np.ones(7), np.ones(4), np.ones(12)):
+        with pytest.raises(ValueError):
+            M.apply(bad)
 
 
 def test_precond_constant_mode():
-    # on constants the operator (s - dxx)^{-1} is multiplication by 1/s
+    # on constants S is the 2x2 block [[-1, cs], [cs, -1]]; |S|^{-1} is its absolute inverse
+    params = _params(n=16, half_length=2.0)
     v = np.concatenate([np.full(16, 3.0), np.full(16, -2.0)])
-    out = precond_operator(_params(n=16, half_length=2.0), 4.0).apply(v)
-    assert np.allclose(out, v / 4.0, atol=1e-13)
+    out = precond_operator(params).apply(v)
+    expected = _abs_inverse(_s_block(params, 0.0)) @ np.array([3.0, -2.0])
+    assert np.allclose(out, np.repeat(expected, 16), atol=1e-13)
 
 
-def test_precond_inverts_shifted_laplacian():
-    n, L, s = 64, 5.0, 1.7
-    x = grid(n, L)
-    rng = np.random.default_rng(43)
-    coeffs = rng.standard_normal(5)
-    field = sum(c * np.cos((k + 1) * np.pi * x / L) for k, c in enumerate(coeffs))
-    v = np.concatenate([field, 2 * field])
-    out = precond_operator(_params(n=n, half_length=L), s).apply(v)
-    from orbitfix.numlin import spectral_derivative
-    recovered = np.concatenate([
-        s * out[:n] - spectral_derivative(out[:n], L, 2),
-        s * out[n:] - spectral_derivative(out[n:], L, 2),
-    ])
-    assert np.allclose(recovered, v, atol=1e-10)
+def test_precond_times_linear_part_is_an_involution():
+    # |S|^{-1} S is the sign of S, whose square is the identity
+    n, L = 64, 5.0
+    params = _params(n=n, half_length=L)
+    S = build_bs_problem(params).jacobian_at(np.zeros(2 * n))
+    M = precond_operator(params)
+    v = np.random.default_rng(43).standard_normal(2 * n)
+    once = M.apply(S.apply(v))
+    assert not np.allclose(once, v, atol=1e-3)
+    assert np.allclose(M.apply(S.apply(once)), v, atol=1e-12)
 
 
 def test_precond_single_mode_eigenvalue():
-    n, L, s = 32, np.pi, 2.0
+    n, L = 32, np.pi
+    params = _params(n=n, half_length=L)
     x = grid(n, L)
     mode = np.sin(3 * x)  # xi = 3 on this domain
     v = np.concatenate([mode, np.zeros(n)])
-    out = precond_operator(_params(n=n, half_length=L), s).apply(v)
-    assert np.allclose(out[:n], mode / (s + 9.0), atol=1e-12)
+    out = precond_operator(params).apply(v)
+    column = _abs_inverse(_s_block(params, 3.0))[:, 0]
+    assert np.allclose(out, np.concatenate([column[0] * mode, column[1] * mode]), atol=1e-12)
 
 
 def test_precond_operator_is_spd_for_minres():
     params = _params(n=64)
-    M = precond_operator(params, 1.0)
+    M = precond_operator(params)
     assert M.symmetric
     col = materialize(M)
     assert np.allclose(col, col.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(col) > 0)
+    # minres raises when the preconditioned inner products are not positive
+    S = build_bs_problem(params).jacobian_at(np.zeros(2 * params.n))
+    b = np.random.default_rng(5).standard_normal(2 * params.n)
+    _, stats = minres(S, b, tol=1e-10, maxit=50, precond=M.apply)
+    assert stats.relative_residual <= 1e-10
+
+
+def test_precond_minres_solves_linear_part_in_few_iterations():
+    n = 16
+    params = _params(n=n, half_length=5.0)
+    S = build_bs_problem(params).jacobian_at(np.zeros(2 * n))
+    b = np.random.default_rng(6).standard_normal(2 * n)
+    _, plain = minres(S, b, tol=1e-10, maxit=200)
+    x, prec = minres(S, b, tol=1e-10, maxit=200, precond=precond_operator(params).apply)
+    assert prec.iterations <= 3 < plain.iterations
+    assert np.linalg.norm(S.apply(x) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# ---------------- deflated, preconditioned Newton ----------------
+
+def _wave_newton(params, w0, tol, record=None):
+    problem = build_bs_problem(params)
+    if record is not None:
+        F = problem.F
+
+        def recording_F(w):
+            record.append(np.array(w))
+            return F(w)
+
+        problem = replace(problem, F=recording_F)
+    config = SolverConfig(tol_residual=tol, max_outer=50, inner_solver="minres",
+                          inner_maxit=500)
+    return newton_solve(problem, w0, config, precond=precond_operator(params).apply,
+                        generators=translation_action(params).generators)
+
+
+def _generator_seed(n, eps):
+    profile = exact_profile(THETA2, n, 50.0)
+    params = BSParams(theta2=THETA2, speed=profile.speed, n=n, half_length=50.0)
+    w = profile.wave.vector()
+    return params, w + eps * fourier_apply(fourier_symbols(n, 50.0)[1], w)
+
+
+def test_deflated_newton_converges_from_small_generator_seed():
+    # at eps = 0.01 the tolerance sits just above the residual floor; without
+    # projecting -F(x) the inner solves lose all accuracy there and Newton diverges
+    params, w0 = _generator_seed(1024, 0.01)
+    out = _wave_newton(params, w0, 1e-11)
+    assert out.status == "ConvergedResidual"
+    assert out.iterations <= 4
+    assert abs(translation_shift(out.x, 50.0) - (-0.01)) < 1e-6
+
+
+def test_deflated_newton_steps_are_orthogonal_to_the_generator():
+    params, w0 = _generator_seed(512, 0.1)
+    iterates = []
+    out = _wave_newton(params, w0, 1e-11, record=iterates)
+    assert out.converged and len(iterates) == out.iterations + 1 >= 3
+    generators = translation_action(params).generators
+    for x, x_next in zip(iterates, iterates[1:]):
+        g = generators(x)[0]
+        dx = x_next - x
+        # the second term is the round-off of x_next - x
+        bound = (1e-12 * np.linalg.norm(dx) + 1e-14 * np.linalg.norm(x)) * np.linalg.norm(g)
+        assert abs(np.dot(dx, g)) <= bound
+
+
+def test_deflated_newton_at_prescribed_speed_needs_few_inner_iterations():
+    n = 512
+    profile = exact_profile(THETA2, n, 50.0)
+    params = BSParams(theta2=THETA2, speed=1.2, n=n, half_length=50.0)
+    out = _wave_newton(params, profile.wave.vector(), 1e-11)
+    assert out.status == "ConvergedResidual"
+    assert out.iterations <= 12
+    assert out.inner_iterations < 500
 
 
 # ---------------- translation diagnostics ----------------

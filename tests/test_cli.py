@@ -59,6 +59,11 @@ def test_bs_rejects_non_newton_method(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_bs_rejects_pcg_inner_solver(tmp_path):
+    assert main(["bs", "solve", "--inner-solver", "pcg", *BS_SMALL,
+                 "--out", str(tmp_path)]) == 1
+
+
 # ---------------- nbody ----------------
 
 def test_nbody_solve_success(tmp_path):
@@ -148,6 +153,8 @@ def test_bs_solve_even_perturbation(tmp_path):
     _validate(summary)
     assert summary["status"] == "ConvergedResidual"
     assert summary["final_residual"] <= 1e-8
+    assert summary["extras"]["inner_iterations"] > 0
+    assert "pcg_fallbacks" not in summary["extras"]
     # an even perturbation cannot move the wave
     assert abs(summary["extras"]["x_eta"]) <= 1e-6
     assert summary["orbit"]["orbital_distance"] <= 1e-6

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from orbitfix.numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, as_operator,
-                             dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
-                             materialize, minres, pcg, spectral_derivative)
+from orbitfix.numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, abs_inverse_2x2,
+                             as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
+                             fourier_symbols, materialize, minres, pcg, spectral_derivative)
 
 
 # ---------------- spectral_derivative ----------------
@@ -79,6 +79,46 @@ def test_fourier_apply_blockwise_equals_per_block():
 def test_fourier_apply_rejects_partial_blocks():
     with pytest.raises(ValueError):
         fourier_apply(fourier_symbols(8, 1.0)[1], np.ones(12))
+
+
+def test_fourier_apply_matrix_symbol_equals_per_mode_product():
+    n = 16
+    rng = np.random.default_rng(11)
+    symbol = rng.standard_normal((2, 2, n))
+    v = rng.standard_normal(2 * n)
+    v_hat = np.fft.fft(v.reshape(2, n))
+    out_hat = np.empty((2, n), dtype=complex)
+    for m in range(n):
+        out_hat[:, m] = symbol[:, :, m] @ v_hat[:, m]
+    expected = np.fft.ifft(out_hat).real.reshape(-1)
+    assert np.allclose(fourier_apply(symbol, v), expected, rtol=0.0, atol=1e-13)
+
+
+def test_fourier_apply_matrix_symbol_rejects_bad_shapes():
+    symbol = np.ones((2, 2, 8))
+    with pytest.raises(ValueError):
+        fourier_apply(symbol, np.ones(8))
+    with pytest.raises(ValueError):
+        fourier_apply(symbol, np.ones(24))
+    with pytest.raises(ValueError):
+        fourier_apply(np.ones((2, 3, 8)), np.ones(16))
+
+
+def test_abs_inverse_2x2_matches_eigendecomposition():
+    rng = np.random.default_rng(12)
+    a11, a12, a22 = rng.standard_normal((3, 200)) * np.array([[1.0], [3.0], [0.1]])
+    blocks = abs_inverse_2x2(a11, a12, a22)
+    assert blocks.shape == (2, 2, 200)
+    for m in range(200):
+        lam, vec = np.linalg.eigh(np.array([[a11[m], a12[m]], [a12[m], a22[m]]]))
+        expected = vec @ np.diag(1.0 / np.abs(lam)) @ vec.T
+        assert np.allclose(blocks[:, :, m], expected, rtol=1e-13,
+                           atol=1e-13 * np.abs(expected).max())
+
+
+def test_abs_inverse_2x2_rejects_singular_blocks():
+    with pytest.raises(ValueError, match="nonsingular"):
+        abs_inverse_2x2(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 4.0]))
 
 
 # ---------------- fd_jacobian ----------------

@@ -254,6 +254,54 @@ def test_newton_minres_path_never_counts_fallbacks():
     assert out.inner_iterations > 0
 
 
+def test_newton_minres_branch_applies_the_preconditioner():
+    A = np.diag([1.0, -2.0, 4.0])
+    b = np.array([1.0, 1.0, 1.0])
+    problem = ProblemSpec(
+        dim=3,
+        F=lambda x: A @ x - b,
+        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: A @ v, symmetric=True),
+    )
+    calls = []
+
+    def abs_inverse(v):
+        calls.append(1)
+        return v / np.abs(np.diag(A))
+
+    config = SolverConfig(tol_residual=1e-12, max_outer=10, inner_solver="minres")
+    plain = newton_solve(problem, np.zeros(3), config)
+    out = newton_solve(problem, np.zeros(3), config, precond=abs_inverse)
+    assert out.converged and np.allclose(out.x, b / np.diag(A), atol=1e-12)
+    assert calls
+    # |A|^{-1} A has eigenvalues +-1 only, so MINRES needs two iterations
+    assert out.inner_iterations == 2 < plain.inner_iterations
+
+
+def test_newton_projects_steps_off_the_generators():
+    A = np.diag([2.0, 3.0])
+    b = np.array([2.0, 3.0])
+    problem = ProblemSpec(
+        dim=2,
+        F=lambda x: A @ x - b,
+        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
+    )
+    out = newton_solve(problem, np.array([0.5, 0.0]),
+                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       generators=lambda x: [np.array([5.0, 0.0])])
+    # the first coordinate lies along the generator and is never updated
+    assert out.status == MAX_ITERATIONS
+    assert out.x[0] == 0.5 and abs(out.x[1] - 1.0) < 1e-12
+    # a zero generator (a fixed point of the group) removes nothing
+    out = newton_solve(problem, np.array([0.5, 0.0]),
+                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       generators=lambda x: [np.zeros(2), np.array([5.0, 0.0])])
+    assert out.x[0] == 0.5 and abs(out.x[1] - 1.0) < 1e-12
+    out = newton_solve(problem, np.array([0.5, 0.0]),
+                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       generators=lambda x: [np.zeros(2)])
+    assert out.converged and np.allclose(out.x, [1.0, 1.0], atol=1e-12)
+
+
 def test_newton_stalls_out_when_inner_budget_never_helps():
     # constant residual plus an ill-conditioned Jacobian: every inner solve
     # exhausts its budget and the outer residual never moves, so the run
