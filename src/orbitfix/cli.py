@@ -352,12 +352,14 @@ def cmd_bs_spectrum(args):
     profile = _bs_profile(args)
     params = _bs_params(args, profile)
     problem = bq.build_bs_problem(params)
-    report = dense_eigenvalues(problem.jacobian_at(profile.wave.vector()))
+    report = dense_eigenvalues(bq.reflection_blocks(problem, profile.wave.vector()))
     _write_spectrum(out, report)
     extras = {
         "count_near_unit": report.count_near_unit,
         "count_near_zero": report.count_near_zero,
         "dominant_modulus": report.dominant_modulus,
+        "blocks": {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros
+                   in zip(("even", "odd"), report.block_dims, report.block_near_zero)},
     }
     return _write_summary(out, "bs " + args.command, _config_echo(args),
                           extras=extras, wall_time=time.perf_counter() - t0)

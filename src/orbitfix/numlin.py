@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -61,12 +61,19 @@ class KrylovStats:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Eigenvalues sorted by decreasing modulus plus summary counters."""
+    """Eigenvalues sorted by decreasing modulus plus summary counters.
+
+    block_dims and block_near_zero hold the size and near-0 count of each
+    diagonal block the spectrum was computed from (one block for a plain
+    matrix).
+    """
 
     eigenvalues: np.ndarray
     count_near_unit: int
     count_near_zero: int
     dominant_modulus: float
+    block_dims: Tuple[int, ...]
+    block_near_zero: Tuple[int, ...]
 
 
 def as_operator(A, symmetric: Optional[bool] = None) -> LinearOperator:
@@ -186,8 +193,7 @@ def fd_jacobian(F: Callable, x: np.ndarray, step: Optional[float] = None) -> np.
     return np.column_stack(cols)
 
 
-def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> SpectrumReport:
-    """Full eigenvalue set of a small matrix, with near-1 and near-0 counts."""
+def _block_eigenvalues(A) -> np.ndarray:
     if isinstance(A, LinearOperator) and A.dim > DENSE_DIM_LIMIT:
         raise ValueError(
             f"dimension {A.dim} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}"
@@ -195,23 +201,36 @@ def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> Spec
     M = materialize(A)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
-    n = M.shape[0]
-    if n > DENSE_DIM_LIMIT:
+    if M.shape[0] > DENSE_DIM_LIMIT:
         raise ValueError(
-            f"dimension {n} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}"
+            f"dimension {M.shape[0]} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}"
         )
-    if n == 0:
-        return SpectrumReport(np.empty(0, dtype=complex), 0, 0, 0.0)
+    if M.shape[0] == 0:
+        return np.empty(0, dtype=complex)
     if np.allclose(M, M.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
-        ev = np.linalg.eigvalsh(M).astype(complex)
-    else:
-        ev = np.linalg.eigvals(M)
+        return np.linalg.eigvalsh(M).astype(complex)
+    return np.linalg.eigvals(M)
+
+
+def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> SpectrumReport:
+    """Full eigenvalue set of a small matrix, with near-1 and near-0 counts.
+
+    A tuple of square matrices or operators stands for the block-diagonal
+    matrix they form: its spectrum is the union of the blocks' spectra,
+    the dimension limit applies to each block, and block_dims and
+    block_near_zero give the size and near-0 count of each block in order.
+    """
+    blocks = [_block_eigenvalues(B) for B in (A if isinstance(A, tuple) else (A,))]
+    near_zero = tuple(int(np.count_nonzero(np.abs(b) <= tol_zero)) for b in blocks)
+    ev = np.concatenate(blocks)
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]
     return SpectrumReport(
         eigenvalues=ev,
         count_near_unit=int(np.count_nonzero(np.abs(ev - 1.0) <= tol_unit)),
-        count_near_zero=int(np.count_nonzero(np.abs(ev) <= tol_zero)),
-        dominant_modulus=float(np.abs(ev[0])),
+        count_near_zero=sum(near_zero),
+        dominant_modulus=float(np.abs(ev[0])) if ev.size else 0.0,
+        block_dims=tuple(b.size for b in blocks),
+        block_near_zero=near_zero,
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_profile, grid,
-                                 precond_operator, propagate,
+                                 precond_operator, propagate, reflection_blocks,
                                  translation_action, translation_shift)
 from orbitfix.numlin import (dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
                              materialize, minres)
@@ -161,6 +161,30 @@ def test_jacobian_spectrum_at_wave():
     assert rep.count_near_zero == 1
     vals = rep.eigenvalues.real
     assert vals.max() > 0.1 and vals.min() < -0.1
+
+
+@pytest.mark.parametrize("n, half_length", [(64, 10.0), (256, 25.0)])
+def test_reflection_blocks_match_dense_spectrum(n, half_length):
+    params = _params(n=n, half_length=half_length)
+    problem = build_bs_problem(params)
+    w = exact_profile(THETA2, n, half_length).wave.vector()
+    even, odd = reflection_blocks(problem, w)
+    assert even.shape == (n + 2, n + 2) and odd.shape == (n - 2, n - 2)
+    dense = np.linalg.eigvalsh(materialize(problem.jacobian_at(w)))
+    rep = dense_eigenvalues((even, odd))
+    split = np.sort(rep.eigenvalues.real)
+    assert np.max(np.abs(rep.eigenvalues.imag)) == 0.0
+    assert np.max(np.abs(split - dense)) <= 1e-10 * np.max(np.abs(dense))
+    # the translation generator is odd, so the symmetry-forced zero is too
+    assert rep.block_dims == (n + 2, n - 2)
+    assert rep.block_near_zero == (0, 1)
+
+
+def test_reflection_blocks_reject_uncentred_state():
+    params = _params(n=64, half_length=25.0)
+    shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave.vector()
+    with pytest.raises(ValueError, match="even"):
+        reflection_blocks(build_bs_problem(params), shifted)
 
 
 # ---------------- preconditioner ----------------
@@ -331,6 +355,56 @@ def test_translation_shift_errors():
 
 
 # ---------------- time propagation ----------------
+
+def _complex_fft_rk4(w, params, dt, nsteps):
+    """RK4 with the right-hand side written as five complex transforms."""
+    n = params.n
+    xi, d1, lap = fourier_symbols(n, params.half_length)
+    mult_eta = d1 / (1.0 + params.b * xi ** 2)
+    mult_u = d1 / (1.0 + params.d * xi ** 2)
+
+    def rhs(state):
+        u, eta = state[:n], state[n:]
+        eta_hat = np.fft.fft(eta)
+        flux_eta = np.fft.fft(u + eta * u)
+        flux_u = np.fft.fft(0.5 * u * u + eta) + params.c * lap * eta_hat
+        u_dot = -np.fft.ifft(mult_u * flux_u).real
+        eta_dot = -np.fft.ifft(mult_eta * flux_eta).real
+        return np.concatenate([u_dot, eta_dot])
+
+    for _ in range(nsteps):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dt * k1)
+        k3 = rhs(w + 0.5 * dt * k2)
+        k4 = rhs(w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w
+
+
+def _smooth_state_with_nyquist(n, seed):
+    rng = np.random.default_rng(seed)
+    k = np.arange(n // 2 + 1)
+    fields = []
+    for _ in range(2):
+        spectrum = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) \
+            * np.exp(-0.2 * k)
+        field = np.fft.irfft(spectrum, n)
+        fields.append(0.5 * field / np.max(np.abs(field)) + 1e-3 * (-1.0) ** np.arange(n))
+    return np.concatenate(fields)
+
+
+@pytest.mark.parametrize("state", ["profile", "random"])
+def test_propagate_matches_complex_fft_reference(state):
+    params = _params(n=64, half_length=10.0)
+    if state == "profile":
+        w0 = exact_profile(THETA2, 64, 10.0).wave.vector()
+    else:
+        w0 = _smooth_state_with_nyquist(64, seed=7)
+    dt = 0.01
+    got = propagate(w0, params, dt=dt, t_end=100 * dt).states[-1].vector()
+    ref = _complex_fft_rk4(w0.copy(), params, dt, 100)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
 
 def test_propagate_zero_stays_zero():
     params = _params(n=64, half_length=10.0)

@@ -185,6 +185,11 @@ def test_bs_spectrum_single_null_mode(tmp_path):
     summary = _read_summary(tmp_path)
     _validate(summary)
     assert summary["extras"]["count_near_zero"] == 1
+    n = int(BS_SMALL[BS_SMALL.index("--grid-n") + 1])
+    assert summary["extras"]["blocks"] == {
+        "even": {"dim": n + 2, "count_near_zero": 0},
+        "odd": {"dim": n - 2, "count_near_zero": 1},
+    }
 
 
 def test_bs_propagate(tmp_path):

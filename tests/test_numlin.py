@@ -156,6 +156,9 @@ def test_dense_eigenvalues_counters():
     rep = dense_eigenvalues(np.diag([1.0, 1.0 + 1e-8, 5e-7, 2.0]))
     assert rep.count_near_unit == 2
     assert rep.count_near_zero == 1
+    # a plain matrix is one block
+    assert rep.block_dims == (4,)
+    assert rep.block_near_zero == (1,)
 
 
 def test_dense_eigenvalues_rotation_block():
@@ -176,6 +179,28 @@ def test_dense_eigenvalues_accepts_operator():
     op = as_operator(np.diag([2.0, -1.0]))
     rep = dense_eigenvalues(op)
     assert np.allclose(sorted(rep.eigenvalues.real), [-1.0, 2.0])
+
+
+def test_dense_eigenvalues_of_blocks_is_the_union():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    a = a + a.T
+    b = np.diag([1e-9, 3.0])
+    rep = dense_eigenvalues((a, b))
+    full = np.zeros((6, 6))
+    full[:4, :4] = a
+    full[4:, 4:] = b
+    assert np.allclose(sorted(rep.eigenvalues.real), np.linalg.eigvalsh(full), atol=1e-12)
+    assert rep.block_dims == (4, 2)
+    assert rep.block_near_zero == (0, 1)
+    assert rep.count_near_zero == 1
+    assert rep.dominant_modulus == np.max(np.abs(np.linalg.eigvalsh(full)))
+
+
+def test_dense_eigenvalues_dimension_guard_applies_per_block():
+    big = LinearOperator(dim=DENSE_DIM_LIMIT + 1, apply=lambda v: v)
+    with pytest.raises(ValueError, match="limit"):
+        dense_eigenvalues((np.eye(2), big))
 
 
 def test_materialize_roundtrip():
