@@ -303,9 +303,8 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     dt_eff = t_end / nsteps
     n = params.n
     half = n // 2 + 1
-    xi = np.abs(fourier_symbols(n, params.half_length)[0][:half])
-    d1 = 1j * xi
-    d1[-1] = 0.0
+    xi, d1, _ = fourier_symbols(n, params.half_length)
+    xi, d1 = xi[:half], d1[:half]
     # signs folded in: u_dot^ = mult_eta_u eta^ + mult_u (u^2/2)^, eta_dot^ = mult_eta flux^
     mult_u = -d1 / (1.0 + params.d * xi ** 2)
     mult_eta_u = mult_u * (1.0 - params.c * xi ** 2)

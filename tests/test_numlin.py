@@ -194,7 +194,7 @@ def test_dense_eigenvalues_of_blocks_is_the_union():
     assert rep.block_dims == (4, 2)
     assert rep.block_near_zero == (0, 1)
     assert rep.count_near_zero == 1
-    assert rep.dominant_modulus == np.max(np.abs(np.linalg.eigvalsh(full)))
+    assert abs(rep.dominant_modulus - np.max(np.abs(np.linalg.eigvalsh(full)))) < 1e-12
 
 
 def test_dense_eigenvalues_dimension_guard_applies_per_block():
