@@ -10,6 +10,7 @@ Exit codes: 0 converged/success, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -216,11 +217,14 @@ def cmd_nbody_solve(args):
     elif args.method == "fixed-point":
         outcome = fixed_point_solve(problem, q0, config, reference=qstar)
     else:
-        outcome = newton_solve(problem, q0, config, reference=qstar)
+        # each step deflated off the rotation generator, as _bs_solve does for waves
+        outcome = newton_solve(problem, q0, config, reference=qstar,
+                               generators=action.generators)
     _write_trace(out, outcome.trace)
     _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
     orbit = None
-    extras = {"omega": cfg.omega, "pcg_fallbacks": outcome.pcg_fallbacks}
+    extras = {"omega": cfg.omega, "inner_iterations": outcome.inner_iterations,
+              "pcg_fallbacks": outcome.pcg_fallbacks}
     if _finite(outcome.x):
         orbit = align_to_orbit(outcome.x, qstar, action)
         if args.command == "orbit":
@@ -468,7 +472,9 @@ def cmd_bs_propagate(args):
 
 # ---------------- parser ----------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built on the first main call and reused: parse_args leaves the parser unchanged
     parser = _Parser(prog="orbitfix", description=__doc__)
     problems = parser.add_subparsers(dest="problem", required=True)
 
@@ -484,7 +490,7 @@ def _build_parser() -> _Parser:
     for name in ("solve", "orbit"):
         p = nbody_cmds.add_parser(name)
         nbody_common(p)
-        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), ("pcg", "minres"), 1e-7)
+        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), ("minres", "pcg"), 1e-7)
         _add_perturb_flags(p, ("ones", "generator"))
         p.set_defaults(func=cmd_nbody_solve)
 

@@ -11,7 +11,7 @@ rotations, so solutions come in circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -50,6 +50,10 @@ class NBodyConfig:
     m0: float
     masses: Optional[Tuple[float, ...]] = None
     omega: float = 0.0  # filled from n and m0
+    # (central, pairwise) interaction strengths, filled from n and m0. Chosen
+    # so the unit polygon solves F = 0 at the configured omega:
+    # central + pairwise * ring_constant(n) = omega^2.
+    coefficients: Tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -66,18 +70,10 @@ class NBodyConfig:
             if any(m <= 0.0 for m in masses):
                 raise ValueError("ring masses must be positive")
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "omega", float(np.sqrt(self.m0 + ring_constant(self.n))))
-
-    @property
-    def coefficients(self) -> Tuple[float, float]:
-        """(central, pairwise) interaction strengths.
-
-        Chosen so the unit polygon solves F = 0 at the configured omega:
-        central + pairwise * ring_constant(n) = omega^2.
-        """
         c = ring_constant(self.n)
+        object.__setattr__(self, "omega", float(np.sqrt(self.m0 + c)))
         a = (self.m0 + c) / (1.0 + self.m0 * c)
-        return a, self.m0 * a
+        object.__setattr__(self, "coefficients", (a, self.m0 * a))
 
     @property
     def mass_diagonal(self) -> np.ndarray:

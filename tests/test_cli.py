@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import orbitfix
-from orbitfix.cli import SUMMARY_SCHEMA, main
+from orbitfix import nbody as nb
+from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, main
+from orbitfix.solvers import SolverConfig, newton_solve
 
 try:
     import jsonschema
@@ -141,6 +143,45 @@ def test_nbody_orbit_generator_seed(tmp_path):
     assert orbit["raw_distance"] > 1e-2
     assert abs(summary["extras"]["alpha_predicted"] - 1.0) < 1e-10
     assert summary["extras"]["kernel_residual"] <= 1e-6
+
+
+def test_nbody_newton_reports_inner_iterations(tmp_path):
+    code = main(["nbody", "solve", "--method", "newton", "--bodies", "64", "--m0", "10",
+                 "--perturb", "ones", "--eps", "0.03", "--tol", "1e-10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["config"]["inner_solver"] == "minres"
+    assert summary["extras"]["pcg_fallbacks"] == 0
+    # MINRES is the ring default, and each step is deflated off the rotation orbit
+    problem = nb.build_nbody(nb.NBodyConfig(n=64, m0=10.0))
+    q0 = nb.polygon_solution(64) + 0.03 * np.ones(128)
+    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    deflated = newton_solve(problem, q0, config, generators=nb.rotation_action().generators)
+    plain = newton_solve(problem, q0, config)
+    assert summary["iterations"] == deflated.iterations <= 3
+    assert summary["extras"]["inner_iterations"] == deflated.inner_iterations
+    assert deflated.inner_iterations < plain.inner_iterations
+
+
+# ---------------- parser reuse ----------------
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    _build_parser.cache_clear()
+    base = ["nbody", "solve", "--perturb", "ones", "--m0", "10", "--tol", "1e-8"]
+    assert main(base + ["--eps", "0.5", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    assert _build_parser.cache_info().misses == 1
+    assert _read_summary(tmp_path / "a")["config"]["eps"] == 0.5
+    # a flag given on one call is not a default on the next
+    assert _read_summary(tmp_path / "b")["config"]["eps"] == 0.0
+
+
+def test_usage_error_leaves_parser_usable(tmp_path):
+    assert main(["nbody", "solve", "--method", "bogus", "--out", str(tmp_path)]) == 1
+    assert main(["nbody", "spectrum", "--m0", "10", "--out", str(tmp_path)]) == 0
 
 
 # ---------------- bs ----------------

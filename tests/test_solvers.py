@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from orbitfix.solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
                               MAX_ITERATIONS, HomogeneousSplit, ProblemSpec, SolverConfig,
                               convergence_ratios, fixed_point_solve, iteration_matrix_spectrum,
                               newton_solve, petviashvili_map, petviashvili_solve)
-from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution
+from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution, rotation_action
 
 
 # ---------------- configuration validation ----------------
@@ -300,6 +302,33 @@ def test_newton_projects_steps_off_the_generators():
                        SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
                        generators=lambda x: [np.zeros(2)])
     assert out.converged and np.allclose(out.x, [1.0, 1.0], atol=1e-12)
+
+
+def test_ring_newton_on_the_quotient():
+    # 64-body ring: the rotation generator spans the Jacobian's kernel at the
+    # polygon, so each step is solved on the slice transverse to the orbit
+    problem = build_nbody(NBodyConfig(n=64, m0=10.0))
+    q0 = polygon_solution(64) + 0.03 * np.ones(128)
+    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    generators = rotation_action().generators
+    iterates = []
+
+    def F(q):
+        iterates.append(q.copy())
+        return problem.F(q)
+
+    out = newton_solve(replace(problem, F=F), q0, config, generators=generators)
+    assert out.status == CONVERGED_RESIDUAL and out.iterations <= 3
+    eps = np.finfo(float).eps
+    for x, x_next in zip(iterates, iterates[1:]):
+        step = x_next - x
+        g = generators(x)[0]
+        # relative 1e-12, plus the rounding of the update x + dx itself
+        bound = (1e-12 * np.linalg.norm(step) + eps * np.linalg.norm(x_next)) * np.linalg.norm(g)
+        assert abs(np.dot(step, g)) <= bound
+    plain = newton_solve(problem, q0, config)
+    assert plain.converged
+    assert out.inner_iterations < plain.inner_iterations
 
 
 def test_newton_stalls_out_when_inner_budget_never_helps():
