@@ -21,8 +21,6 @@ KNOWN_MISSING = {"orbitfix.cli.materialize"}
 
 @pytest.fixture(scope="module")
 def tracing():
-    if not TRACING.is_file():
-        pytest.skip("perfbench/tracing.py is not in this checkout")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
