@@ -12,7 +12,7 @@ to a shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -166,43 +166,64 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     return ProblemSpec(dim=2 * n, F=F, jacobian_at=jacobian_at)
 
 
-def reflection_blocks(problem: ProblemSpec, w0) -> Tuple[np.ndarray, np.ndarray]:
+def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:
     """The Jacobian at a reflection-even state, split into its even and odd blocks.
 
     The grid reflection x -> -x sends sample j of each field to sample
     (-j) mod n. At a state it fixes, it commutes with the Jacobian, so the
     Jacobian is block diagonal in the orthonormal basis of even vectors
     (e_j + e_-j)/sqrt(2), e_0, e_{n/2} and odd vectors (e_j - e_-j)/sqrt(2).
-    Returns the two symmetric blocks (even: n + 2 rows over both fields,
+    Yields the two symmetric blocks (even: n + 2 rows over both fields,
     odd: n - 2), whose eigenvalues together are the Jacobian's; the
-    translation generator is odd. Each basis vector costs one Jacobian
-    matvec and the full matrix is never formed. Raises ValueError when the
-    state is not even to 1e-12 relative.
+    translation generator is odd. Each block is built in closed form when
+    it is drawn, so a consumer that drops the even block before drawing
+    the odd one never holds both. Raises ValueError at once when the state
+    is not even to 1e-12 relative.
     """
     w0 = np.asarray(w0, dtype=float)
-    n = w0.shape[0] // 2
-    j = np.arange(n)
-    mirror = np.concatenate([(-j) % n, n + (-j) % n])
-    if np.linalg.norm(w0[mirror] - w0) > 1e-12 * np.linalg.norm(w0):
+    n = params.n
+    if w0.shape != (2 * n,):
+        raise ValueError("state length must match the configured grid")
+    fields = w0.reshape(2, n)
+    if np.linalg.norm(fields[:, (-np.arange(n)) % n] - fields) > 1e-12 * np.linalg.norm(w0):
         raise ValueError("state is not even under the grid reflection")
-    jac = problem.jacobian_at(w0)
-    idx = np.arange(2 * n)
-    v = np.zeros(2 * n)
-    blocks = []
-    for sign in (1.0, -1.0):
-        # basis vector k is scale[k] * (e_a[k] + sign * e_b[k]); a == b only when even
-        a = idx[(idx < mirror) | ((idx == mirror) & (sign > 0.0))]
-        b = mirror[a]
-        scale = np.where(a == b, 0.5, np.sqrt(0.5))
-        block = np.empty((a.size, a.size))
-        for k in range(a.size):
-            v[a[k]] += scale[k]
-            v[b[k]] += sign * scale[k]
-            y = jac.apply(v)
-            block[:, k] = scale * (y[a] + sign * y[b])
-            v[a[k]] = v[b[k]] = 0.0
-        blocks.append(block)
-    return blocks[0], blocks[1]
+    return (_reflection_block(params, fields, sign) for sign in (1.0, -1.0))
+
+
+def _reflection_block(params: BSParams, fields: np.ndarray, sign: float) -> np.ndarray:
+    # In each field pair the linear part is alpha I + beta D2 and the
+    # pointwise part is diagonal. The basis vectors are (e_a + sign e_-a)/sqrt(2),
+    # and e_a alone for the self-mirrored samples a = 0, n/2 (even only). On
+    # them I and diagonals keep their form, and the circulant D2, whose first
+    # column col is even, becomes the Toeplitz-plus-Hankel matrix
+    # t_r t_k (col[a_r - a_k] + sign col[a_r + a_k]), t = 1/sqrt(2) on the
+    # self-mirrored samples and 1 elsewhere.
+    n = params.n
+    half = n // 2
+    a = np.arange(half + 1, dtype=np.int32) if sign > 0.0 else np.arange(1, half, dtype=np.int32)
+    m = a.size
+    col = np.fft.ifft(fourier_symbols(n, params.half_length)[2]).real
+    idx = np.subtract.outer(a, a)
+    np.remainder(idx, n, out=idx)
+    d2 = col[idx]
+    np.add.outer(a, a, out=idx)
+    np.remainder(idx, n, out=idx)
+    d2 += sign * col[idx]
+    t = np.where((a == 0) | (a == half), np.sqrt(0.5), 1.0)
+    d2 *= t[:, None]
+    d2 *= t
+    cs = params.speed
+    block = np.zeros((2 * m, 2 * m))
+    np.multiply(d2, -cs * params.b, out=block[:m, m:])
+    np.multiply(d2, -cs * params.d, out=block[m:, :m])
+    np.multiply(d2, -params.c, out=block[m:, m:])
+    u0, eta0 = fields[:, a]
+    i = np.arange(m)
+    block[i, i] = -1.0 - eta0
+    block[i, m + i] += cs - u0
+    block[m + i, i] += cs - u0
+    block[m + i, m + i] -= 1.0
+    return block
 
 
 def precond_operator(params: BSParams) -> LinearOperator:
@@ -282,19 +303,25 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     eta_t = -(1 - b dxx)^{-1} dx(u + eta u)
     u_t   = -(1 - d dxx)^{-1} dx(eta + c eta_xx + u^2/2)
 
-    Each right-hand side sends the three real fields (eta, u + eta u,
-    u^2/2) through one batched real transform and both time derivatives
-    back through one batched inverse, with half-spectrum multipliers
-    i xi/(1 + b xi^2) and i xi/(1 + d xi^2) that zero the Nyquist mode.
+    The state is the half spectrum (u^, eta^). Each stage sends it through
+    one batched inverse real transform to get u and eta, and the two
+    nonlinear fields (u^2, eta u) through one batched real transform back:
+    4 transform rows a stage, 16 a step. With the multipliers
+    m_u = -i xi/(1 + d xi^2) and m_eta = -i xi/(1 + b xi^2), the derivatives
+    are u_dot^ = m_u ((1 - c xi^2) eta^ + (u^2/2)^) and
+    eta_dot^ = m_eta (u^ + (eta u)^). Both multipliers zero the Nyquist
+    mode, so the Nyquist coefficients never change. Stages are accumulated
+    in place in preallocated buffers; no stage allocates an array.
 
     Snapshots are recorded at the steps nearest the requested times
-    (default: only t_end). A non-finite state aborts the run; the result
-    then carries the snapshots collected so far and completed=False.
+    (default: only t_end), transformed back to samples only then. A
+    non-finite state aborts the run; the result then carries the snapshots
+    collected so far and completed=False.
     """
     if isinstance(w0, WavePair):
         w0 = w0.vector()
-    w = np.asarray(w0, dtype=float).copy()
-    if w.shape != (2 * params.n,):
+    w0 = np.asarray(w0, dtype=float)
+    if w0.shape != (2 * params.n,):
         raise ValueError("state length must match the configured grid")
     if not dt > 0.0 or not t_end > 0.0:
         raise ValueError("dt and t_end must be positive")
@@ -305,26 +332,26 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     half = n // 2 + 1
     xi, d1, _ = fourier_symbols(n, params.half_length)
     xi, d1 = xi[:half], d1[:half]
-    # signs folded in: u_dot^ = mult_eta_u eta^ + mult_u (u^2/2)^, eta_dot^ = mult_eta flux^
+    # half-step increments (dt/2) w_dot^, rows (u^, eta^):
+    # linear[0] eta^ + nonlinear[0] (u^2)^ and linear[1] u^ + nonlinear[1] (eta u)^
     mult_u = -d1 / (1.0 + params.d * xi ** 2)
-    mult_eta_u = mult_u * (1.0 - params.c * xi ** 2)
     mult_eta = -d1 / (1.0 + params.b * xi ** 2)
+    linear = 0.5 * dt_eff * np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
+    nonlinear = 0.5 * dt_eff * np.stack([0.5 * mult_u, mult_eta])
 
-    fields = np.empty((3, n))
-    dot_hat = np.empty((2, half), dtype=complex)
+    samples = np.empty((2, n))
+    products = np.empty((2, n))
+    products_hat = np.empty((2, half), dtype=complex)
 
-    def rhs(state):
-        u, eta = state[:n], state[n:]
-        fields[0] = eta
-        np.multiply(eta, u, out=fields[1])
-        fields[1] += u
-        np.multiply(u, u, out=fields[2])
-        fields[2] *= 0.5
-        f_hat = np.fft.rfft(fields)
-        np.multiply(mult_eta_u, f_hat[0], out=dot_hat[0])
-        dot_hat[0] += mult_u * f_hat[2]
-        np.multiply(mult_eta, f_hat[1], out=dot_hat[1])
-        return np.fft.irfft(dot_hat, n).reshape(2 * n)
+    def increment(state, out):
+        np.fft.irfft(state, n, out=samples)
+        u, eta = samples
+        np.multiply(u, u, out=products[0])
+        np.multiply(eta, u, out=products[1])
+        np.fft.rfft(products, out=products_hat)
+        np.multiply(products_hat, nonlinear, out=products_hat)
+        np.multiply(linear, state[::-1], out=out)
+        out += products_hat
 
     requested = [t_end] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
     target_steps = []
@@ -335,23 +362,43 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
 
     result = PropagationResult(times=[], states=[], completed=True)
 
-    def record(step):
+    def record(step, w):
         while target_steps and target_steps[0] == step:
             target_steps.pop(0)
             result.times.append(step * dt_eff)
             result.states.append(WavePair.from_vector(w.copy()))
 
-    record(0)
+    record(0, w0)
+    w_hat = np.fft.rfft(w0.reshape(2, n))
+    k = np.empty_like(w_hat)
+    stage = np.empty_like(w_hat)
+    acc = np.empty_like(w_hat)
+    finite = np.empty(w_hat.shape, dtype=bool)
     # overflow on a blowing-up run is reported via completed=False, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            k1 = rhs(w)
-            k2 = rhs(w + 0.5 * dt_eff * k1)
-            k3 = rhs(w + 0.5 * dt_eff * k2)
-            k4 = rhs(w + dt_eff * k3)
-            w = w + (dt_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(w)):
+            # with s_i = (dt/2) k_i: w += (s1 + 2 s2 + 2 s3 + s4) / 3
+            increment(w_hat, acc)
+            np.add(w_hat, acc, out=stage)
+            increment(stage, k)
+            np.add(w_hat, k, out=stage)
+            k *= 2.0
+            acc += k
+            increment(stage, k)
+            k *= 2.0
+            np.add(w_hat, k, out=stage)
+            acc += k
+            increment(stage, k)
+            acc += k
+            acc *= 1.0 / 3.0
+            w_hat += acc
+            if not np.isfinite(w_hat, out=finite).all():
                 result.completed = False
                 return result
-            record(step)
+            if target_steps and target_steps[0] == step:
+                w = np.fft.irfft(w_hat, n).reshape(2 * n)
+                if not np.isfinite(w).all():
+                    result.completed = False
+                    return result
+                record(step, w)
     return result

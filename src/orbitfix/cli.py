@@ -355,8 +355,7 @@ def cmd_bs_spectrum(args):
     out = _outdir(args)
     profile = _bs_profile(args)
     params = _bs_params(args, profile)
-    problem = bq.build_bs_problem(params)
-    report = dense_eigenvalues(bq.reflection_blocks(problem, profile.wave.vector()))
+    report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave.vector()))
     _write_spectrum(out, report)
     extras = {
         "count_near_unit": report.count_near_unit,

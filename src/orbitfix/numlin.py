@@ -7,6 +7,7 @@ callables through one interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
@@ -207,7 +208,8 @@ def _block_eigenvalues(A) -> np.ndarray:
         )
     if M.shape[0] == 0:
         return np.empty(0, dtype=complex)
-    if np.allclose(M, M.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
+    # NaN compares false, so a matrix holding one counts as non-symmetric
+    if np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max())):
         return np.linalg.eigvalsh(M).astype(complex)
     return np.linalg.eigvals(M)
 
@@ -215,12 +217,14 @@ def _block_eigenvalues(A) -> np.ndarray:
 def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> SpectrumReport:
     """Full eigenvalue set of a small matrix, with near-1 and near-0 counts.
 
-    A tuple of square matrices or operators stands for the block-diagonal
-    matrix they form: its spectrum is the union of the blocks' spectra,
-    the dimension limit applies to each block, and block_dims and
-    block_near_zero give the size and near-0 count of each block in order.
+    A tuple or an iterator of square matrices or operators stands for the
+    block-diagonal matrix they form: its spectrum is the union of the
+    blocks' spectra, the dimension limit applies to each block, and
+    block_dims and block_near_zero give the size and near-0 count of each
+    block in order. An iterator is consumed one block at a time, and no
+    block is kept once its eigenvalues are known.
     """
-    blocks = [_block_eigenvalues(B) for B in (A if isinstance(A, tuple) else (A,))]
+    blocks = list(map(_block_eigenvalues, A if isinstance(A, (tuple, Iterator)) else (A,)))
     near_zero = tuple(int(np.count_nonzero(np.abs(b) <= tol_zero)) for b in blocks)
     ev = np.concatenate(blocks)
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]

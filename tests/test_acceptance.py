@@ -284,7 +284,7 @@ def test_criterion_07_wave_profile_residual_and_spectrum():
     problem = bq.build_bs_problem(params)
     w = profile.wave.vector()
     fnorm = float(np.linalg.norm(problem.F(w)))
-    rep = dense_eigenvalues(bq.reflection_blocks(problem, w), tol_zero=1e-8)
+    rep = dense_eigenvalues(bq.reflection_blocks(params, w), tol_zero=1e-8)
     vals = rep.eigenvalues.real
     elapsed = time.perf_counter() - t0
     ok = (fnorm <= 1e-10 and rep.count_near_zero == 1

@@ -163,12 +163,62 @@ def test_jacobian_spectrum_at_wave():
     assert vals.max() > 0.1 and vals.min() < -0.1
 
 
+def _matvec_reflection_blocks(problem, w0):
+    """Reference blocks: one Jacobian matvec per even or odd basis vector."""
+    w0 = np.asarray(w0, dtype=float)
+    n = w0.shape[0] // 2
+    j = np.arange(n)
+    mirror = np.concatenate([(-j) % n, n + (-j) % n])
+    jac = problem.jacobian_at(w0)
+    idx = np.arange(2 * n)
+    v = np.zeros(2 * n)
+    blocks = []
+    for sign in (1.0, -1.0):
+        # basis vector k is scale[k] * (e_a[k] + sign * e_b[k]); a == b only when even
+        a = idx[(idx < mirror) | ((idx == mirror) & (sign > 0.0))]
+        b = mirror[a]
+        scale = np.where(a == b, 0.5, np.sqrt(0.5))
+        block = np.empty((a.size, a.size))
+        for k in range(a.size):
+            v[a[k]] += scale[k]
+            v[b[k]] += sign * scale[k]
+            y = jac.apply(v)
+            block[:, k] = scale * (y[a] + sign * y[b])
+            v[a[k]] = v[b[k]] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+def _random_even_state(n, seed):
+    # reflection-even, Nyquist content in both fields, u not proportional to eta
+    rng = np.random.default_rng(seed)
+    fields = rng.standard_normal((2, n)) + 0.3 * (-1.0) ** np.arange(n) * rng.standard_normal((2, 1))
+    return (fields + fields[:, (-np.arange(n)) % n]).reshape(2 * n)
+
+
+@pytest.mark.parametrize("n, half_length", [(64, 10.0), (256, 25.0)])
+@pytest.mark.parametrize("state", ["profile", "random"])
+def test_reflection_blocks_match_matvec_reference(n, half_length, state):
+    params = _params(n=n, half_length=half_length)
+    if state == "profile":
+        w = exact_profile(THETA2, n, half_length).wave.vector()
+    else:
+        w = _random_even_state(n, seed=n)
+        assert abs(np.sum(w[:n] * (-1.0) ** np.arange(n))) > 1.0
+        assert abs(np.sum(w[n:] * (-1.0) ** np.arange(n))) > 1.0
+    ref = _matvec_reflection_blocks(build_bs_problem(params), w)
+    got = list(reflection_blocks(params, w))
+    assert [g.shape for g in got] == [(n + 2, n + 2), (n - 2, n - 2)]
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
 @pytest.mark.parametrize("n, half_length", [(64, 10.0), (256, 25.0)])
 def test_reflection_blocks_match_dense_spectrum(n, half_length):
     params = _params(n=n, half_length=half_length)
     problem = build_bs_problem(params)
     w = exact_profile(THETA2, n, half_length).wave.vector()
-    even, odd = reflection_blocks(problem, w)
+    even, odd = reflection_blocks(params, w)
     assert even.shape == (n + 2, n + 2) and odd.shape == (n - 2, n - 2)
     dense = np.linalg.eigvalsh(materialize(problem.jacobian_at(w)))
     rep = dense_eigenvalues((even, odd))
@@ -178,13 +228,42 @@ def test_reflection_blocks_match_dense_spectrum(n, half_length):
     # the translation generator is odd, so the symmetry-forced zero is too
     assert rep.block_dims == (n + 2, n - 2)
     assert rep.block_near_zero == (0, 1)
+    # drawn lazily, the blocks give the same report
+    lazy = dense_eigenvalues(reflection_blocks(params, w))
+    assert np.array_equal(lazy.eigenvalues, rep.eigenvalues)
+    assert lazy.block_dims == rep.block_dims and lazy.block_near_zero == rep.block_near_zero
+
+
+def test_spectrum_builds_each_reflection_block_after_dropping_the_last(monkeypatch):
+    import weakref
+
+    import orbitfix.boussinesq as bq
+
+    params = _params(n=64, half_length=10.0)
+    w = exact_profile(THETA2, 64, 10.0).wave.vector()
+    build = bq._reflection_block
+    built = []  # weak references to the blocks built so far
+    held = []  # per build: was an earlier block still alive?
+
+    def tracked(*args):
+        held.append(any(ref() is not None for ref in built))
+        block = build(*args)
+        built.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(bq, "_reflection_block", tracked)
+    blocks = reflection_blocks(params, w)
+    assert built == []
+    rep = dense_eigenvalues(blocks)
+    assert held == [False, False]
+    assert rep.block_dims == (66, 62)
 
 
 def test_reflection_blocks_reject_uncentred_state():
     params = _params(n=64, half_length=25.0)
     shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave.vector()
     with pytest.raises(ValueError, match="even"):
-        reflection_blocks(build_bs_problem(params), shifted)
+        reflection_blocks(params, shifted)
 
 
 # ---------------- preconditioner ----------------
@@ -401,9 +480,26 @@ def test_propagate_matches_complex_fft_reference(state):
     else:
         w0 = _smooth_state_with_nyquist(64, seed=7)
     dt = 0.01
-    got = propagate(w0, params, dt=dt, t_end=100 * dt).states[-1].vector()
-    ref = _complex_fft_rk4(w0.copy(), params, dt, 100)
-    assert np.max(np.abs(got - ref)) <= 1e-12
+    result = propagate(w0, params, dt=dt, t_end=100 * dt, snapshot_times=[0.0, 0.37, 0.5, 1.0])
+    assert result.completed
+    ref = w0.copy()
+    done = 0
+    for t, snap in zip(result.times, result.states):
+        steps = int(round(t / dt))
+        ref = _complex_fft_rk4(ref, params, dt, steps - done)
+        done = steps
+        assert np.max(np.abs(snap.vector() - ref)) <= 1e-12
+    assert done == 100
+
+
+def test_propagate_keeps_nyquist_coefficients():
+    params = _params(n=64, half_length=10.0)
+    w0 = _smooth_state_with_nyquist(64, seed=7)
+    final = propagate(w0, params, dt=0.01, t_end=1.0).states[-1].vector()
+    before = np.fft.rfft(w0.reshape(2, 64))[:, -1]
+    after = np.fft.rfft(final.reshape(2, 64))[:, -1]
+    assert np.all(np.abs(before) > 1e-2)
+    assert np.max(np.abs(after - before)) <= 1e-13 * np.max(np.abs(before))
 
 
 def test_propagate_zero_stays_zero():
@@ -448,6 +544,18 @@ def test_propagate_aborts_on_blowup():
     w0 = WavePair(u=np.full(64, 1e200), eta=np.zeros(64))
     result = propagate(w0, params, dt=0.1, t_end=1.0)
     assert not result.completed
+
+
+def test_propagate_blowup_after_first_snapshot_keeps_finite_states():
+    # a large smooth bump steepens and overflows within a few dozen steps
+    params = _params(n=64, half_length=10.0)
+    x = grid(64, 10.0)
+    w0 = WavePair(u=40.0 / np.cosh(x) ** 2, eta=np.zeros(64))
+    result = propagate(w0, params, dt=0.1, t_end=10.0, snapshot_times=[0.0, 0.1, 10.0])
+    assert not result.completed
+    assert result.times[:2] == [0.0, 0.1]
+    assert len(result.states) == 2
+    assert all(np.all(np.isfinite(s.vector())) for s in result.states)
 
 
 def test_propagate_rejects_bad_steps():

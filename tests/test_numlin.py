@@ -197,6 +197,42 @@ def test_dense_eigenvalues_of_blocks_is_the_union():
     assert abs(rep.dominant_modulus - np.max(np.abs(np.linalg.eigvalsh(full)))) < 1e-12
 
 
+def test_dense_eigenvalues_consumes_an_iterator_one_block_at_a_time():
+    import weakref
+
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 5))
+    a = a + a.T
+    b = np.diag([2.0, 1e-9])
+    released = []
+
+    def blocks():
+        first = a.copy()
+        ref = weakref.ref(first)
+        yield first
+        del first
+        released.append(ref() is None)
+        yield b.copy()
+
+    rep = dense_eigenvalues(blocks())
+    assert released == [True]
+    tup = dense_eigenvalues((a, b))
+    assert np.array_equal(rep.eigenvalues, tup.eigenvalues)
+    assert rep.block_dims == (5, 2) and rep.block_near_zero == (0, 1)
+
+
+def test_dense_eigenvalues_symmetry_test_uses_absolute_tolerance():
+    # the tolerance is 1e-12 * max(1, max|M|); antisymmetric parts at or
+    # under it are ignored, larger ones give a rotation's complex pair
+    tol = 1e-12
+    inside = np.array([[1.0, -0.25 * tol], [0.25 * tol, 1.0]])
+    outside = np.array([[1.0, -tol], [tol, 1.0]])
+    assert np.all(dense_eigenvalues(inside).eigenvalues.imag == 0.0)
+    assert np.allclose(np.abs(dense_eigenvalues(outside).eigenvalues.imag), tol, rtol=1e-3, atol=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        dense_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_dense_eigenvalues_dimension_guard_applies_per_block():
     big = LinearOperator(dim=DENSE_DIM_LIMIT + 1, apply=lambda v: v)
     with pytest.raises(ValueError, match="limit"):
