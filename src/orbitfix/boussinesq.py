@@ -11,7 +11,7 @@ to a shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,9 +54,9 @@ class BSParams:
     speed: float
     n: int = 1024
     half_length: float = 50.0
-    c: float = 0.0
-    b: float = 0.0
-    d: float = 0.0
+    c: float = field(init=False)
+    b: float = field(init=False)
+    d: float = field(init=False)
 
     def __post_init__(self):
         if not (2.0 / 3.0 < self.theta2 <= 1.0):
@@ -163,7 +163,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
         return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
 
-    return ProblemSpec(dim=2 * n, F=F, jacobian_at=jacobian_at)
+    return ProblemSpec(F=F, jacobian_at=jacobian_at)
 
 
 def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:

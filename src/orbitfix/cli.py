@@ -130,7 +130,7 @@ def _write_summary(out: Path, command, config, status=None, final_residual=None,
     return exit_code
 
 
-def _solver_config(args, **extra) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         tol_residual=args.tol,
         max_outer=args.max_outer,
@@ -138,7 +138,6 @@ def _solver_config(args, **extra) -> SolverConfig:
         inner_tol=args.inner_tol,
         inner_maxit=args.inner_maxit,
         divergence_cap=args.cap,
-        **extra,
     )
 
 
@@ -210,7 +209,7 @@ def cmd_nbody_solve(args):
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
     action = nb.rotation_action()
-    config = _solver_config(args, gamma=args.gamma)
+    config = _solver_config(args)
     q0 = _nbody_seed(args, qstar)
     if args.method == "petviashvili":
         outcome = petviashvili_solve(problem, q0, config, reference=qstar)
@@ -251,7 +250,7 @@ def cmd_nbody_spectrum(args):
             return -nb.hess_U(cfg, q) / (cfg.omega ** 2 * cfg.mass_diagonal[:, None])
         report = iteration_matrix_spectrum(problem.G, qstar, jacobian=g_jacobian)
     else:
-        report = iteration_matrix_spectrum(petviashvili_map(problem, args.gamma), qstar)
+        report = iteration_matrix_spectrum(petviashvili_map(problem), qstar)
     _write_spectrum(out, report)
     extras = {
         "count_near_unit": report.count_near_unit,
@@ -483,7 +482,6 @@ def _build_parser() -> _Parser:
     def nbody_common(p):
         p.add_argument("--bodies", type=int, default=2)
         p.add_argument("--m0", type=float, default=10.0)
-        p.add_argument("--gamma", type=float, default=2.0 / 3.0)
         _add_common_flags(p)
 
     for name in ("solve", "orbit"):

@@ -49,7 +49,7 @@ class NBodyConfig:
     n: int
     m0: float
     masses: Optional[Tuple[float, ...]] = None
-    omega: float = 0.0  # filled from n and m0
+    omega: float = field(init=False)  # filled from n and m0
     # (central, pairwise) interaction strengths, filled from n and m0. Chosen
     # so the unit polygon solves F = 0 at the configured omega:
     # central + pairwise * ring_constant(n) = omega^2.
@@ -164,9 +164,9 @@ def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
 def build_nbody(config: NBodyConfig) -> ProblemSpec:
     """Rotating-frame equilibrium system for the configured ring.
 
-    F(q) = omega^2 M q + grad U(q); the fixed-point form is
-    G(q) = -M^{-1} grad U(q) / omega^2, and grad U is homogeneous of
-    degree -2, which feeds the stabilized iteration.
+    F(q) = A q - N(q) with A = omega^2 M and N = -grad U, homogeneous of
+    degree -2 (stabilizing exponent 2/3). The fixed-point form
+    G(q) = A^{-1}N(q) = -M^{-1} grad U(q) / omega^2 serves both iterations.
     """
     w2 = config.omega ** 2
     mdiag = config.mass_diagonal
@@ -184,10 +184,9 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
 
     split = HomogeneousSplit(
         linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v, symmetric=True),
-        nonlinear=lambda q: -grad_U(config, q),
         degree=-2.0,
     )
-    return ProblemSpec(dim=dim, F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
+    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
 
 
 def _rotate(alpha: float, q: np.ndarray) -> np.ndarray:

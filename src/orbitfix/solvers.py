@@ -44,23 +44,25 @@ STATUSES = (CONVERGED_RESIDUAL, CONVERGED_REFERENCE, MAX_ITERATIONS, DIVERGED)
 
 @dataclass(frozen=True)
 class HomogeneousSplit:
-    """F(x) = linear(x) - nonlinear(x) with nonlinear homogeneous of the given degree."""
+    """F(x) = A x - N(x), A = linear, N = A G of degree d != 1 (exponent d/(d - 1))."""
 
     linear: LinearOperator
-    nonlinear: Callable[[np.ndarray], np.ndarray]
     degree: float
+
+    def __post_init__(self):
+        if self.degree == 1:
+            raise ValueError("degree 1 leaves the stabilizing exponent d/(d - 1) undefined")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Algebraic system F(x) = 0 with optional extra structure.
 
-    G is a fixed-point form (x = G(x) at solutions), jacobian_at maps a
-    point to the derivative of F as a LinearOperator, and
-    homogeneous_split feeds the stabilized fixed-point driver.
+    G is a fixed-point form (x = G(x) at solutions) and jacobian_at maps a
+    point to the derivative of F as a LinearOperator. The stabilized
+    fixed-point driver needs both G = A^{-1}N and homogeneous_split.
     """
 
-    dim: int
     F: Callable[[np.ndarray], np.ndarray]
     G: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jacobian_at: Optional[Callable[[np.ndarray], LinearOperator]] = None
@@ -71,7 +73,6 @@ class ProblemSpec:
 class SolverConfig:
     tol_residual: float = 1e-7
     max_outer: int = 1000
-    gamma: float = 2.0 / 3.0
     inner_solver: str = "pcg"
     inner_tol: float = 1e-10
     inner_maxit: int = 500
@@ -175,20 +176,21 @@ def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def _stabilized_parts(problem: ProblemSpec) -> Callable:
-    """x -> (A^{-1}N(x), s) with s = <Ax,x>/<N(x),x>, or None when <N(x),x> = 0."""
+def _stabilized_parts(problem: ProblemSpec):
+    """(parts, gamma): parts(x) = (G(x), <Ax,x>/<A G(x),x> or None at 0), gamma = d/(d-1)."""
     split = problem.homogeneous_split
     if split is None:
         raise ValueError("the stabilized iteration requires a homogeneous split")
-    a_mat = materialize(split.linear)
+    if problem.G is None:
+        raise ValueError("the stabilized iteration requires the fixed-point map G = A^{-1}N")
 
     def parts(x):
-        nx = np.asarray(split.nonlinear(x), dtype=float)
-        den = float(np.dot(nx, x))
-        s = float(np.dot(a_mat @ x, x) / den) if den != 0.0 else None
-        return np.linalg.solve(a_mat, nx), s
+        gx = np.asarray(problem.G(x), dtype=float)
+        den = float(np.dot(split.linear(gx), x))
+        s = float(np.dot(split.linear(x), x) / den) if den != 0.0 else None
+        return gx, s
 
-    return parts
+    return parts, split.degree / (split.degree - 1.0)
 
 
 def _stabilized_next(gx: np.ndarray, s: float, gamma: float) -> np.ndarray:
@@ -201,11 +203,11 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
                        reference: Optional[np.ndarray] = None) -> SolveOutcome:
     """Stabilized fixed-point iteration for F(x) = Ax - N(x), N homogeneous.
 
-    Each step scales A^{-1}N(x) by s^gamma with s = <Ax,x>/<N(x),x>; at a
-    solution s = 1, so the recorded factors must approach one on
-    convergent runs. The factor for the terminal iterate is recorded too.
+    Each step scales G(x) = A^{-1}N(x) by s^gamma, s = <Ax,x>/<N(x),x> and
+    gamma = d/(d - 1) from the split's degree d. At a solution s = 1, so the
+    recorded factors approach one on convergent runs, the terminal one included.
     """
-    parts = _stabilized_parts(problem)
+    parts, gamma = _stabilized_parts(problem)
     config = config or SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
@@ -220,18 +222,18 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
         if s is None:
             return SolveOutcome(DIVERGED, x, trace, n,
                                 message="stabilizing factor has zero denominator")
-        if s < 0.0 and not float(config.gamma).is_integer():
+        if s < 0.0 and not float(gamma).is_integer():
             return SolveOutcome(DIVERGED, x, trace, n,
                                 message="negative stabilizing factor with non-integer exponent")
-        x_next = _stabilized_next(gx, s, config.gamma)
+        x_next = _stabilized_next(gx, s, gamma)
         trace.set_step_norm(float(np.linalg.norm(x_next - x)))
         x = x_next
     raise AssertionError("unreachable")
 
 
-def petviashvili_map(problem: ProblemSpec, gamma: float = 2.0 / 3.0) -> Callable:
+def petviashvili_map(problem: ProblemSpec) -> Callable:
     """One step of the stabilized iteration, as a plain map for spectra."""
-    parts = _stabilized_parts(problem)
+    parts, gamma = _stabilized_parts(problem)
     return lambda x: _stabilized_next(*parts(x), gamma)
 
 
@@ -334,7 +336,6 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
 
 
 def iteration_matrix_spectrum(step_map: Callable, xstar: np.ndarray,
-                              step: Optional[float] = None,
                               jacobian: Optional[Callable] = None):
     """Spectrum of the iteration's derivative at a fixed point.
 
@@ -345,7 +346,7 @@ def iteration_matrix_spectrum(step_map: Callable, xstar: np.ndarray,
     if jacobian is not None:
         m = materialize(jacobian(xstar))
     else:
-        m = fd_jacobian(step_map, xstar, step)
+        m = fd_jacobian(step_map, xstar)
     return dense_eigenvalues(m)
 
 

@@ -90,7 +90,7 @@ def test_criterion_02_stabilized_spectrum_filters_homogeneity_mode():
     worst_rest = 0.0
     for m0 in (10.0, 5.0, 4.0, 1.0, 0.0):
         problem = nb.build_nbody(nb.NBodyConfig(n=2, m0=m0))
-        step = petviashvili_map(problem, gamma=2.0 / 3.0)
+        step = petviashvili_map(problem)
         ev = dense_eigenvalues(fd_jacobian(step, qstar)).eigenvalues
         assert np.max(np.abs(ev.imag)) < 1e-4
         ev = sorted(ev.real, key=abs)

@@ -41,6 +41,13 @@ def test_derived_coefficients():
     assert p.b == p.d
 
 
+@pytest.mark.parametrize("name", ["c", "b", "d"])
+def test_derived_coefficients_are_not_arguments(name):
+    # c, b and d follow from theta2, so none is a constructor argument
+    with pytest.raises(TypeError):
+        BSParams(theta2=THETA2, speed=2.0, n=64, half_length=10.0, **{name: 0.1})
+
+
 def test_grid_layout():
     x = grid(8, 2.0)
     assert x[0] == -2.0

@@ -56,6 +56,11 @@ def test_bad_theta2_is_usage_error(tmp_path):
     assert main(["bs", "solve", "--theta2", "0.5", "--out", str(tmp_path)]) == 1
 
 
+def test_gamma_flag_is_usage_error(tmp_path):
+    # the stabilizing exponent follows from the nonlinearity's degree
+    assert main(["nbody", "solve", "--gamma", "0.5", "--out", str(tmp_path)]) == 1
+
+
 def test_bs_rejects_non_newton_method(tmp_path):
     assert main(["bs", "solve", "--method", "petviashvili", *BS_SMALL,
                  "--out", str(tmp_path)]) == 1

@@ -74,6 +74,14 @@ def test_config_validation():
         NBodyConfig(n=3, m0=1.0, masses=np.ones(2))
 
 
+def test_config_derives_omega_and_rejects_it_as_argument():
+    # omega follows from n and m0, so it is not a constructor argument
+    with pytest.raises(TypeError):
+        NBodyConfig(n=2, m0=10.0, omega=1.0)
+    assert NBodyConfig(n=2, m0=10.0) == NBodyConfig(n=2, m0=10.0)
+    assert "omega=" in repr(NBodyConfig(n=2, m0=10.0))
+
+
 def test_mass_diagonal_interleaving():
     cfg = NBodyConfig(n=2, m0=1.0, masses=np.array([2.0, 3.0]))
     assert np.allclose(cfg.mass_diagonal, [2.0, 2.0, 3.0, 3.0])
@@ -306,7 +314,7 @@ def test_stabilized_spectrum_filters_dominant_mode():
     # gamma = 2/3 sends the eigenvalue -2 (eigenvector = the solution ray)
     # to 0 while leaving the rest of the spectrum alone
     problem = build_nbody(NBodyConfig(n=2, m0=10.0))
-    step = petviashvili_map(problem, gamma=2.0 / 3.0)
+    step = petviashvili_map(problem)
     rep = dense_eigenvalues(fd_jacobian(step, polygon_solution(2)))
     vals = sorted(rep.eigenvalues.real)
     expected = sorted([0.0, 1.0, -8.0 / 14.0, 4.0 / 14.0])
@@ -319,5 +327,5 @@ def test_stabilized_map_is_unstable_at_eight_body_polygon(m0):
     # so the ring Petviashvili iteration diverging there is the map's own
     # linear instability, not a solver fault
     problem = build_nbody(NBodyConfig(n=8, m0=m0))
-    rep = iteration_matrix_spectrum(petviashvili_map(problem, 2.0 / 3.0), polygon_solution(8))
+    rep = iteration_matrix_spectrum(petviashvili_map(problem), polygon_solution(8))
     assert rep.dominant_modulus > 1.0

@@ -36,7 +36,7 @@ def test_solver_config_defaults_are_sane():
 # ---------------- fixed point ----------------
 
 def test_fixed_point_affine_contraction():
-    problem = ProblemSpec(dim=1, F=lambda x: x - (x / 2 + 1),
+    problem = ProblemSpec(F=lambda x: x - (x / 2 + 1),
                           G=lambda x: x / 2 + 1)
     out = fixed_point_solve(problem, np.zeros(1),
                             SolverConfig(tol_residual=1e-12, max_outer=200))
@@ -56,7 +56,7 @@ def test_fixed_point_cosine():
             hi = mid
     root = 0.5 * (lo + hi)
 
-    problem = ProblemSpec(dim=1, F=lambda x: x - np.cos(x), G=np.cos)
+    problem = ProblemSpec(F=lambda x: x - np.cos(x), G=np.cos)
     out = fixed_point_solve(problem, np.array([0.5]),
                             SolverConfig(tol_residual=1e-12, max_outer=500))
     assert out.converged
@@ -64,13 +64,13 @@ def test_fixed_point_cosine():
 
 
 def test_fixed_point_requires_map():
-    problem = ProblemSpec(dim=1, F=lambda x: x)
+    problem = ProblemSpec(F=lambda x: x)
     with pytest.raises(ValueError, match="fixed-point map"):
         fixed_point_solve(problem, np.zeros(1), SolverConfig())
 
 
 def test_fixed_point_divergence_cap():
-    problem = ProblemSpec(dim=1, F=lambda x: x - 3 * x, G=lambda x: 3 * x)
+    problem = ProblemSpec(F=lambda x: x - 3 * x, G=lambda x: 3 * x)
     out = fixed_point_solve(problem, np.ones(1),
                             SolverConfig(tol_residual=1e-12, max_outer=500,
                                          divergence_cap=1e6))
@@ -80,7 +80,7 @@ def test_fixed_point_divergence_cap():
 def test_fixed_point_reference_stop():
     # the gap |x - G(x)| = 1.9|x| always exceeds the error |x - 0|, so the
     # reference test fires first
-    problem = ProblemSpec(dim=1, F=lambda x: 1.9 * x, G=lambda x: -0.9 * x)
+    problem = ProblemSpec(F=lambda x: 1.9 * x, G=lambda x: -0.9 * x)
     out = fixed_point_solve(problem, np.ones(1),
                             SolverConfig(tol_residual=1e-6, max_outer=1000),
                             reference=np.zeros(1))
@@ -151,28 +151,50 @@ def test_petviashvili_residual_monotone_when_convergent(m0):
 
 
 def test_petviashvili_requires_split():
-    problem = ProblemSpec(dim=1, F=lambda x: x)
+    problem = ProblemSpec(F=lambda x: x)
     with pytest.raises(ValueError, match="homogeneous split"):
         petviashvili_solve(problem, np.ones(1), SolverConfig())
 
 
+def test_petviashvili_requires_fixed_point_map():
+    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=2.0)
+    problem = ProblemSpec(F=lambda x: x - x * x, homogeneous_split=split)
+    with pytest.raises(ValueError, match="fixed-point map"):
+        petviashvili_solve(problem, np.ones(1), SolverConfig())
+
+
+def test_homogeneous_split_rejects_degree_one():
+    # the stabilizing exponent d/(d - 1) is undefined for a linear "nonlinearity"
+    with pytest.raises(ValueError, match="degree 1"):
+        HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=1.0)
+
+
+def test_petviashvili_exponent_follows_the_degree():
+    # A = I, N(x) = x^2: from x0 = 3, s = 1/3 and gamma = 2 give s^2 * 9 = 1,
+    # the fixed point, in one step; gamma = 2/3 would overshoot to 9^(2/3) and diverge
+    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=2.0)
+    problem = ProblemSpec(F=lambda x: x - x * x, G=lambda x: x * x, homogeneous_split=split)
+    out = petviashvili_solve(problem, np.array([3.0]),
+                             SolverConfig(tol_residual=1e-12, max_outer=50))
+    assert out.status == CONVERGED_RESIDUAL
+    assert out.iterations == 1
+    assert abs(out.x[0] - 1.0) < 1e-12
+    assert abs(petviashvili_map(problem)(np.array([3.0]))[0] - 1.0) < 1e-12
+
+
 def test_petviashvili_zero_denominator_diverges():
-    # the nonlinear term rotates by 90 degrees, so <N(x), x> = 0 identically
-    split = HomogeneousSplit(
-        linear=np.eye(2),
-        nonlinear=lambda x: np.array([-x[1], x[0]]),
-        degree=-2,
-    )
-    problem = ProblemSpec(dim=2, F=lambda x: x - split.nonlinear(x),
-                          homogeneous_split=split)
+    # G rotates by 90 degrees and A = I, so <A G(x), x> = 0 identically
+    split = HomogeneousSplit(linear=LinearOperator(dim=2, apply=lambda v: v), degree=-2)
+    problem = ProblemSpec(F=lambda x: x - np.array([-x[1], x[0]]),
+                          G=lambda x: np.array([-x[1], x[0]]), homogeneous_split=split)
     out = petviashvili_solve(problem, np.array([1.0, 0.0]), SolverConfig())
     assert out.status == DIVERGED
     assert "denominator" in out.message
 
 
 def test_petviashvili_negative_factor_diverges():
-    split = HomogeneousSplit(linear=np.eye(1), nonlinear=lambda x: -x, degree=-2)
-    problem = ProblemSpec(dim=1, F=lambda x: 2 * x, homogeneous_split=split)
+    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=-2)
+    problem = ProblemSpec(F=lambda x: 2 * x, G=lambda x: -x, homogeneous_split=split)
     out = petviashvili_solve(problem, np.ones(1), SolverConfig())
     assert out.status == DIVERGED
     assert "negative" in out.message
@@ -180,7 +202,7 @@ def test_petviashvili_negative_factor_diverges():
 
 def test_petviashvili_map_matches_solver_step():
     problem = _ring_problem(10.0)
-    step = petviashvili_map(problem, gamma=2.0 / 3.0)
+    step = petviashvili_map(problem)
     x0 = polygon_solution(2) + 1e-2 * np.array([1.0, -1.0, 0.5, 0.25])
     out = petviashvili_solve(problem, x0,
                              SolverConfig(tol_residual=1e-30, max_outer=1))
@@ -192,7 +214,6 @@ def test_petviashvili_map_matches_solver_step():
 
 def test_newton_scalar_quadratic():
     problem = ProblemSpec(
-        dim=1,
         F=lambda x: np.array([x[0] ** 2 - 4.0]),
         jacobian_at=lambda x: LinearOperator(dim=1, apply=lambda v, x=x: 2 * x[0] * v,
                                              symmetric=True),
@@ -206,7 +227,7 @@ def test_newton_scalar_quadratic():
 
 
 def test_newton_requires_jacobian():
-    problem = ProblemSpec(dim=1, F=lambda x: x)
+    problem = ProblemSpec(F=lambda x: x)
     with pytest.raises(ValueError, match="jacobian"):
         newton_solve(problem, np.ones(1), SolverConfig())
 
@@ -215,7 +236,6 @@ def test_newton_linear_system_single_step():
     A = np.diag([2.0, 5.0])
     b = np.array([2.0, 10.0])
     problem = ProblemSpec(
-        dim=2,
         F=lambda x: A @ x - b,
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
@@ -229,7 +249,6 @@ def test_newton_pcg_falls_back_on_indefinite_jacobian():
     A = np.diag([1.0, -1.0])
     b = np.array([1.0, 1.0])
     problem = ProblemSpec(
-        dim=2,
         F=lambda x: A @ x - b,
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
@@ -244,7 +263,6 @@ def test_newton_minres_path_never_counts_fallbacks():
     A = np.diag([1.0, -1.0])
     b = np.array([1.0, 1.0])
     problem = ProblemSpec(
-        dim=2,
         F=lambda x: A @ x - b,
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
@@ -260,7 +278,6 @@ def test_newton_minres_branch_applies_the_preconditioner():
     A = np.diag([1.0, -2.0, 4.0])
     b = np.array([1.0, 1.0, 1.0])
     problem = ProblemSpec(
-        dim=3,
         F=lambda x: A @ x - b,
         jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: A @ v, symmetric=True),
     )
@@ -283,7 +300,6 @@ def test_newton_projects_steps_off_the_generators():
     A = np.diag([2.0, 3.0])
     b = np.array([2.0, 3.0])
     problem = ProblemSpec(
-        dim=2,
         F=lambda x: A @ x - b,
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
@@ -339,7 +355,6 @@ def test_newton_stalls_out_when_inner_budget_never_helps():
     diag = np.linspace(1e-8, 1.0, dim)
     b = np.ones(dim) / np.sqrt(dim)
     problem = ProblemSpec(
-        dim=dim,
         F=lambda x: b,
         jacobian_at=lambda x: LinearOperator(dim=dim, apply=lambda v: diag * v,
                                              symmetric=True),
@@ -371,7 +386,7 @@ def test_iteration_matrix_spectrum_fd_fallback():
 
 def test_petviashvili_spectrum_has_unit_symmetry_eigenvalue():
     problem = _ring_problem(10.0)
-    step = petviashvili_map(problem, gamma=2.0 / 3.0)
+    step = petviashvili_map(problem)
     rep = iteration_matrix_spectrum(step, polygon_solution(2))
     assert rep.count_near_unit >= 1
     assert rep.dominant_modulus < 1.0 + 1e-6
