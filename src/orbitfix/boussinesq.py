@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply, fourier_symbols
-from .solvers import ProblemSpec
+from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply, fourier_symbols, inverse_2x2
+from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
 __all__ = [
@@ -142,9 +142,22 @@ def _linear_part(params: BSParams, w: np.ndarray):
     return r1, r2
 
 
+def _linear_symbol(params: BSParams):
+    """Entries (a11, a12, a22) of S's symmetric 2x2 block, per Fourier mode."""
+    xi = fourier_symbols(params.n, params.half_length)[0]
+    return -1.0, params.speed * (1.0 + params.b * xi ** 2), -(1.0 - params.c * xi ** 2)
+
+
 def build_bs_problem(params: BSParams) -> ProblemSpec:
-    """Travelling-wave system for the given speed on the configured grid."""
+    """Travelling-wave system for the given speed on the configured grid.
+
+    F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic, so the problem
+    carries the split (S, degree 2) and G = S^{-1}N, one matrix-symbol
+    Fourier apply. S^{-1} exists on every mode: det S = (1 - c xi^2)
+    - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, because 2b - |c| = 1/3.
+    """
     n = params.n
+    s_inverse = inverse_2x2(*_linear_symbol(params))
 
     def F(w):
         w = np.asarray(w, dtype=float)
@@ -163,7 +176,15 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
         return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
 
-    return ProblemSpec(F=F, jacobian_at=jacobian_at)
+    def G(w):
+        w = np.asarray(w, dtype=float)
+        u, eta = w[:n], w[n:]
+        return fourier_apply(s_inverse, np.concatenate([u * eta, 0.5 * u * u]))
+
+    linear = LinearOperator(dim=2 * n, apply=lambda v: np.concatenate(_linear_part(params, v)),
+                            symmetric=True)
+    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at,
+                       homogeneous_split=HomogeneousSplit(linear, 2.0))
 
 
 def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:
@@ -235,9 +256,7 @@ def precond_operator(params: BSParams) -> LinearOperator:
     eigenvalues, so |S|^{-1} is symmetric positive definite and serves as
     the MINRES preconditioner for the indefinite Jacobian.
     """
-    xi = fourier_symbols(params.n, params.half_length)[0]
-    a12 = params.speed * (1.0 + params.b * xi ** 2)
-    symbol = abs_inverse_2x2(-1.0, a12, -(1.0 - params.c * xi ** 2))
+    symbol = abs_inverse_2x2(*_linear_symbol(params))
     return LinearOperator(dim=2 * params.n, apply=lambda v: fourier_apply(symbol, v),
                           symmetric=True)
 

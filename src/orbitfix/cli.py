@@ -130,7 +130,7 @@ def _write_summary(out: Path, command, config, status=None, final_residual=None,
     return exit_code
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, anderson) -> SolverConfig:
     return SolverConfig(
         tol_residual=args.tol,
         max_outer=args.max_outer,
@@ -138,6 +138,7 @@ def _solver_config(args) -> SolverConfig:
         inner_tol=args.inner_tol,
         inner_maxit=args.inner_maxit,
         divergence_cap=args.cap,
+        anderson=anderson,
     )
 
 
@@ -161,6 +162,7 @@ def _add_solver_flags(p, methods, inner_solvers, default_tol):
     p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
     p.add_argument("--cap", type=float, default=1e8)
+    p.add_argument("--anderson", type=int, default=0)
 
 
 def _add_common_flags(p):
@@ -209,7 +211,7 @@ def cmd_nbody_solve(args):
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
     action = nb.rotation_action()
-    config = _solver_config(args)
+    config = _solver_config(args, args.anderson)
     q0 = _nbody_seed(args, qstar)
     if args.method == "petviashvili":
         outcome = petviashvili_solve(problem, q0, config, reference=qstar)
@@ -223,7 +225,8 @@ def cmd_nbody_solve(args):
     _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
     orbit = None
     extras = {"omega": cfg.omega, "inner_iterations": outcome.inner_iterations,
-              "pcg_fallbacks": outcome.pcg_fallbacks}
+              "pcg_fallbacks": outcome.pcg_fallbacks, "method": args.method,
+              "anderson": None if args.method == "newton" else config.anderson}
     if _finite(outcome.x):
         orbit = align_to_orbit(outcome.x, qstar, action)
         if args.command == "orbit":
@@ -299,11 +302,37 @@ def _bs_seed(args, profile):
     raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for bs")
 
 
-def _bs_solve(problem, params, w0, reference, args):
+# Anderson window of the bs Petviashvili path when --anderson is not given
+BS_ANDERSON = 5
+
+
+def _bs_method(args, profile):
+    """The method a bs solve runs, decided from the arguments alone.
+
+    An explicit --method wins. Otherwise the unperturbed closed-form wave
+    seeding a solve at another speed runs Petviashvili; perturbed seeds and
+    seeds at the closed-form speed run Newton, whose limit is the orbit
+    element the shift diagnostics measure.
+    """
+    if args.method is not None:
+        return args.method
+    if getattr(args, "perturb", "none") == "none" and _bs_reference(args, profile) is None:
+        return "petviashvili"
+    return "newton"
+
+
+def _bs_solve(problem, params, w0, reference, args, method):
+    """(outcome, Anderson window or None); outcome.f_norm is |F| at the returned wave."""
+    if method == "petviashvili":
+        window = BS_ANDERSON if args.anderson is None else args.anderson
+        outcome = petviashvili_solve(problem, w0, _solver_config(args, window),
+                                     reference=reference, tol_on_F=True)
+        return outcome, window
     # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator
-    return newton_solve(problem, w0, _solver_config(args), reference=reference,
-                        precond=bq.precond_operator(params).apply,
-                        generators=bq.translation_action(params).generators)
+    outcome = newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
+                           precond=bq.precond_operator(params).apply,
+                           generators=bq.translation_action(params).generators)
+    return outcome, None
 
 
 def _centers(w, params):
@@ -333,18 +362,20 @@ def cmd_bs_solve(args):
     problem = bq.build_bs_problem(params)
     reference = _bs_reference(args, profile)
     w0 = _bs_seed(args, profile)
-    outcome = _bs_solve(problem, params, w0, reference, args)
+    method = _bs_method(args, profile)
+    outcome, window = _bs_solve(problem, params, w0, reference, args, method)
     _write_trace(out, outcome.trace)
     _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave.vector(), params)
     orbit = None
-    extras = {"inner_iterations": outcome.inner_iterations}
+    extras = {"inner_iterations": outcome.inner_iterations, "method": method,
+              "anderson": window}
     if _finite(outcome.x):
         extras.update(_centers(outcome.x, params))
         if reference is not None:
             orbit = align_to_orbit(outcome.x, reference, bq.translation_action(params))
     code = _EXIT_CODES[outcome.status]
     return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          status=outcome.status, final_residual=outcome.trace.residuals[-1],
+                          status=outcome.status, final_residual=outcome.f_norm,
                           iterations=outcome.iterations, orbit=orbit, extras=extras,
                           wall_time=time.perf_counter() - t0, exit_code=code)
 
@@ -380,6 +411,8 @@ def cmd_bs_shift_table(args):
         raise _UsageError(f"--eps expects a comma-separated float list: {exc}")
     if not eps_values:
         raise _UsageError("--eps expects at least one value")
+    # derivative-direction seeds are perturbed: Newton unless --method says otherwise
+    method = args.method or "newton"
     rows = []
     worst = 0
     for eps in eps_values:
@@ -388,9 +421,9 @@ def cmd_bs_shift_table(args):
         sub.eps = eps
         sub.x0 = 0.0
         w0 = _bs_seed(sub, profile)
-        outcome = _bs_solve(problem, params, w0, reference, args)
+        outcome, window = _bs_solve(problem, params, w0, reference, args, method)
         row = {"eps": eps, "status": outcome.status,
-               "final_residual": float(outcome.trace.residuals[-1]),
+               "final_residual": float(outcome.f_norm),
                "x_u": None, "x_eta": None}
         if _finite(outcome.x):
             row.update(_centers(outcome.x, params))
@@ -398,7 +431,7 @@ def cmd_bs_shift_table(args):
         worst = max(worst, _EXIT_CODES[outcome.status])
     (out / "shift_table.json").write_text(json.dumps(rows, indent=2) + "\n")
     return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          extras={"table": rows},
+                          extras={"table": rows, "method": method, "anderson": window},
                           wall_time=time.perf_counter() - t0, exit_code=worst)
 
 
@@ -410,18 +443,21 @@ def cmd_bs_propagate(args):
     status = None
     iterations = None
     final_residual = None
+    extras = {"method": None, "anderson": None}
     if args.cs is not None and abs(args.cs - profile.speed) > 1e-12:
         # no closed form at this speed: compute the travelling wave first
         problem = bq.build_bs_problem(params)
-        outcome = _bs_solve(problem, params, profile.wave.vector(), None, args)
+        method = _bs_method(args, profile)
+        outcome, window = _bs_solve(problem, params, profile.wave.vector(), None, args, method)
+        extras = {"method": method, "anderson": window}
         status = outcome.status
         iterations = outcome.iterations
-        final_residual = outcome.trace.residuals[-1]
+        final_residual = outcome.f_norm
         _write_trace(out, outcome.trace)
         if not outcome.converged:
             return _write_summary(out, "bs " + args.command, _config_echo(args),
                                   status=status, final_residual=final_residual,
-                                  iterations=iterations,
+                                  iterations=iterations, extras=extras,
                                   wall_time=time.perf_counter() - t0,
                                   exit_code=_EXIT_CODES[status])
         w0 = outcome.x
@@ -443,7 +479,7 @@ def cmd_bs_propagate(args):
             rows.append((t, x[j], pair.eta[j], pair.u[j]))
     _write_csv(out / "snapshots.csv", ("t", "x", "eta", "u"), rows)
 
-    extras = {"completed": result.completed, "dt": args.dt, "t_end": args.t_end}
+    extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end)
     start_center = bq.translation_shift(bq.WavePair.from_vector(w0), params.half_length)
     extras["start_center"] = start_center
     if result.states and result.completed:
@@ -508,7 +544,9 @@ def _build_parser() -> _Parser:
 
     def bs_solver(p):
         bs_common(p)
-        _add_solver_flags(p, ("newton",), ("minres",), 1e-12)
+        _add_solver_flags(p, ("newton", "petviashvili"), ("minres",), 1e-12)
+        # None: the method follows from the seed, and Petviashvili mixes BS_ANDERSON steps
+        p.set_defaults(method=None, anderson=None)
 
     for name in ("solve", "orbit"):
         p = bs_cmds.add_parser(name)

@@ -23,6 +23,7 @@ __all__ = [
     "materialize",
     "fourier_symbols",
     "fourier_apply",
+    "inverse_2x2",
     "abs_inverse_2x2",
     "spectral_derivative",
     "fd_jacobian",
@@ -142,6 +143,18 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError("vector length must be the symbol's field count times its length")
     v_hat = np.fft.fft(v.reshape(k, n))
     return np.fft.ifft(np.einsum("ijn,jn->in", symbol, v_hat)).real.reshape(v.shape)
+
+
+def inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
+    """Per-mode A^{-1} of symmetric 2x2 blocks [[a11, a12], [a12, a22]], shape (2, 2, n).
+
+    A^{-1} = adj(A) / det A. Every block must be nonsingular.
+    """
+    a11, a12, a22 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (a11, a12, a22)))
+    det = a11 * a22 - a12 * a12
+    if not np.all(det != 0.0):
+        raise ValueError("every 2x2 block must be nonsingular")
+    return np.stack([np.stack([a22, -a12]), np.stack([-a12, a11])]) / det
 
 
 def abs_inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
@@ -273,7 +286,6 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     _check_symmetry_probe(op)
 
     apply_m = precond if precond is not None else (lambda v: v)
-    x = np.zeros(op.dim)
     r1 = b.copy()
     y = np.asarray(apply_m(r1), dtype=float)
     beta1 = float(np.dot(r1, y))
@@ -288,21 +300,32 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     phibar = beta1
     cs = -1.0
     sn = 0.0
+    # every update writes into one of these buffers, in the same operation
+    # order as the textbook expressions, so the iterates are bit-for-bit
+    # those of the allocating form; y from apply_m may alias r2 and is only read
+    x = np.zeros(op.dim)
+    v = np.empty(op.dim)
+    tmp = np.empty(op.dim)
     w = np.zeros(op.dim)
+    w1 = np.zeros(op.dim)
     w2 = np.zeros(op.dim)
     r2 = r1.copy()
     it = 0
     best = np.inf
     stalled = 0
     for it in range(1, maxit + 1):
-        v = y / beta
-        y = op.apply(v)
+        np.divide(y, beta, out=v)
+        av = op.apply(v)
+        # r1 is dead after this step, so the new residual y is built in its buffer
         if it >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+            np.multiply(r1, beta / oldb, out=r1)
+            np.subtract(av, r1, out=r1)
+        else:
+            np.copyto(r1, av)
+        alfa = float(np.dot(v, r1))
+        np.multiply(r2, alfa / beta, out=tmp)
+        r1 -= tmp
+        r1, r2 = r2, r1
         y = np.asarray(apply_m(r2), dtype=float)
         oldb = beta
         beta = float(np.dot(r2, y))
@@ -321,10 +344,16 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w <- (v - oldeps w2 - delta w) / gamma, into the dead w1 buffer,
+        # then (w1, w2, w) <- (w2, w, new w)
+        np.multiply(w2, oldeps, out=w1)
+        np.subtract(v, w1, out=w1)
+        np.multiply(w, delta, out=tmp)
+        w1 -= tmp
+        w1 /= gamma
+        w1, w2, w = w2, w, w1
+        np.multiply(w, phi, out=tmp)
+        x += tmp
 
         rel = phibar / beta1
         if rel < best:

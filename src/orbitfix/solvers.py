@@ -27,6 +27,7 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "SolveOutcome",
+    "AndersonMixer",
     "fixed_point_solve",
     "petviashvili_solve",
     "petviashvili_map",
@@ -71,12 +72,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerances and budgets; anderson is the window of Anderson mixing in
+    the fixed-point drivers (0 runs the plain iteration; Newton ignores it)."""
+
     tol_residual: float = 1e-7
     max_outer: int = 1000
     inner_solver: str = "pcg"
     inner_tol: float = 1e-10
     inner_maxit: int = 500
     divergence_cap: float = 1e8
+    anderson: int = 0
 
     def __post_init__(self):
         if not self.tol_residual > 0.0:
@@ -91,6 +96,8 @@ class SolverConfig:
             raise ValueError("inner_maxit must be >= 1")
         if not self.divergence_cap > 0.0:
             raise ValueError("divergence_cap must be positive")
+        if self.anderson < 0:
+            raise ValueError("anderson must be >= 0")
 
 
 @dataclass
@@ -128,6 +135,9 @@ class IterationTrace:
 
 @dataclass
 class SolveOutcome:
+    """How a run ended. f_norm is |F(x)| at the returned x where the driver
+    has it at no extra cost (Newton and the stabilized driver), else None."""
+
     status: str
     x: np.ndarray
     trace: IterationTrace
@@ -135,17 +145,22 @@ class SolveOutcome:
     message: str = ""
     inner_iterations: int = 0
     pcg_fallbacks: int = 0
+    f_norm: Optional[float] = None
 
     @property
     def converged(self) -> bool:
         return self.status in (CONVERGED_RESIDUAL, CONVERGED_REFERENCE)
 
 
-def _classify(n, residual, ref_error, config):
-    """Shared stopping logic; returns a status or None to continue."""
+def _classify(n, residual, ref_error, config, accept=None):
+    """Shared stopping logic; returns a status or None to continue.
+
+    accept, when given, is asked before a residual below tolerance counts
+    as converged.
+    """
     if not np.isfinite(residual) or residual > config.divergence_cap:
         return DIVERGED
-    if residual <= config.tol_residual:
+    if residual <= config.tol_residual and (accept is None or accept()):
         return CONVERGED_RESIDUAL
     if ref_error is not None and ref_error <= config.tol_residual:
         return CONVERGED_REFERENCE
@@ -154,87 +169,176 @@ def _classify(n, residual, ref_error, config):
     return None
 
 
+class AndersonMixer:
+    """Type-II Anderson mixing with beta = 1 over the last `window` steps.
+
+    Called with an iterate x and the step map's value g = step(x), it returns
+    g - dG c, where c minimizes |f - dF c| over the differences dF and dG of
+    the last `window` residuals f = g - x and values g (Anderson, J. ACM 12,
+    1965). On a linear map this is GMRES (Walker and Ni, SIAM J. Numer. Anal.
+    49, 2011), so it can converge where the plain map does not. Least squares
+    is invariant under orthogonal maps, so when the step map commutes with an
+    orthogonal group action, so does the mixed iteration. A non-finite value
+    passes through unmixed, for the caller's divergence check.
+
+    The least-squares problem is solved by modified Gram-Schmidt on the
+    columns of dF, newest first, with f carried along; a column that is
+    dependent on the newer ones to within DROP (relative) is left out. Dot
+    products and norms keep the invariance, and no LAPACK routine runs:
+    numpy's SVD-based lstsq pages in about 0.9 MiB of OpenBLAS code.
+    """
+
+    DROP = 1e-12
+
+    def __init__(self, window: int):
+        self.window = window
+        self.df: List[np.ndarray] = []
+        self.dg: List[np.ndarray] = []
+        self.last = None
+
+    def __call__(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(g)):
+            return g
+        f = g - x
+        if self.last is not None:
+            self.df.append(f - self.last[0])
+            self.dg.append(g - self.last[1])
+            if len(self.df) > self.window:
+                del self.df[0], self.dg[0]
+        self.last = (f, g)
+        rest = f.copy()  # f minus its projections on the accepted columns
+        q, r, rhs, kept = [], [], [], []
+        for j in reversed(range(len(self.df))):
+            col = self.df[j]
+            v = col.copy()
+            h = []
+            for qi in q:
+                h.append(float(np.dot(qi, v)))
+                v -= h[-1] * qi
+            norm = float(np.linalg.norm(v))
+            if not norm > self.DROP * float(np.linalg.norm(col)):
+                continue
+            v /= norm
+            rhs.append(float(np.dot(v, rest)))
+            rest -= rhs[-1] * v
+            q.append(v)
+            r.append(h + [norm])
+            kept.append(j)
+        # back substitution on the triangular R, whose column k is r[k]
+        c = [0.0] * len(kept)
+        for i in reversed(range(len(kept))):
+            c[i] = (rhs[i] - sum(r[k][i] * c[k] for k in range(i + 1, len(kept)))) / r[i][i]
+        for ci, j in zip(c, kept):
+            g = g - ci * self.dg[j]
+        return g
+
+
+def _fixed_point_loop(step: Callable, x0: np.ndarray, config: SolverConfig,
+                      reference: Optional[np.ndarray], tol_on_F: bool = False) -> SolveOutcome:
+    """The fixed-point iteration x <- step(x), mixed when config.anderson > 0.
+
+    step(x) returns (G(x), stabilizing factor or None, next iterate or the
+    reason there is none, |F(x)| as a zero-argument callable or None). Runs
+    classify on the gap |x - G(x)|; with tol_on_F, a gap below tolerance
+    counts as converged only once |F(x)| meets it too.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    trace = IterationTrace()
+    mix = AndersonMixer(config.anderson) if config.anderson else None
+    for n in range(config.max_outer + 1):
+        gx, s, nxt, f_norm = step(x)
+        residual = float(np.linalg.norm(x - gx))
+        ref_error = None if reference is None else float(np.linalg.norm(x - reference))
+        trace.append(residual, ref_error, s)
+        accept = (lambda: f_norm() <= config.tol_residual) if tol_on_F else None
+        status = _classify(n, residual, ref_error, config, accept)
+        message = ""
+        if status is None and isinstance(nxt, str):
+            status, message = DIVERGED, nxt
+        if status is not None:
+            return SolveOutcome(status, x, trace, n, message=message,
+                                f_norm=None if f_norm is None else f_norm())
+        if mix is not None:
+            nxt = mix(x, nxt)
+        trace.set_step_norm(float(np.linalg.norm(nxt - x)))
+        x = nxt
+    raise AssertionError("unreachable")
+
+
 def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
                       config: Optional[SolverConfig] = None,
                       reference: Optional[np.ndarray] = None) -> SolveOutcome:
     """Direct iteration x <- G(x); the residual is the fixed-point gap."""
     if problem.G is None:
         raise ValueError("fixed_point_solve requires a fixed-point map G")
-    config = config or SolverConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
-    for n in range(config.max_outer + 1):
-        gx = problem.G(x)
-        residual = float(np.linalg.norm(x - gx))
-        ref_error = None if reference is None else float(np.linalg.norm(x - reference))
-        trace.append(residual, ref_error)
-        status = _classify(n, residual, ref_error, config)
-        if status is not None:
-            return SolveOutcome(status, x, trace, n)
-        trace.set_step_norm(float(np.linalg.norm(gx - x)))
-        x = np.asarray(gx, dtype=float)
-    raise AssertionError("unreachable")
+
+    def step(x):
+        gx = np.asarray(problem.G(x), dtype=float)
+        return gx, None, gx, None
+
+    return _fixed_point_loop(step, x0, config or SolverConfig(), reference)
 
 
-def _stabilized_parts(problem: ProblemSpec):
-    """(parts, gamma): parts(x) = (G(x), <Ax,x>/<A G(x),x> or None at 0), gamma = d/(d-1)."""
+def _stabilized_step(problem: ProblemSpec) -> Callable:
+    """The stabilized step in _fixed_point_loop's form.
+
+    The next iterate is s^gamma G(x), s = <Ax,x>/<A G(x),x>, gamma = d/(d-1)
+    from the split's degree d; |F(x)| = |Ax - A G(x)| reuses both products.
+    """
     split = problem.homogeneous_split
     if split is None:
         raise ValueError("the stabilized iteration requires a homogeneous split")
     if problem.G is None:
         raise ValueError("the stabilized iteration requires the fixed-point map G = A^{-1}N")
+    gamma = split.degree / (split.degree - 1.0)
 
-    def parts(x):
+    def step(x):
         gx = np.asarray(problem.G(x), dtype=float)
-        den = float(np.dot(split.linear(gx), x))
-        s = float(np.dot(split.linear(x), x) / den) if den != 0.0 else None
-        return gx, s
+        ax = split.linear(x)
+        agx = split.linear(gx)
+        den = float(np.dot(agx, x))
+        s = float(np.dot(ax, x) / den) if den != 0.0 else None
 
-    return parts, split.degree / (split.degree - 1.0)
+        def f_norm():
+            return float(np.linalg.norm(ax - agx))
 
+        if s is None:
+            return gx, s, "stabilizing factor has zero denominator", f_norm
+        if s < 0.0 and not float(gamma).is_integer():
+            return gx, s, "negative stabilizing factor with non-integer exponent", f_norm
+        return gx, s, (s ** gamma) * gx, f_norm
 
-def _stabilized_next(gx: np.ndarray, s: float, gamma: float) -> np.ndarray:
-    """The stabilized step s^gamma A^{-1}N(x)."""
-    return (s ** gamma) * gx
+    return step
 
 
 def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
                        config: Optional[SolverConfig] = None,
-                       reference: Optional[np.ndarray] = None) -> SolveOutcome:
+                       reference: Optional[np.ndarray] = None,
+                       tol_on_F: bool = False) -> SolveOutcome:
     """Stabilized fixed-point iteration for F(x) = Ax - N(x), N homogeneous.
 
     Each step scales G(x) = A^{-1}N(x) by s^gamma, s = <Ax,x>/<N(x),x> and
     gamma = d/(d - 1) from the split's degree d. At a solution s = 1, so the
     recorded factors approach one on convergent runs, the terminal one included.
+    The trace's residual is the gap |x - G(x)|; the outcome's f_norm is
+    |F(x)| at the returned iterate, and tol_on_F makes convergence on the
+    residual require both.
     """
-    parts, gamma = _stabilized_parts(problem)
-    config = config or SolverConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
-    for n in range(config.max_outer + 1):
-        gx, s = parts(x)
-        residual = float(np.linalg.norm(x - gx))
-        ref_error = None if reference is None else float(np.linalg.norm(x - reference))
-        trace.append(residual, ref_error, s)
-        status = _classify(n, residual, ref_error, config)
-        if status is not None:
-            return SolveOutcome(status, x, trace, n)
-        if s is None:
-            return SolveOutcome(DIVERGED, x, trace, n,
-                                message="stabilizing factor has zero denominator")
-        if s < 0.0 and not float(gamma).is_integer():
-            return SolveOutcome(DIVERGED, x, trace, n,
-                                message="negative stabilizing factor with non-integer exponent")
-        x_next = _stabilized_next(gx, s, gamma)
-        trace.set_step_norm(float(np.linalg.norm(x_next - x)))
-        x = x_next
-    raise AssertionError("unreachable")
+    return _fixed_point_loop(_stabilized_step(problem), x0, config or SolverConfig(),
+                             reference, tol_on_F)
 
 
 def petviashvili_map(problem: ProblemSpec) -> Callable:
     """One step of the stabilized iteration, as a plain map for spectra."""
-    parts, gamma = _stabilized_parts(problem)
-    return lambda x: _stabilized_next(*parts(x), gamma)
+    step = _stabilized_step(problem)
+
+    def apply(x):
+        nxt = step(x)[2]
+        if isinstance(nxt, str):
+            raise ValueError(nxt)
+        return nxt
+
+    return apply
 
 
 def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
@@ -298,15 +402,15 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         trace.append(residual, ref_error)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
-            return SolveOutcome(status, x, trace, n,
-                                inner_iterations=inner_total, pcg_fallbacks=fallbacks)
+            return SolveOutcome(status, x, trace, n, inner_iterations=inner_total,
+                                pcg_fallbacks=fallbacks, f_norm=residual)
         if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
             stall += 1
             if stall >= 3:
                 return SolveOutcome(
                     MAX_ITERATIONS, x, trace, n,
                     message="inner solver repeatedly hit its budget without outer progress",
-                    inner_iterations=inner_total, pcg_fallbacks=fallbacks)
+                    inner_iterations=inner_total, pcg_fallbacks=fallbacks, f_norm=residual)
         else:
             stall = 0
 

@@ -8,7 +8,7 @@ from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_pro
                                  translation_action, translation_shift)
 from orbitfix.numlin import (dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
                              materialize, minres)
-from orbitfix.solvers import SolverConfig, newton_solve
+from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
 
 
@@ -405,6 +405,48 @@ def test_deflated_newton_at_prescribed_speed_needs_few_inner_iterations():
     assert out.status == "ConvergedResidual"
     assert out.iterations <= 12
     assert out.inner_iterations < 500
+
+
+# ---------------- Petviashvili ----------------
+
+def test_fixed_point_form_matches_the_residual():
+    # F(w) = S w - N(w) and G = S^{-1}N, so F(w) = S(w - G(w))
+    params = _params(speed=1.3)
+    problem = build_bs_problem(params)
+    w = exact_profile(THETA2, 256, 25.0).wave.vector()
+    split = problem.homogeneous_split
+    assert split.degree == 2.0
+    got = split.linear(w - problem.G(w))
+    assert np.allclose(got, problem.F(w), rtol=0.0, atol=1e-11 * np.abs(problem.F(w)).max())
+
+
+def test_petviashvili_stops_on_the_residual_not_only_the_gap():
+    # at cs = 2 and tol 1e-6 the gap |w - G(w)| meets the tolerance one step
+    # before |F(w)| does
+    params = _params(speed=2.0)
+    problem = build_bs_problem(params)
+    w0 = exact_profile(THETA2, 256, 25.0).wave.vector()
+    config = SolverConfig(tol_residual=1e-6, max_outer=50, anderson=5)
+    on_gap = petviashvili_solve(problem, w0, config)
+    on_F = petviashvili_solve(problem, w0, config, tol_on_F=True)
+    assert on_gap.status == on_F.status == "ConvergedResidual"
+    assert on_gap.f_norm > 1e-6 >= on_gap.trace.residuals[-1]
+    assert on_F.iterations > on_gap.iterations
+    assert on_F.f_norm <= 1e-6
+    assert on_F.f_norm == pytest.approx(np.linalg.norm(problem.F(on_F.x)), rel=1e-6)
+
+
+def test_petviashvili_lands_on_the_newton_wave():
+    n = 512
+    profile = exact_profile(THETA2, n, 50.0)
+    params = BSParams(theta2=THETA2, speed=1.2, n=n, half_length=50.0)
+    problem = build_bs_problem(params)
+    out = petviashvili_solve(problem, profile.wave.vector(),
+                             SolverConfig(tol_residual=1e-11, max_outer=15, anderson=5),
+                             tol_on_F=True)
+    assert out.status == "ConvergedResidual" and out.iterations <= 14
+    newton = _wave_newton(params, profile.wave.vector(), 1e-11)
+    assert np.linalg.norm(out.x - newton.x) <= 1e-10 * np.linalg.norm(newton.x)
 
 
 # ---------------- translation diagnostics ----------------

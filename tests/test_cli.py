@@ -61,8 +61,35 @@ def test_gamma_flag_is_usage_error(tmp_path):
     assert main(["nbody", "solve", "--gamma", "0.5", "--out", str(tmp_path)]) == 1
 
 
-def test_bs_rejects_non_newton_method(tmp_path):
-    assert main(["bs", "solve", "--method", "petviashvili", *BS_SMALL,
+@pytest.mark.parametrize("extra, method, anderson", [
+    # the unperturbed closed-form wave seeding another speed
+    (["--cs", "1.2"], "petviashvili", 5),
+    (["--cs", "1.2", "--anderson", "3"], "petviashvili", 3),
+    # a perturbed seed, and the closed-form speed itself
+    (["--perturb", "gauss", "--eps", "0.01"], "newton", None),
+    ([], "newton", None),
+    # an explicit --method wins over the seed
+    (["--cs", "1.2", "--method", "newton"], "newton", None),
+    (["--perturb", "gauss", "--eps", "0.01", "--method", "petviashvili"], "petviashvili", 5),
+])
+def test_bs_dispatch_follows_the_seed(tmp_path, extra, method, anderson):
+    code = main(["bs", "solve", *BS_SMALL, "--tol", "1e-10", *extra, "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert code == 0
+    assert summary["extras"]["method"] == method
+    assert summary["extras"]["anderson"] == anderson
+    if method == "petviashvili":
+        assert summary["extras"]["inner_iterations"] == 0
+    # the closed-form seed at its own speed is the reference: a stop at iteration 0
+    if summary["status"] == "ConvergedResidual":
+        assert summary["final_residual"] <= 1e-10
+    else:
+        assert (summary["status"], summary["iterations"]) == ("ConvergedReference", 0)
+
+
+def test_bs_rejects_fixed_point_method(tmp_path):
+    assert main(["bs", "solve", "--method", "fixed-point", *BS_SMALL,
                  "--out", str(tmp_path)]) == 1
 
 
@@ -150,6 +177,33 @@ def test_nbody_orbit_generator_seed(tmp_path):
     assert summary["extras"]["kernel_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("m0", [4, 1, 0])
+@pytest.mark.parametrize("method", ["petviashvili", "fixed-point"])
+def test_nbody_anderson_converges_where_criterion_3_diverges(tmp_path, method, m0):
+    # criterion 3's seed, on which both unaccelerated maps diverge at these masses
+    code = main(["nbody", "solve", "--method", method, "--m0", str(m0), "--perturb", "ones",
+                 "--eps", "0.1", "--tol", "1e-10", "--anderson", "8", "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["iterations"] <= 20
+    assert (summary["extras"]["method"], summary["extras"]["anderson"]) == (method, 8)
+
+
+@pytest.mark.parametrize("bodies", [4, 6, 8])
+def test_nbody_anderson_lands_on_the_polygon_orbit(tmp_path, bodies):
+    # the unaccelerated stabilized map has unstable modes at these polygons
+    code = main(["nbody", "solve", "--bodies", str(bodies), "--m0", "10", "--perturb", "ones",
+                 "--eps", "0.03", "--tol", "1e-10", "--anderson", "8", "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["iterations"] <= 20
+    assert summary["orbit"]["orbital_distance"] <= 1e-9
+
+
 def test_nbody_newton_reports_inner_iterations(tmp_path):
     code = main(["nbody", "solve", "--method", "newton", "--bodies", "64", "--m0", "10",
                  "--perturb", "ones", "--eps", "0.03", "--tol", "1e-10",
@@ -234,6 +288,22 @@ def test_bs_spectrum_single_null_mode(tmp_path):
         "even": {"dim": n + 2, "count_near_zero": 0},
         "odd": {"dim": n - 2, "count_near_zero": 1},
     }
+
+
+@pytest.mark.parametrize("cs", ["1.25", "1.31", "1.35", "1.58", "2.01"])
+def test_bs_solve_at_speeds_where_newton_wandered(tmp_path, cs):
+    # from the closed-form seed, preconditioned Newton ended MaxIterations
+    # (Diverged at 2.01) at these speeds; the dispatch now runs Petviashvili
+    code = main(["bs", "solve", "--grid-n", "512", "--cs", cs, "--tol", "1e-11",
+                 "--max-outer", "15", "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert code == 0
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["extras"]["method"] == "petviashvili"
+    # |F| at the returned wave, not the fixed-point gap the iteration stops on
+    assert summary["final_residual"] <= 1e-11
+    assert abs(summary["extras"]["x_eta"]) <= 1e-8
 
 
 def test_bs_propagate(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orbitfix.numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, abs_inverse_2x2,
+                             inverse_2x2,
                              as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, materialize, minres, pcg, spectral_derivative)
 
@@ -114,6 +115,23 @@ def test_abs_inverse_2x2_matches_eigendecomposition():
         expected = vec @ np.diag(1.0 / np.abs(lam)) @ vec.T
         assert np.allclose(blocks[:, :, m], expected, rtol=1e-13,
                            atol=1e-13 * np.abs(expected).max())
+
+
+def test_inverse_2x2_inverts_each_block():
+    rng = np.random.default_rng(13)
+    a11, a12, a22 = rng.standard_normal((3, 200))
+    blocks = inverse_2x2(a11, a12, a22)
+    assert blocks.shape == (2, 2, 200)
+    for m in range(200):
+        a = np.array([[a11[m], a12[m]], [a12[m], a22[m]]])
+        assert np.allclose(blocks[:, :, m] @ a, np.eye(2), rtol=0.0, atol=1e-12 * np.linalg.cond(a))
+    # a scalar entry is shared by every block
+    assert np.array_equal(inverse_2x2(-1.0, a12, a22), inverse_2x2(np.full(200, -1.0), a12, a22))
+
+
+def test_inverse_2x2_rejects_singular_blocks():
+    with pytest.raises(ValueError, match="nonsingular"):
+        inverse_2x2(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 4.0]))
 
 
 def test_abs_inverse_2x2_rejects_singular_blocks():

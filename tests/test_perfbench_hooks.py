@@ -41,3 +41,15 @@ def test_every_hook_resolves(tracing):
         assert set(hooks.missing) <= KNOWN_MISSING
         assert np.fft.fft is not fft
     assert np.fft.fft is fft
+
+
+def test_prescribed_speed_solve_is_counted_as_outer_steps(tracing, tmp_path):
+    # the dispatch runs Petviashvili through the name the outer-step hook wraps
+    from orbitfix.cli import main
+
+    tracer = tracing.Tracer()
+    with tracing.Hooks(tracer):
+        assert main(["bs", "solve", "--cs", "1.2", "--grid-n", "256", "--half-length", "25",
+                     "--tol", "1e-10", "--out", str(tmp_path)]) == 0
+    assert tracer.counters["solvers.outer_steps"] > 0
+    assert tracer.counters["numlin.minres.iters"] == 0

@@ -2,7 +2,9 @@
 
 The wave problem is equivariant under translations; the ring potential is
 equivariant under global rotations and under relabelling the bodies together
-with their masses.
+with their masses. Anderson mixing keeps the iteration equivariant under
+these orthogonal actions, and its extrapolated steps stay under the
+divergence cap.
 """
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from orbitfix.boussinesq import BSParams, build_bs_problem, translation_action  # noqa: E402
-from orbitfix.nbody import NBodyConfig, grad_U, hess_U, polygon_solution  # noqa: E402
+from orbitfix.nbody import NBodyConfig, build_nbody, grad_U, hess_U, polygon_solution  # noqa: E402
 from orbitfix.numlin import fourier_apply  # noqa: E402
+from orbitfix.solvers import (DIVERGED, AndersonMixer, ProblemSpec, SolverConfig,  # noqa: E402
+                              fixed_point_solve, petviashvili_solve)
 
 N, L = 64, 10.0
 PARAMS = BSParams(theta2=0.9, speed=1.3, n=N, half_length=L)
@@ -62,6 +66,11 @@ def rings(draw):
     return cfg, polygon_solution(n) + noise
 
 
+def _rotation(n, alpha):
+    c, s = np.cos(alpha), np.sin(alpha)
+    return np.kron(np.eye(n), np.array([[c, -s], [s, c]]))
+
+
 def _close(got, want):
     return np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -70,8 +79,7 @@ def _close(got, want):
 @given(rings(), st.floats(-np.pi, np.pi))
 def test_ring_potential_is_rotation_equivariant(ring, alpha):
     cfg, q = ring
-    c, s = np.cos(alpha), np.sin(alpha)
-    R = np.kron(np.eye(cfg.n), np.array([[c, -s], [s, c]]))
+    R = _rotation(cfg.n, alpha)
     assert _close(grad_U(cfg, R @ q), R @ grad_U(cfg, q))
     assert _close(hess_U(cfg, R @ q), R @ hess_U(cfg, q) @ R.T)
 
@@ -85,3 +93,63 @@ def test_ring_potential_is_relabelling_equivariant(ring, data):
     relabelled = NBodyConfig(n=cfg.n, m0=cfg.m0, masses=tuple(np.asarray(cfg.masses)[perm]))
     assert _close(grad_U(relabelled, q[idx]), grad_U(cfg, q)[idx])
     assert _close(hess_U(relabelled, q[idx]), hess_U(cfg, q)[np.ix_(idx, idx)])
+
+
+# ---------------- Anderson mixing ----------------
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.floats(-np.pi, np.pi),
+       st.integers(1, 4))
+def test_accelerated_ring_iteration_commutes_with_rotations(n, seed, alpha, window):
+    # a generic ring from a seeded generator: a state with a symmetry of its
+    # own (say the exact polygon) gives rank-deficient least-squares problems,
+    # whose cut-off rank, and so the step, can change with round-off
+    rng = np.random.default_rng(seed)
+    cfg = NBodyConfig(n=n, m0=rng.uniform(0.0, 10.0), masses=tuple(rng.uniform(0.5, 2.0, n)))
+    q = polygon_solution(n) + 0.05 * rng.standard_normal(2 * n)
+    problem = build_nbody(cfg)
+    R = _rotation(cfg.n, alpha)
+    config = SolverConfig(max_outer=5, anderson=window)
+    plain = petviashvili_solve(problem, q, config)
+    rotated = petviashvili_solve(problem, R @ q, config)
+    assert (rotated.status, rotated.iterations) == (plain.status, plain.iterations)
+    if np.all(np.isfinite(plain.x)):
+        assert np.allclose(rotated.x, R @ plain.x, rtol=0.0,
+                           atol=1e-9 * max(1.0, np.max(np.abs(plain.x))))
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), SHIFTS, st.integers(1, 4))
+def test_anderson_step_commutes_with_translations(seed, alpha, window):
+    # history[k] = (x_k, g_k), Nyquist-free, where the shift is orthogonal.
+    # Gaussian states keep the least-squares problems full rank: on a
+    # rank-deficient history the cut-off rank, and so the step, can change
+    # with round-off even at alpha = 0.
+    act = translation_action(PARAMS).act
+    history = np.random.default_rng(seed).standard_normal((5, 2, 2 * N))
+    history = [[fourier_apply(NO_NYQUIST, v) for v in pair] for pair in history]
+    mix, shifted = AndersonMixer(window), AndersonMixer(window)
+    for x, g in history:
+        got = shifted(act(alpha, x), act(alpha, g))
+        want = act(alpha, mix(x, g))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+
+
+@PROPERTY
+@given(st.floats(10.0, 1e8), st.integers(1, 5))
+def test_divergence_cap_stops_a_wild_accelerated_step(cap, window):
+    # f(x) = G(x) - x = 1 - 2e-9 x + 1e-9 x^2 is nearly flat between the
+    # first two iterates 0 and 1, so the first mixed (secant) step jumps to
+    # x of about 1e9, where the gap is about 1e9: above any cap drawn here.
+    # The plain iteration creeps up by about 1 a step.
+    def G(x):
+        return x + 1.0 - 2e-9 * x + 1e-9 * x * x
+
+    problem = ProblemSpec(F=lambda x: x - G(x), G=G)
+    plain = fixed_point_solve(problem, np.zeros(1), SolverConfig(max_outer=50,
+                                                                   divergence_cap=cap))
+    assert plain.status == "MaxIterations"
+    wild = fixed_point_solve(problem, np.zeros(1),
+                             SolverConfig(max_outer=50, divergence_cap=cap, anderson=window))
+    assert (wild.status, wild.iterations) == (DIVERGED, 2)
+    assert wild.trace.residuals[-1] > cap

@@ -21,6 +21,7 @@ from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution, rotation_
     dict(inner_tol=-1.0),
     dict(inner_solver="qmr"),
     dict(divergence_cap=0.0),
+    dict(anderson=-1),
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -31,6 +32,7 @@ def test_solver_config_defaults_are_sane():
     cfg = SolverConfig()
     assert cfg.tol_residual > 0 and cfg.max_outer >= 1
     assert cfg.inner_solver in ("minres", "pcg")
+    assert cfg.anderson == 0
 
 
 # ---------------- fixed point ----------------
