@@ -162,7 +162,6 @@ def _add_solver_flags(p, methods, inner_solvers, default_tol):
     p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
     p.add_argument("--cap", type=float, default=1e8)
-    p.add_argument("--anderson", type=int, default=0)
 
 
 def _add_common_flags(p):
@@ -302,7 +301,7 @@ def _bs_seed(args, profile):
     raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for bs")
 
 
-# Anderson window of the bs Petviashvili path when --anderson is not given
+# Anderson window of the bs Petviashvili path
 BS_ANDERSON = 5
 
 
@@ -324,10 +323,9 @@ def _bs_method(args, profile):
 def _bs_solve(problem, params, w0, reference, args, method):
     """(outcome, Anderson window or None); outcome.f_norm is |F| at the returned wave."""
     if method == "petviashvili":
-        window = BS_ANDERSON if args.anderson is None else args.anderson
-        outcome = petviashvili_solve(problem, w0, _solver_config(args, window),
+        outcome = petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
                                      reference=reference, tol_on_F=True)
-        return outcome, window
+        return outcome, BS_ANDERSON
     # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator
     outcome = newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
                            precond=bq.precond_operator(params).apply,
@@ -524,6 +522,7 @@ def _build_parser() -> _Parser:
         p = nbody_cmds.add_parser(name)
         nbody_common(p)
         _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), ("minres", "pcg"), 1e-7)
+        p.add_argument("--anderson", type=int, default=0)
         _add_perturb_flags(p, ("ones", "generator"))
         p.set_defaults(func=cmd_nbody_solve)
 
@@ -545,8 +544,8 @@ def _build_parser() -> _Parser:
     def bs_solver(p):
         bs_common(p)
         _add_solver_flags(p, ("newton", "petviashvili"), ("minres",), 1e-12)
-        # None: the method follows from the seed, and Petviashvili mixes BS_ANDERSON steps
-        p.set_defaults(method=None, anderson=None)
+        # None: the method follows from the seed (_bs_method)
+        p.set_defaults(method=None)
 
     for name in ("solve", "orbit"):
         p = bs_cmds.add_parser(name)

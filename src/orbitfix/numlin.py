@@ -286,6 +286,7 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     _check_symmetry_probe(op)
 
     apply_m = precond if precond is not None else (lambda v: v)
+    x = np.zeros(op.dim)
     r1 = b.copy()
     y = np.asarray(apply_m(r1), dtype=float)
     beta1 = float(np.dot(r1, y))
@@ -300,32 +301,21 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     phibar = beta1
     cs = -1.0
     sn = 0.0
-    # every update writes into one of these buffers, in the same operation
-    # order as the textbook expressions, so the iterates are bit-for-bit
-    # those of the allocating form; y from apply_m may alias r2 and is only read
-    x = np.zeros(op.dim)
-    v = np.empty(op.dim)
-    tmp = np.empty(op.dim)
     w = np.zeros(op.dim)
-    w1 = np.zeros(op.dim)
     w2 = np.zeros(op.dim)
     r2 = r1.copy()
     it = 0
     best = np.inf
     stalled = 0
     for it in range(1, maxit + 1):
-        np.divide(y, beta, out=v)
-        av = op.apply(v)
-        # r1 is dead after this step, so the new residual y is built in its buffer
+        v = y / beta
+        y = op.apply(v)
         if it >= 2:
-            np.multiply(r1, beta / oldb, out=r1)
-            np.subtract(av, r1, out=r1)
-        else:
-            np.copyto(r1, av)
-        alfa = float(np.dot(v, r1))
-        np.multiply(r2, alfa / beta, out=tmp)
-        r1 -= tmp
-        r1, r2 = r2, r1
+            y = y - (beta / oldb) * r1
+        alfa = float(np.dot(v, y))
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
         y = np.asarray(apply_m(r2), dtype=float)
         oldb = beta
         beta = float(np.dot(r2, y))
@@ -344,16 +334,10 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         phi = cs * phibar
         phibar = sn * phibar
 
-        # w <- (v - oldeps w2 - delta w) / gamma, into the dead w1 buffer,
-        # then (w1, w2, w) <- (w2, w, new w)
-        np.multiply(w2, oldeps, out=w1)
-        np.subtract(v, w1, out=w1)
-        np.multiply(w, delta, out=tmp)
-        w1 -= tmp
-        w1 /= gamma
-        w1, w2, w = w2, w, w1
-        np.multiply(w, phi, out=tmp)
-        x += tmp
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
 
         rel = phibar / beta1
         if rel < best:

@@ -180,15 +180,7 @@ class AndersonMixer:
     is invariant under orthogonal maps, so when the step map commutes with an
     orthogonal group action, so does the mixed iteration. A non-finite value
     passes through unmixed, for the caller's divergence check.
-
-    The least-squares problem is solved by modified Gram-Schmidt on the
-    columns of dF, newest first, with f carried along; a column that is
-    dependent on the newer ones to within DROP (relative) is left out. Dot
-    products and norms keep the invariance, and no LAPACK routine runs:
-    numpy's SVD-based lstsq pages in about 0.9 MiB of OpenBLAS code.
     """
-
-    DROP = 1e-12
 
     def __init__(self, window: int):
         self.window = window
@@ -206,31 +198,10 @@ class AndersonMixer:
             if len(self.df) > self.window:
                 del self.df[0], self.dg[0]
         self.last = (f, g)
-        rest = f.copy()  # f minus its projections on the accepted columns
-        q, r, rhs, kept = [], [], [], []
-        for j in reversed(range(len(self.df))):
-            col = self.df[j]
-            v = col.copy()
-            h = []
-            for qi in q:
-                h.append(float(np.dot(qi, v)))
-                v -= h[-1] * qi
-            norm = float(np.linalg.norm(v))
-            if not norm > self.DROP * float(np.linalg.norm(col)):
-                continue
-            v /= norm
-            rhs.append(float(np.dot(v, rest)))
-            rest -= rhs[-1] * v
-            q.append(v)
-            r.append(h + [norm])
-            kept.append(j)
-        # back substitution on the triangular R, whose column k is r[k]
-        c = [0.0] * len(kept)
-        for i in reversed(range(len(kept))):
-            c[i] = (rhs[i] - sum(r[k][i] * c[k] for k in range(i + 1, len(kept)))) / r[i][i]
-        for ci, j in zip(c, kept):
-            g = g - ci * self.dg[j]
-        return g
+        if not self.df:
+            return g
+        c = np.linalg.lstsq(np.column_stack(self.df), f, rcond=None)[0]
+        return g - np.column_stack(self.dg) @ c
 
 
 def _fixed_point_loop(step: Callable, x0: np.ndarray, config: SolverConfig,

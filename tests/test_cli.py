@@ -64,7 +64,6 @@ def test_gamma_flag_is_usage_error(tmp_path):
 @pytest.mark.parametrize("extra, method, anderson", [
     # the unperturbed closed-form wave seeding another speed
     (["--cs", "1.2"], "petviashvili", 5),
-    (["--cs", "1.2", "--anderson", "3"], "petviashvili", 3),
     # a perturbed seed, and the closed-form speed itself
     (["--perturb", "gauss", "--eps", "0.01"], "newton", None),
     ([], "newton", None),
