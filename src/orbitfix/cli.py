@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Grammar: orbitfix {nbody|bs} {solve|spectrum|orbit|shift-table|propagate},
-long-form flags only. Every command writes its artifacts plus a
-summary.json conforming to SUMMARY_SCHEMA into --out (default ./out).
-Exit codes: 0 converged/success, 1 usage or configuration error,
+long-form flags only. Every command writes its artifacts into --out
+(default ./out) and returns what it found; main alone writes summary.json,
+conforming to SUMMARY_SCHEMA, from that. A non-finite number is written as
+null. wall_time_s runs from after parsing to just before summary.json is
+written. Exit codes: 0 converged/success, 1 usage or configuration error,
 2 iteration limit, 3 divergence.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,6 +32,7 @@ from .symmetry import align_to_orbit, predict_limit
 __all__ = ["main", "SUMMARY_SCHEMA"]
 
 _EXIT_CODES = {
+    None: 0,  # a command that runs no iteration
     CONVERGED_RESIDUAL: 0,
     CONVERGED_REFERENCE: 0,
     MAX_ITERATIONS: 2,
@@ -93,9 +97,31 @@ def _write_trace(out: Path, trace):
                ((str(n), r, e, s, d) for n, r, e, s, d in trace.rows()))
 
 
-def _write_spectrum(out: Path, report):
+def _write_spectrum(out: Path, report) -> dict:
+    """Write spectrum.csv and return the summary's extras for the spectrum."""
     _write_csv(out / "spectrum.csv", ("index", "re", "im"),
                ((str(i), ev.real, ev.imag) for i, ev in enumerate(report.eigenvalues)))
+    return {
+        "count_near_unit": report.count_near_unit,
+        "count_near_zero": report.count_near_zero,
+        "dominant_modulus": report.dominant_modulus,
+    }
+
+
+def _json_safe(value):
+    # JSON has no NaN or Infinity: a non-finite float is written as null
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path: Path, doc, sort_keys=False):
+    text = json.dumps(_json_safe(doc), indent=2, sort_keys=sort_keys, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _orbit_json(report):
@@ -106,28 +132,6 @@ def _orbit_json(report):
         "orbital_distance": float(report.orbital_distance),
         "raw_distance": float(report.raw_distance),
     }
-
-
-def _write_summary(out: Path, command, config, status=None, final_residual=None,
-                   iterations=None, orbit=None, extras=None, wall_time=0.0,
-                   exit_code=0):
-    if final_residual is not None:
-        final_residual = float(final_residual)
-        if not np.isfinite(final_residual):
-            final_residual = None
-    doc = {
-        "command": command,
-        "status": status,
-        "final_residual": final_residual,
-        "iterations": iterations,
-        "orbit": _orbit_json(orbit),
-        "wall_time_s": float(wall_time),
-        "exit_code": int(exit_code),
-        "config": config,
-        "extras": extras or {},
-    }
-    (out / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return exit_code
 
 
 def _solver_config(args, anderson) -> SolverConfig:
@@ -152,6 +156,13 @@ def _config_echo(args) -> dict:
     return out
 
 
+def _floats(text, flag):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"{flag} expects a comma-separated float list: {exc}")
+
+
 def _add_solver_flags(p, methods, inner_solvers, default_tol):
     # the first method and inner solver are the defaults; offer only what the problem runs
     p.add_argument("--method", choices=methods, default=methods[0])
@@ -172,12 +183,6 @@ def _add_perturb_flags(p, kinds):
     p.add_argument("--perturb", choices=("none",) + kinds, default="none")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--x0", type=float, default=0.0)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _finite(x) -> bool:
@@ -202,10 +207,8 @@ def _write_bodies(out: Path, q):
                ((str(j + 1), pos[j, 0], pos[j, 1]) for j in range(pos.shape[0])))
 
 
-def cmd_nbody_solve(args):
+def cmd_nbody_solve(args, out: Path) -> dict:
     """nbody solve and nbody orbit; orbit adds the predicted limit and kernel residual."""
-    t0 = time.perf_counter()
-    out = _outdir(args)
     cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
@@ -234,16 +237,11 @@ def cmd_nbody_solve(args):
             extras["kernel_residual"] = float(
                 np.linalg.norm(problem.jacobian_at(qstar).apply(generator))
                 / np.linalg.norm(generator))
-    code = _EXIT_CODES[outcome.status]
-    return _write_summary(out, "nbody " + args.command, _config_echo(args),
-                          status=outcome.status, final_residual=outcome.trace.residuals[-1],
-                          iterations=outcome.iterations, orbit=orbit, extras=extras,
-                          wall_time=time.perf_counter() - t0, exit_code=code)
+    return {"status": outcome.status, "final_residual": outcome.trace.residuals[-1],
+            "iterations": outcome.iterations, "orbit": orbit, "extras": extras}
 
 
-def cmd_nbody_spectrum(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
+def cmd_nbody_spectrum(args, out: Path) -> dict:
     cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
@@ -253,28 +251,19 @@ def cmd_nbody_spectrum(args):
         report = iteration_matrix_spectrum(problem.G, qstar, jacobian=g_jacobian)
     else:
         report = iteration_matrix_spectrum(petviashvili_map(problem), qstar)
-    _write_spectrum(out, report)
-    extras = {
-        "count_near_unit": report.count_near_unit,
-        "count_near_zero": report.count_near_zero,
-        "dominant_modulus": report.dominant_modulus,
-    }
-    return _write_summary(out, "nbody " + args.command, _config_echo(args),
-                          extras=extras, wall_time=time.perf_counter() - t0)
+    return {"extras": _write_spectrum(out, report)}
 
 
 # ---------------- bs commands ----------------
 
 def _bs_profile(args):
+    """(closed-form profile, BSParams at --cs or else at the profile's own speed)."""
     if not (7.0 / 9.0 < args.theta2 < 1.0):
         raise _UsageError("seeding requires --theta2 in (7/9, 1)")
-    return bq.exact_profile(args.theta2, args.grid_n, args.half_length)
-
-
-def _bs_params(args, profile) -> bq.BSParams:
+    profile = bq.exact_profile(args.theta2, args.grid_n, args.half_length)
     speed = args.cs if args.cs is not None else profile.speed
-    return bq.BSParams(theta2=args.theta2, speed=speed, n=args.grid_n,
-                       half_length=args.half_length)
+    return profile, bq.BSParams(theta2=args.theta2, speed=speed, n=args.grid_n,
+                                half_length=args.half_length)
 
 
 def _bs_reference(args, profile):
@@ -284,21 +273,21 @@ def _bs_reference(args, profile):
     return profile.wave.vector()
 
 
-def _bs_seed(args, profile):
-    w = profile.wave.vector().copy()
-    n = args.grid_n
-    x = bq.grid(n, args.half_length)
-    if args.perturb == "none":
+def _bs_seed(profile, params, kind, eps, x0):
+    w = profile.wave.vector()
+    n = params.n
+    x = bq.grid(n, params.half_length)
+    if kind == "none":
         return w
-    if args.perturb == "gauss":
-        bump = args.eps * np.exp(-(x - args.x0) ** 2)
+    if kind == "gauss":
+        bump = eps * np.exp(-(x - x0) ** 2)
         return w + np.concatenate([bump, bump])
-    if args.perturb == "gauss-derivative":
-        bump = args.eps * (x - args.x0) * np.exp(-(x - args.x0) ** 2)
+    if kind == "gauss-derivative":
+        bump = eps * (x - x0) * np.exp(-(x - x0) ** 2)
         return w + np.concatenate([bump, bump])
-    if args.perturb == "generator-discrete":
-        return w + args.eps * fourier_apply(fourier_symbols(n, args.half_length)[1], w)
-    raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for bs")
+    if kind == "generator-discrete":
+        return w + eps * fourier_apply(fourier_symbols(n, params.half_length)[1], w)
+    raise _UsageError(f"perturbation kind {kind!r} is not defined for bs")
 
 
 # Anderson window of the bs Petviashvili path
@@ -320,17 +309,19 @@ def _bs_method(args, profile):
     return "newton"
 
 
+def _method_extras(method) -> dict:
+    return {"method": method, "anderson": BS_ANDERSON if method == "petviashvili" else None}
+
+
 def _bs_solve(problem, params, w0, reference, args, method):
-    """(outcome, Anderson window or None); outcome.f_norm is |F| at the returned wave."""
+    """Solve by `method`; outcome.f_norm is |F| at the returned wave."""
     if method == "petviashvili":
-        outcome = petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
-                                     reference=reference, tol_on_F=True)
-        return outcome, BS_ANDERSON
+        return petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
+                                  reference=reference, tol_on_F=True)
     # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator
-    outcome = newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
-                           precond=bq.precond_operator(params).apply,
-                           generators=bq.translation_action(params).generators)
-    return outcome, None
+    return newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
+                        precond=bq.precond_operator(params).apply,
+                        generators=bq.translation_action(params).generators)
 
 
 def _centers(w, params):
@@ -352,122 +343,74 @@ def _write_profile(out: Path, w, params, name="profile.csv"):
                ((x[j], pair.eta[j], pair.u[j]) for j in range(params.n)))
 
 
-def cmd_bs_solve(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
-    profile = _bs_profile(args)
-    params = _bs_params(args, profile)
+def cmd_bs_solve(args, out: Path) -> dict:
+    profile, params = _bs_profile(args)
     problem = bq.build_bs_problem(params)
     reference = _bs_reference(args, profile)
-    w0 = _bs_seed(args, profile)
+    w0 = _bs_seed(profile, params, args.perturb, args.eps, args.x0)
     method = _bs_method(args, profile)
-    outcome, window = _bs_solve(problem, params, w0, reference, args, method)
+    outcome = _bs_solve(problem, params, w0, reference, args, method)
     _write_trace(out, outcome.trace)
     _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave.vector(), params)
     orbit = None
-    extras = {"inner_iterations": outcome.inner_iterations, "method": method,
-              "anderson": window}
+    extras = {"inner_iterations": outcome.inner_iterations, **_method_extras(method)}
     if _finite(outcome.x):
         extras.update(_centers(outcome.x, params))
         if reference is not None:
             orbit = align_to_orbit(outcome.x, reference, bq.translation_action(params))
-    code = _EXIT_CODES[outcome.status]
-    return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          status=outcome.status, final_residual=outcome.f_norm,
-                          iterations=outcome.iterations, orbit=orbit, extras=extras,
-                          wall_time=time.perf_counter() - t0, exit_code=code)
+    return {"status": outcome.status, "final_residual": outcome.f_norm,
+            "iterations": outcome.iterations, "orbit": orbit, "extras": extras}
 
 
-def cmd_bs_spectrum(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
-    profile = _bs_profile(args)
-    params = _bs_params(args, profile)
+def cmd_bs_spectrum(args, out: Path) -> dict:
+    profile, params = _bs_profile(args)
     report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave.vector()))
-    _write_spectrum(out, report)
-    extras = {
-        "count_near_unit": report.count_near_unit,
-        "count_near_zero": report.count_near_zero,
-        "dominant_modulus": report.dominant_modulus,
-        "blocks": {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros
-                   in zip(("even", "odd"), report.block_dims, report.block_near_zero)},
-    }
-    return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          extras=extras, wall_time=time.perf_counter() - t0)
+    extras = _write_spectrum(out, report)
+    extras["blocks"] = {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros
+                        in zip(("even", "odd"), report.block_dims, report.block_near_zero)}
+    return {"extras": extras}
 
 
-def cmd_bs_shift_table(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
-    profile = _bs_profile(args)
-    params = _bs_params(args, profile)
+def cmd_bs_shift_table(args, out: Path) -> dict:
+    profile, params = _bs_profile(args)
     problem = bq.build_bs_problem(params)
     reference = _bs_reference(args, profile)
-    try:
-        eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"--eps expects a comma-separated float list: {exc}")
+    eps_values = _floats(args.eps, "--eps")
     if not eps_values:
         raise _UsageError("--eps expects at least one value")
     # derivative-direction seeds are perturbed: Newton unless --method says otherwise
     method = args.method or "newton"
     rows = []
-    worst = 0
     for eps in eps_values:
-        sub = argparse.Namespace(**vars(args))
-        sub.perturb = "generator-discrete"
-        sub.eps = eps
-        sub.x0 = 0.0
-        w0 = _bs_seed(sub, profile)
-        outcome, window = _bs_solve(problem, params, w0, reference, args, method)
+        w0 = _bs_seed(profile, params, "generator-discrete", eps, 0.0)
+        outcome = _bs_solve(problem, params, w0, reference, args, method)
         row = {"eps": eps, "status": outcome.status,
                "final_residual": float(outcome.f_norm),
                "x_u": None, "x_eta": None}
         if _finite(outcome.x):
             row.update(_centers(outcome.x, params))
         rows.append(row)
-        worst = max(worst, _EXIT_CODES[outcome.status])
-    (out / "shift_table.json").write_text(json.dumps(rows, indent=2) + "\n")
-    return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          extras={"table": rows, "method": method, "anderson": window},
-                          wall_time=time.perf_counter() - t0, exit_code=worst)
+    _write_json(out / "shift_table.json", rows)
+    return {"extras": {"table": rows, **_method_extras(method)},
+            "exit_code": max(_EXIT_CODES[row["status"]] for row in rows)}
 
 
-def cmd_bs_propagate(args):
-    t0 = time.perf_counter()
-    out = _outdir(args)
-    profile = _bs_profile(args)
-    params = _bs_params(args, profile)
-    status = None
-    iterations = None
-    final_residual = None
-    extras = {"method": None, "anderson": None}
-    if args.cs is not None and abs(args.cs - profile.speed) > 1e-12:
+def cmd_bs_propagate(args, out: Path) -> dict:
+    profile, params = _bs_profile(args)
+    found = {"extras": _method_extras(None)}
+    w0 = profile.wave.vector()
+    if _bs_reference(args, profile) is None:
         # no closed form at this speed: compute the travelling wave first
-        problem = bq.build_bs_problem(params)
         method = _bs_method(args, profile)
-        outcome, window = _bs_solve(problem, params, profile.wave.vector(), None, args, method)
-        extras = {"method": method, "anderson": window}
-        status = outcome.status
-        iterations = outcome.iterations
-        final_residual = outcome.f_norm
+        outcome = _bs_solve(bq.build_bs_problem(params), params, w0, None, args, method)
         _write_trace(out, outcome.trace)
+        found = {"status": outcome.status, "final_residual": outcome.f_norm,
+                 "iterations": outcome.iterations, "extras": _method_extras(method)}
         if not outcome.converged:
-            return _write_summary(out, "bs " + args.command, _config_echo(args),
-                                  status=status, final_residual=final_residual,
-                                  iterations=iterations, extras=extras,
-                                  wall_time=time.perf_counter() - t0,
-                                  exit_code=_EXIT_CODES[status])
+            return found
         w0 = outcome.x
-    else:
-        w0 = profile.wave.vector()
 
-    snapshot_times = None
-    if args.snapshots:
-        try:
-            snapshot_times = [float(tok) for tok in args.snapshots.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"--snapshots expects a comma-separated float list: {exc}")
+    snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times)
 
     x = bq.grid(params.n, params.half_length)
@@ -477,6 +420,7 @@ def cmd_bs_propagate(args):
             rows.append((t, x[j], pair.eta[j], pair.u[j]))
     _write_csv(out / "snapshots.csv", ("t", "x", "eta", "u"), rows)
 
+    extras = found["extras"]
     extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end)
     start_center = bq.translation_shift(bq.WavePair.from_vector(w0), params.half_length)
     extras["start_center"] = start_center
@@ -493,13 +437,9 @@ def cmd_bs_propagate(args):
         aligned = bq.translation_action(params).act(final_center - start_center, w0)
         extras["shape_error"] = float(
             np.linalg.norm(final_pair.vector() - aligned) / np.linalg.norm(w0))
-    code = _EXIT_CODES[status] if status is not None else 0
     if not result.completed:
-        code = _EXIT_CODES[DIVERGED]
-    return _write_summary(out, "bs " + args.command, _config_echo(args),
-                          status=status, final_residual=final_residual,
-                          iterations=iterations, extras=extras,
-                          wall_time=time.perf_counter() - t0, exit_code=code)
+        found["exit_code"] = _EXIT_CODES[DIVERGED]
+    return found
 
 
 # ---------------- parser ----------------
@@ -573,16 +513,39 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its summary.json; return the exit code.
+
+    A command writes its artifacts into --out and returns what it found: any
+    of status, final_residual, iterations, orbit (an OrbitReport) and extras,
+    plus exit_code where that differs from _EXIT_CODES[status].
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        t0 = time.perf_counter()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        found = args.func(args, out)
     except _UsageError as exc:
         print(f"orbitfix: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"orbitfix: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    status = found.get("status")
+    exit_code = found.get("exit_code", _EXIT_CODES[status])
+    _write_json(out / "summary.json", {
+        "command": f"{args.problem} {args.command}",
+        "status": status,
+        "final_residual": found.get("final_residual"),
+        "iterations": found.get("iterations"),
+        "orbit": _orbit_json(found.get("orbit")),
+        "wall_time_s": time.perf_counter() - t0,
+        "exit_code": exit_code,
+        "config": _config_echo(args),
+        "extras": found.get("extras", {}),
+    }, sort_keys=True)
+    return exit_code
 
 
 if __name__ == "__main__":

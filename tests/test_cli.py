@@ -66,6 +66,7 @@ def test_gamma_flag_is_usage_error(tmp_path):
     (["--cs", "1.2"], "petviashvili", 5),
     # a perturbed seed, and the closed-form speed itself
     (["--perturb", "gauss", "--eps", "0.01"], "newton", None),
+    (["--perturb", "gauss-derivative", "--eps", "0.01"], "newton", None),
     ([], "newton", None),
     # an explicit --method wins over the seed
     (["--cs", "1.2", "--method", "newton"], "newton", None),
@@ -95,6 +96,52 @@ def test_bs_rejects_fixed_point_method(tmp_path):
 def test_bs_rejects_pcg_inner_solver(tmp_path):
     assert main(["bs", "solve", "--inner-solver", "pcg", *BS_SMALL,
                  "--out", str(tmp_path)]) == 1
+
+
+# ---------------- the command runner ----------------
+
+@pytest.mark.parametrize("argv", [
+    # exit 2: the iteration budget
+    ["nbody", "solve", "--m0", "5", "--perturb", "ones", "--eps", "0.1", "--max-outer", "3"],
+    ["nbody", "orbit", "--perturb", "generator", "--eps", "1", "--tol", "1e-10"],
+    ["nbody", "spectrum"],
+    ["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01", "--tol", "1e-8"],
+    ["bs", "orbit", *BS_SMALL, "--perturb", "generator-discrete", "--eps", "0.01",
+     "--tol", "1e-10"],
+    ["bs", "spectrum", *BS_SMALL],
+    # exit 2 from the worst row, with no status of its own
+    ["bs", "shift-table", *BS_SMALL, "--eps", "0.01", "--max-outer", "1"],
+    # exit 3: the RK4 step blows up, with no solve before it
+    ["bs", "propagate", *BS_SMALL, "--dt", "2", "--t-end", "40"],
+])
+def test_every_command_writes_its_summary(tmp_path, argv):
+    code = main([*argv, "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert summary["command"] == " ".join(argv[:2])
+    assert summary["exit_code"] == code
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("method", ["newton", "petviashvili"])
+def test_non_finite_residual_is_written_as_null(tmp_path, method):
+    # the seed overflows: |F| is Infinity under Newton and NaN under Petviashvili,
+    # neither of which JSON can carry
+    code = main(["bs", "shift-table", "--grid-n", "64", "--half-length", "25",
+                 "--eps", "1e160", "--max-outer", "20", "--method", method,
+                 "--out", str(tmp_path)])
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    table = json.loads((tmp_path / "shift_table.json").read_text(), parse_constant=reject)
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    _validate(summary)
+    assert code == summary["exit_code"] == 3
+    assert summary["extras"]["table"] == table
+    assert table[0]["status"] == "Diverged"
+    assert table[0]["final_residual"] is None
 
 
 # ---------------- nbody ----------------

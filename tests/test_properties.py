@@ -2,7 +2,8 @@
 
 The wave problem is equivariant under translations; the ring potential is
 equivariant under global rotations and under relabelling the bodies together
-with their masses. Anderson mixing keeps the iteration equivariant under
+with their masses. Along a solution's group orbit the generator stays in the
+Jacobian's kernel. Anderson mixing keeps the iteration equivariant under
 these orthogonal actions, and its extrapolated steps stay under the
 divergence cap.
 """
@@ -14,11 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from orbitfix.boussinesq import BSParams, build_bs_problem, translation_action  # noqa: E402
-from orbitfix.nbody import NBodyConfig, build_nbody, grad_U, hess_U, polygon_solution  # noqa: E402
+from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile,  # noqa: E402
+                                 translation_action)
+from orbitfix.nbody import (NBodyConfig, build_nbody, grad_U, hess_U,  # noqa: E402
+                            polygon_solution, rotation_action)
 from orbitfix.numlin import fourier_apply  # noqa: E402
 from orbitfix.solvers import (DIVERGED, AndersonMixer, ProblemSpec, SolverConfig,  # noqa: E402
                               fixed_point_solve, petviashvili_solve)
+from orbitfix.symmetry import kernel_check  # noqa: E402
 
 N, L = 64, 10.0
 PARAMS = BSParams(theta2=0.9, speed=1.3, n=N, half_length=L)
@@ -54,6 +58,22 @@ def test_residual_is_equivariant_under_grid_rolls(w, k):
     assert np.allclose(F(roll(w)), roll(F(w)), rtol=0.0, atol=1e-10)
 
 
+# h = 2L/n is about 0.1 here. At n = 256 (h about 0.2) an off-grid shift of
+# the closed-form wave lifts |F| from 7e-10 to 1e-8, past kernel_check's gate.
+WAVE = exact_profile(0.9, 512, 25.0)
+WAVE_PARAMS = BSParams(theta2=0.9, speed=WAVE.speed, n=512, half_length=25.0)
+WAVE_PROBLEM = build_bs_problem(WAVE_PARAMS)
+
+
+@PROPERTY
+@given(st.floats(-25.0, 25.0))
+def test_translation_generator_stays_in_the_kernel_along_the_wave_orbit(alpha):
+    action = translation_action(WAVE_PARAMS)
+    w = action.act(alpha, WAVE.wave.vector())
+    assert np.linalg.norm(WAVE_PROBLEM.F(w)) <= 1e-11
+    assert kernel_check(WAVE_PROBLEM, w, action) <= 1e-10
+
+
 # ---------------- ring potential ----------------
 
 @st.composite
@@ -82,6 +102,14 @@ def test_ring_potential_is_rotation_equivariant(ring, alpha):
     R = _rotation(cfg.n, alpha)
     assert _close(grad_U(cfg, R @ q), R @ grad_U(cfg, q))
     assert _close(hess_U(cfg, R @ q), R @ hess_U(cfg, q) @ R.T)
+
+
+@PROPERTY
+@given(st.integers(2, 16), st.floats(0.0, 20.0), st.floats(-np.pi, np.pi))
+def test_rotation_generator_stays_in_the_kernel_along_the_polygon_orbit(n, m0, alpha):
+    problem = build_nbody(NBodyConfig(n=n, m0=m0))
+    q = _rotation(n, alpha) @ polygon_solution(n)
+    assert kernel_check(problem, q, rotation_action()) <= 1e-11
 
 
 @PROPERTY
