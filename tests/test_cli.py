@@ -66,11 +66,12 @@ def test_gamma_flag_is_usage_error(tmp_path):
     (["--cs", "1.2"], "petviashvili", 5),
     # a perturbed seed, and the closed-form speed itself
     (["--perturb", "gauss", "--eps", "0.01"], "newton", None),
-    (["--perturb", "gauss-derivative", "--eps", "0.01"], "newton", None),
     ([], "newton", None),
     # an explicit --method wins over the seed
     (["--cs", "1.2", "--method", "newton"], "newton", None),
     (["--perturb", "gauss", "--eps", "0.01", "--method", "petviashvili"], "petviashvili", 5),
+    # the derivative-of-Gaussian perturbation keeps the Newton default
+    (["--perturb", "gauss-derivative", "--eps", "0.01"], "newton", None),
 ])
 def test_bs_dispatch_follows_the_seed(tmp_path, extra, method, anderson):
     code = main(["bs", "solve", *BS_SMALL, "--tol", "1e-10", *extra, "--out", str(tmp_path)])
