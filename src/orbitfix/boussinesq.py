@@ -132,16 +132,6 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
                         speed=float(speed), decay=float(decay), ratio=float(ratio))
 
 
-def _linear_part(params: BSParams, w: np.ndarray):
-    n = params.n
-    u, eta = w[:n], w[n:]
-    d2w = fourier_apply(fourier_symbols(n, params.half_length)[2], w)
-    d2u, d2eta = d2w[:n], d2w[n:]
-    r1 = -u + params.speed * (eta - params.b * d2eta)
-    r2 = params.speed * (u - params.d * d2u) - (eta + params.c * d2eta)
-    return r1, r2
-
-
 def _linear_symbol(params: BSParams):
     """Entries (a11, a12, a22) of S's symmetric 2x2 block, per Fourier mode."""
     xi = fourier_symbols(params.n, params.half_length)[0]
@@ -152,18 +142,19 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     """Travelling-wave system for the given speed on the configured grid.
 
     F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic, so the problem
-    carries the split (S, degree 2) and G = S^{-1}N, one matrix-symbol
-    Fourier apply. S^{-1} exists on every mode: det S = (1 - c xi^2)
-    - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, because 2b - |c| = 1/3.
+    carries the split (S, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
+    symbols, one Fourier apply each. S^{-1} exists on every mode: det S =
+    (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
     """
     n = params.n
-    s_inverse = inverse_2x2(*_linear_symbol(params))
+    a11, a12, a22 = np.broadcast_arrays(*_linear_symbol(params))
+    s_symbol = np.array([[a11, a12], [a12, a22]])
+    s_inverse = inverse_2x2(a11, a12, a22)
 
     def F(w):
         w = np.asarray(w, dtype=float)
         u, eta = w[:n], w[n:]
-        r1, r2 = _linear_part(params, w)
-        return np.concatenate([r1 - u * eta, r2 - 0.5 * u * u])
+        return fourier_apply(s_symbol, w) - np.concatenate([u * eta, 0.5 * u * u])
 
     def jacobian_at(w0):
         w0 = np.asarray(w0, dtype=float)
@@ -171,8 +162,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
         def apply(v):
             vu, ve = v[:n], v[n:]
-            r1, r2 = _linear_part(params, v)
-            return np.concatenate([r1 - (eta0 * vu + u0 * ve), r2 - u0 * vu])
+            return fourier_apply(s_symbol, v) - np.concatenate([eta0 * vu + u0 * ve, u0 * vu])
 
         return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
 
@@ -181,8 +171,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
         u, eta = w[:n], w[n:]
         return fourier_apply(s_inverse, np.concatenate([u * eta, 0.5 * u * u]))
 
-    linear = LinearOperator(dim=2 * n, apply=lambda v: np.concatenate(_linear_part(params, v)),
-                            symmetric=True)
+    linear = LinearOperator(dim=2 * n, apply=lambda v: fourier_apply(s_symbol, v), symmetric=True)
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at,
                        homogeneous_split=HomogeneousSplit(linear, 2.0))
 
@@ -223,7 +212,7 @@ def _reflection_block(params: BSParams, fields: np.ndarray, sign: float) -> np.n
     half = n // 2
     a = np.arange(half + 1, dtype=np.int32) if sign > 0.0 else np.arange(1, half, dtype=np.int32)
     m = a.size
-    col = np.fft.ifft(fourier_symbols(n, params.half_length)[2]).real
+    col = np.fft.irfft(fourier_symbols(n, params.half_length)[2][:half + 1], n)
     idx = np.subtract.outer(a, a)
     np.remainder(idx, n, out=idx)
     d2 = col[idx]
@@ -263,7 +252,7 @@ def precond_operator(params: BSParams) -> LinearOperator:
 
 def _field_center(v: np.ndarray, half_length: float) -> float:
     # first Fourier mode relative to the cell center locates the bump
-    m1 = -np.fft.fft(np.asarray(v, dtype=float))[1]
+    m1 = -np.fft.rfft(np.asarray(v, dtype=float))[1]
     if abs(m1) < 1e-13:
         raise ValueError("first Fourier mode too small to locate the wave")
     xc = -(half_length / np.pi) * float(np.angle(m1))

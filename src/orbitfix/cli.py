@@ -158,9 +158,12 @@ def _config_echo(args) -> dict:
 
 def _floats(text, flag):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"{flag} expects a comma-separated float list: {exc}")
+    if not values or not all(map(math.isfinite, values)):
+        raise _UsageError(f"{flag} expects one or more finite values")
+    return values
 
 
 def _add_solver_flags(p, methods, inner_solvers, default_tol):
@@ -376,8 +379,6 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
     problem = bq.build_bs_problem(params)
     reference = _bs_reference(args, profile)
     eps_values = _floats(args.eps, "--eps")
-    if not eps_values:
-        raise _UsageError("--eps expects at least one value")
     # derivative-direction seeds are perturbed: Newton unless --method says otherwise
     method = args.method or "newton"
     rows = []
@@ -396,6 +397,7 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
 
 
 def cmd_bs_propagate(args, out: Path) -> dict:
+    snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     profile, params = _bs_profile(args)
     found = {"extras": _method_extras(None)}
     w0 = profile.wave.vector()
@@ -410,7 +412,6 @@ def cmd_bs_propagate(args, out: Path) -> dict:
             return found
         w0 = outcome.x
 
-    snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times)
 
     x = bq.grid(params.n, params.half_length)

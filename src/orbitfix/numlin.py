@@ -122,7 +122,13 @@ def fourier_symbols(n: int, half_length: float):
 
 
 def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply v by symbol in Fourier space.
+    """Multiply v by symbol in Fourier space, through real transforms.
+
+    The symbol is laid out like np.fft.fftfreq and must be Hermitian,
+    symbol(-xi) = conj symbol(xi), so that it maps real fields to real
+    fields; only its modes 0..n/2 are read, and the imaginary parts of
+    the mean and Nyquist terms are dropped. d1, d2, exp(-i xi alpha) and
+    every symbol built from xi^2 qualify.
 
     A scalar symbol of shape (n,) multiplies each n-sample block of v, so a
     stacked state (u, eta) goes through one batched transform. A matrix
@@ -132,17 +138,18 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     n = symbol.shape[-1]
+    half = symbol[..., :n // 2 + 1]
     if symbol.ndim == 1:
         if v.ndim != 1 or v.shape[0] % n:
             raise ValueError("vector length must be a multiple of the symbol length")
-        return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(v.shape)
+        return np.fft.irfft(np.fft.rfft(v.reshape(-1, n)) * half, n).reshape(v.shape)
     k = symbol.shape[0]
     if symbol.shape != (k, k, n):
         raise ValueError("matrix symbol must have shape (k, k, n)")
     if v.shape != (k * n,):
         raise ValueError("vector length must be the symbol's field count times its length")
-    v_hat = np.fft.fft(v.reshape(k, n))
-    return np.fft.ifft(np.einsum("ijn,jn->in", symbol, v_hat)).real.reshape(v.shape)
+    v_hat = np.fft.rfft(v.reshape(k, n))
+    return np.fft.irfft((half * v_hat).sum(axis=1), n).reshape(v.shape)
 
 
 def inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:

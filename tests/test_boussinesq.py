@@ -6,8 +6,8 @@ import pytest
 from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_profile, grid,
                                  precond_operator, propagate, reflection_blocks,
                                  translation_action, translation_shift)
-from orbitfix.numlin import (dense_eigenvalues, fd_jacobian, fourier_apply, fourier_symbols,
-                             materialize, minres)
+from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
+                             fourier_symbols, inverse_2x2, materialize, minres)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
 
@@ -115,6 +115,57 @@ def test_zero_wave_is_trivial_solution():
     params = _params()
     problem = build_bs_problem(params)
     assert np.linalg.norm(problem.F(np.zeros(2 * params.n))) < 1e-14
+
+
+def _complex_fft_apply(symbol, v):
+    # fourier_apply's former definition: complex transforms, real part kept
+    n = symbol.shape[-1]
+    if symbol.ndim == 1:
+        return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(-1)
+    v_hat = np.fft.fft(v.reshape(symbol.shape[0], n))
+    return np.fft.ifft(np.einsum("ijn,jn->in", symbol, v_hat)).real.reshape(-1)
+
+
+def _d2_linear_part(params, v):
+    # S v written out through d2, as F and the Jacobian used to apply it
+    n = params.n
+    u, eta = v[:n], v[n:]
+    d2v = _complex_fft_apply(fourier_symbols(n, params.half_length)[2], v)
+    d2u, d2eta = d2v[:n], d2v[n:]
+    return np.concatenate([-u + params.speed * (eta - params.b * d2eta),
+                           params.speed * (u - params.d * d2u) - (eta + params.c * d2eta)])
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_real_transforms_match_the_complex_fft_definition():
+    params = _params(n=512, half_length=50.0)
+    xi, d1, d2 = fourier_symbols(512, 50.0)
+    a12 = params.speed * (1.0 + params.b * xi ** 2)
+    a22 = -(1.0 - params.c * xi ** 2)
+    s_symbol = np.array([[-np.ones(512), a12], [a12, a22]])
+    v = np.random.default_rng(18).standard_normal(1024)  # every mode, Nyquist included
+    symbols = (d1, d2, np.exp(-1j * xi * 0.123), s_symbol,
+               inverse_2x2(-1.0, a12, a22), abs_inverse_2x2(-1.0, a12, a22))
+    for symbol in symbols:
+        assert _rel_err(fourier_apply(symbol, v), _complex_fft_apply(symbol, v)) <= 1e-13
+
+
+def test_residual_and_jacobian_match_the_d2_formulas():
+    params = _params(n=512, half_length=50.0)
+    n = params.n
+    problem = build_bs_problem(params)
+    rng = np.random.default_rng(19)
+    w, v = rng.standard_normal((2, 2 * n))
+    u, eta = w[:n], w[n:]
+    vu, ve = v[:n], v[n:]
+    F_ref = _d2_linear_part(params, w) - np.concatenate([u * eta, 0.5 * u * u])
+    J_ref = _d2_linear_part(params, v) - np.concatenate([eta * vu + u * ve, u * vu])
+    assert _rel_err(problem.F(w), F_ref) <= 1e-13
+    assert _rel_err(problem.jacobian_at(w).apply(v), J_ref) <= 1e-13
+    assert _rel_err(problem.homogeneous_split.linear(v), _d2_linear_part(params, v)) <= 1e-13
 
 
 def test_jacobian_is_symmetric():

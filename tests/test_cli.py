@@ -375,6 +375,21 @@ def test_bs_propagate_rejects_bad_snapshots(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("snapshots", [",", "0.5,inf"])
+def test_bs_propagate_rejects_empty_and_non_finite_snapshots(tmp_path, capsys, snapshots):
+    assert main(["bs", "propagate", *BS_SMALL, "--snapshots", snapshots,
+                 "--out", str(tmp_path)]) == 1
+    assert "--snapshots expects one or more finite values" in capsys.readouterr().err
+    assert not (tmp_path / "snapshots.csv").exists()
+
+
+@pytest.mark.parametrize("eps", [",", "0.01,nan"])
+def test_bs_shift_table_rejects_empty_and_non_finite_eps(tmp_path, capsys, eps):
+    assert main(["bs", "shift-table", *BS_SMALL, "--eps", eps, "--out", str(tmp_path)]) == 1
+    assert "--eps expects one or more finite values" in capsys.readouterr().err
+    assert not (tmp_path / "shift_table.json").exists()
+
+
 def test_bs_propagate_prescribed_speed_solves_first(tmp_path):
     # the closed-form profile is only a seed here; the run must report a
     # genuine residual solve, not a reference stop at iteration zero
