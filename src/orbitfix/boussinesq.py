@@ -22,7 +22,6 @@ from .symmetry import GroupAction
 
 __all__ = [
     "BSParams",
-    "WavePair",
     "ExactProfile",
     "grid",
     "exact_profile",
@@ -73,45 +72,13 @@ class BSParams:
 
 
 @dataclass(frozen=True, eq=False)
-class WavePair:
-    """Velocity and elevation samples of one wave state."""
-
-    u: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if u.shape != eta.shape or u.ndim != 1:
-            raise ValueError("u and eta must be 1-D arrays of equal length")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.u, self.eta])
-
-    @staticmethod
-    def from_vector(w: np.ndarray) -> "WavePair":
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 1 or w.shape[0] % 2:
-            raise ValueError("state vector must have even length")
-        half = w.shape[0] // 2
-        return WavePair(w[:half], w[half:])
-
-    def localized(self, tol: float = 1e-10) -> bool:
-        """True when the elevation has decayed at the cell boundary."""
-        return bool(abs(self.eta[0]) < tol)
-
-
-@dataclass(frozen=True, eq=False)
 class ExactProfile:
-    """Closed-form solitary wave: velocity proportional to elevation."""
+    """Closed-form solitary wave: velocity proportional to elevation.
 
-    wave: WavePair
+    wave is the read-only stacked state (u, eta) = (ratio * eta, eta).
+    """
+
+    wave: np.ndarray
     eta0: float
     speed: float
     decay: float
@@ -128,7 +95,9 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
     ratio = np.sqrt(2.0 * (1.0 - theta2) / (theta2 - 1.0 / 3.0))
     x = grid(n, half_length)
     eta = eta0 / np.cosh(decay * (x - x0)) ** 2
-    return ExactProfile(wave=WavePair(u=ratio * eta, eta=eta), eta0=float(eta0),
+    wave = np.concatenate([ratio * eta, eta])
+    wave.flags.writeable = False
+    return ExactProfile(wave=wave, eta0=float(eta0),
                         speed=float(speed), decay=float(decay), ratio=float(ratio))
 
 
@@ -261,19 +230,19 @@ def _field_center(v: np.ndarray, half_length: float) -> float:
 
 
 def translation_shift(w, half_length: float, component: str = "eta") -> float:
-    """Position of the wave crest, from the chosen component's first mode.
+    """Position of the wave crest in the stacked state w = (u, eta).
 
-    Accepts a WavePair, an ExactProfile, or a stacked state vector.
-    Raises when the component carries no usable first Fourier mode.
+    The crest is read from the chosen component's first Fourier mode.
+    Raises when w is not a 1-D array of even length, or when the
+    component carries no usable first mode.
     """
-    if isinstance(w, ExactProfile):
-        w = w.wave
-    if isinstance(w, np.ndarray):
-        w = WavePair.from_vector(w)
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.shape[0] % 2:
+        raise ValueError("state vector must have even length")
     if component not in ("eta", "u"):
         raise ValueError("component must be 'eta' or 'u'")
-    field_v = w.eta if component == "eta" else w.u
-    return _field_center(field_v, half_length)
+    u, eta = w.reshape(2, -1)
+    return _field_center(eta if component == "eta" else u, half_length)
 
 
 def translation_action(params: BSParams) -> GroupAction:
@@ -321,13 +290,11 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     mode, so the Nyquist coefficients never change. Stages are accumulated
     in place in preallocated buffers; no stage allocates an array.
 
-    Snapshots are recorded at the steps nearest the requested times
-    (default: only t_end), transformed back to samples only then. A
-    non-finite state aborts the run; the result then carries the snapshots
-    collected so far and completed=False.
+    Snapshots, stacked states (u, eta), are recorded at the steps nearest
+    the requested times (default: only t_end), transformed back to samples
+    only then. A non-finite state aborts the run; the result then carries
+    the snapshots collected so far and completed=False.
     """
-    if isinstance(w0, WavePair):
-        w0 = w0.vector()
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (2 * params.n,):
         raise ValueError("state length must match the configured grid")
@@ -374,7 +341,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
         while target_steps and target_steps[0] == step:
             target_steps.pop(0)
             result.times.append(step * dt_eff)
-            result.states.append(WavePair.from_vector(w.copy()))
+            result.states.append(w.copy())
 
     record(0, w0)
     w_hat = np.fft.rfft(w0.reshape(2, n))

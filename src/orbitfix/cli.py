@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Grammar: orbitfix {nbody|bs} {solve|spectrum|orbit|shift-table|propagate},
-long-form flags only. Every command writes its artifacts into --out
-(default ./out) and returns what it found; main alone writes summary.json,
-conforming to SUMMARY_SCHEMA, from that. A non-finite number is written as
-null. wall_time_s runs from after parsing to just before summary.json is
-written. Exit codes: 0 converged/success, 1 usage or configuration error,
-2 iteration limit, 3 divergence.
+Grammar: orbitfix nbody {solve|orbit|spectrum} or
+orbitfix bs {solve|orbit|spectrum|shift-table|propagate}, long-form flags
+only. Every command writes its artifacts into --out (default ./out) and
+returns what it found; main alone writes summary.json, conforming to
+SUMMARY_SCHEMA, from that. A non-finite number is written as null.
+wall_time_s runs from after parsing to just before summary.json is
+written. Exit codes: 0 converged/success, 1 usage or configuration
+error, 2 iteration limit, 3 divergence.
 """
 
 from __future__ import annotations
@@ -273,11 +274,11 @@ def _bs_reference(args, profile):
     # the closed-form profile solves the system only at its own speed
     if args.cs is not None and abs(args.cs - profile.speed) > 1e-12:
         return None
-    return profile.wave.vector()
+    return profile.wave
 
 
 def _bs_seed(profile, params, kind, eps, x0):
-    w = profile.wave.vector()
+    w = profile.wave
     n = params.n
     x = bq.grid(n, params.half_length)
     if kind == "none":
@@ -328,22 +329,21 @@ def _bs_solve(problem, params, w0, reference, args, method):
 
 
 def _centers(w, params):
-    pair = bq.WavePair.from_vector(w)
     out = {}
     for component in ("u", "eta"):
         try:
-            out["x_" + component] = bq.translation_shift(pair, params.half_length,
+            out["x_" + component] = bq.translation_shift(w, params.half_length,
                                                          component=component)
         except ValueError:
             out["x_" + component] = None
     return out
 
 
-def _write_profile(out: Path, w, params, name="profile.csv"):
-    pair = bq.WavePair.from_vector(w)
+def _write_profile(out: Path, w, params):
+    u, eta = w.reshape(2, params.n)
     x = bq.grid(params.n, params.half_length)
-    _write_csv(out / name, ("x", "eta", "u"),
-               ((x[j], pair.eta[j], pair.u[j]) for j in range(params.n)))
+    _write_csv(out / "profile.csv", ("x", "eta", "u"),
+               ((x[j], eta[j], u[j]) for j in range(params.n)))
 
 
 def cmd_bs_solve(args, out: Path) -> dict:
@@ -354,7 +354,7 @@ def cmd_bs_solve(args, out: Path) -> dict:
     method = _bs_method(args, profile)
     outcome = _bs_solve(problem, params, w0, reference, args, method)
     _write_trace(out, outcome.trace)
-    _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave.vector(), params)
+    _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave, params)
     orbit = None
     extras = {"inner_iterations": outcome.inner_iterations, **_method_extras(method)}
     if _finite(outcome.x):
@@ -367,7 +367,7 @@ def cmd_bs_solve(args, out: Path) -> dict:
 
 def cmd_bs_spectrum(args, out: Path) -> dict:
     profile, params = _bs_profile(args)
-    report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave.vector()))
+    report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave))
     extras = _write_spectrum(out, report)
     extras["blocks"] = {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros
                         in zip(("even", "odd"), report.block_dims, report.block_near_zero)}
@@ -400,7 +400,7 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     profile, params = _bs_profile(args)
     found = {"extras": _method_extras(None)}
-    w0 = profile.wave.vector()
+    w0 = profile.wave
     if _bs_reference(args, profile) is None:
         # no closed form at this speed: compute the travelling wave first
         method = _bs_method(args, profile)
@@ -416,18 +416,19 @@ def cmd_bs_propagate(args, out: Path) -> dict:
 
     x = bq.grid(params.n, params.half_length)
     rows = []
-    for t, pair in zip(result.times, result.states):
+    for t, w in zip(result.times, result.states):
+        u, eta = w.reshape(2, params.n)
         for j in range(params.n):
-            rows.append((t, x[j], pair.eta[j], pair.u[j]))
+            rows.append((t, x[j], eta[j], u[j]))
     _write_csv(out / "snapshots.csv", ("t", "x", "eta", "u"), rows)
 
     extras = found["extras"]
     extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end)
-    start_center = bq.translation_shift(bq.WavePair.from_vector(w0), params.half_length)
+    start_center = bq.translation_shift(w0, params.half_length)
     extras["start_center"] = start_center
     if result.states and result.completed:
-        final_pair = result.states[-1]
-        final_center = bq.translation_shift(final_pair, params.half_length)
+        final = result.states[-1]
+        final_center = bq.translation_shift(final, params.half_length)
         span = 2.0 * params.half_length
         expected = (start_center + params.speed * result.times[-1] + params.half_length) % span \
             - params.half_length
@@ -437,7 +438,7 @@ def cmd_bs_propagate(args, out: Path) -> dict:
         extras["center_error"] = abs(diff)
         aligned = bq.translation_action(params).act(final_center - start_center, w0)
         extras["shape_error"] = float(
-            np.linalg.norm(final_pair.vector() - aligned) / np.linalg.norm(w0))
+            np.linalg.norm(final - aligned) / np.linalg.norm(w0))
     if not result.completed:
         found["exit_code"] = _EXIT_CODES[DIVERGED]
     return found

@@ -54,7 +54,7 @@ def _solve_unknown_speed(cs):
         # |S|^{-1}-preconditioned, deflated path keeps that wave centred
         config = SolverConfig(tol_residual=1e-11, max_outer=1000,
                               inner_solver="minres", inner_maxit=2500)
-        out = newton_solve(problem, profile.wave.vector(), config)
+        out = newton_solve(problem, profile.wave, config)
         _WAVE_CACHE[cs] = (params, out)
     return _WAVE_CACHE[cs]
 
@@ -282,7 +282,7 @@ def test_criterion_07_wave_profile_residual_and_spectrum():
     profile = bq.exact_profile(THETA2, 1024, 50.0)
     params = bq.BSParams(theta2=THETA2, speed=profile.speed, n=1024, half_length=50.0)
     problem = bq.build_bs_problem(params)
-    w = profile.wave.vector()
+    w = profile.wave
     fnorm = float(np.linalg.norm(problem.F(w)))
     rep = dense_eigenvalues(bq.reflection_blocks(params, w), tol_zero=1e-8)
     vals = rep.eigenvalues.real
@@ -301,14 +301,14 @@ def test_criterion_08_newton_pcg_recentering():
     problem = bq.build_bs_problem(params)
     x = bq.grid(n, 50.0)
     bump = 0.05 * np.exp(-x ** 2)
-    w0 = profile.wave.vector() + np.concatenate([bump, bump])
+    w0 = profile.wave + np.concatenate([bump, bump])
     out = newton_solve(problem, w0,
                        SolverConfig(tol_residual=1e-12, max_outer=1000,
                                     inner_solver="minres", inner_maxit=500),
-                       reference=profile.wave.vector(),
+                       reference=profile.wave,
                        precond=bq.precond_operator(params).apply,
                        generators=bq.translation_action(params).generators)
-    xc = bq.translation_shift(bq.WavePair.from_vector(out.x), 50.0)
+    xc = bq.translation_shift(out.x, 50.0)
     ratios = convergence_ratios(out.trace.residuals)
     bounded = bool(np.all(np.isfinite(ratios)) and (ratios.size == 0 or ratios.max() <= 10.0))
     elapsed = time.perf_counter() - t0
@@ -325,7 +325,7 @@ def test_criterion_09_shift_family_reproduction():
     profile = bq.exact_profile(THETA2, n, 50.0)
     params = bq.BSParams(theta2=THETA2, speed=profile.speed, n=n, half_length=50.0)
     problem = bq.build_bs_problem(params)
-    w = profile.wave.vector()
+    w = profile.wave
     du = spectral_derivative(w[:n], 50.0, 1)
     deta = spectral_derivative(w[n:], 50.0, 1)
     expected = {0.1: -9.9534e-2, 0.05: -4.9941e-2, 0.01: -9.9995e-3, 0.005: -4.9999e-3}
@@ -339,8 +339,8 @@ def test_criterion_09_shift_family_reproduction():
         w0 = w + eps * np.concatenate([du, deta])
         out = newton_solve(problem, w0, config, reference=w, precond=precond,
                            generators=generators)
-        xu = bq.translation_shift(bq.WavePair.from_vector(out.x), 50.0, component="u")
-        xe = bq.translation_shift(bq.WavePair.from_vector(out.x), 50.0, component="eta")
+        xu = bq.translation_shift(out.x, 50.0, component="u")
+        xe = bq.translation_shift(out.x, 50.0, component="eta")
         rel = abs(xu - ref_shift) / abs(ref_shift)
         this_ok = out.converged and rel <= 1e-3 and abs(xu - xe) <= 1e-10
         ok = ok and this_ok
@@ -355,8 +355,8 @@ def test_criterion_10_unknown_speed_waves():
     parts = []
     for cs in (1.05, 1.2):
         params, out = _solve_unknown_speed(cs)
-        xu = bq.translation_shift(bq.WavePair.from_vector(out.x), 50.0, component="u")
-        xe = bq.translation_shift(bq.WavePair.from_vector(out.x), 50.0, component="eta")
+        xu = bq.translation_shift(out.x, 50.0, component="u")
+        xe = bq.translation_shift(out.x, 50.0, component="eta")
         this_ok = (out.status == CONVERGED_RESIDUAL
                    and out.trace.residuals[-1] <= 1e-11
                    and abs(xu - xe) <= 1e-10)
@@ -375,22 +375,20 @@ def test_criterion_11_propagation_of_computed_wave():
     assert solved.converged
     w0 = solved.x
     span = 2.0 * params.half_length
-    start = bq.translation_shift(bq.WavePair.from_vector(w0), params.half_length)
+    start = bq.translation_shift(w0, params.half_length)
 
     t_end = 100.0
-    result = bq.propagate(bq.WavePair.from_vector(w0), params, dt=0.01, t_end=t_end)
-    final = result.states[-1].vector()
-    center = bq.translation_shift(result.states[-1], params.half_length)
+    result = bq.propagate(w0, params, dt=0.01, t_end=t_end)
+    final = result.states[-1]
+    center = bq.translation_shift(final, params.half_length)
     center_err = _wrapped_diff(center, start + params.speed * t_end, span)
     aligned = bq.translation_action(params).act(center - start, w0)
     shape_err = float(np.linalg.norm(final - aligned) / np.linalg.norm(w0))
 
-    ref = bq.propagate(bq.WavePair.from_vector(w0), params, dt=0.0025,
-                       t_end=1.0).states[-1].vector()
+    ref = bq.propagate(w0, params, dt=0.0025, t_end=1.0).states[-1]
     dts = (0.04, 0.02, 0.01)
-    errs = [float(np.linalg.norm(
-        bq.propagate(bq.WavePair.from_vector(w0), params, dt=dt,
-                     t_end=1.0).states[-1].vector() - ref)) for dt in dts]
+    errs = [float(np.linalg.norm(bq.propagate(w0, params, dt=dt, t_end=1.0).states[-1] - ref))
+            for dt in dts]
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = (result.completed and center_err <= 1e-3 and shape_err <= 1e-3
@@ -420,7 +418,7 @@ def test_criterion_12_symmetry_invariant_suite():
     params = bq.BSParams(theta2=THETA2, speed=prof.speed, n=n, half_length=25.0)
     wave_problem = bq.build_bs_problem(params)
     rng = np.random.default_rng(12)
-    w = prof.wave.vector() + 0.01 * rng.standard_normal(2 * n)
+    w = prof.wave + 0.01 * rng.standard_normal(2 * n)
 
     def roll(v, k):
         return np.concatenate([np.roll(v[:n], k), np.roll(v[n:], k)])
@@ -437,7 +435,7 @@ def test_criterion_12_symmetry_invariant_suite():
     params512 = bq.BSParams(theta2=THETA2, speed=prof512.speed, n=512, half_length=50.0)
     problem512 = bq.build_bs_problem(params512)
     checks["wave kernel"] = (
-        kernel_check(problem512, prof512.wave.vector(), bq.translation_action(params512)),
+        kernel_check(problem512, prof512.wave, bq.translation_action(params512)),
         1e-6)
 
     # the spectrum is constant along an orbit
@@ -460,10 +458,10 @@ def test_criterion_12_symmetry_invariant_suite():
     checks["ring unit eigenvector"] = (
         float(np.linalg.norm(jg - g) / np.linalg.norm(g)), 1e-8)
 
-    jac = materialize(problem512.jacobian_at(prof512.wave.vector()))
+    jac = materialize(problem512.jacobian_at(prof512.wave))
     vals, vecs = np.linalg.eigh(jac)
     null_vec = vecs[:, int(np.argmin(np.abs(vals)))]
-    gw = bq.translation_action(params512).generators(prof512.wave.vector())[0]
+    gw = bq.translation_action(params512).generators(prof512.wave)[0]
     cosine = abs(float(np.dot(null_vec, gw)) / np.linalg.norm(gw))
     checks["wave null eigenvector"] = (1.0 - cosine, 1e-6)
 

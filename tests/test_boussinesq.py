@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, WavePair, build_bs_problem, exact_profile, grid,
-                                 precond_operator, propagate, reflection_blocks,
-                                 translation_action, translation_shift)
+from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile, grid, precond_operator,
+                                 propagate, reflection_blocks, translation_action,
+                                 translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, inverse_2x2, materialize, minres)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
@@ -75,30 +75,30 @@ def test_profile_domain_errors():
 
 def test_profile_velocity_proportional_to_height():
     prof = exact_profile(THETA2, 256, 25.0)
-    assert np.allclose(prof.wave.u, prof.ratio * prof.wave.eta, atol=1e-13)
+    u, eta = prof.wave.reshape(2, 256)
+    assert np.allclose(u, prof.ratio * eta, atol=1e-13)
 
 
 def test_profile_even_and_localized():
-    prof = exact_profile(THETA2, 256, 25.0)
-    eta = prof.wave.eta
-    assert prof.wave.localized()
+    eta = exact_profile(THETA2, 256, 25.0).wave[256:]
+    assert abs(eta[0]) < 1e-10  # decayed at the cell boundary
     # even about the centre: eta(x_j) = eta(x_{-j}) for the sech^2 bump at 0
     assert np.allclose(eta[1:], eta[1:][::-1], atol=1e-13)
 
 
 def test_profile_offset_center():
     prof = exact_profile(THETA2, 512, 50.0, x0=1.5)
-    assert abs(translation_shift(prof, 50.0) - 1.5) < 1e-10
+    assert abs(translation_shift(prof.wave, 50.0) - 1.5) < 1e-10
 
 
 def test_measured_center_wraps_into_domain():
     params = _params(n=512, half_length=50.0)
     action = translation_action(params)
-    w = exact_profile(THETA2, 512, 50.0).wave.vector()
+    w = exact_profile(THETA2, 512, 50.0).wave
     # 300 grid cells = 58.59...: lands at 58.59 - 100 on (-50, 50]
     h = 2 * params.half_length / params.n
     shifted = action.act(300 * h, w)
-    measured = translation_shift(WavePair.from_vector(shifted), 50.0)
+    measured = translation_shift(shifted, 50.0)
     assert abs(measured - (300 * h - 100.0)) < 1e-8
 
 
@@ -107,7 +107,7 @@ def test_measured_center_wraps_into_domain():
 def test_profile_is_near_solution_fine_grid():
     params = _params(n=1024, half_length=50.0)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, 1024, 50.0).wave.vector()
+    w = exact_profile(THETA2, 1024, 50.0).wave
     assert np.linalg.norm(problem.F(w)) < 1e-10
 
 
@@ -171,7 +171,7 @@ def test_residual_and_jacobian_match_the_d2_formulas():
 def test_jacobian_is_symmetric():
     params = _params(n=128)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, 128, 25.0).wave.vector()
+    w = exact_profile(THETA2, 128, 25.0).wave
     J = materialize(problem.jacobian_at(w))
     assert np.allclose(J, J.T, atol=1e-10)
 
@@ -190,7 +190,7 @@ def test_equivariance_under_grid_shifts():
     params = _params(n=128)
     problem = build_bs_problem(params)
     rng = np.random.default_rng(42)
-    base = exact_profile(THETA2, 128, 25.0).wave.vector()
+    base = exact_profile(THETA2, 128, 25.0).wave
     w = base + 0.01 * rng.standard_normal(256)
 
     def roll(v, k):
@@ -204,7 +204,7 @@ def test_equivariance_under_grid_shifts():
 def test_kernel_contains_translation_generator():
     params = _params(n=512, half_length=50.0)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, 512, 50.0).wave.vector()
+    w = exact_profile(THETA2, 512, 50.0).wave
     val = kernel_check(problem, w, translation_action(params))
     assert val <= 1e-6
 
@@ -214,7 +214,7 @@ def test_jacobian_spectrum_at_wave():
     # are O(1) and of both signs
     params = _params(n=512, half_length=50.0)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, 512, 50.0).wave.vector()
+    w = exact_profile(THETA2, 512, 50.0).wave
     rep = dense_eigenvalues(problem.jacobian_at(w))
     assert rep.count_near_zero == 1
     vals = rep.eigenvalues.real
@@ -259,7 +259,7 @@ def _random_even_state(n, seed):
 def test_reflection_blocks_match_matvec_reference(n, half_length, state):
     params = _params(n=n, half_length=half_length)
     if state == "profile":
-        w = exact_profile(THETA2, n, half_length).wave.vector()
+        w = exact_profile(THETA2, n, half_length).wave
     else:
         w = _random_even_state(n, seed=n)
         assert abs(np.sum(w[:n] * (-1.0) ** np.arange(n))) > 1.0
@@ -275,7 +275,7 @@ def test_reflection_blocks_match_matvec_reference(n, half_length, state):
 def test_reflection_blocks_match_dense_spectrum(n, half_length):
     params = _params(n=n, half_length=half_length)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, n, half_length).wave.vector()
+    w = exact_profile(THETA2, n, half_length).wave
     even, odd = reflection_blocks(params, w)
     assert even.shape == (n + 2, n + 2) and odd.shape == (n - 2, n - 2)
     dense = np.linalg.eigvalsh(materialize(problem.jacobian_at(w)))
@@ -294,7 +294,7 @@ def test_spectrum_builds_each_reflection_block_after_dropping_the_last(monkeypat
     import orbitfix.boussinesq as bq
 
     params = _params(n=64, half_length=10.0)
-    w = exact_profile(THETA2, 64, 10.0).wave.vector()
+    w = exact_profile(THETA2, 64, 10.0).wave
     build = bq._reflection_block
     built = []  # weak references to the blocks built so far
     held = []  # per build: was an earlier block still alive?
@@ -315,7 +315,7 @@ def test_spectrum_builds_each_reflection_block_after_dropping_the_last(monkeypat
 
 def test_reflection_blocks_reject_uncentred_state():
     params = _params(n=64, half_length=25.0)
-    shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave.vector()
+    shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave
     with pytest.raises(ValueError, match="even"):
         reflection_blocks(params, shifted)
 
@@ -420,7 +420,7 @@ def _wave_newton(params, w0, tol, record=None):
 def _generator_seed(n, eps):
     profile = exact_profile(THETA2, n, 50.0)
     params = BSParams(theta2=THETA2, speed=profile.speed, n=n, half_length=50.0)
-    w = profile.wave.vector()
+    w = profile.wave
     return params, w + eps * fourier_apply(fourier_symbols(n, 50.0)[1], w)
 
 
@@ -452,7 +452,7 @@ def test_deflated_newton_at_prescribed_speed_needs_few_inner_iterations():
     n = 512
     profile = exact_profile(THETA2, n, 50.0)
     params = BSParams(theta2=THETA2, speed=1.2, n=n, half_length=50.0)
-    out = _wave_newton(params, profile.wave.vector(), 1e-11)
+    out = _wave_newton(params, profile.wave, 1e-11)
     assert out.status == "ConvergedResidual"
     assert out.iterations <= 12
     assert out.inner_iterations < 500
@@ -464,7 +464,7 @@ def test_fixed_point_form_matches_the_residual():
     # F(w) = S w - N(w) and G = S^{-1}N, so F(w) = S(w - G(w))
     params = _params(speed=1.3)
     problem = build_bs_problem(params)
-    w = exact_profile(THETA2, 256, 25.0).wave.vector()
+    w = exact_profile(THETA2, 256, 25.0).wave
     split = problem.homogeneous_split
     assert split.degree == 2.0
     got = split.linear(w - problem.G(w))
@@ -476,7 +476,7 @@ def test_petviashvili_stops_on_the_residual_not_only_the_gap():
     # before |F(w)| does
     params = _params(speed=2.0)
     problem = build_bs_problem(params)
-    w0 = exact_profile(THETA2, 256, 25.0).wave.vector()
+    w0 = exact_profile(THETA2, 256, 25.0).wave
     config = SolverConfig(tol_residual=1e-6, max_outer=50, anderson=5)
     on_gap = petviashvili_solve(problem, w0, config)
     on_F = petviashvili_solve(problem, w0, config, tol_on_F=True)
@@ -492,11 +492,11 @@ def test_petviashvili_lands_on_the_newton_wave():
     profile = exact_profile(THETA2, n, 50.0)
     params = BSParams(theta2=THETA2, speed=1.2, n=n, half_length=50.0)
     problem = build_bs_problem(params)
-    out = petviashvili_solve(problem, profile.wave.vector(),
+    out = petviashvili_solve(problem, profile.wave,
                              SolverConfig(tol_residual=1e-11, max_outer=15, anderson=5),
                              tol_on_F=True)
     assert out.status == "ConvergedResidual" and out.iterations <= 14
-    newton = _wave_newton(params, profile.wave.vector(), 1e-11)
+    newton = _wave_newton(params, profile.wave, 1e-11)
     assert np.linalg.norm(out.x - newton.x) <= 1e-10 * np.linalg.norm(newton.x)
 
 
@@ -505,7 +505,7 @@ def test_petviashvili_lands_on_the_newton_wave():
 def test_shift_act_is_exact_roll_on_grid_multiples():
     params = _params(n=128)
     action = translation_action(params)
-    w = exact_profile(THETA2, 128, 25.0).wave.vector()
+    w = exact_profile(THETA2, 128, 25.0).wave
     h = 2 * params.half_length / params.n
     rolled = action.act(3 * h, w)
     u, eta = w[:128], w[128:]
@@ -515,18 +515,26 @@ def test_shift_act_is_exact_roll_on_grid_multiples():
 
 def test_translation_shift_components_agree():
     prof = exact_profile(THETA2, 512, 50.0, x0=0.8)
-    xu = translation_shift(prof, 50.0, component="u")
-    xe = translation_shift(prof, 50.0, component="eta")
+    xu = translation_shift(prof.wave, 50.0, component="u")
+    xe = translation_shift(prof.wave, 50.0, component="eta")
     assert abs(xu - 0.8) < 1e-8
     assert abs(xu - xe) < 1e-10
 
 
 def test_translation_shift_errors():
     with pytest.raises(ValueError, match="component"):
-        translation_shift(exact_profile(THETA2, 64, 10.0), 10.0, component="w")
-    zero = WavePair(u=np.zeros(64), eta=np.zeros(64))
+        translation_shift(exact_profile(THETA2, 64, 10.0).wave, 10.0, component="w")
     with pytest.raises(ValueError, match="mode"):
-        translation_shift(zero, 10.0)
+        translation_shift(np.zeros(128), 10.0)
+    for bad in (np.zeros(127), np.zeros((2, 64))):
+        with pytest.raises(ValueError, match="even length"):
+            translation_shift(bad, 10.0)
+
+
+def test_exact_profile_wave_is_read_only():
+    wave = exact_profile(THETA2, 64, 10.0).wave
+    with pytest.raises(ValueError):
+        wave[0] = 1.0
 
 
 # ---------------- time propagation ----------------
@@ -572,7 +580,7 @@ def _smooth_state_with_nyquist(n, seed):
 def test_propagate_matches_complex_fft_reference(state):
     params = _params(n=64, half_length=10.0)
     if state == "profile":
-        w0 = exact_profile(THETA2, 64, 10.0).wave.vector()
+        w0 = exact_profile(THETA2, 64, 10.0).wave
     else:
         w0 = _smooth_state_with_nyquist(64, seed=7)
     dt = 0.01
@@ -584,14 +592,14 @@ def test_propagate_matches_complex_fft_reference(state):
         steps = int(round(t / dt))
         ref = _complex_fft_rk4(ref, params, dt, steps - done)
         done = steps
-        assert np.max(np.abs(snap.vector() - ref)) <= 1e-12
+        assert np.max(np.abs(snap - ref)) <= 1e-12
     assert done == 100
 
 
 def test_propagate_keeps_nyquist_coefficients():
     params = _params(n=64, half_length=10.0)
     w0 = _smooth_state_with_nyquist(64, seed=7)
-    final = propagate(w0, params, dt=0.01, t_end=1.0).states[-1].vector()
+    final = propagate(w0, params, dt=0.01, t_end=1.0).states[-1]
     before = np.fft.rfft(w0.reshape(2, 64))[:, -1]
     after = np.fft.rfft(final.reshape(2, 64))[:, -1]
     assert np.all(np.abs(before) > 1e-2)
@@ -600,10 +608,9 @@ def test_propagate_keeps_nyquist_coefficients():
 
 def test_propagate_zero_stays_zero():
     params = _params(n=64, half_length=10.0)
-    w0 = WavePair(u=np.zeros(64), eta=np.zeros(64))
-    result = propagate(w0, params, dt=0.01, t_end=0.5)
+    result = propagate(np.zeros(128), params, dt=0.01, t_end=0.5)
     assert result.completed
-    assert np.linalg.norm(result.states[-1].vector()) < 1e-14
+    assert np.linalg.norm(result.states[-1]) < 1e-14
 
 
 def test_propagate_travelling_wave():
@@ -618,8 +625,8 @@ def test_propagate_travelling_wave():
 
     # aligned shape error: compare against the analytic profile recentred
     moved = exact_profile(THETA2, 512, 50.0, x0=center)
-    num = np.linalg.norm(final.vector() - moved.wave.vector())
-    den = np.linalg.norm(moved.wave.vector())
+    num = np.linalg.norm(final - moved.wave)
+    den = np.linalg.norm(moved.wave)
     assert num / den < 1e-3
 
 
@@ -637,7 +644,7 @@ def test_propagate_snapshot_times():
 
 def test_propagate_aborts_on_blowup():
     params = _params(n=64, half_length=10.0)
-    w0 = WavePair(u=np.full(64, 1e200), eta=np.zeros(64))
+    w0 = np.concatenate([np.full(64, 1e200), np.zeros(64)])
     result = propagate(w0, params, dt=0.1, t_end=1.0)
     assert not result.completed
 
@@ -646,17 +653,17 @@ def test_propagate_blowup_after_first_snapshot_keeps_finite_states():
     # a large smooth bump steepens and overflows within a few dozen steps
     params = _params(n=64, half_length=10.0)
     x = grid(64, 10.0)
-    w0 = WavePair(u=40.0 / np.cosh(x) ** 2, eta=np.zeros(64))
+    w0 = np.concatenate([40.0 / np.cosh(x) ** 2, np.zeros(64)])
     result = propagate(w0, params, dt=0.1, t_end=10.0, snapshot_times=[0.0, 0.1, 10.0])
     assert not result.completed
     assert result.times[:2] == [0.0, 0.1]
     assert len(result.states) == 2
-    assert all(np.all(np.isfinite(s.vector())) for s in result.states)
+    assert all(np.all(np.isfinite(s)) for s in result.states)
 
 
 def test_propagate_rejects_bad_steps():
     params = _params(n=64, half_length=10.0)
-    w0 = WavePair(u=np.zeros(64), eta=np.zeros(64))
+    w0 = np.zeros(128)
     with pytest.raises(ValueError):
         propagate(w0, params, dt=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
@@ -667,11 +674,11 @@ def test_propagate_fourth_order_in_time():
     params = _params(n=256, half_length=25.0)
     prof = exact_profile(THETA2, 256, 25.0)
     t_end = 1.0
-    ref = propagate(prof.wave, params, dt=0.0025, t_end=t_end).states[-1].vector()
+    ref = propagate(prof.wave, params, dt=0.0025, t_end=t_end).states[-1]
     errs = []
     dts = (0.04, 0.02, 0.01)
     for dt in dts:
-        got = propagate(prof.wave, params, dt=dt, t_end=t_end).states[-1].vector()
+        got = propagate(prof.wave, params, dt=dt, t_end=t_end).states[-1]
         errs.append(np.linalg.norm(got - ref))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 4.0) < 0.5

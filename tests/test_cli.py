@@ -164,8 +164,8 @@ def test_nbody_solve_success(tmp_path):
     terminal_s = float(rows[-1]["stab_factor"])
     assert abs(1.0 - terminal_s) <= 1e-8
 
-    bodies = list(csv.DictReader(open(tmp_path / "bodies.csv", newline="")))
-    assert len(bodies) == 2
+    with open(tmp_path / "bodies.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
 
 
 def test_nbody_solve_divergent_exit_code(tmp_path):
@@ -349,6 +349,20 @@ def test_bs_solve_at_speeds_where_newton_wandered(tmp_path, cs):
     assert summary["status"] == "ConvergedResidual"
     assert summary["extras"]["method"] == "petviashvili"
     # |F| at the returned wave, not the fixed-point gap the iteration stops on
+    assert summary["final_residual"] <= 1e-11
+    assert abs(summary["extras"]["x_eta"]) <= 1e-8
+
+
+def test_bs_solve_prescribed_speed_at_another_theta2(tmp_path):
+    # 1.2 times the closed-form speed 1.8627 of theta2 = 0.85, on the fine grid
+    code = main(["bs", "solve", "--theta2", "0.85", "--grid-n", "1024", "--cs", "2.2353",
+                 "--tol", "1e-11", "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert code == 0
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["extras"]["method"] == "petviashvili"
+    assert summary["iterations"] <= 15
     assert summary["final_residual"] <= 1e-11
     assert abs(summary["extras"]["x_eta"]) <= 1e-8
 

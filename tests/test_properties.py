@@ -69,7 +69,7 @@ WAVE_PROBLEM = build_bs_problem(WAVE_PARAMS)
 @given(st.floats(-25.0, 25.0))
 def test_translation_generator_stays_in_the_kernel_along_the_wave_orbit(alpha):
     action = translation_action(WAVE_PARAMS)
-    w = action.act(alpha, WAVE.wave.vector())
+    w = action.act(alpha, WAVE.wave)
     assert np.linalg.norm(WAVE_PROBLEM.F(w)) <= 1e-11
     assert kernel_check(WAVE_PROBLEM, w, action) <= 1e-10
 

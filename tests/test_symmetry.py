@@ -37,7 +37,7 @@ def test_rotation_generator_matches_fd():
 def test_translation_identity_and_composition():
     params = _bs_params()
     action = translation_action(params)
-    w = exact_profile(0.9, params.n, params.half_length).wave.vector()
+    w = exact_profile(0.9, params.n, params.half_length).wave
     assert np.allclose(action.act(0.0, w), w, atol=1e-14)
     a, b = 0.75, 2.5
     assert np.allclose(action.act(a, action.act(b, w)), action.act(a + b, w), atol=1e-9)
@@ -46,7 +46,7 @@ def test_translation_identity_and_composition():
 def test_translation_generator_matches_fd():
     params = _bs_params()
     action = translation_action(params)
-    w = exact_profile(0.9, params.n, params.half_length).wave.vector()
+    w = exact_profile(0.9, params.n, params.half_length).wave
     g = action.generators(w)[0]
     h = 1e-6
     fd = (action.act(h, w) - action.act(-h, w)) / (2 * h)
@@ -126,7 +126,7 @@ def test_align_golden_fallback_matches_closed_form():
 def test_align_translation_profile():
     params = _bs_params()
     action = translation_action(params)
-    base = exact_profile(0.9, params.n, params.half_length).wave.vector()
+    base = exact_profile(0.9, params.n, params.half_length).wave
     # shift by two full grid cells: the roll is exact on the grid
     delta = 2 * (2 * params.half_length / params.n)
     rep = align_to_orbit(action.act(delta, base), base, action)
