@@ -94,8 +94,9 @@ def _write_csv(path: Path, header, rows):
 
 def _write_trace(out: Path, trace):
     _write_csv(out / "trace.csv",
-               ("n", "residual", "ref_error", "stab_factor", "step_norm"),
-               ((str(n), r, e, s, d) for n, r, e, s, d in trace.rows()))
+               ("n", "residual", "ref_error", "stab_factor", "step_norm",
+                "inner_tol", "inner_iterations", "inner_residual"),
+               ((str(n), *cells) for n, *cells in trace.rows()))
 
 
 def _write_spectrum(out: Path, report) -> dict:
@@ -174,7 +175,9 @@ def _add_solver_flags(p, methods, inner_solvers, default_tol):
     p.add_argument("--max-outer", type=int, default=1000, dest="max_outer")
     p.add_argument("--inner-solver", choices=inner_solvers, default=inner_solvers[0],
                    dest="inner_solver")
-    p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol")
+    p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol",
+                   help="relative tolerance of each Newton inner solve; on a quotient "
+                        "(deflated) solve, the floor of its Eisenstat-Walker forcing term")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
     p.add_argument("--cap", type=float, default=1e8)
 

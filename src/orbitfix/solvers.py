@@ -36,6 +36,12 @@ __all__ = [
     "convergence_ratios",
 ]
 
+# Eisenstat-Walker choice 2 forcing terms of the quotient Newton solve
+# (SIAM J. Sci. Comput. 17, 1996); see _forcing_term
+EW_ETA_MAX = 0.1
+EW_GAMMA = 0.9
+EW_FINISH = 100.0
+
 CONVERGED_RESIDUAL = "ConvergedResidual"
 CONVERGED_REFERENCE = "ConvergedReference"
 MAX_ITERATIONS = "MaxIterations"
@@ -106,37 +112,54 @@ class IterationTrace:
 
     ref_errors is None-filled when no reference was supplied,
     stab_factors is None-filled outside the stabilized driver, and the
-    terminal row has no step norm.
+    terminal row has no step norm. inner_tols, inner_iterations and
+    inner_residuals describe the linear solve of each Newton step (the
+    relative tolerance it was given, its iteration count and its true
+    relative residual); they are None in the fixed-point drivers and on
+    the terminal row.
     """
 
     residuals: List[float] = field(default_factory=list)
     ref_errors: List[Optional[float]] = field(default_factory=list)
     stab_factors: List[Optional[float]] = field(default_factory=list)
     step_norms: List[Optional[float]] = field(default_factory=list)
+    inner_tols: List[Optional[float]] = field(default_factory=list)
+    inner_iterations: List[Optional[int]] = field(default_factory=list)
+    inner_residuals: List[Optional[float]] = field(default_factory=list)
 
     def append(self, residual, ref_error=None, stab_factor=None):
         self.residuals.append(residual)
         self.ref_errors.append(ref_error)
         self.stab_factors.append(stab_factor)
         self.step_norms.append(None)
+        self.inner_tols.append(None)
+        self.inner_iterations.append(None)
+        self.inner_residuals.append(None)
 
     def set_step_norm(self, value):
         self.step_norms[-1] = value
+
+    def set_inner(self, tol, iterations, relative_residual):
+        self.inner_tols[-1] = tol
+        self.inner_iterations[-1] = iterations
+        self.inner_residuals[-1] = relative_residual
 
     def __len__(self):
         return len(self.residuals)
 
     def rows(self):
-        """(n, residual, ref_error, stab_factor, step_norm) tuples."""
+        """(n, residual, ref_error, stab_factor, step_norm, inner_tol,
+        inner_iterations, inner_residual) tuples."""
         for k in range(len(self.residuals)):
             yield (k, self.residuals[k], self.ref_errors[k],
-                   self.stab_factors[k], self.step_norms[k])
+                   self.stab_factors[k], self.step_norms[k], self.inner_tols[k],
+                   self.inner_iterations[k], self.inner_residuals[k])
 
 
 @dataclass
 class SolveOutcome:
-    """How a run ended. f_norm is |F(x)| at the returned x where the driver
-    has it at no extra cost (Newton and the stabilized driver), else None."""
+    """How a run ended. f_norm is |F(x)| at the returned x from the drivers
+    that evaluate F (Newton and the stabilized driver), else None."""
 
     status: str
     x: np.ndarray
@@ -254,7 +277,8 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
     """The stabilized step in _fixed_point_loop's form.
 
     The next iterate is s^gamma G(x), s = <Ax,x>/<A G(x),x>, gamma = d/(d-1)
-    from the split's degree d; |F(x)| = |Ax - A G(x)| reuses both products.
+    from the split's degree d. |F(x)| is evaluated by problem.F, not as
+    |Ax - A G(x)|, which equals it only in exact arithmetic.
     """
     split = problem.homogeneous_split
     if split is None:
@@ -271,7 +295,7 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
         s = float(np.dot(ax, x) / den) if den != 0.0 else None
 
         def f_norm():
-            return float(np.linalg.norm(ax - agx))
+            return float(np.linalg.norm(problem.F(x)))
 
         if s is None:
             return gx, s, "stabilizing factor has zero denominator", f_norm
@@ -334,6 +358,27 @@ def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
     return project
 
 
+def _forcing_term(residual: float, prev_residual: Optional[float],
+                  tol: float, inner_tol: float) -> float:
+    """Relative tolerance of a quotient Newton step's linear solve.
+
+    eta_0 = EW_ETA_MAX, then eta_k = min(EW_ETA_MAX, EW_GAMMA (|F_k|/|F_k-1|)^2).
+    The floor is max(inner_tol, 0.5 tol/|F_k|), the latter capped at
+    EW_ETA_MAX: no solve is asked for more than the outer tolerance needs.
+    When eta_k |F_k| <= EW_FINISH tol the step can finish the run, and it
+    solves to the floor: a preconditioned MINRES measures its residual in a
+    weighted norm, so |F| lags the relative residual it reports, and a loose
+    finishing step would stop just above tol.
+    """
+    floor = max(inner_tol, min(EW_ETA_MAX, 0.5 * tol / residual))
+    eta = EW_ETA_MAX
+    if prev_residual is not None:
+        eta = min(EW_ETA_MAX, EW_GAMMA * (residual / prev_residual) ** 2)
+    if eta * residual <= EW_FINISH * tol:
+        return floor
+    return max(eta, floor)
+
+
 def newton_solve(problem: ProblemSpec, x0: np.ndarray,
                  config: Optional[SolverConfig] = None,
                  reference: Optional[np.ndarray] = None,
@@ -352,6 +397,10 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     a slice of the quotient: -F(x) and dx are both projected orthogonal to
     the generators at x, so the symmetry-induced null direction of J never
     enters the inner solve and the step has no component along the orbit.
+    On the slice J is nonsingular, so the step is an inexact Newton step: the
+    inner solve runs to the forcing term of _forcing_term, not to
+    config.inner_tol, which becomes its floor. Without generators every
+    inner solve runs to config.inner_tol.
 
     Three consecutive steps whose inner solve exhausts its budget without
     reducing the residual classify the run as MaxIterations.
@@ -387,20 +436,25 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
 
         jac = problem.jacobian_at(x)
         rhs = -fx
+        inner_tol = config.inner_tol
         if generators is not None:
             deflate = _orthogonal_projector(generators(x))
             rhs = deflate(rhs)
+            inner_tol = _forcing_term(residual, prev_residual, config.tol_residual,
+                                      config.inner_tol)
         if config.inner_solver == "pcg":
-            dx, stats = pcg(jac, rhs, precond, tol=config.inner_tol, maxit=config.inner_maxit)
-            inner_total += stats.iterations
+            dx, stats = pcg(jac, rhs, precond, tol=inner_tol, maxit=config.inner_maxit)
+            step_iterations = stats.iterations
             if stats.breakdown:
                 fallbacks += 1
-                dx, stats = minres(jac, rhs, tol=config.inner_tol, maxit=config.inner_maxit)
-                inner_total += stats.iterations
+                dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit)
+                step_iterations += stats.iterations
         else:
-            dx, stats = minres(jac, rhs, tol=config.inner_tol, maxit=config.inner_maxit,
+            dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit,
                                precond=precond)
-            inner_total += stats.iterations
+            step_iterations = stats.iterations
+        inner_total += step_iterations
+        trace.set_inner(inner_tol, step_iterations, stats.relative_residual)
         if generators is not None:
             dx = deflate(dx)
         prev_budget_hit = stats.iterations >= config.inner_maxit

@@ -448,6 +448,19 @@ def test_deflated_newton_steps_are_orthogonal_to_the_generator():
         assert abs(np.dot(dx, g)) <= bound
 
 
+def test_deflated_newton_solves_loosely_until_it_can_finish():
+    # from the eps = 0.1 shift seed, inner solves to a fixed relative 1e-10
+    # took 85 MINRES iterations over 3 steps; the forcing terms take at most half
+    params, w0 = _generator_seed(512, 0.1)
+    out = _wave_newton(params, w0, 1e-11)
+    assert out.status == "ConvergedResidual" and out.f_norm <= 1e-11
+    assert out.inner_iterations <= 85 // 2
+    tols = out.trace.inner_tols[:-1]
+    # the finishing step solves to the floor 0.5 tol / |F|
+    assert tols[0] == 0.1 and tols[-1] == 0.5e-11 / out.trace.residuals[-2]
+    assert sum(out.trace.inner_iterations[:-1]) == out.inner_iterations
+
+
 def test_deflated_newton_at_prescribed_speed_needs_few_inner_iterations():
     n = 512
     profile = exact_profile(THETA2, n, 50.0)

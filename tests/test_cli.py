@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import orbitfix
+from orbitfix import boussinesq as bq
 from orbitfix import nbody as nb
 from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, main
 from orbitfix.solvers import SolverConfig, newton_solve
@@ -89,6 +90,37 @@ def test_bs_dispatch_follows_the_seed(tmp_path, extra, method, anderson):
         assert (summary["status"], summary["iterations"]) == ("ConvergedReference", 0)
 
 
+def test_bs_newton_trace_records_the_forcing(tmp_path):
+    assert main(["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01",
+                 "--tol", "1e-10", "--inner-tol", "1e-9", "--out", str(tmp_path)]) == 0
+    summary = _read_summary(tmp_path)
+    rows = _read_trace(tmp_path)
+    steps, terminal = rows[:-1], rows[-1]
+    assert float(steps[0]["inner_tol"]) == 0.1
+    # --inner-tol is the floor of every quotient solve
+    assert all(1e-9 <= float(r["inner_tol"]) <= 0.1 for r in steps)
+    assert sum(int(r["inner_iterations"]) for r in steps) == summary["extras"]["inner_iterations"]
+    assert all(float(r["inner_residual"]) >= 0.0 for r in steps)
+    assert terminal["inner_tol"] == terminal["inner_iterations"] == terminal["inner_residual"] == ""
+
+
+def test_bs_petviashvili_final_residual_is_F_at_the_profile(tmp_path):
+    # theta2 0.95 at 1.05 times the closed-form speed: the gap meets 1e-11 while
+    # |S x - S G(x)| (9.97e-12 here) understates |F| (above 1e-11)
+    args = ["--theta2", "0.95", "--grid-n", "1024", "--cs", "4.7921", "--tol", "1e-11"]
+    code = main(["bs", "solve", *args, "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    assert summary["extras"]["method"] == "petviashvili"
+    with open(tmp_path / "profile.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    w = np.array([float(r["u"]) for r in rows] + [float(r["eta"]) for r in rows])
+    problem = bq.build_bs_problem(bq.BSParams(theta2=0.95, speed=4.7921, n=1024,
+                                              half_length=50.0))
+    assert summary["final_residual"] == float(np.linalg.norm(problem.F(w)))
+    assert (summary["status"] == "ConvergedResidual") == (summary["final_residual"] <= 1e-11)
+    assert code == (0 if summary["final_residual"] <= 1e-11 else 2)
+
+
 def test_bs_rejects_fixed_point_method(tmp_path):
     assert main(["bs", "solve", "--method", "fixed-point", *BS_SMALL,
                  "--out", str(tmp_path)]) == 1
@@ -163,6 +195,9 @@ def test_nbody_solve_success(tmp_path):
     assert len(rows) == summary["iterations"] + 1
     terminal_s = float(rows[-1]["stab_factor"])
     assert abs(1.0 - terminal_s) <= 1e-8
+    # a fixed-point run makes no inner solves
+    assert {r[k] for r in rows for k in ("inner_tol", "inner_iterations", "inner_residual")} \
+        == {""}
 
     with open(tmp_path / "bodies.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2
@@ -451,3 +486,16 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "summary.json").exists()
+
+
+def test_python_dash_m_orbitfix(tmp_path):
+    paths = [str(Path(orbitfix.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-m", "orbitfix", "nbody", "spectrum",
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert _read_summary(tmp_path)["command"] == "nbody spectrum"
+    # a usage error keeps its exit code through python -m
+    proc = subprocess.run([sys.executable, "-m", "orbitfix"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 1

@@ -5,7 +5,8 @@ equivariant under global rotations and under relabelling the bodies together
 with their masses. Along a solution's group orbit the generator stays in the
 Jacobian's kernel. Anderson mixing keeps the iteration equivariant under
 these orthogonal actions, and its extrapolated steps stay under the
-divergence cap.
+divergence cap. The quotient Newton solve's forcing terms stay between
+their floor and EW_ETA_MAX, and a step that can finish solves to the floor.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile,  # n
 from orbitfix.nbody import (NBodyConfig, build_nbody, grad_U, hess_U,  # noqa: E402
                             polygon_solution, rotation_action)
 from orbitfix.numlin import fourier_apply  # noqa: E402
-from orbitfix.solvers import (DIVERGED, AndersonMixer, ProblemSpec, SolverConfig,  # noqa: E402
+from orbitfix.solvers import (DIVERGED, EW_ETA_MAX, EW_FINISH, EW_GAMMA,  # noqa: E402
+                              AndersonMixer, ProblemSpec, SolverConfig, _forcing_term,
                               fixed_point_solve, petviashvili_solve)
 from orbitfix.symmetry import kernel_check  # noqa: E402
 
@@ -181,3 +183,21 @@ def test_divergence_cap_stops_a_wild_accelerated_step(cap, window):
                              SolverConfig(max_outer=50, divergence_cap=cap, anderson=window))
     assert (wild.status, wild.iterations) == (DIVERGED, 2)
     assert wild.trace.residuals[-1] > cap
+
+
+@PROPERTY
+@given(st.floats(1e-14, 1e-6), st.floats(1e-14, 1e-2), st.floats(1.0, 1e12, exclude_min=True),
+       st.one_of(st.none(), st.floats(1e-3, 1e3)))
+def test_forcing_term_stays_between_its_floor_and_eta_max(tol, inner_tol, scale, ratio):
+    # scale = |F_k| / tol > 1, as at every step Newton takes; ratio = |F_k-1| / |F_k|
+    residual = tol * scale
+    prev = None if ratio is None else residual * ratio
+    eta = _forcing_term(residual, prev, tol, inner_tol)
+    floor = max(inner_tol, min(EW_ETA_MAX, 0.5 * tol / residual))
+    assert floor <= eta <= EW_ETA_MAX
+    choice2 = EW_ETA_MAX if prev is None else min(EW_ETA_MAX, EW_GAMMA * (residual / prev) ** 2)
+    # never looser than choice 2 asks, unless the floor says so
+    assert eta <= max(choice2, floor)
+    if choice2 * residual <= EW_FINISH * tol:
+        # a step that can finish the run solves to the floor
+        assert eta == floor

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import orbitfix.solvers as solvers
 from orbitfix.numlin import LinearOperator
-from orbitfix.solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
+from orbitfix.solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, EW_ETA_MAX,
                               MAX_ITERATIONS, HomogeneousSplit, ProblemSpec, SolverConfig,
                               convergence_ratios, fixed_point_solve, iteration_matrix_spectrum,
                               newton_solve, petviashvili_map, petviashvili_solve)
@@ -428,7 +429,47 @@ def test_trace_rows_align():
                              reference=polygon_solution(2))
     rows = list(out.trace.rows())
     assert len(rows) == len(out.trace.residuals) == out.iterations + 1
-    n, residual, ref_error, stab, step_norm = rows[0]
+    n, residual, ref_error, stab, step_norm, inner_tol, inner_its, inner_res = rows[0]
     assert n == 0 and residual > 0 and ref_error is not None and stab is not None
-    # the terminal row carries no step norm
+    # the terminal row carries no step norm; a fixed-point run has no inner solves
     assert rows[-1][4] is None
+    assert all(row[5:] == (None, None, None) for row in rows)
+
+
+def _record_minres_tols(monkeypatch):
+    tols = []
+    real = solvers.minres
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "minres", recording)
+    return tols
+
+
+def test_newton_without_generators_solves_every_step_to_inner_tol(monkeypatch):
+    # J is singular along the ring's orbit, so no forcing term applies
+    tols = _record_minres_tols(monkeypatch)
+    problem = build_nbody(NBodyConfig(n=16, m0=10.0))
+    config = SolverConfig(tol_residual=1e-10, inner_solver="minres", inner_tol=1e-9)
+    out = newton_solve(problem, polygon_solution(16) + 0.03 * np.ones(32), config)
+    assert out.converged and out.iterations >= 2
+    assert tols == [config.inner_tol] * out.iterations
+    assert out.trace.inner_tols == tols + [None]
+
+
+def test_newton_trace_records_each_quotient_inner_solve(monkeypatch):
+    tols = _record_minres_tols(monkeypatch)
+    problem = build_nbody(NBodyConfig(n=16, m0=10.0))
+    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    out = newton_solve(problem, polygon_solution(16) + 0.03 * np.ones(32), config,
+                       generators=rotation_action().generators)
+    assert out.converged and out.iterations >= 2
+    rows = list(out.trace.rows())
+    assert [row[5] for row in rows[:-1]] == tols
+    assert tols[0] == EW_ETA_MAX
+    assert all(config.inner_tol <= tol <= EW_ETA_MAX for tol in tols)
+    assert sum(row[6] for row in rows[:-1]) == out.inner_iterations
+    assert all(row[7] >= 0.0 for row in rows[:-1])
+    assert rows[-1][5:] == (None, None, None)
