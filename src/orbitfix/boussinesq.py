@@ -246,7 +246,14 @@ def translation_shift(w, half_length: float, component: str = "eta") -> float:
 
 
 def translation_action(params: BSParams) -> GroupAction:
-    """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields."""
+    """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields.
+
+    A real field's Nyquist coefficient is real and cannot carry the phase
+    exp(-i xi_N alpha), so act keeps only its real part, c cos(xi_N alpha).
+    act therefore obeys the group law act(a, act(b, w)) = act(a + b, w)
+    only on fields without a Nyquist mode (or at shifts that are whole
+    multiples of the grid step).
+    """
     n = params.n
     L = params.half_length
     xi, d1, _ = fourier_symbols(n, L)

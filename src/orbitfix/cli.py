@@ -79,16 +79,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.17g" % float(value)
+@functools.lru_cache(maxsize=64)
+def _row_format(kinds) -> str:
+    # a string cell as it is, None as an empty cell ("%.0s" prints nothing),
+    # anything else as a float to 17 significant digits
+    return ",".join("%s" if issubclass(kind, str) else "%.0s" if kind is type(None) else "%.17g"
+                    for kind in kinds)
 
 
 def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -102,7 +105,7 @@ def _write_trace(out: Path, trace):
 def _write_spectrum(out: Path, report) -> dict:
     """Write spectrum.csv and return the summary's extras for the spectrum."""
     _write_csv(out / "spectrum.csv", ("index", "re", "im"),
-               ((str(i), ev.real, ev.imag) for i, ev in enumerate(report.eigenvalues)))
+               ((str(i), ev.real, ev.imag) for i, ev in enumerate(report.eigenvalues.tolist())))
     return {
         "count_near_unit": report.count_near_unit,
         "count_near_zero": report.count_near_zero,
@@ -211,7 +214,7 @@ def _nbody_seed(args, qstar):
 def _write_bodies(out: Path, q):
     pos = q.reshape(-1, 2)
     _write_csv(out / "bodies.csv", ("body", "x", "y"),
-               ((str(j + 1), pos[j, 0], pos[j, 1]) for j in range(pos.shape[0])))
+               ((str(j + 1), x, y) for j, (x, y) in enumerate(pos.tolist())))
 
 
 def cmd_nbody_solve(args, out: Path) -> dict:
@@ -346,7 +349,7 @@ def _write_profile(out: Path, w, params):
     u, eta = w.reshape(2, params.n)
     x = bq.grid(params.n, params.half_length)
     _write_csv(out / "profile.csv", ("x", "eta", "u"),
-               ((x[j], eta[j], u[j]) for j in range(params.n)))
+               zip(x.tolist(), eta.tolist(), u.tolist()))
 
 
 def cmd_bs_solve(args, out: Path) -> dict:
@@ -417,12 +420,11 @@ def cmd_bs_propagate(args, out: Path) -> dict:
 
     result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times)
 
-    x = bq.grid(params.n, params.half_length)
+    x = bq.grid(params.n, params.half_length).tolist()
     rows = []
     for t, w in zip(result.times, result.states):
-        u, eta = w.reshape(2, params.n)
-        for j in range(params.n):
-            rows.append((t, x[j], eta[j], u[j]))
+        u, eta = w.reshape(2, params.n).tolist()
+        rows.extend((t, *cells) for cells in zip(x, eta, u))
     _write_csv(out / "snapshots.csv", ("t", "x", "eta", "u"), rows)
 
     extras = found["extras"]

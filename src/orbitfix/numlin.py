@@ -35,6 +35,10 @@ __all__ = [
 # dense eigenvalue work is O(n^3); refuse anything past this
 DENSE_DIM_LIMIT = 4096
 
+# rows per band of the symmetry test: a band's temporaries stay far below
+# the matrix's own size
+_SYMMETRY_BAND = 64
+
 
 @dataclass(frozen=True)
 class LinearOperator:
@@ -86,8 +90,24 @@ def as_operator(A, symmetric: Optional[bool] = None) -> LinearOperator:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     if symmetric is None:
-        symmetric = bool(np.allclose(M, M.T, rtol=0.0, atol=1e-12))
+        symmetric = _is_symmetric(M, 1e-12)
     return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v, symmetric=symmetric)
+
+
+def _is_symmetric(M: np.ndarray, atol: float) -> bool:
+    """Whether |M[i, j] - M[j, i]| <= atol for all i, j; a NaN fails.
+
+    Compares each band of rows with the matching band of columns, on and
+    right of the diagonal, so no temporary is larger than a band.
+    """
+    n = M.shape[0]
+    for i in range(0, n, _SYMMETRY_BAND):
+        j = min(i + _SYMMETRY_BAND, n)
+        diff = M[i:j, i:] - M[i:, i:j].T
+        # NaN compares false, so a band holding one fails
+        if not np.abs(diff, out=diff).max() <= atol:
+            return False
+    return True
 
 
 def materialize(op) -> np.ndarray:
@@ -228,8 +248,7 @@ def _block_eigenvalues(A) -> np.ndarray:
         )
     if M.shape[0] == 0:
         return np.empty(0, dtype=complex)
-    # NaN compares false, so a matrix holding one counts as non-symmetric
-    if np.abs(M - M.T).max() <= 1e-12 * max(1.0, float(np.abs(M).max())):
+    if _is_symmetric(M, 1e-12 * max(1.0, float(M.max()), float(-M.min()))):
         return np.linalg.eigvalsh(M).astype(complex)
     return np.linalg.eigvals(M)
 
@@ -243,6 +262,10 @@ def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> Spec
     block_dims and block_near_zero give the size and near-0 count of each
     block in order. An iterator is consumed one block at a time, and no
     block is kept once its eigenvalues are known.
+
+    Memory: at any time one block is held, plus the copy LAPACK makes of
+    it, and nothing else of the block's size. The symmetry test that picks
+    eigvalsh or eigvals works on bands of rows.
     """
     blocks = list(map(_block_eigenvalues, A if isinstance(A, (tuple, Iterator)) else (A,)))
     near_zero = tuple(int(np.count_nonzero(np.abs(b) <= tol_zero)) for b in blocks)
@@ -258,13 +281,22 @@ def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> Spec
     )
 
 
+@lru_cache(maxsize=16)
+def _symmetry_probes(dim: int):
+    """The two seeded probe vectors of length dim, read-only and shared."""
+    rng = np.random.default_rng(0x5EED)
+    u = rng.standard_normal(dim)
+    w = rng.standard_normal(dim)
+    for a in (u, w):
+        a.flags.writeable = False
+    return u, w
+
+
 def _check_symmetry_probe(op: LinearOperator) -> None:
     # two-vector probe: <Au, w> must equal <u, Aw> for a symmetric map
     if not op.symmetric:
         raise ValueError("operator is declared non-symmetric")
-    rng = np.random.default_rng(0x5EED)
-    u = rng.standard_normal(op.dim)
-    w = rng.standard_normal(op.dim)
+    u, w = _symmetry_probes(op.dim)
     au = op.apply(u)
     aw = op.apply(w)
     scale = np.linalg.norm(au) * np.linalg.norm(w) + np.linalg.norm(u) * np.linalg.norm(aw)

@@ -12,7 +12,7 @@ import pytest
 import orbitfix
 from orbitfix import boussinesq as bq
 from orbitfix import nbody as nb
-from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, main
+from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, _write_csv, main
 from orbitfix.solvers import SolverConfig, newton_solve
 
 try:
@@ -175,6 +175,22 @@ def test_non_finite_residual_is_written_as_null(tmp_path, method):
     assert summary["extras"]["table"] == table
     assert table[0]["status"] == "Diverged"
     assert table[0]["final_residual"] is None
+
+
+def test_write_csv_matches_the_per_cell_formatter(tmp_path):
+    # the formatter _write_csv replaced: strings as they are, None empty,
+    # anything else "%.17g" of its float
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        return "" if value is None else "%.17g" % float(value)
+
+    rows = [("0", 1.0, None, -0.0), ("17", np.nan, np.inf, -np.inf),
+            ("2", np.float64(0.1), 3, None), ("x", None, None, None),
+            ("3", np.float32(0.1), True, np.int64(-7)), ("4", 1e-300, -2.5e17, 1 / 3)]
+    _write_csv(tmp_path / "t.csv", ("n", "a", "b", "c"), iter(rows))
+    expected = ["n,a,b,c"] + [",".join(cell(v) for v in row) for row in rows]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 
 
 # ---------------- nbody ----------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from orbitfix.numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, abs_inverse_2x2,
-                             inverse_2x2,
+from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
+                             abs_inverse_2x2, inverse_2x2,
                              as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, materialize, minres, pcg, spectral_derivative)
 
@@ -252,6 +252,49 @@ def test_dense_eigenvalues_symmetry_test_uses_absolute_tolerance():
     assert np.allclose(np.abs(dense_eigenvalues(outside).eigenvalues.imag), tol, rtol=1e-3, atol=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         dense_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_dense_eigenvalues_holds_no_temporary_of_matrix_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((1026, 1026))
+    M += M.T
+    tracemalloc.start()
+    try:
+        rep = dense_eigenvalues(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.block_dims == (1026,) and np.all(rep.eigenvalues.imag == 0.0)
+    assert peak <= M.nbytes // 4
+
+
+@pytest.mark.parametrize("i, j", [(-2, -1), (0, -1)], ids=["last-band", "first-and-last"])
+def test_dense_eigenvalues_sees_an_asymmetry_in_the_last_row_band(i, j):
+    # a partial last band; the pair (i, j) is a rotation c +- 1i on top of
+    # a symmetric diagonal, so only a banded test that reaches it gives a
+    # complex pair
+    n = 2 * _SYMMETRY_BAND + 5
+    M = np.diag(np.arange(1.0, n + 1.0))
+    M[i, i] = M[j, j] = 0.5
+    M[i, j], M[j, i] = -1.0, 1.0
+    assert not as_operator(M).symmetric
+    ev = dense_eigenvalues(M).eigenvalues
+    pair = ev[ev.imag != 0.0]
+    assert np.allclose(np.sort_complex(pair), [0.5 - 1j, 0.5 + 1j], atol=1e-12)
+    M[j, i] = -1.0
+    assert as_operator(M).symmetric
+    assert np.all(dense_eigenvalues(M).eigenvalues.imag == 0.0)
+
+
+def test_dense_eigenvalues_sends_a_lower_triangle_nan_to_eigvals():
+    n = 2 * _SYMMETRY_BAND + 5
+    M = np.eye(n)
+    M[-1, 0] = np.nan
+    assert not as_operator(M).symmetric
+    with pytest.raises(np.linalg.LinAlgError):
+        dense_eigenvalues(M)
 
 
 def test_dense_eigenvalues_dimension_guard_applies_per_block():
