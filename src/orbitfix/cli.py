@@ -143,7 +143,6 @@ def _solver_config(args, anderson) -> SolverConfig:
     return SolverConfig(
         tol_residual=args.tol,
         max_outer=args.max_outer,
-        inner_solver=args.inner_solver,
         inner_tol=args.inner_tol,
         inner_maxit=args.inner_maxit,
         divergence_cap=args.cap,
@@ -171,13 +170,13 @@ def _floats(text, flag):
     return values
 
 
-def _add_solver_flags(p, methods, inner_solvers, default_tol):
-    # the first method and inner solver are the defaults; offer only what the problem runs
+def _add_solver_flags(p, methods, default_tol):
+    # the first method is the default; offer only what the problem runs
     p.add_argument("--method", choices=methods, default=methods[0])
     p.add_argument("--tol", type=float, default=default_tol)
     p.add_argument("--max-outer", type=int, default=1000, dest="max_outer")
-    p.add_argument("--inner-solver", choices=inner_solvers, default=inner_solvers[0],
-                   dest="inner_solver")
+    # Newton's one linear solve; the flag stays so that scripts passing it keep working
+    p.add_argument("--inner-solver", choices=("minres",), default="minres", dest="inner_solver")
     p.add_argument("--inner-tol", type=float, default=1e-10, dest="inner_tol",
                    help="relative tolerance of each Newton inner solve; on a quotient "
                         "(deflated) solve, the floor of its Eisenstat-Walker forcing term")
@@ -237,7 +236,7 @@ def cmd_nbody_solve(args, out: Path) -> dict:
     _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
     orbit = None
     extras = {"omega": cfg.omega, "inner_iterations": outcome.inner_iterations,
-              "pcg_fallbacks": outcome.pcg_fallbacks, "method": args.method,
+              "method": args.method,
               "anderson": None if args.method == "newton" else config.anderson}
     if _finite(outcome.x):
         orbit = align_to_orbit(outcome.x, qstar, action)
@@ -468,7 +467,7 @@ def _build_parser() -> _Parser:
     for name in ("solve", "orbit"):
         p = nbody_cmds.add_parser(name)
         nbody_common(p)
-        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), ("minres", "pcg"), 1e-7)
+        _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), 1e-7)
         p.add_argument("--anderson", type=int, default=0)
         _add_perturb_flags(p, ("ones", "generator"))
         p.set_defaults(func=cmd_nbody_solve)
@@ -490,7 +489,7 @@ def _build_parser() -> _Parser:
 
     def bs_solver(p):
         bs_common(p)
-        _add_solver_flags(p, ("newton", "petviashvili"), ("minres",), 1e-12)
+        _add_solver_flags(p, ("newton", "petviashvili"), 1e-12)
         # None: the method follows from the seed (_bs_method)
         p.set_defaults(method=None)
 

@@ -14,7 +14,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numlin import KrylovStats, LinearOperator, dense_eigenvalues, fd_jacobian, materialize, minres, pcg
+from .numlin import LinearOperator, dense_eigenvalues, fd_jacobian, materialize, minres
+from .numlin import pcg  # noqa: F401  for perfbench's orbitfix.solvers.pcg hook until it retires
 
 __all__ = [
     "CONVERGED_RESIDUAL",
@@ -83,7 +84,6 @@ class SolverConfig:
 
     tol_residual: float = 1e-7
     max_outer: int = 1000
-    inner_solver: str = "pcg"
     inner_tol: float = 1e-10
     inner_maxit: int = 500
     divergence_cap: float = 1e8
@@ -94,8 +94,6 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.inner_solver not in ("pcg", "minres"):
-            raise ValueError("inner_solver must be 'pcg' or 'minres'")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         if self.inner_maxit < 1:
@@ -166,13 +164,16 @@ class SolveOutcome:
     trace: IterationTrace
     iterations: int
     message: str = ""
-    inner_iterations: int = 0
-    pcg_fallbacks: int = 0
     f_norm: Optional[float] = None
 
     @property
     def converged(self) -> bool:
         return self.status in (CONVERGED_RESIDUAL, CONVERGED_REFERENCE)
+
+    @property
+    def inner_iterations(self) -> int:
+        """Linear-solve iterations over all Newton steps; 0 in the fixed-point drivers."""
+        return sum(k for k in self.trace.inner_iterations if k is not None)
 
 
 def _classify(n, residual, ref_error, config, accept=None):
@@ -386,11 +387,11 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
                  generators: Optional[Callable] = None) -> SolveOutcome:
     """Newton iteration with an iterative linear solve per step.
 
-    The correction solves J(x) dx = -F(x) with PCG or MINRES per
-    config.inner_solver; both use precond, a symmetric positive definite
-    approximation of J^{-1}, when given. On a PCG breakdown, which is
-    expected when J is indefinite, the step falls back to unpreconditioned
-    MINRES and the event is counted.
+    The correction solves J(x) dx = -F(x) by MINRES, preconditioned with
+    precond, a symmetric positive definite approximation of J^{-1}, when
+    given. MINRES suits a symmetric indefinite J (Paige and Saunders, SIAM
+    J. Numer. Anal. 12, 1975), which both built-in problems have: J is
+    singular along the solution orbit and has eigenvalues of both signs.
 
     generators, when given, maps a point to the tangent vectors of its
     group orbit (as GroupAction.generators does). Each step then solves on
@@ -410,8 +411,6 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     config = config or SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
-    inner_total = 0
-    fallbacks = 0
     stall = 0
     prev_residual = None
     prev_budget_hit = False
@@ -422,15 +421,14 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         trace.append(residual, ref_error)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
-            return SolveOutcome(status, x, trace, n, inner_iterations=inner_total,
-                                pcg_fallbacks=fallbacks, f_norm=residual)
+            return SolveOutcome(status, x, trace, n, f_norm=residual)
         if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
             stall += 1
             if stall >= 3:
                 return SolveOutcome(
                     MAX_ITERATIONS, x, trace, n,
                     message="inner solver repeatedly hit its budget without outer progress",
-                    inner_iterations=inner_total, pcg_fallbacks=fallbacks, f_norm=residual)
+                    f_norm=residual)
         else:
             stall = 0
 
@@ -442,19 +440,8 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
             rhs = deflate(rhs)
             inner_tol = _forcing_term(residual, prev_residual, config.tol_residual,
                                       config.inner_tol)
-        if config.inner_solver == "pcg":
-            dx, stats = pcg(jac, rhs, precond, tol=inner_tol, maxit=config.inner_maxit)
-            step_iterations = stats.iterations
-            if stats.breakdown:
-                fallbacks += 1
-                dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit)
-                step_iterations += stats.iterations
-        else:
-            dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit,
-                               precond=precond)
-            step_iterations = stats.iterations
-        inner_total += step_iterations
-        trace.set_inner(inner_tol, step_iterations, stats.relative_residual)
+        dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit, precond=precond)
+        trace.set_inner(inner_tol, stats.iterations, stats.relative_residual)
         if generators is not None:
             dx = deflate(dx)
         prev_budget_hit = stats.iterations >= config.inner_maxit

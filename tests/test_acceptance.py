@@ -52,8 +52,7 @@ def _solve_unknown_speed(cs):
         # unpreconditioned, undeflated MINRES: criterion 10 asks for the drift
         # along the orbit that round-off gives this path at cs=1.05; the
         # |S|^{-1}-preconditioned, deflated path keeps that wave centred
-        config = SolverConfig(tol_residual=1e-11, max_outer=1000,
-                              inner_solver="minres", inner_maxit=2500)
+        config = SolverConfig(tol_residual=1e-11, max_outer=1000, inner_maxit=2500)
         out = newton_solve(problem, profile.wave, config)
         _WAVE_CACHE[cs] = (params, out)
     return _WAVE_CACHE[cs]
@@ -303,8 +302,7 @@ def test_criterion_08_newton_pcg_recentering():
     bump = 0.05 * np.exp(-x ** 2)
     w0 = profile.wave + np.concatenate([bump, bump])
     out = newton_solve(problem, w0,
-                       SolverConfig(tol_residual=1e-12, max_outer=1000,
-                                    inner_solver="minres", inner_maxit=500),
+                       SolverConfig(tol_residual=1e-12, max_outer=1000, inner_maxit=500),
                        reference=profile.wave,
                        precond=bq.precond_operator(params).apply,
                        generators=bq.translation_action(params).generators)
@@ -329,8 +327,7 @@ def test_criterion_09_shift_family_reproduction():
     du = spectral_derivative(w[:n], 50.0, 1)
     deta = spectral_derivative(w[n:], 50.0, 1)
     expected = {0.1: -9.9534e-2, 0.05: -4.9941e-2, 0.01: -9.9995e-3, 0.005: -4.9999e-3}
-    config = SolverConfig(tol_residual=1e-11, max_outer=1000,
-                          inner_solver="minres", inner_maxit=500)
+    config = SolverConfig(tol_residual=1e-11, max_outer=1000, inner_maxit=500)
     precond = bq.precond_operator(params).apply
     generators = bq.translation_action(params).generators
     ok = True

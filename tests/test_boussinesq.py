@@ -411,8 +411,7 @@ def _wave_newton(params, w0, tol, record=None):
             return F(w)
 
         problem = replace(problem, F=recording_F)
-    config = SolverConfig(tol_residual=tol, max_outer=50, inner_solver="minres",
-                          inner_maxit=500)
+    config = SolverConfig(tol_residual=tol, max_outer=50, inner_maxit=500)
     return newton_solve(problem, w0, config, precond=precond_operator(params).apply,
                         generators=translation_action(params).generators)
 

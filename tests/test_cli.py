@@ -126,9 +126,19 @@ def test_bs_rejects_fixed_point_method(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
-def test_bs_rejects_pcg_inner_solver(tmp_path):
-    assert main(["bs", "solve", "--inner-solver", "pcg", *BS_SMALL,
-                 "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("command", [["nbody", "solve"], ["bs", "solve", *BS_SMALL]],
+                         ids=["nbody", "bs"])
+def test_pcg_inner_solver_is_usage_error(tmp_path, command):
+    # Newton solves by MINRES only; conjugate gradients fails on an indefinite J
+    assert main([*command, "--inner-solver", "pcg", "--out", str(tmp_path)]) == 1
+
+
+def test_nbody_still_accepts_minres_inner_solver(tmp_path):
+    # the ring benchmark's argv names the one inner solver
+    assert main(["nbody", "solve", "--method", "newton", "--inner-solver", "minres",
+                 "--perturb", "ones", "--tol", "1e-10", "--bodies", "16", "--eps", "0.03",
+                 "--out", str(tmp_path)]) == 0
+    assert _read_summary(tmp_path)["config"]["inner_solver"] == "minres"
 
 
 # ---------------- the command runner ----------------
@@ -311,11 +321,11 @@ def test_nbody_newton_reports_inner_iterations(tmp_path):
     _validate(summary)
     assert summary["status"] == "ConvergedResidual"
     assert summary["config"]["inner_solver"] == "minres"
-    assert summary["extras"]["pcg_fallbacks"] == 0
-    # MINRES is the ring default, and each step is deflated off the rotation orbit
+    assert "pcg_fallbacks" not in summary["extras"]
+    # MINRES is the one inner solver, and each step is deflated off the rotation orbit
     problem = nb.build_nbody(nb.NBodyConfig(n=64, m0=10.0))
     q0 = nb.polygon_solution(64) + 0.03 * np.ones(128)
-    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    config = SolverConfig(tol_residual=1e-10)
     deflated = newton_solve(problem, q0, config, generators=nb.rotation_action().generators)
     assert summary["iterations"] == deflated.iterations <= 3
     assert summary["extras"]["inner_iterations"] == deflated.inner_iterations

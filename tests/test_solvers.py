@@ -20,7 +20,7 @@ from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution, rotation_
     dict(max_outer=0),
     dict(inner_maxit=0),
     dict(inner_tol=-1.0),
-    dict(inner_solver="qmr"),
+    dict(inner_tol=0.0),
     dict(divergence_cap=0.0),
     dict(anderson=-1),
 ])
@@ -32,7 +32,6 @@ def test_solver_config_rejects_bad_values(kwargs):
 def test_solver_config_defaults_are_sane():
     cfg = SolverConfig()
     assert cfg.tol_residual > 0 and cfg.max_outer >= 1
-    assert cfg.inner_solver in ("minres", "pcg")
     assert cfg.anderson == 0
 
 
@@ -248,7 +247,7 @@ def test_newton_linear_system_single_step():
     assert np.allclose(out.x, [1.0, 2.0], atol=1e-10)
 
 
-def test_newton_pcg_falls_back_on_indefinite_jacobian():
+def test_newton_converges_on_an_indefinite_jacobian():
     A = np.diag([1.0, -1.0])
     b = np.array([1.0, 1.0])
     problem = ProblemSpec(
@@ -256,25 +255,38 @@ def test_newton_pcg_falls_back_on_indefinite_jacobian():
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
     out = newton_solve(problem, np.zeros(2),
-                       SolverConfig(tol_residual=1e-12, max_outer=10, inner_solver="pcg"))
+                       SolverConfig(tol_residual=1e-12, max_outer=10))
     assert out.converged
     assert np.allclose(out.x, [1.0, -1.0], atol=1e-10)
-    assert out.pcg_fallbacks >= 1
-
-
-def test_newton_minres_path_never_counts_fallbacks():
-    A = np.diag([1.0, -1.0])
-    b = np.array([1.0, 1.0])
-    problem = ProblemSpec(
-        F=lambda x: A @ x - b,
-        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
-    )
-    out = newton_solve(problem, np.zeros(2),
-                       SolverConfig(tol_residual=1e-12, max_outer=10,
-                                    inner_solver="minres"))
-    assert out.converged
-    assert out.pcg_fallbacks == 0
     assert out.inner_iterations > 0
+
+
+def test_newton_default_config_runs_preconditioned_minres_once_a_step(monkeypatch):
+    # an indefinite diagonal J, on which conjugate gradients can break down
+    a = np.array([1.0, -2.0, 4.0])
+    b = np.ones(3)
+    problem = ProblemSpec(
+        F=lambda x: a * x + 0.1 * x ** 3 - b,
+        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: (a + 0.3 * x ** 2) * v,
+                                             symmetric=True),
+    )
+    preconds = []
+    real = solvers.minres
+
+    def recording(*args, **kwargs):
+        preconds.append(kwargs.get("precond"))
+        return real(*args, **kwargs)
+
+    def abs_inverse(v):
+        return v / np.abs(a)
+
+    monkeypatch.setattr(solvers, "minres", recording)
+    out = newton_solve(problem, np.zeros(3), SolverConfig(), precond=abs_inverse)
+    assert out.converged and out.iterations >= 3
+    # one call a step, none on the terminal iterate, each with the caller's preconditioner
+    assert len(preconds) == out.iterations == len(out.trace) - 1
+    assert all(p is abs_inverse for p in preconds)
+    assert out.inner_iterations == sum(out.trace.inner_iterations[:-1])
 
 
 def test_newton_minres_branch_applies_the_preconditioner():
@@ -290,7 +302,7 @@ def test_newton_minres_branch_applies_the_preconditioner():
         calls.append(1)
         return v / np.abs(np.diag(A))
 
-    config = SolverConfig(tol_residual=1e-12, max_outer=10, inner_solver="minres")
+    config = SolverConfig(tol_residual=1e-12, max_outer=10)
     plain = newton_solve(problem, np.zeros(3), config)
     out = newton_solve(problem, np.zeros(3), config, precond=abs_inverse)
     assert out.converged and np.allclose(out.x, b / np.diag(A), atol=1e-12)
@@ -307,18 +319,18 @@ def test_newton_projects_steps_off_the_generators():
         jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
     )
     out = newton_solve(problem, np.array([0.5, 0.0]),
-                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       SolverConfig(tol_residual=1e-12, max_outer=3),
                        generators=lambda x: [np.array([5.0, 0.0])])
     # the first coordinate lies along the generator and is never updated
     assert out.status == MAX_ITERATIONS
     assert out.x[0] == 0.5 and abs(out.x[1] - 1.0) < 1e-12
     # a zero generator (a fixed point of the group) removes nothing
     out = newton_solve(problem, np.array([0.5, 0.0]),
-                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       SolverConfig(tol_residual=1e-12, max_outer=3),
                        generators=lambda x: [np.zeros(2), np.array([5.0, 0.0])])
     assert out.x[0] == 0.5 and abs(out.x[1] - 1.0) < 1e-12
     out = newton_solve(problem, np.array([0.5, 0.0]),
-                       SolverConfig(tol_residual=1e-12, max_outer=3, inner_solver="minres"),
+                       SolverConfig(tol_residual=1e-12, max_outer=3),
                        generators=lambda x: [np.zeros(2)])
     assert out.converged and np.allclose(out.x, [1.0, 1.0], atol=1e-12)
 
@@ -328,7 +340,7 @@ def test_ring_newton_on_the_quotient():
     # polygon, so each step is solved on the slice transverse to the orbit
     problem = build_nbody(NBodyConfig(n=64, m0=10.0))
     q0 = polygon_solution(64) + 0.03 * np.ones(128)
-    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    config = SolverConfig(tol_residual=1e-10)
     generators = rotation_action().generators
     iterates = []
 
@@ -363,8 +375,7 @@ def test_newton_stalls_out_when_inner_budget_never_helps():
                                              symmetric=True),
     )
     out = newton_solve(problem, np.zeros(dim),
-                       SolverConfig(tol_residual=1e-12, max_outer=100,
-                                    inner_solver="minres", inner_maxit=5))
+                       SolverConfig(tol_residual=1e-12, max_outer=100, inner_maxit=5))
     assert out.status == MAX_ITERATIONS
     assert "without outer progress" in out.message
     assert out.iterations <= 5
@@ -452,7 +463,7 @@ def test_newton_without_generators_solves_every_step_to_inner_tol(monkeypatch):
     # J is singular along the ring's orbit, so no forcing term applies
     tols = _record_minres_tols(monkeypatch)
     problem = build_nbody(NBodyConfig(n=16, m0=10.0))
-    config = SolverConfig(tol_residual=1e-10, inner_solver="minres", inner_tol=1e-9)
+    config = SolverConfig(tol_residual=1e-10, inner_tol=1e-9)
     out = newton_solve(problem, polygon_solution(16) + 0.03 * np.ones(32), config)
     assert out.converged and out.iterations >= 2
     assert tols == [config.inner_tol] * out.iterations
@@ -462,7 +473,7 @@ def test_newton_without_generators_solves_every_step_to_inner_tol(monkeypatch):
 def test_newton_trace_records_each_quotient_inner_solve(monkeypatch):
     tols = _record_minres_tols(monkeypatch)
     problem = build_nbody(NBodyConfig(n=16, m0=10.0))
-    config = SolverConfig(tol_residual=1e-10, inner_solver="minres")
+    config = SolverConfig(tol_residual=1e-10)
     out = newton_solve(problem, polygon_solution(16) + 0.03 * np.ones(32), config,
                        generators=rotation_action().generators)
     assert out.converged and out.iterations >= 2
