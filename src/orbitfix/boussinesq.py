@@ -16,7 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply, fourier_symbols, inverse_2x2
+from .numlin import (FourierOperator, abs_inverse_2x2, fourier_apply, fourier_operator,
+                     fourier_symbols, inverse_2x2)
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -114,6 +115,8 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     carries the split (S, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
     symbols, one Fourier apply each. S^{-1} exists on every mode: det S =
     (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
+    The Jacobian at w0 is the FourierOperator S minus pointwise
+    multiplication by the symmetric 2x2 field [[eta0, u0], [u0, 0]].
     """
     n = params.n
     a11, a12, a22 = np.broadcast_arrays(*_linear_symbol(params))
@@ -129,20 +132,19 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
         w0 = np.asarray(w0, dtype=float)
         u0, eta0 = w0[:n], w0[n:]
 
-        def apply(v):
+        def coupling(v):
             vu, ve = v[:n], v[n:]
-            return fourier_apply(s_symbol, v) - np.concatenate([eta0 * vu + u0 * ve, u0 * vu])
+            return np.concatenate([eta0 * vu + u0 * ve, u0 * vu])
 
-        return LinearOperator(dim=2 * n, apply=apply, symmetric=True)
+        return fourier_operator(s_symbol, pointwise=coupling)
 
     def G(w):
         w = np.asarray(w, dtype=float)
         u, eta = w[:n], w[n:]
         return fourier_apply(s_inverse, np.concatenate([u * eta, 0.5 * u * u]))
 
-    linear = LinearOperator(dim=2 * n, apply=lambda v: fourier_apply(s_symbol, v), symmetric=True)
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at,
-                       homogeneous_split=HomogeneousSplit(linear, 2.0))
+                       homogeneous_split=HomogeneousSplit(fourier_operator(s_symbol), 2.0))
 
 
 def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:
@@ -205,18 +207,18 @@ def _reflection_block(params: BSParams, fields: np.ndarray, sign: float) -> np.n
     return block
 
 
-def precond_operator(params: BSParams) -> LinearOperator:
+def precond_operator(params: BSParams) -> FourierOperator:
     """|S|^{-1} for the linear part S of the travelling-wave system.
 
     Per Fourier mode S is the symmetric block [[-1, cs(1 + b xi^2)],
     [cs(1 + b xi^2), -(1 - c xi^2)]], indefinite with negative determinant.
     Its absolute value |S| has the same eigenvectors and the moduli of the
     eigenvalues, so |S|^{-1} is symmetric positive definite and serves as
-    the MINRES preconditioner for the indefinite Jacobian.
+    the MINRES preconditioner for the indefinite Jacobian. Passed to minres
+    as the operator itself, not its apply, it is fused with the Jacobian:
+    each iteration's M r and J M r come from one transform pair.
     """
-    symbol = abs_inverse_2x2(*_linear_symbol(params))
-    return LinearOperator(dim=2 * params.n, apply=lambda v: fourier_apply(symbol, v),
-                          symmetric=True)
+    return fourier_operator(abs_inverse_2x2(*_linear_symbol(params)))
 
 
 def _field_center(v: np.ndarray, half_length: float) -> float:

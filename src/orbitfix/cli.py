@@ -327,9 +327,10 @@ def _bs_solve(problem, params, w0, reference, args, method):
     if method == "petviashvili":
         return petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
                                   reference=reference, tol_on_F=True)
-    # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator
+    # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator;
+    # the operator, not its apply, so that MINRES fuses it with the Jacobian
     return newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
-                        precond=bq.precond_operator(params).apply,
+                        precond=bq.precond_operator(params),
                         generators=bq.translation_action(params).generators)
 
 

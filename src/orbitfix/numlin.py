@@ -17,12 +17,15 @@ import numpy as np
 __all__ = [
     "DENSE_DIM_LIMIT",
     "LinearOperator",
+    "FourierOperator",
     "KrylovStats",
     "SpectrumReport",
     "as_operator",
     "materialize",
     "fourier_symbols",
     "fourier_apply",
+    "fourier_operator",
+    "preconditioned_product",
     "inverse_2x2",
     "abs_inverse_2x2",
     "spectral_derivative",
@@ -39,6 +42,9 @@ DENSE_DIM_LIMIT = 4096
 # the matrix's own size
 _SYMMETRY_BAND = 64
 
+# floor of the Givens norm in MINRES, looked up once for all iterations
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class LinearOperator:
@@ -50,6 +56,20 @@ class LinearOperator:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class FourierOperator(LinearOperator):
+    """v -> symbol v mode by mode (fourier_apply), minus pointwise(v) when given.
+
+    symbol is a per-mode k x k matrix symbol of shape (k, k, n) and dim is
+    k n. apply computes exactly this map; build instances with
+    fourier_operator. MINRES reads the structure to fuse a Fourier
+    preconditioner with the operator (preconditioned_product).
+    """
+
+    symbol: np.ndarray
+    pointwise: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -152,9 +172,10 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     A scalar symbol of shape (n,) multiplies each n-sample block of v, so a
     stacked state (u, eta) goes through one batched transform. A matrix
-    symbol of shape (k, k, n) mixes k stacked fields mode by mode: v holds
-    k blocks of n samples and block i of the result is the sum over j of
-    symbol[i, j] times block j.
+    symbol of shape (m, k, n) maps k stacked fields to m mode by mode: v
+    holds k blocks of n samples and block i of the result (m blocks) is the
+    sum over j of symbol[i, j] times block j. Either way it takes one
+    forward and one batched inverse transform.
     """
     v = np.asarray(v, dtype=float)
     n = symbol.shape[-1]
@@ -163,13 +184,60 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
         if v.ndim != 1 or v.shape[0] % n:
             raise ValueError("vector length must be a multiple of the symbol length")
         return np.fft.irfft(np.fft.rfft(v.reshape(-1, n)) * half, n).reshape(v.shape)
-    k = symbol.shape[0]
-    if symbol.shape != (k, k, n):
-        raise ValueError("matrix symbol must have shape (k, k, n)")
+    if symbol.ndim != 3:
+        raise ValueError("matrix symbol must have shape (m, k, n)")
+    m, k = symbol.shape[:2]
     if v.shape != (k * n,):
         raise ValueError("vector length must be the symbol's field count times its length")
     v_hat = np.fft.rfft(v.reshape(k, n))
-    return np.fft.irfft((half * v_hat).sum(axis=1), n).reshape(v.shape)
+    return np.fft.irfft((half * v_hat).sum(axis=1), n).reshape(m * n)
+
+
+def fourier_operator(symbol: np.ndarray,
+                     pointwise: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                     ) -> FourierOperator:
+    """The symmetric map v -> fourier_apply(symbol, v) - pointwise(v).
+
+    symbol is a per-mode symmetric k x k matrix symbol of shape (k, k, n);
+    pointwise, when given, is a symmetric map on R^(k n) that acts sample
+    by sample, such as multiplication by fields.
+    """
+    if symbol.ndim != 3 or symbol.shape[0] != symbol.shape[1]:
+        raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n)")
+    if pointwise is None:
+        def apply(v):
+            return fourier_apply(symbol, v)
+    else:
+        def apply(v):
+            return fourier_apply(symbol, v) - pointwise(v)
+    return FourierOperator(dim=symbol.shape[0] * symbol.shape[2], apply=apply,
+                           symbol=symbol, pointwise=pointwise)
+
+
+def preconditioned_product(A, M) -> Optional[Callable]:
+    """r -> (M r, A M r) in one forward and one batched inverse transform, or None.
+
+    Defined when A and M are FourierOperators of the same shape and M has
+    no pointwise part. The symbols of M and of A's multiplier times M are
+    stacked once into a (2k, k, n) symbol, so one fourier_apply returns
+    M r and the multiplier part of A M r together; A's pointwise part is
+    then subtracted from M r. Any other pair returns None: its product is
+    the composition, M then A.
+    """
+    if not (isinstance(A, FourierOperator) and isinstance(M, FourierOperator)
+            and M.pointwise is None and A.symbol.shape == M.symbol.shape):
+        return None
+    stacked = np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)])
+    dim = M.dim
+
+    def apply(r):
+        out = fourier_apply(stacked, r)
+        y, ay = out[:dim], out[dim:]
+        if A.pointwise is not None:
+            ay -= A.pointwise(y)
+        return y, ay
+
+    return apply
 
 
 def inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
@@ -309,9 +377,13 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     """Minimum-residual iteration for symmetric (possibly indefinite) systems.
 
     precond, when given, applies a symmetric positive definite approximation
-    of A^{-1}. Returns (x, KrylovStats) with the true relative residual.
-    Stops on tolerance, iteration budget, or stagnation (no residual-estimate
-    decrease over 50 consecutive iterations).
+    M of A^{-1}: a callable, or an operator whose apply method applies M.
+    Each iteration applies M to the new residual r and A to M r; when A
+    and M are Fourier operators that preconditioned_product fuses, both
+    come from one transform pair, else M and then A are applied. Returns
+    (x, KrylovStats) with the true relative residual. Stops on tolerance,
+    iteration budget, or stagnation (no residual-estimate decrease over 50
+    consecutive iterations).
     """
     op = as_operator(A)
     b = np.asarray(b, dtype=float)
@@ -324,10 +396,18 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
     _check_symmetry_probe(op)
 
-    apply_m = precond if precond is not None else (lambda v: v)
+    apply_m = getattr(precond, "apply", precond) if precond is not None else (lambda v: v)
+    fused = None if precond is None else preconditioned_product(op, precond)
+
+    def precondition(r):
+        # (M r, A M r) when fused, else (M r, None) and A is applied to M r / beta
+        if fused is None:
+            return np.asarray(apply_m(r), dtype=float), None
+        return fused(r)
+
     x = np.zeros(op.dim)
     r1 = b.copy()
-    y = np.asarray(apply_m(r1), dtype=float)
+    y, ay = precondition(r1)
     beta1 = float(np.dot(r1, y))
     if beta1 <= 0.0:
         raise ValueError("preconditioner is not positive definite")
@@ -348,14 +428,14 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     stalled = 0
     for it in range(1, maxit + 1):
         v = y / beta
-        y = op.apply(v)
+        y = op.apply(v) if ay is None else ay / beta
         if it >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(np.dot(v, y))
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = np.asarray(apply_m(r2), dtype=float)
+        y, ay = precondition(r2)
         oldb = beta
         beta = float(np.dot(r2, y))
         if beta < 0.0:
@@ -367,7 +447,7 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        gamma = max(np.hypot(gbar, beta), _EPS)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar

@@ -304,7 +304,7 @@ def test_criterion_08_newton_pcg_recentering():
     out = newton_solve(problem, w0,
                        SolverConfig(tol_residual=1e-12, max_outer=1000, inner_maxit=500),
                        reference=profile.wave,
-                       precond=bq.precond_operator(params).apply,
+                       precond=bq.precond_operator(params),
                        generators=bq.translation_action(params).generators)
     xc = bq.translation_shift(out.x, 50.0)
     ratios = convergence_ratios(out.trace.residuals)
@@ -328,7 +328,7 @@ def test_criterion_09_shift_family_reproduction():
     deta = spectral_derivative(w[n:], 50.0, 1)
     expected = {0.1: -9.9534e-2, 0.05: -4.9941e-2, 0.01: -9.9995e-3, 0.005: -4.9999e-3}
     config = SolverConfig(tol_residual=1e-11, max_outer=1000, inner_maxit=500)
-    precond = bq.precond_operator(params).apply
+    precond = bq.precond_operator(params)
     generators = bq.translation_action(params).generators
     ok = True
     parts = []

@@ -7,7 +7,8 @@ from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile, grid
                                  propagate, reflection_blocks, translation_action,
                                  translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
-                             fourier_symbols, inverse_2x2, materialize, minres)
+                             fourier_symbols, inverse_2x2, materialize, minres,
+                             preconditioned_product)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
 
@@ -399,6 +400,51 @@ def test_precond_minres_solves_linear_part_in_few_iterations():
     assert np.linalg.norm(S.apply(x) - b) <= 1e-10 * np.linalg.norm(b)
 
 
+# ---------------- |S|^{-1} fused with the Jacobian ----------------
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["wave", "perturbed"])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_fused_product_equals_precond_then_jacobian(n, perturbed):
+    params = _params(n=n, half_length=50.0)
+    rng = np.random.default_rng(n)
+    w = exact_profile(THETA2, n, 50.0).wave
+    if perturbed:
+        w = w + 0.05 * rng.standard_normal(2 * n)
+        with pytest.raises(ValueError, match="not even"):
+            reflection_blocks(params, w)
+    J = build_bs_problem(params).jacobian_at(w)
+    M = precond_operator(params)
+    r = rng.standard_normal(2 * n) + np.tile((-1.0) ** np.arange(n), 2)
+    assert np.min(np.abs(np.fft.rfft(r.reshape(2, n))[:, -1])) > 1.0  # Nyquist content
+    y, jy = preconditioned_product(J, M)(r)
+    my = M.apply(r)
+    assert _rel_err(y, my) <= 1e-13
+    assert _rel_err(jy, J.apply(my)) <= 1e-13
+
+
+def test_fused_minres_takes_one_transform_pair_an_iteration(monkeypatch):
+    params, w0 = _generator_seed(512, 0.1)
+    problem = build_bs_problem(params)
+    J = problem.jacobian_at(w0)
+    M = precond_operator(params)
+    g = translation_action(params).generators(w0)[0]
+    rhs = -problem.F(w0)
+    rhs = rhs - (np.dot(g, rhs) / np.dot(g, g)) * g
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    _, stats = minres(J, rhs, tol=1e-10, maxit=500, precond=M)
+    monkeypatch.undo()
+    assert stats.iterations >= 10 and stats.relative_residual <= 1e-9
+    # fixed work, one transform pair each: the two symmetry-probe products,
+    # the first (M r, J M r) and the final true residual
+    assert len(calls) == 2 * 4 + 2 * stats.iterations
+    assert calls.count("rfft") == calls.count("irfft")
+
+
 # ---------------- deflated, preconditioned Newton ----------------
 
 def _wave_newton(params, w0, tol, record=None):
@@ -412,7 +458,7 @@ def _wave_newton(params, w0, tol, record=None):
 
         problem = replace(problem, F=recording_F)
     config = SolverConfig(tol_residual=tol, max_outer=50, inner_maxit=500)
-    return newton_solve(problem, w0, config, precond=precond_operator(params).apply,
+    return newton_solve(problem, w0, config, precond=precond_operator(params),
                         generators=translation_action(params).generators)
 
 

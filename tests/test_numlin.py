@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, precond_operator
+from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             abs_inverse_2x2, inverse_2x2,
+                             _check_symmetry_probe, abs_inverse_2x2, inverse_2x2,
                              as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
-                             fourier_symbols, materialize, minres, pcg, spectral_derivative)
+                             fourier_operator, fourier_symbols, materialize, minres, pcg,
+                             preconditioned_product, spectral_derivative)
 
 
 # ---------------- spectral_derivative ----------------
@@ -106,6 +109,72 @@ def test_fourier_apply_matrix_symbol_rejects_bad_shapes():
         fourier_apply(symbol, np.ones(24))
     with pytest.raises(ValueError):
         fourier_apply(np.ones((2, 3, 8)), np.ones(16))
+
+
+def _even_symbol(rng, shape):
+    # real and even in the mode, so Hermitian; symmetric per mode when square
+    symbol = rng.standard_normal(shape)
+    symbol = symbol + symbol[..., (-np.arange(shape[-1])) % shape[-1]]
+    return symbol + symbol.transpose(1, 0, 2) if shape[0] == shape[1] else symbol
+
+
+def test_fourier_apply_rectangular_symbol_stacks_its_rows():
+    # an (m, k, n) symbol maps k fields to m; row block i is the (1, k, n) symbol's image
+    n = 16
+    rng = np.random.default_rng(12)
+    symbol = _even_symbol(rng, (3, 2, n))
+    v = rng.standard_normal(2 * n)
+    out = fourier_apply(symbol, v)
+    assert out.shape == (3 * n,)
+    for i in range(3):
+        assert np.allclose(out[i * n:(i + 1) * n], fourier_apply(symbol[i:i + 1], v),
+                           rtol=0.0, atol=1e-14)
+
+
+# ---------------- Fourier operators ----------------
+
+def _fourier_pair(n, seed):
+    # A = symbol minus a pointwise field; M a symmetric positive definite multiplier
+    rng = np.random.default_rng(seed)
+    field = rng.standard_normal(2 * n)
+    A = fourier_operator(_even_symbol(rng, (2, 2, n)), pointwise=lambda v: field * v)
+    root = _even_symbol(rng, (2, 2, n))
+    M = fourier_operator(np.einsum("ijn,kjn->ikn", root, root) + np.eye(2)[:, :, None])
+    return A, M, field, rng
+
+
+def test_fourier_operator_applies_symbol_minus_pointwise():
+    n = 16
+    A, M, field, rng = _fourier_pair(n, 13)
+    v = rng.standard_normal(2 * n)
+    assert A.dim == M.dim == 2 * n and A.symmetric and M.pointwise is None
+    assert np.array_equal(A.apply(v), fourier_apply(A.symbol, v) - field * v)
+    assert np.array_equal(M(v), fourier_apply(M.symbol, v))
+    dense = materialize(A)
+    assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
+    for bad in (np.ones(8), np.ones((2, 3, 8))):
+        with pytest.raises(ValueError):
+            fourier_operator(bad)
+
+
+def test_preconditioned_product_equals_the_composition():
+    n = 32
+    A, M, _, rng = _fourier_pair(n, 14)
+    r = rng.standard_normal(2 * n)
+    y, ay = preconditioned_product(A, M)(r)
+    assert np.allclose(y, M(r), rtol=0.0, atol=1e-13 * np.linalg.norm(y))
+    assert np.allclose(ay, A(M(r)), rtol=0.0, atol=1e-13 * np.linalg.norm(ay))
+
+
+def test_preconditioned_product_declines_what_it_cannot_fuse():
+    n = 16
+    A, M, _, rng = _fourier_pair(n, 15)
+    plain = LinearOperator(dim=M.dim, apply=M.apply)
+    assert preconditioned_product(A, M) is not None
+    # a callable, a plain operator, an M with a pointwise part, a dense A, another grid
+    for a, m in ((A, M.apply), (A, plain), (A, A), (plain, M), (materialize(A), M),
+                 (fourier_operator(_even_symbol(rng, (2, 2, 2 * n))), M)):
+        assert preconditioned_product(a, m) is None
 
 
 def test_abs_inverse_2x2_matches_eigendecomposition():
@@ -375,6 +444,136 @@ def test_minres_preconditioned():
     d = 1.0 / np.diag(A)
     x, stats = minres(A, b, tol=1e-12, precond=lambda v: d * v)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
+
+
+def _reference_minres(A, b, tol=1e-10, maxit=500, precond=None):
+    """MINRES as it was before preconditioned products were fused.
+
+    Each iteration applies the preconditioner to the new residual and then A
+    to the scaled result. Kept as the reference for the paths that must not
+    change: unpreconditioned, and preconditioned by a plain callable.
+    """
+    op = as_operator(A)
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(op.dim), KrylovStats(0, 0.0, False)
+    _check_symmetry_probe(op)
+
+    apply_m = precond if precond is not None else (lambda v: v)
+    x = np.zeros(op.dim)
+    r1 = b.copy()
+    y = np.asarray(apply_m(r1), dtype=float)
+    beta1 = np.sqrt(float(np.dot(r1, y)))
+    oldb = 0.0
+    beta = beta1
+    dbar = 0.0
+    epsln = 0.0
+    phibar = beta1
+    cs = -1.0
+    sn = 0.0
+    w = np.zeros(op.dim)
+    w2 = np.zeros(op.dim)
+    r2 = r1.copy()
+    it = 0
+    best = np.inf
+    stalled = 0
+    for it in range(1, maxit + 1):
+        v = y / beta
+        y = op.apply(v)
+        if it >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.dot(v, y))
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = np.asarray(apply_m(r2), dtype=float)
+        oldb = beta
+        beta = np.sqrt(float(np.dot(r2, y)))
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+
+        rel = phibar / beta1
+        if rel < best:
+            best = rel
+            stalled = 0
+        else:
+            stalled += 1
+        if rel <= tol or stalled > 50:
+            break
+
+    true_rel = float(np.linalg.norm(b - op.apply(x)) / bnorm)
+    return x, KrylovStats(it, true_rel, False)
+
+
+def _dense_indefinite():
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = (q * np.linspace(-3.0, 5.0, 60)) @ q.T
+    return (A + A.T) / 2.0, rng.standard_normal(60), None
+
+
+def _ring_jacobian():
+    problem = build_nbody(NBodyConfig(n=16, m0=10.0))
+    x = polygon_solution(16) + 0.01 * np.random.default_rng(22).standard_normal(32)
+    return problem.jacobian_at(x), -problem.F(x), None
+
+
+def _wave_jacobian_with_callable_precond():
+    # |S|^{-1}'s apply is a plain callable: no operator to fuse with, so M then J
+    n = 256
+    profile = exact_profile(0.9, n, 25.0)
+    params = BSParams(theta2=0.9, speed=profile.speed, n=n, half_length=25.0)
+    problem = build_bs_problem(params)
+    w = profile.wave + 0.01 * np.random.default_rng(23).standard_normal(2 * n)
+    return problem.jacobian_at(w), -problem.F(w), precond_operator(params).apply
+
+
+@pytest.mark.parametrize("case", [_dense_indefinite, _ring_jacobian,
+                                  _wave_jacobian_with_callable_precond],
+                         ids=["dense-indefinite", "ring-16", "wave-callable-precond"])
+def test_minres_matches_the_reference_loop_bit_for_bit(case):
+    A, b, precond = case()
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return precond(v)
+
+    x, stats = minres(A, b, tol=1e-12, maxit=500,
+                      precond=None if precond is None else counted)
+    x_ref, stats_ref = _reference_minres(A, b, tol=1e-12, maxit=500, precond=precond)
+    assert stats.iterations > 5
+    assert np.array_equal(x, x_ref) and stats == stats_ref
+    # the plain composition: one preconditioner call on b and one an iteration
+    assert len(calls) == (0 if precond is None else stats.iterations + 1)
+
+
+def test_minres_takes_a_preconditioner_by_its_apply_method():
+    A, b, _ = _dense_indefinite()
+    d = 1.0 / (1.0 + np.abs(np.diag(A)))
+
+    class Diagonal:
+        def apply(self, v):
+            return d * v
+
+    x, stats = minres(A, b, tol=1e-12, precond=Diagonal())
+    x_ref, stats_ref = _reference_minres(A, b, tol=1e-12, precond=lambda v: d * v)
+    assert np.array_equal(x, x_ref) and stats == stats_ref
 
 
 def test_minres_rhs_length_mismatch():
