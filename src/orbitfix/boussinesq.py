@@ -221,14 +221,18 @@ def precond_operator(params: BSParams) -> FourierOperator:
     return fourier_operator(abs_inverse_2x2(*_linear_symbol(params)))
 
 
+def _wrap(v: float, half_length: float) -> float:
+    # the point of (-L, L] that v reaches by whole periods 2L
+    v = (v + half_length) % (2.0 * half_length) - half_length
+    return half_length if v == -half_length else v
+
+
 def _field_center(v: np.ndarray, half_length: float) -> float:
     # first Fourier mode relative to the cell center locates the bump
     m1 = -np.fft.rfft(np.asarray(v, dtype=float))[1]
     if abs(m1) < 1e-13:
         raise ValueError("first Fourier mode too small to locate the wave")
-    xc = -(half_length / np.pi) * float(np.angle(m1))
-    xc = (xc + half_length) % (2.0 * half_length) - half_length
-    return half_length if xc == -half_length else xc
+    return _wrap(-(half_length / np.pi) * float(np.angle(m1)), half_length)
 
 
 def translation_shift(w, half_length: float, component: str = "eta") -> float:
@@ -254,7 +258,9 @@ def translation_action(params: BSParams) -> GroupAction:
     exp(-i xi_N alpha), so act keeps only its real part, c cos(xi_N alpha).
     act therefore obeys the group law act(a, act(b, w)) = act(a + b, w)
     only on fields without a Nyquist mode (or at shifts that are whole
-    multiples of the grid step).
+    multiples of the grid step). align reads the shift from the first
+    Fourier mode of eta: exact between translates, and otherwise an
+    element whose distance bounds the L2 orbit distance from above.
     """
     n = params.n
     L = params.half_length
@@ -267,12 +273,9 @@ def translation_action(params: BSParams) -> GroupAction:
         return [-fourier_apply(d1, w)]
 
     def align(x, xref):
-        delta = _field_center(x[n:], L) - _field_center(xref[n:], L)
-        delta = (delta + L) % (2.0 * L) - L
-        return L if delta == -L else delta
+        return _wrap(_field_center(x[n:], L) - _field_center(xref[n:], L), L)
 
-    return GroupAction(n_generators=1, act=act, generators=generators,
-                       align=align, period=2.0 * L)
+    return GroupAction(act=act, generators=generators, align=align)
 
 
 @dataclass

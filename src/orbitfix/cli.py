@@ -96,9 +96,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_trace(out: Path, trace):
-    _write_csv(out / "trace.csv",
-               ("n", "residual", "ref_error", "stab_factor", "step_norm",
-                "inner_tol", "inner_iterations", "inner_residual"),
+    _write_csv(out / "trace.csv", trace.COLUMNS,
                ((str(n), *cells) for n, *cells in trace.rows()))
 
 
@@ -191,7 +189,6 @@ def _add_common_flags(p):
 def _add_perturb_flags(p, kinds):
     p.add_argument("--perturb", choices=("none",) + kinds, default="none")
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--x0", type=float, default=0.0)
 
 
 def _finite(x) -> bool:
@@ -498,6 +495,8 @@ def _build_parser() -> _Parser:
         p = bs_cmds.add_parser(name)
         bs_solver(p)
         _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
+        # where the gauss bumps sit; the ring's perturbations have no position
+        p.add_argument("--x0", type=float, default=0.0)
         p.set_defaults(func=cmd_bs_solve)
 
     p = bs_cmds.add_parser("spectrum")

@@ -214,11 +214,9 @@ def _rotation_align(x: np.ndarray, xref: np.ndarray) -> float:
 def rotation_action() -> GroupAction:
     """Simultaneous rotation of all bodies about the origin."""
     return GroupAction(
-        n_generators=1,
         act=lambda alpha, q: _rotate(float(alpha), np.asarray(q, dtype=float)),
         generators=lambda q: [_rotation_generator(np.asarray(q, dtype=float))],
         align=_rotation_align,
-        period=2.0 * np.pi,
     )
 
 

@@ -9,6 +9,7 @@ distance to that fixed reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -117,6 +118,10 @@ class IterationTrace:
     the terminal row.
     """
 
+    # the names of rows()'s cells, in order; trace.csv's header
+    COLUMNS = ("n", "residual", "ref_error", "stab_factor", "step_norm",
+               "inner_tol", "inner_iterations", "inner_residual")
+
     residuals: List[float] = field(default_factory=list)
     ref_errors: List[Optional[float]] = field(default_factory=list)
     stab_factors: List[Optional[float]] = field(default_factory=list)
@@ -146,8 +151,7 @@ class IterationTrace:
         return len(self.residuals)
 
     def rows(self):
-        """(n, residual, ref_error, stab_factor, step_norm, inner_tol,
-        inner_iterations, inner_residual) tuples."""
+        """One tuple per iterate, its cells named by COLUMNS."""
         for k in range(len(self.residuals)):
             yield (k, self.residuals[k], self.ref_errors[k],
                    self.stab_factors[k], self.step_norms[k], self.inner_tols[k],
@@ -235,13 +239,16 @@ def _fixed_point_loop(step: Callable, x0: np.ndarray, config: SolverConfig,
     step(x) returns (G(x), stabilizing factor or None, next iterate or the
     reason there is none, |F(x)| as a zero-argument callable or None). Runs
     classify on the gap |x - G(x)|; with tol_on_F, a gap below tolerance
-    counts as converged only once |F(x)| meets it too.
+    counts as converged only once |F(x)| meets it too. |F(x)| is evaluated
+    at most once per iterate.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
     mix = AndersonMixer(config.anderson) if config.anderson else None
     for n in range(config.max_outer + 1):
         gx, s, nxt, f_norm = step(x)
+        if f_norm is not None:
+            f_norm = functools.cache(f_norm)
         residual = float(np.linalg.norm(x - gx))
         ref_error = None if reference is None else float(np.linalg.norm(x - reference))
         trace.append(residual, ref_error, s)

@@ -10,7 +10,7 @@ which orbit element a seed will reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,17 +28,14 @@ class GroupAction:
     """A finite-dimensional group acting on state vectors.
 
     act(alpha, x) applies the element with parameter alpha; generators(x)
-    returns the l tangent vectors d/dalpha act(alpha, x) at alpha = 0.
-    align(x, xref), when provided, is a closed-form minimizer of
-    ||x - act(alpha, xref)|| over one parameter. period bounds the
-    parameter range searched when no closed form exists.
+    returns the l tangent vectors d/dalpha act(alpha, x) at alpha = 0;
+    align(x, xref) returns, in closed form, the parameter of the orbit
+    element of xref that align_to_orbit measures x against.
     """
 
-    n_generators: int
     act: Callable
     generators: Callable
-    align: Optional[Callable] = None
-    period: float = 2.0 * np.pi
+    align: Callable
 
 
 @dataclass(frozen=True)
@@ -80,51 +77,18 @@ def kernel_check(problem, xstar: np.ndarray, action: GroupAction) -> float:
     return worst
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def align_to_orbit(x: np.ndarray, xref: np.ndarray, action: GroupAction) -> OrbitReport:
-    """Nearest element of the orbit of xref to x, for one-parameter groups.
+    """Distance from x to the orbit element of xref chosen by action.align.
 
-    Uses the action's closed-form alignment when available; otherwise a
-    coarse scan over one period refined by golden-section search, so the
-    reported parameter is a global minimizer up to scan resolution.
+    The distance is exact when align is the true minimizer over the orbit
+    and an upper bound on the orbital distance otherwise; either way it is
+    never reported above the raw distance |x - xref|.
     """
-    if action.n_generators != 1:
-        raise ValueError("align_to_orbit supports one-parameter groups only")
     x = np.asarray(x, dtype=float)
     xref = np.asarray(xref, dtype=float)
     raw = float(np.linalg.norm(x - xref))
-
-    def dist(alpha):
-        return float(np.linalg.norm(x - action.act(alpha, xref)))
-
-    if action.align is not None:
-        alpha = float(action.align(x, xref))
-    else:
-        period = action.period
-        m = 64
-        grid_pts = (np.arange(m) / m - 0.5) * period
-        k = int(np.argmin([dist(a) for a in grid_pts]))
-        lo = grid_pts[k] - period / m
-        hi = grid_pts[k] + period / m
-        alpha = _golden_minimize(dist, lo, hi, 1e-13 * max(period, 1.0))
-    orbital = dist(alpha)
+    alpha = float(action.align(x, xref))
+    orbital = float(np.linalg.norm(x - action.act(alpha, xref)))
     # alpha = 0 reproduces the reference itself; never report worse than that
     if raw < orbital:
         alpha, orbital = 0.0, raw

@@ -545,6 +545,27 @@ def test_petviashvili_stops_on_the_residual_not_only_the_gap():
     assert on_F.f_norm == pytest.approx(np.linalg.norm(problem.F(on_F.x)), rel=1e-6)
 
 
+def test_petviashvili_evaluates_F_once_per_iterate():
+    # |F| is asked for only once the gap meets the tolerance, and at most once
+    # per iterate: here at the last two, the second accepted with that value
+    n = 512
+    profile = exact_profile(THETA2, n, 50.0)
+    params = BSParams(theta2=THETA2, speed=1.1 * profile.speed, n=n, half_length=50.0)
+    problem = build_bs_problem(params)
+    calls = []
+
+    def counted_F(w):
+        calls.append(1)
+        return problem.F(w)
+
+    config = SolverConfig(tol_residual=1e-11, max_outer=50, anderson=5)
+    out = petviashvili_solve(replace(problem, F=counted_F), profile.wave, config,
+                             tol_on_F=True)
+    assert (out.status, out.iterations) == ("ConvergedResidual", 12)
+    assert len(calls) == sum(r <= 1e-11 for r in out.trace.residuals) == 2
+    assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
+
+
 def test_petviashvili_lands_on_the_newton_wave():
     n = 512
     profile = exact_profile(THETA2, n, 50.0)

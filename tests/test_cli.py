@@ -13,7 +13,7 @@ import orbitfix
 from orbitfix import boussinesq as bq
 from orbitfix import nbody as nb
 from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, _write_csv, main
-from orbitfix.solvers import SolverConfig, newton_solve
+from orbitfix.solvers import IterationTrace, SolverConfig, newton_solve
 
 try:
     import jsonschema
@@ -60,6 +60,13 @@ def test_bad_theta2_is_usage_error(tmp_path):
 def test_gamma_flag_is_usage_error(tmp_path):
     # the stabilizing exponent follows from the nonlinearity's degree
     assert main(["nbody", "solve", "--gamma", "0.5", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "orbit"])
+def test_x0_is_a_bs_flag_only(tmp_path, command):
+    # --x0 places the gauss bumps; the ring's perturbations have no position
+    assert main(["nbody", command, "--x0", "5", "--out", str(tmp_path)]) == 1
+    assert _build_parser().parse_args(["bs", command, "--x0", "1.5"]).x0 == 1.5
 
 
 @pytest.mark.parametrize("extra, method, anderson", [
@@ -227,6 +234,16 @@ def test_nbody_solve_success(tmp_path):
 
     with open(tmp_path / "bodies.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_trace_header_names_the_row_cells(tmp_path):
+    assert main(["nbody", "solve", "--perturb", "ones", "--eps", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert header == ("n,residual,ref_error,stab_factor,step_norm,"
+                      "inner_tol,inner_iterations,inner_residual")
+    assert header.split(",") == list(IterationTrace.COLUMNS)
+    assert rows and all(row.count(",") == len(IterationTrace.COLUMNS) - 1 for row in rows)
 
 
 def test_nbody_solve_divergent_exit_code(tmp_path):

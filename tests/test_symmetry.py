@@ -53,12 +53,6 @@ def test_translation_generator_matches_fd():
     assert np.allclose(g, fd, atol=1e-5)
 
 
-def test_translation_period_is_domain_length():
-    params = _bs_params()
-    action = translation_action(params)
-    assert abs(action.period - 2 * params.half_length) < 1e-14
-
-
 # ---------------- OrbitReport invariant ----------------
 
 def test_orbit_report_rejects_distance_above_raw():
@@ -88,7 +82,8 @@ def test_kernel_check_requires_solution():
 
 def test_kernel_check_empty_group_is_zero():
     problem = build_nbody(NBodyConfig(n=2, m0=10.0))
-    trivial = GroupAction(n_generators=0, act=lambda a, x: x, generators=lambda x: [])
+    trivial = GroupAction(act=lambda a, x: x, generators=lambda x: [],
+                          align=lambda x, xref: 0.0)
     assert kernel_check(problem, polygon_solution(2), trivial) == 0.0
 
 
@@ -111,18 +106,6 @@ def test_align_identical_points():
     assert rep.orbital_distance <= 1e-13
 
 
-def test_align_golden_fallback_matches_closed_form():
-    action = rotation_action()
-    scan = GroupAction(n_generators=1, act=action.act, generators=action.generators,
-                       align=None, period=action.period)
-    q = polygon_solution(4)
-    x = action.act(-0.45, q)
-    direct = align_to_orbit(x, q, action)
-    blind = align_to_orbit(x, q, scan)
-    assert abs(blind.alpha_star - direct.alpha_star) < 1e-6
-    assert blind.orbital_distance <= 1e-8
-
-
 def test_align_translation_profile():
     params = _bs_params()
     action = translation_action(params)
@@ -135,13 +118,24 @@ def test_align_translation_profile():
 
 
 def test_align_never_worse_than_raw():
-    action = rotation_action()
     rng = np.random.default_rng(11)
+    action = rotation_action()
     q = polygon_solution(3)
-    for _ in range(5):
-        x = q + 0.2 * rng.standard_normal(q.size)
-        rep = align_to_orbit(x, q, action)
-        assert rep.orbital_distance <= rep.raw_distance + 1e-12
+    cases = [(action, x, q) for x in (q + 0.2 * rng.standard_normal(q.size) for _ in range(5))]
+    # translates of the wave pushed off its orbit: align reads the shift from
+    # the first Fourier mode, so its element need not be the nearest one. The
+    # shifts stay clear of 0, where the clamp to alpha = 0 can take over.
+    params = _bs_params()
+    action = translation_action(params)
+    w = exact_profile(0.9, params.n, params.half_length).wave
+    cases += [(action, action.act(delta, w) + 0.05 * rng.standard_normal(w.size), w)
+              for delta in (-17.3, -2.6, 0.9, 8.4)]
+    for action, x, xref in cases:
+        rep = align_to_orbit(x, xref, action)
+        assert rep.orbital_distance <= rep.raw_distance
+        alpha = action.align(x, xref)
+        assert rep.alpha_star == alpha
+        assert rep.orbital_distance == np.linalg.norm(x - action.act(alpha, xref))
 
 
 # ---------------- predict_limit ----------------
@@ -168,8 +162,8 @@ def test_predict_limit_orthogonal_perturbation_is_zero():
 def test_predict_limit_rejects_degenerate_generators():
     q = polygon_solution(2)
     g = rotation_action().generators(q)[0]
-    dup = GroupAction(n_generators=2, act=lambda a, x: x,
-                      generators=lambda x: [g, g])
+    dup = GroupAction(act=lambda a, x: x, generators=lambda x: [g, g],
+                      align=lambda x, xref: 0.0)
     with pytest.raises(ValueError, match="dependent"):
         predict_limit(q + g, q, dup)
 
