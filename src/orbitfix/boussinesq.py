@@ -31,6 +31,7 @@ __all__ = [
     "precond_operator",
     "translation_action",
     "translation_shift",
+    "periodic_wrap",
     "PropagationResult",
     "propagate",
 ]
@@ -221,8 +222,8 @@ def precond_operator(params: BSParams) -> FourierOperator:
     return fourier_operator(abs_inverse_2x2(*_linear_symbol(params)))
 
 
-def _wrap(v: float, half_length: float) -> float:
-    # the point of (-L, L] that v reaches by whole periods 2L
+def periodic_wrap(v: float, half_length: float) -> float:
+    """The point of (-L, L] that v reaches by whole periods 2L; -L itself reads L."""
     v = (v + half_length) % (2.0 * half_length) - half_length
     return half_length if v == -half_length else v
 
@@ -232,7 +233,7 @@ def _field_center(v: np.ndarray, half_length: float) -> float:
     m1 = -np.fft.rfft(np.asarray(v, dtype=float))[1]
     if abs(m1) < 1e-13:
         raise ValueError("first Fourier mode too small to locate the wave")
-    return _wrap(-(half_length / np.pi) * float(np.angle(m1)), half_length)
+    return periodic_wrap(-(half_length / np.pi) * float(np.angle(m1)), half_length)
 
 
 def translation_shift(w, half_length: float, component: str = "eta") -> float:
@@ -273,7 +274,7 @@ def translation_action(params: BSParams) -> GroupAction:
         return [-fourier_apply(d1, w)]
 
     def align(x, xref):
-        return _wrap(_field_center(x[n:], L) - _field_center(xref[n:], L), L)
+        return periodic_wrap(_field_center(x[n:], L) - _field_center(xref[n:], L), L)
 
     return GroupAction(act=act, generators=generators, align=align)
 

@@ -264,8 +264,6 @@ def cmd_nbody_spectrum(args, out: Path) -> dict:
 
 def _bs_profile(args):
     """(closed-form profile, BSParams at --cs or else at the profile's own speed)."""
-    if not (7.0 / 9.0 < args.theta2 < 1.0):
-        raise _UsageError("seeding requires --theta2 in (7/9, 1)")
     profile = bq.exact_profile(args.theta2, args.grid_n, args.half_length)
     speed = args.cs if args.cs is not None else profile.speed
     return profile, bq.BSParams(theta2=args.theta2, speed=speed, n=args.grid_n,
@@ -300,35 +298,29 @@ def _bs_seed(profile, params, kind, eps, x0):
 BS_ANDERSON = 5
 
 
-def _bs_method(args, profile):
-    """The method a bs solve runs, decided from the arguments alone.
+def _bs_solve(args, profile, params, problem, w0, perturbed):
+    """Solve for the wave from w0; return (outcome, extras naming the method).
 
     An explicit --method wins. Otherwise the unperturbed closed-form wave
-    seeding a solve at another speed runs Petviashvili; perturbed seeds and
-    seeds at the closed-form speed run Newton, whose limit is the orbit
-    element the shift diagnostics measure.
+    seeding a solve at another speed runs Petviashvili; perturbed seeds
+    (perturbed=True) and seeds at the closed-form speed run Newton, whose
+    limit is the orbit element the shift diagnostics measure.
+    outcome.f_norm is |F| at the returned wave.
     """
-    if args.method is not None:
-        return args.method
-    if getattr(args, "perturb", "none") == "none" and _bs_reference(args, profile) is None:
-        return "petviashvili"
-    return "newton"
-
-
-def _method_extras(method) -> dict:
-    return {"method": method, "anderson": BS_ANDERSON if method == "petviashvili" else None}
-
-
-def _bs_solve(problem, params, w0, reference, args, method):
-    """Solve by `method`; outcome.f_norm is |F| at the returned wave."""
+    reference = _bs_reference(args, profile)
+    method = args.method
+    if method is None:
+        method = "petviashvili" if not perturbed and reference is None else "newton"
     if method == "petviashvili":
-        return petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
-                                  reference=reference, tol_on_F=True)
+        outcome = petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
+                                     reference=reference, tol_on_F=True)
+        return outcome, {"method": method, "anderson": BS_ANDERSON}
     # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator;
     # the operator, not its apply, so that MINRES fuses it with the Jacobian
-    return newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
-                        precond=bq.precond_operator(params),
-                        generators=bq.translation_action(params).generators)
+    outcome = newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
+                           precond=bq.precond_operator(params),
+                           generators=bq.translation_action(params).generators)
+    return outcome, {"method": method, "anderson": None}
 
 
 def _centers(w, params):
@@ -351,15 +343,14 @@ def _write_profile(out: Path, w, params):
 
 def cmd_bs_solve(args, out: Path) -> dict:
     profile, params = _bs_profile(args)
-    problem = bq.build_bs_problem(params)
-    reference = _bs_reference(args, profile)
     w0 = _bs_seed(profile, params, args.perturb, args.eps, args.x0)
-    method = _bs_method(args, profile)
-    outcome = _bs_solve(problem, params, w0, reference, args, method)
+    outcome, ran = _bs_solve(args, profile, params, bq.build_bs_problem(params), w0,
+                             perturbed=args.perturb != "none")
     _write_trace(out, outcome.trace)
     _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave, params)
     orbit = None
-    extras = {"inner_iterations": outcome.inner_iterations, **_method_extras(method)}
+    extras = {"inner_iterations": outcome.inner_iterations, **ran}
+    reference = _bs_reference(args, profile)
     if _finite(outcome.x):
         extras.update(_centers(outcome.x, params))
         if reference is not None:
@@ -380,14 +371,12 @@ def cmd_bs_spectrum(args, out: Path) -> dict:
 def cmd_bs_shift_table(args, out: Path) -> dict:
     profile, params = _bs_profile(args)
     problem = bq.build_bs_problem(params)
-    reference = _bs_reference(args, profile)
     eps_values = _floats(args.eps, "--eps")
-    # derivative-direction seeds are perturbed: Newton unless --method says otherwise
-    method = args.method or "newton"
     rows = []
     for eps in eps_values:
+        # derivative-direction seeds are perturbed
         w0 = _bs_seed(profile, params, "generator-discrete", eps, 0.0)
-        outcome = _bs_solve(problem, params, w0, reference, args, method)
+        outcome, ran = _bs_solve(args, profile, params, problem, w0, perturbed=True)
         row = {"eps": eps, "status": outcome.status,
                "final_residual": float(outcome.f_norm),
                "x_u": None, "x_eta": None}
@@ -395,22 +384,22 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
             row.update(_centers(outcome.x, params))
         rows.append(row)
     _write_json(out / "shift_table.json", rows)
-    return {"extras": {"table": rows, **_method_extras(method)},
+    return {"extras": {"table": rows, **ran},
             "exit_code": max(_EXIT_CODES[row["status"]] for row in rows)}
 
 
 def cmd_bs_propagate(args, out: Path) -> dict:
     snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     profile, params = _bs_profile(args)
-    found = {"extras": _method_extras(None)}
+    found = {"extras": {"method": None, "anderson": None}}
     w0 = profile.wave
     if _bs_reference(args, profile) is None:
         # no closed form at this speed: compute the travelling wave first
-        method = _bs_method(args, profile)
-        outcome = _bs_solve(bq.build_bs_problem(params), params, w0, None, args, method)
+        outcome, ran = _bs_solve(args, profile, params, bq.build_bs_problem(params), w0,
+                                 perturbed=False)
         _write_trace(out, outcome.trace)
         found = {"status": outcome.status, "final_residual": outcome.f_norm,
-                 "iterations": outcome.iterations, "extras": _method_extras(method)}
+                 "iterations": outcome.iterations, "extras": ran}
         if not outcome.converged:
             return found
         w0 = outcome.x
@@ -431,13 +420,12 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     if result.states and result.completed:
         final = result.states[-1]
         final_center = bq.translation_shift(final, params.half_length)
-        span = 2.0 * params.half_length
-        expected = (start_center + params.speed * result.times[-1] + params.half_length) % span \
-            - params.half_length
-        diff = (final_center - expected + params.half_length) % span - params.half_length
+        expected = bq.periodic_wrap(start_center + params.speed * result.times[-1],
+                                    params.half_length)
         extras["final_center"] = final_center
         extras["expected_center"] = expected
-        extras["center_error"] = abs(diff)
+        extras["center_error"] = abs(bq.periodic_wrap(final_center - expected,
+                                                      params.half_length))
         aligned = bq.translation_action(params).act(final_center - start_center, w0)
         extras["shape_error"] = float(
             np.linalg.norm(final - aligned) / np.linalg.norm(w0))
@@ -488,7 +476,7 @@ def _build_parser() -> _Parser:
     def bs_solver(p):
         bs_common(p)
         _add_solver_flags(p, ("newton", "petviashvili"), 1e-12)
-        # None: the method follows from the seed (_bs_method)
+        # None: the method follows from the seed (_bs_solve)
         p.set_defaults(method=None)
 
     for name in ("solve", "orbit"):

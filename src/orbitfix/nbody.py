@@ -180,10 +180,10 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
 
     def jacobian_at(q):
         m = w2 * np.diag(mdiag) + hess_U(config, q)
-        return LinearOperator(dim=dim, apply=lambda v: m @ v, symmetric=True)
+        return LinearOperator(dim=dim, apply=lambda v: m @ v)
 
     split = HomogeneousSplit(
-        linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v, symmetric=True),
+        linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v),
         degree=-2.0,
     )
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
@@ -229,12 +229,9 @@ def reduced_polar_residual(r1: float, r2: float, theta: float, m0: float) -> np.
     """
     if r1 < _COLLISION_EPS or r2 < _COLLISION_EPS:
         raise ValueError("body collides with the center")
-    if m0 < 0.0:
-        raise ValueError("central mass must be nonnegative")
-    c = ring_constant(2)
-    a = (m0 + c) / (1.0 + m0 * c)
-    b = m0 * a
-    w2 = m0 + c
+    a, b = NBodyConfig(n=2, m0=m0).coefficients
+    # not NBodyConfig's omega squared, which can differ in the last bit
+    w2 = m0 + ring_constant(2)
     rho2 = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * np.cos(theta)
     if rho2 < _COLLISION_EPS ** 2:
         raise ValueError("two ring bodies collide")

@@ -52,7 +52,6 @@ class LinearOperator:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = True
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)
@@ -102,16 +101,14 @@ class SpectrumReport:
     block_near_zero: Tuple[int, ...]
 
 
-def as_operator(A, symmetric: Optional[bool] = None) -> LinearOperator:
+def as_operator(A) -> LinearOperator:
     """Wrap a square matrix (or pass through a LinearOperator)."""
     if isinstance(A, LinearOperator):
         return A
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
-    if symmetric is None:
-        symmetric = _is_symmetric(M, 1e-12)
-    return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v, symmetric=symmetric)
+    return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v)
 
 
 def _is_symmetric(M: np.ndarray, atol: float) -> bool:
@@ -362,8 +359,6 @@ def _symmetry_probes(dim: int):
 
 def _check_symmetry_probe(op: LinearOperator) -> None:
     # two-vector probe: <Au, w> must equal <u, Aw> for a symmetric map
-    if not op.symmetric:
-        raise ValueError("operator is declared non-symmetric")
     u, w = _symmetry_probes(op.dim)
     au = op.apply(u)
     aw = op.apply(w)

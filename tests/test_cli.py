@@ -97,6 +97,27 @@ def test_bs_dispatch_follows_the_seed(tmp_path, extra, method, anderson):
         assert (summary["status"], summary["iterations"]) == ("ConvergedReference", 0)
 
 
+@pytest.mark.parametrize("argv, method, anderson", [
+    # generator-discrete seeds are perturbed, at either speed
+    (["shift-table", "--eps", "0.01", "--tol", "1e-8"], "newton", None),
+    (["shift-table", "--eps", "0.01", "--tol", "1e-8", "--cs", "1.2"], "newton", None),
+    (["shift-table", "--eps", "0.01", "--tol", "1e-8", "--method", "petviashvili"],
+     "petviashvili", 5),
+    # the unperturbed closed-form wave seeding another speed
+    (["propagate", "--cs", "1.2", "--t-end", "1"], "petviashvili", 5),
+    # at the closed-form speed propagate solves nothing
+    (["propagate", "--t-end", "1"], None, None),
+], ids=["shift-table", "shift-table-cs", "shift-table-petviashvili", "propagate-cs",
+        "propagate"])
+def test_bs_shift_table_and_propagate_name_the_method(tmp_path, argv, method, anderson):
+    code = main(["bs", argv[0], *BS_SMALL, *argv[1:], "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert code == 0
+    assert summary["extras"]["method"] == method
+    assert summary["extras"]["anderson"] == anderson
+
+
 def test_bs_newton_trace_records_the_forcing(tmp_path):
     assert main(["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01",
                  "--tol", "1e-10", "--inner-tol", "1e-9", "--out", str(tmp_path)]) == 0

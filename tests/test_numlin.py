@@ -4,10 +4,10 @@ import pytest
 from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, precond_operator
 from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry_probe, abs_inverse_2x2, inverse_2x2,
-                             as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
-                             fourier_operator, fourier_symbols, materialize, minres, pcg,
-                             preconditioned_product, spectral_derivative)
+                             _check_symmetry_probe, _is_symmetric, abs_inverse_2x2,
+                             inverse_2x2, as_operator, dense_eigenvalues, fd_jacobian,
+                             fourier_apply, fourier_operator, fourier_symbols, materialize,
+                             minres, pcg, preconditioned_product, spectral_derivative)
 
 
 # ---------------- spectral_derivative ----------------
@@ -147,7 +147,7 @@ def test_fourier_operator_applies_symbol_minus_pointwise():
     n = 16
     A, M, field, rng = _fourier_pair(n, 13)
     v = rng.standard_normal(2 * n)
-    assert A.dim == M.dim == 2 * n and A.symmetric and M.pointwise is None
+    assert A.dim == M.dim == 2 * n and M.pointwise is None
     assert np.array_equal(A.apply(v), fourier_apply(A.symbol, v) - field * v)
     assert np.array_equal(M(v), fourier_apply(M.symbol, v))
     dense = materialize(A)
@@ -348,12 +348,12 @@ def test_dense_eigenvalues_sees_an_asymmetry_in_the_last_row_band(i, j):
     M = np.diag(np.arange(1.0, n + 1.0))
     M[i, i] = M[j, j] = 0.5
     M[i, j], M[j, i] = -1.0, 1.0
-    assert not as_operator(M).symmetric
+    assert not _is_symmetric(M, 1e-12)
     ev = dense_eigenvalues(M).eigenvalues
     pair = ev[ev.imag != 0.0]
     assert np.allclose(np.sort_complex(pair), [0.5 - 1j, 0.5 + 1j], atol=1e-12)
     M[j, i] = -1.0
-    assert as_operator(M).symmetric
+    assert _is_symmetric(M, 1e-12)
     assert np.all(dense_eigenvalues(M).eigenvalues.imag == 0.0)
 
 
@@ -361,7 +361,7 @@ def test_dense_eigenvalues_sends_a_lower_triangle_nan_to_eigvals():
     n = 2 * _SYMMETRY_BAND + 5
     M = np.eye(n)
     M[-1, 0] = np.nan
-    assert not as_operator(M).symmetric
+    assert not _is_symmetric(M, 1e-12)
     with pytest.raises(np.linalg.LinAlgError):
         dense_eigenvalues(M)
 
@@ -427,14 +427,8 @@ def test_minres_zero_rhs():
 
 def test_minres_rejects_nonsymmetric_probe():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    op = LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True)
+    op = LinearOperator(dim=2, apply=lambda v: A @ v)
     with pytest.raises(ValueError, match="symmetr"):
-        minres(op, np.ones(2))
-
-
-def test_minres_rejects_declared_nonsymmetric():
-    op = LinearOperator(dim=2, apply=lambda v: v, symmetric=False)
-    with pytest.raises(ValueError, match="symmetric"):
         minres(op, np.ones(2))
 
 

@@ -217,8 +217,7 @@ def test_petviashvili_map_matches_solver_step():
 def test_newton_scalar_quadratic():
     problem = ProblemSpec(
         F=lambda x: np.array([x[0] ** 2 - 4.0]),
-        jacobian_at=lambda x: LinearOperator(dim=1, apply=lambda v, x=x: 2 * x[0] * v,
-                                             symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=1, apply=lambda v, x=x: 2 * x[0] * v),
     )
     out = newton_solve(problem, np.array([3.0]),
                        SolverConfig(tol_residual=1e-12, max_outer=50))
@@ -239,7 +238,7 @@ def test_newton_linear_system_single_step():
     b = np.array([2.0, 10.0])
     problem = ProblemSpec(
         F=lambda x: A @ x - b,
-        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v),
     )
     out = newton_solve(problem, np.zeros(2),
                        SolverConfig(tol_residual=1e-12, max_outer=10))
@@ -252,7 +251,7 @@ def test_newton_converges_on_an_indefinite_jacobian():
     b = np.array([1.0, 1.0])
     problem = ProblemSpec(
         F=lambda x: A @ x - b,
-        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v),
     )
     out = newton_solve(problem, np.zeros(2),
                        SolverConfig(tol_residual=1e-12, max_outer=10))
@@ -267,8 +266,7 @@ def test_newton_default_config_runs_preconditioned_minres_once_a_step(monkeypatc
     b = np.ones(3)
     problem = ProblemSpec(
         F=lambda x: a * x + 0.1 * x ** 3 - b,
-        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: (a + 0.3 * x ** 2) * v,
-                                             symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: (a + 0.3 * x ** 2) * v),
     )
     preconds = []
     real = solvers.minres
@@ -294,7 +292,7 @@ def test_newton_minres_branch_applies_the_preconditioner():
     b = np.array([1.0, 1.0, 1.0])
     problem = ProblemSpec(
         F=lambda x: A @ x - b,
-        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: A @ v, symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=3, apply=lambda v: A @ v),
     )
     calls = []
 
@@ -316,7 +314,7 @@ def test_newton_projects_steps_off_the_generators():
     b = np.array([2.0, 3.0])
     problem = ProblemSpec(
         F=lambda x: A @ x - b,
-        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v, symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: A @ v),
     )
     out = newton_solve(problem, np.array([0.5, 0.0]),
                        SolverConfig(tol_residual=1e-12, max_outer=3),
@@ -371,8 +369,7 @@ def test_newton_stalls_out_when_inner_budget_never_helps():
     b = np.ones(dim) / np.sqrt(dim)
     problem = ProblemSpec(
         F=lambda x: b,
-        jacobian_at=lambda x: LinearOperator(dim=dim, apply=lambda v: diag * v,
-                                             symmetric=True),
+        jacobian_at=lambda x: LinearOperator(dim=dim, apply=lambda v: diag * v),
     )
     out = newton_solve(problem, np.zeros(dim),
                        SolverConfig(tol_residual=1e-12, max_outer=100, inner_maxit=5))
@@ -388,8 +385,7 @@ def test_iteration_matrix_spectrum_prefers_analytic_jacobian():
     # jacobian is used the spectrum reports 0.25, not the differenced 0.5.
     rep = iteration_matrix_spectrum(
         lambda x: 0.5 * x, np.zeros(1),
-        jacobian=lambda x: LinearOperator(dim=1, apply=lambda v: 0.25 * v,
-                                          symmetric=True))
+        jacobian=lambda x: LinearOperator(dim=1, apply=lambda v: 0.25 * v))
     assert abs(rep.eigenvalues[0] - 0.25) < 1e-12
 
 
