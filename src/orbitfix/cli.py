@@ -226,8 +226,10 @@ def cmd_nbody_solve(args, out: Path) -> dict:
     elif args.method == "fixed-point":
         outcome = fixed_point_solve(problem, q0, config, reference=qstar)
     else:
-        # each step deflated off the rotation generator, as _bs_solve does for waves
+        # MINRES preconditioned by |J|^{-1} at the polygon rotated onto the seed, each
+        # step deflated off the rotation generator, as _bs_solve does for waves
         outcome = newton_solve(problem, q0, config, reference=qstar,
+                               precond=nb.precond_operator(cfg, action.align(q0, qstar)),
                                generators=action.generators)
     _write_trace(out, outcome.trace)
     _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .numlin import LinearOperator
+from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -27,6 +27,7 @@ __all__ = [
     "grad_U",
     "hess_U",
     "build_nbody",
+    "precond_operator",
     "rotation_action",
     "reduced_polar_residual",
 ]
@@ -187,6 +188,75 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
         degree=-2.0,
     )
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
+
+
+# eigenvalues of the polygon's Jacobian at most this fraction of the largest
+# modulus are its kernel (the rotation generator; every tangential motion at m0 = 0)
+_KERNEL_TOL = 1e-8
+
+
+def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
+    """Per-mode symbol S(m) of the Jacobian at the unit polygon, shape (2, 2, n).
+
+    In each body's (radial, tangential) frame the polygon's Jacobian is
+    block-circulant for equal masses: body j's block against body j + d is
+    the same 2x2 matrix C_d for every j, since rotating by 2 pi/n and
+    relabelling is a symmetry. A DFT over the bodies splits it into the
+    Hermitian blocks S(m) = sum_d C_d exp(2 pi i m d/n), laid out like
+    np.fft.fftfreq. C_d comes from one body's pair geometry, O(n).
+    """
+    n = config.n
+    a, b = config.coefficients
+    m = config.masses[0]
+    phi = 2.0 * np.pi * np.arange(1, n) / n
+    c, s = np.cos(phi), np.sin(phi)
+    # the body at (1, 0) against the one at angle phi: r = (1 - c, -s), |r|^2 = 2 - 2c
+    rx, ry = 1.0 - c, -s
+    d2 = 2.0 - 2.0 * c
+    inv3 = b * m * m * d2 ** -1.5
+    inv5 = 3.0 * inv3 / d2
+    hxx = inv3 - inv5 * rx * rx
+    hxy = -inv5 * rx * ry
+    hyy = inv3 - inv5 * ry * ry
+    # C_d = H R(phi): the partner's frame is turned by phi
+    blocks = np.empty((2, 2, n))
+    blocks[:, :, 1:] = [[hxx * c + hxy * s, hxy * c - hxx * s],
+                        [hxy * c + hyy * s, hyy * c - hxy * s]]
+    w2m = config.omega ** 2 * m
+    blocks[:, :, 0] = [[w2m + 2.0 * a * m - hxx.sum(), -hxy.sum()],
+                       [-hxy.sum(), w2m - a * m - hyy.sum()]]
+    # C_d is real, so S(m) = conj(rfft(C)[m]) and S(n - m) = conj(S(m))
+    half = np.fft.rfft(blocks)
+    return np.concatenate([half.conj(), half[..., 1:(n + 1) // 2][..., ::-1]], axis=-1)
+
+
+def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
+    """|J|^{-1} at the unit polygon rotated by alpha, for rings of equal masses.
+
+    The ring's counterpart of boussinesq.precond_operator: v is turned
+    into the bodies' (radial, tangential) frames, multiplied mode by mode
+    by |S(m)|^{-1} of _polygon_symbol in one fourier_apply, and turned
+    back. The result is symmetric positive definite: kernel eigenvalues
+    (the rotation generator, and every tangential motion at m0 = 0) get
+    the largest modulus as stand-in, so M maps the generator to a
+    multiple of itself. Build O(n), apply O(n log n).
+    """
+    if len(set(config.masses)) != 1:
+        raise ValueError("the polygon preconditioner needs equal ring masses")
+    symbol = _polygon_symbol(config)
+    symbol = abs_inverse_2x2(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
+                             kernel_tol=_KERNEL_TOL)
+    n = config.n
+    # body j's radial direction as a unit complex number; states are x + iy per body
+    turn = np.exp(1j * (2.0 * np.pi * np.arange(1, n + 1) / n + alpha))
+    unturn = turn.conj()
+
+    def apply(v):
+        rt = np.ascontiguousarray(v, dtype=float).view(complex) * unturn
+        rt = fourier_apply(symbol, np.concatenate([rt.real, rt.imag]))
+        return ((rt[:n] + 1j * rt[n:]) * turn).view(float)
+
+    return LinearOperator(dim=2 * n, apply=apply)
 
 
 def _rotate(alpha: float, q: np.ndarray) -> np.ndarray:

@@ -249,23 +249,45 @@ def inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray
     return np.stack([np.stack([a22, -a12]), np.stack([-a12, a11])]) / det
 
 
-def abs_inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    """Per-mode |A|^{-1} of symmetric 2x2 blocks [[a11, a12], [a12, a22]], shape (2, 2, n).
+def abs_inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray,
+                    kernel_tol: Optional[float] = None) -> np.ndarray:
+    """Per-mode |A|^{-1} of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, n).
 
-    |A| = sqrt(A^2) is the SPD matrix with A's eigenvectors and the moduli
-    of its eigenvalues. With B = A^2 + |det A| I and s = |l1| + |l2| =
-    sqrt(tr(A^2) + 2|det A|), |A| = B / s, so |A|^{-1} = adj(B) / (s |det A|)
-    and no eigenvectors are needed. Every block must be nonsingular.
+    a11 and a22 are real; a12 may be complex, and then so is the result.
+    |A| = sqrt(A^2) is the positive definite matrix with A's eigenvectors
+    and the moduli of its eigenvalues. With B = A^2 + |det A| I and
+    s = |l1| + |l2| = sqrt(tr(A^2) + 2|det A|), |A| = B / s, so
+    |A|^{-1} = adj(B) / (s |det A|) and no eigenvectors are needed.
+
+    Without kernel_tol every block must be nonsingular. With it, an
+    eigenvalue whose modulus is at most kernel_tol times the largest
+    modulus over all blocks stands for a kernel direction: it is first
+    raised to that largest modulus along its own eigenvector, so |A|^{-1}
+    stays positive definite and bounded and gives the kernel the smallest
+    weight.
     """
-    a11, a12, a22 = (np.asarray(a, dtype=float) for a in (a11, a12, a22))
-    absdet = np.abs(a11 * a22 - a12 * a12)
+    a11, a22 = (np.asarray(a, dtype=float) for a in (a11, a22))
+    a12 = np.asarray(a12, dtype=complex if np.iscomplexobj(a12) else float)
+    if kernel_tol is not None:
+        # eigenvalues t +- h, with eigenprojectors (I +- U)/2 for U = (A - t I)/h
+        t, d = 0.5 * (a11 + a22), 0.5 * (a11 - a22)
+        h = np.hypot(d, np.abs(a12))
+        lam = np.stack([t + h, t - h])
+        big = np.abs(lam).max()
+        lift = np.where(np.abs(lam) <= kernel_tol * big, big - lam, 0.0)
+        # A + mean I + diff (A - t I); a block with h = 0 is t I and has d = a12 = 0
+        mean = 0.5 * (lift[0] + lift[1])
+        diff = 0.5 * (lift[0] - lift[1]) / np.where(h > 0.0, h, 1.0)
+        a11, a12, a22 = a11 + mean + diff * d, a12 + diff * a12, a22 + mean - diff * d
+    sq12 = (a12 * a12.conj()).real
+    absdet = np.abs(a11 * a22 - sq12)
     if not np.all(absdet > 0.0):
         raise ValueError("every 2x2 block must be nonsingular")
-    b11 = a11 * a11 + a12 * a12 + absdet
-    b22 = a12 * a12 + a22 * a22 + absdet
+    b11 = a11 * a11 + sq12 + absdet
+    b22 = sq12 + a22 * a22 + absdet
     b12 = a12 * (a11 + a22)
     scale = np.sqrt(b11 + b22) * absdet
-    return np.stack([np.stack([b22, -b12]), np.stack([-b12, b11])]) / scale
+    return np.stack([np.stack([b22, -b12]), np.stack([-b12.conj(), b11])]) / scale
 
 
 def spectral_derivative(v: np.ndarray, half_length: float, order: int = 1) -> np.ndarray:

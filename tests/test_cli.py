@@ -360,13 +360,29 @@ def test_nbody_newton_reports_inner_iterations(tmp_path):
     assert summary["status"] == "ConvergedResidual"
     assert summary["config"]["inner_solver"] == "minres"
     assert "pcg_fallbacks" not in summary["extras"]
-    # MINRES is the one inner solver, and each step is deflated off the rotation orbit
-    problem = nb.build_nbody(nb.NBodyConfig(n=64, m0=10.0))
-    q0 = nb.polygon_solution(64) + 0.03 * np.ones(128)
+    # MINRES is the one inner solver, preconditioned by |J|^{-1} at the polygon
+    # rotated onto the seed, and each step is deflated off the rotation orbit
+    cfg = nb.NBodyConfig(n=64, m0=10.0)
+    qstar = nb.polygon_solution(64)
+    q0 = qstar + 0.03 * np.ones(128)
+    action = nb.rotation_action()
     config = SolverConfig(tol_residual=1e-10)
-    deflated = newton_solve(problem, q0, config, generators=nb.rotation_action().generators)
+    deflated = newton_solve(nb.build_nbody(cfg), q0, config,
+                            precond=nb.precond_operator(cfg, action.align(q0, qstar)),
+                            generators=action.generators)
     assert summary["iterations"] == deflated.iterations <= 3
     assert summary["extras"]["inner_iterations"] == deflated.inner_iterations
+
+
+def test_nbody_newton_preconditioned_minres_stays_short(tmp_path):
+    # unpreconditioned, this 128-body solve takes 377 MINRES iterations
+    code = main(["nbody", "solve", "--method", "newton", "--bodies", "128", "--m0", "10",
+                 "--perturb", "ones", "--eps", "0.03", "--tol", "1e-10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["extras"]["inner_iterations"] <= 20
 
 
 # ---------------- parser reuse ----------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from orbitfix.nbody import (NBodyConfig, build_nbody, grad_U, hess_U, polygon_solution,
-                            reduced_polar_residual, ring_constant, rotation_action)
-from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize
+from orbitfix.nbody import (NBodyConfig, _polygon_symbol, build_nbody, grad_U, hess_U,
+                            polygon_solution, precond_operator, reduced_polar_residual,
+                            ring_constant, rotation_action)
+from orbitfix.numlin import (LinearOperator, _check_symmetry_probe, dense_eigenvalues,
+                             fd_jacobian, materialize)
 from orbitfix.solvers import iteration_matrix_spectrum, petviashvili_map
 from orbitfix.symmetry import align_to_orbit
 
@@ -329,3 +331,73 @@ def test_stabilized_map_is_unstable_at_eight_body_polygon(m0):
     problem = build_nbody(NBodyConfig(n=8, m0=m0))
     rep = iteration_matrix_spectrum(petviashvili_map(problem), polygon_solution(8))
     assert rep.dominant_modulus > 1.0
+
+
+# ---------------- block-circulant structure at the polygon ----------------
+
+def _polygon_jacobian(cfg, alpha=0.0):
+    q = rotation_action().act(alpha, polygon_solution(cfg.n))
+    return cfg.omega ** 2 * np.diag(cfg.mass_diagonal) + hess_U(cfg, q), q
+
+
+def _dense_abs_inverse(J, kernel_tol=1e-8):
+    # |J|^{-1} by eigendecomposition; kernel eigenvalues take the largest modulus
+    lam, vec = np.linalg.eigh(J)
+    mod = np.abs(lam)
+    mod = np.where(mod <= kernel_tol * mod.max(), mod.max(), mod)
+    return (vec / mod) @ vec.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+@pytest.mark.parametrize("m0", [0.0, 10.0])
+def test_polygon_symbol_spectrum_is_the_dense_spectrum(n, m0):
+    # the DFT over bodies splits J* into n Hermitian 2x2 blocks whose
+    # eigenvalues together are J*'s
+    cfg = NBodyConfig(n=n, m0=m0)
+    symbol = _polygon_symbol(cfg)
+    assert symbol.shape == (2, 2, n)
+    blocks = np.moveaxis(symbol, -1, 0)
+    assert np.allclose(blocks, blocks.conj().transpose(0, 2, 1), rtol=0.0,
+                       atol=1e-13 * np.abs(blocks).max())
+    by_mode = np.sort(np.linalg.eigvalsh(blocks).ravel())
+    dense = np.linalg.eigvalsh(_polygon_jacobian(cfg)[0])
+    assert np.allclose(by_mode, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("m0", [0.0, 10.0])
+def test_precond_operator_is_the_dense_abs_inverse(n, m0):
+    cfg = NBodyConfig(n=n, m0=m0)
+    J, q = _polygon_jacobian(cfg)
+    expected = _dense_abs_inverse(J)
+    op = precond_operator(cfg)
+    M = materialize(op)
+    assert np.all(np.isfinite(M))
+    # equal on the complement of the rotation generator g
+    g = rotation_action().generators(q)[0]
+    g /= np.linalg.norm(g)
+    P = np.eye(2 * n) - np.outer(g, g)
+    assert np.abs(P @ (M - expected) @ P).max() <= 1e-12 * np.abs(expected).max()
+    # symmetric positive definite, with g an eigenvector
+    _check_symmetry_probe(op)
+    assert np.linalg.eigvalsh(M).min() > 0.0
+    mg = M @ g
+    assert np.linalg.norm(mg - np.dot(g, mg) * g) <= 1e-12 * np.linalg.norm(mg)
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_precond_operator_rotates_with_the_polygon(n):
+    cfg = NBodyConfig(n=n, m0=10.0)
+    alpha = 0.7
+    rotate = materialize(LinearOperator(dim=2 * n,
+                                        apply=lambda v: rotation_action().act(alpha, v)))
+    M0 = materialize(precond_operator(cfg))
+    M = materialize(precond_operator(cfg, alpha))
+    assert np.allclose(M, rotate @ M0 @ rotate.T, rtol=0.0, atol=1e-13 * np.abs(M0).max())
+    expected = _dense_abs_inverse(_polygon_jacobian(cfg, alpha)[0])
+    assert np.allclose(M, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_precond_operator_needs_equal_masses():
+    with pytest.raises(ValueError, match="equal ring masses"):
+        precond_operator(NBodyConfig(n=3, m0=1.0, masses=(1.0, 2.0, 1.0)))

@@ -189,6 +189,48 @@ def test_abs_inverse_2x2_matches_eigendecomposition():
                            atol=1e-13 * np.abs(expected).max())
 
 
+def _eigh_abs_inverse(block, kernel_tol=None, largest=None):
+    lam, vec = np.linalg.eigh(block)
+    mod = np.abs(lam)
+    if kernel_tol is not None:
+        mod = np.where(mod <= kernel_tol * largest, largest, mod)
+    return (vec / mod) @ vec.conj().T
+
+
+def test_abs_inverse_2x2_hermitian_blocks_match_eigh():
+    rng = np.random.default_rng(14)
+    a11, a22 = rng.standard_normal((2, 200))
+    a12 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    blocks = abs_inverse_2x2(a11, a12, a22)
+    assert blocks.shape == (2, 2, 200) and np.iscomplexobj(blocks)
+    for m in range(200):
+        expected = _eigh_abs_inverse(np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]))
+        assert np.allclose(blocks[:, :, m], expected, rtol=0.0,
+                           atol=1e-12 * np.abs(expected).max())
+
+
+def test_abs_inverse_2x2_kernel_stand_in():
+    # rank-one blocks l u u^H with complex u, a zero block, diag(2, 1e-12) and
+    # four nonsingular blocks; kernel eigenvalues take the largest modulus
+    rng = np.random.default_rng(15)
+    u1, u2 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    lam = 3.0 * rng.standard_normal(3)
+    a11 = np.concatenate([lam * abs(u1) ** 2, [0.0, 2.0], rng.standard_normal(4)])
+    a22 = np.concatenate([lam * abs(u2) ** 2, [0.0, 1e-12], rng.standard_normal(4)])
+    a12 = np.concatenate([lam * u1 * u2.conj(), [0.0, 0.0],
+                          rng.standard_normal(4) + 1j * rng.standard_normal(4)])
+    hermitian = [np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]) for m in range(9)]
+    largest = max(np.abs(np.linalg.eigvalsh(h)).max() for h in hermitian)
+    blocks = abs_inverse_2x2(a11, a12, a22, kernel_tol=1e-8)
+    for m, h in enumerate(hermitian):
+        expected = _eigh_abs_inverse(h, 1e-8, largest)
+        assert np.allclose(blocks[:, :, m], expected, rtol=0.0,
+                           atol=1e-12 * np.abs(expected).max())
+    # without kernel_tol the singular blocks are refused
+    with pytest.raises(ValueError, match="nonsingular"):
+        abs_inverse_2x2(a11, a12, a22)
+
+
 def test_inverse_2x2_inverts_each_block():
     rng = np.random.default_rng(13)
     a11, a12, a22 = rng.standard_normal((3, 200))
