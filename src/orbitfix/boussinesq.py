@@ -113,7 +113,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     """Travelling-wave system for the given speed on the configured grid.
 
     F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic, so the problem
-    carries the split (S, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
+    carries the split (S, S^{-1}, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
     symbols, one Fourier apply each. S^{-1} exists on every mode: det S =
     (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
     The Jacobian at w0 is the FourierOperator S minus pointwise
@@ -144,8 +144,8 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
         u, eta = w[:n], w[n:]
         return fourier_apply(s_inverse, np.concatenate([u * eta, 0.5 * u * u]))
 
-    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at,
-                       homogeneous_split=HomogeneousSplit(fourier_operator(s_symbol), 2.0))
+    split = HomogeneousSplit(fourier_operator(s_symbol), fourier_operator(s_inverse), 2.0)
+    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
 
 
 def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:

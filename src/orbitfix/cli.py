@@ -27,8 +27,8 @@ from . import nbody as nb
 from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       SolverConfig, fixed_point_solve, iteration_matrix_spectrum,
-                      newton_solve, petviashvili_map, petviashvili_solve)
-from .symmetry import align_to_orbit, predict_limit
+                      newton_solve, petviashvili_solve)
+from .symmetry import align_to_orbit, kernel_check, predict_limit
 
 __all__ = ["main", "SUMMARY_SCHEMA"]
 
@@ -241,24 +241,15 @@ def cmd_nbody_solve(args, out: Path) -> dict:
         orbit = align_to_orbit(outcome.x, qstar, action)
         if args.command == "orbit":
             extras["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
-            generator = action.generators(qstar)[0]
-            extras["kernel_residual"] = float(
-                np.linalg.norm(problem.jacobian_at(qstar).apply(generator))
-                / np.linalg.norm(generator))
+            extras["kernel_residual"] = kernel_check(problem, qstar, action)
     return {"status": outcome.status, "final_residual": outcome.trace.residuals[-1],
             "iterations": outcome.iterations, "orbit": orbit, "extras": extras}
 
 
 def cmd_nbody_spectrum(args, out: Path) -> dict:
-    cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
-    problem = nb.build_nbody(cfg)
+    problem = nb.build_nbody(nb.NBodyConfig(n=args.bodies, m0=args.m0))
     qstar = nb.polygon_solution(args.bodies)
-    if args.map == "plain":
-        def g_jacobian(q):
-            return -nb.hess_U(cfg, q) / (cfg.omega ** 2 * cfg.mass_diagonal[:, None])
-        report = iteration_matrix_spectrum(problem.G, qstar, jacobian=g_jacobian)
-    else:
-        report = iteration_matrix_spectrum(petviashvili_map(problem), qstar)
+    report = iteration_matrix_spectrum(problem, qstar, stabilized=args.map == "stabilized")
     return {"extras": _write_spectrum(out, report)}
 
 

@@ -183,10 +183,9 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
         m = w2 * np.diag(mdiag) + hess_U(config, q)
         return LinearOperator(dim=dim, apply=lambda v: m @ v)
 
-    split = HomogeneousSplit(
-        linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v),
-        degree=-2.0,
-    )
+    split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v),
+                             inverse=LinearOperator(dim=dim, apply=lambda v: v / (w2 * mdiag)),
+                             degree=-2.0)
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
 
 

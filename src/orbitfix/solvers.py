@@ -15,8 +15,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numlin import LinearOperator, dense_eigenvalues, fd_jacobian, materialize, minres
-from .numlin import pcg  # noqa: F401  for perfbench's orbitfix.solvers.pcg hook until it retires
+from .numlin import LinearOperator, dense_eigenvalues, minres
+from .numlin import materialize, pcg  # noqa: F401  for perfbench's hooks of these names
 
 __all__ = [
     "CONVERGED_RESIDUAL",
@@ -53,9 +53,10 @@ STATUSES = (CONVERGED_RESIDUAL, CONVERGED_REFERENCE, MAX_ITERATIONS, DIVERGED)
 
 @dataclass(frozen=True)
 class HomogeneousSplit:
-    """F(x) = A x - N(x), A = linear, N = A G of degree d != 1 (exponent d/(d - 1))."""
+    """F(x) = A x - N(x): A = linear, A^{-1} = inverse, N = A G of degree d != 1."""
 
     linear: LinearOperator
+    inverse: LinearOperator
     degree: float
 
     def __post_init__(self):
@@ -68,8 +69,9 @@ class ProblemSpec:
     """Algebraic system F(x) = 0 with optional extra structure.
 
     G is a fixed-point form (x = G(x) at solutions) and jacobian_at maps a
-    point to the derivative of F as a LinearOperator. The stabilized
-    fixed-point driver needs both G = A^{-1}N and homogeneous_split.
+    point to the derivative J of F as a LinearOperator. The stabilized
+    fixed-point driver needs both G = A^{-1}N and homogeneous_split;
+    iteration_matrix_spectrum needs jacobian_at and homogeneous_split.
     """
 
     F: Callable[[np.ndarray], np.ndarray]
@@ -332,7 +334,7 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
 
 
 def petviashvili_map(problem: ProblemSpec) -> Callable:
-    """One step of the stabilized iteration, as a plain map for spectra."""
+    """One step of the stabilized iteration as a plain map, to difference in checks."""
     step = _stabilized_step(problem)
 
     def apply(x):
@@ -458,19 +460,31 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     raise AssertionError("unreachable")
 
 
-def iteration_matrix_spectrum(step_map: Callable, xstar: np.ndarray,
-                              jacobian: Optional[Callable] = None):
-    """Spectrum of the iteration's derivative at a fixed point.
+def iteration_matrix_spectrum(problem: ProblemSpec, xstar: np.ndarray,
+                              stabilized: bool = False):
+    """Spectrum of the iteration's derivative D at a fixed point xstar.
 
-    The derivative is differenced from step_map unless an analytic
-    jacobian (point -> matrix or LinearOperator) is supplied.
+    D follows in closed form from the split F = A x - N(x), J = A - DN
+    (Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42, 2004): the plain map
+    G = A^{-1}N has D = I - A^{-1}J; at a solution, for DN symmetric with
+    DN x = d N(x), the stabilized map adds -d x* <A x*, .>/<A x*, x*>. D is
+    a matrix-free LinearOperator, materialized once by dense_eigenvalues.
     """
+    split = problem.homogeneous_split
+    if split is None or problem.jacobian_at is None:
+        raise ValueError("iteration_matrix_spectrum requires jacobian_at and a homogeneous split")
     xstar = np.asarray(xstar, dtype=float)
-    if jacobian is not None:
-        m = materialize(jacobian(xstar))
-    else:
-        m = fd_jacobian(step_map, xstar)
-    return dense_eigenvalues(m)
+    jac = problem.jacobian_at(xstar)
+    row = None
+    if stabilized:
+        ax = split.linear(xstar)
+        row = split.degree * ax / float(np.dot(ax, xstar))
+
+    def apply(v):
+        dv = v - split.inverse(jac(v))
+        return dv if row is None else dv - np.dot(row, v) * xstar
+
+    return dense_eigenvalues(LinearOperator(dim=jac.dim, apply=apply))
 
 
 def convergence_ratios(values) -> np.ndarray:

@@ -308,6 +308,10 @@ def test_nbody_spectrum_stabilized_filters_dominant(tmp_path):
     assert code == 0
     summary = _read_summary(tmp_path)
     assert summary["extras"]["dominant_modulus"] < 1.0 + 1e-6
+    # the filtered homogeneity mode sits at zero to round-off
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        moduli = [abs(complex(float(r["re"]), float(r["im"]))) for r in csv.DictReader(fh)]
+    assert min(moduli) <= 1e-14
 
 
 def test_nbody_orbit_generator_seed(tmp_path):

@@ -329,7 +329,7 @@ def test_stabilized_map_is_unstable_at_eight_body_polygon(m0):
     # so the ring Petviashvili iteration diverging there is the map's own
     # linear instability, not a solver fault
     problem = build_nbody(NBodyConfig(n=8, m0=m0))
-    rep = iteration_matrix_spectrum(petviashvili_map(problem), polygon_solution(8))
+    rep = iteration_matrix_spectrum(problem, polygon_solution(8), stabilized=True)
     assert rep.dominant_modulus > 1.0
 
 

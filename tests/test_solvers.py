@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import orbitfix.solvers as solvers
-from orbitfix.numlin import LinearOperator
+from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile
+from orbitfix.numlin import DENSE_DIM_LIMIT, LinearOperator, fd_jacobian, materialize
 from orbitfix.solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, EW_ETA_MAX,
                               MAX_ITERATIONS, HomogeneousSplit, ProblemSpec, SolverConfig,
                               convergence_ratios, fixed_point_solve, iteration_matrix_spectrum,
                               newton_solve, petviashvili_map, petviashvili_solve)
-from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution, rotation_action
+from orbitfix.nbody import NBodyConfig, build_nbody, hess_U, polygon_solution, rotation_action
 
 
 # ---------------- configuration validation ----------------
@@ -152,6 +153,10 @@ def test_petviashvili_residual_monotone_when_convergent(m0):
     assert np.all(np.diff(res) <= 1e-12)
 
 
+# A = A^{-1} = I on R^1
+_IDENTITY = LinearOperator(dim=1, apply=lambda v: v)
+
+
 def test_petviashvili_requires_split():
     problem = ProblemSpec(F=lambda x: x)
     with pytest.raises(ValueError, match="homogeneous split"):
@@ -159,7 +164,7 @@ def test_petviashvili_requires_split():
 
 
 def test_petviashvili_requires_fixed_point_map():
-    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=2.0)
+    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=2.0)
     problem = ProblemSpec(F=lambda x: x - x * x, homogeneous_split=split)
     with pytest.raises(ValueError, match="fixed-point map"):
         petviashvili_solve(problem, np.ones(1), SolverConfig())
@@ -168,13 +173,13 @@ def test_petviashvili_requires_fixed_point_map():
 def test_homogeneous_split_rejects_degree_one():
     # the stabilizing exponent d/(d - 1) is undefined for a linear "nonlinearity"
     with pytest.raises(ValueError, match="degree 1"):
-        HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=1.0)
+        HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=1.0)
 
 
 def test_petviashvili_exponent_follows_the_degree():
     # A = I, N(x) = x^2: from x0 = 3, s = 1/3 and gamma = 2 give s^2 * 9 = 1,
     # the fixed point, in one step; gamma = 2/3 would overshoot to 9^(2/3) and diverge
-    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=2.0)
+    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=2.0)
     problem = ProblemSpec(F=lambda x: x - x * x, G=lambda x: x * x, homogeneous_split=split)
     out = petviashvili_solve(problem, np.array([3.0]),
                              SolverConfig(tol_residual=1e-12, max_outer=50))
@@ -186,7 +191,8 @@ def test_petviashvili_exponent_follows_the_degree():
 
 def test_petviashvili_zero_denominator_diverges():
     # G rotates by 90 degrees and A = I, so <A G(x), x> = 0 identically
-    split = HomogeneousSplit(linear=LinearOperator(dim=2, apply=lambda v: v), degree=-2)
+    identity = LinearOperator(dim=2, apply=lambda v: v)
+    split = HomogeneousSplit(linear=identity, inverse=identity, degree=-2)
     problem = ProblemSpec(F=lambda x: x - np.array([-x[1], x[0]]),
                           G=lambda x: np.array([-x[1], x[0]]), homogeneous_split=split)
     out = petviashvili_solve(problem, np.array([1.0, 0.0]), SolverConfig())
@@ -195,7 +201,7 @@ def test_petviashvili_zero_denominator_diverges():
 
 
 def test_petviashvili_negative_factor_diverges():
-    split = HomogeneousSplit(linear=LinearOperator(dim=1, apply=lambda v: v), degree=-2)
+    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=-2)
     problem = ProblemSpec(F=lambda x: 2 * x, G=lambda x: -x, homogeneous_split=split)
     out = petviashvili_solve(problem, np.ones(1), SolverConfig())
     assert out.status == DIVERGED
@@ -380,26 +386,74 @@ def test_newton_stalls_out_when_inner_budget_never_helps():
 
 # ---------------- spectra and diagnostics ----------------
 
-def test_iteration_matrix_spectrum_prefers_analytic_jacobian():
-    # the map halves; the supplied jacobian says 0.25.  If the analytic
-    # jacobian is used the spectrum reports 0.25, not the differenced 0.5.
-    rep = iteration_matrix_spectrum(
-        lambda x: 0.5 * x, np.zeros(1),
-        jacobian=lambda x: LinearOperator(dim=1, apply=lambda v: 0.25 * v))
-    assert abs(rep.eigenvalues[0] - 0.25) < 1e-12
-
-
-def test_iteration_matrix_spectrum_fd_fallback():
-    rep = iteration_matrix_spectrum(lambda x: 0.5 * x, np.zeros(3))
-    assert np.allclose(rep.eigenvalues, 0.5, atol=1e-7)
-
-
 def test_petviashvili_spectrum_has_unit_symmetry_eigenvalue():
     problem = _ring_problem(10.0)
-    step = petviashvili_map(problem)
-    rep = iteration_matrix_spectrum(step, polygon_solution(2))
+    rep = iteration_matrix_spectrum(problem, polygon_solution(2), stabilized=True)
     assert rep.count_near_unit >= 1
     assert rep.dominant_modulus < 1.0 + 1e-6
+
+
+def _iteration_matrix(monkeypatch, problem, xstar, stabilized=False):
+    """The dense D that iteration_matrix_spectrum hands to dense_eigenvalues."""
+    operators = []
+    monkeypatch.setattr(solvers, "dense_eigenvalues", operators.append)
+    iteration_matrix_spectrum(problem, xstar, stabilized=stabilized)
+    return materialize(operators[0])
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("m0", [0.0, 10.0])
+def test_stabilized_iteration_matrix_matches_differenced_ring_step(monkeypatch, n, m0):
+    problem = build_nbody(NBodyConfig(n=n, m0=m0))
+    qstar = polygon_solution(n)
+    D = _iteration_matrix(monkeypatch, problem, qstar, stabilized=True)
+    fd = fd_jacobian(petviashvili_map(problem), qstar)
+    assert np.max(np.abs(D - fd)) <= 1e-8
+
+
+def test_stabilized_iteration_matrix_matches_differenced_wave_step(monkeypatch):
+    # the closed form holds at a solution; the closed-form profile leaves
+    # |F| ~ 4e-7 on this grid, which bounds the agreement with differences
+    profile = exact_profile(0.9, 128, 12.5)
+    problem = build_bs_problem(BSParams(theta2=0.9, speed=profile.speed, n=128,
+                                        half_length=12.5))
+    D = _iteration_matrix(monkeypatch, problem, profile.wave, stabilized=True)
+    fd = fd_jacobian(petviashvili_map(problem), profile.wave)
+    assert np.max(np.abs(D - fd)) <= 1e-6
+
+
+def test_plain_iteration_matrix_is_the_scaled_ring_hessian(monkeypatch):
+    # G = -M^{-1} grad U / omega^2, so D = -hess_U / (omega^2 M)
+    cfg = NBodyConfig(n=64, m0=10.0)
+    qstar = polygon_solution(64)
+    D = _iteration_matrix(monkeypatch, build_nbody(cfg), qstar)
+    expected = -hess_U(cfg, qstar) / (cfg.omega ** 2 * cfg.mass_diagonal[:, None])
+    assert np.max(np.abs(D - expected)) <= 1e-12
+
+
+def test_iteration_matrix_spectrum_requires_jacobian_and_split():
+    with pytest.raises(ValueError, match="homogeneous split"):
+        iteration_matrix_spectrum(ProblemSpec(F=lambda x: x), np.ones(1))
+
+
+def test_iteration_matrix_spectrum_refuses_large_dimension_before_any_apply():
+    dim = DENSE_DIM_LIMIT + 1
+    identity = LinearOperator(dim=dim, apply=lambda v: v)
+    applies = []
+
+    def apply(v):
+        applies.append(v)
+        return v
+
+    def jacobian_at(x):
+        return LinearOperator(dim=dim, apply=apply)
+
+    problem = ProblemSpec(F=lambda x: x, jacobian_at=jacobian_at,
+                          homogeneous_split=HomogeneousSplit(identity, identity, 2.0))
+    for stabilized in (False, True):
+        with pytest.raises(ValueError, match="limit"):
+            iteration_matrix_spectrum(problem, np.ones(dim), stabilized=stabilized)
+    assert not applies
 
 
 def test_convergence_ratios():
