@@ -284,25 +284,161 @@ class PropagationResult:
     times: list
     states: list
     completed: bool
+    # steps taken, the one that went non-finite included
+    steps: int = 0
+
+
+def _contour_mean(f, z: np.ndarray, points: int = 32) -> np.ndarray:
+    """f(z) as the mean of f over the circle of radius 1 about each z.
+
+    Kassam and Trefethen's way to evaluate the ETDRK4 coefficients without
+    the cancellation of their closed forms near z = 0. The circle must be
+    the full one: z is complex here, and the half circle they use for real
+    z does not average to f(z).
+    """
+    r = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    return f(z[..., None] + r).mean(axis=-1)
+
+
+def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
+                    quad: np.ndarray, nonlinear_hat):
+    """One in-place ETDRK4 step of v_t = f(v) + frame_speed dx v on the half spectrum.
+
+    Per mode the linear part is L = frame_speed d1 I + K, with K the swap
+    multiplier [[0, swap[0]], [swap[1], 0]] and K^2 = -omega^2 I, so L has the
+    eigenvalues mu+- = frame_speed d1 +- i omega. A function of hL is then
+    (g(h mu+) + g(h mu-))/2 I + (g(h mu+) - g(h mu-))/(2 i omega) K, the
+    identity's part alone where omega = 0. Every coefficient is a 2x2 symbol
+    stored as its diagonal and anti-diagonal rows, applied as
+    diag * x + anti * x[::-1]; those acting on the nonlinear products also
+    carry their weights quad (Cox and Matthews, J. Comput. Phys. 176, 2002).
+    """
+    omega = np.sqrt(np.maximum(-(swap[0] * swap[1]).real, 0.0))
+    mu = np.stack([frame_speed * d1 + 1j * omega, frame_speed * d1 - 1j * omega])
+    k_scale = np.divide(1.0, 2j * omega, out=np.zeros_like(mu[0]), where=omega > 0.0)
+    z = h * mu
+
+    def symbol(at_mu, weights=None):
+        plus, minus = at_mu
+        diag = np.broadcast_to(0.5 * (plus + minus), swap.shape)
+        anti = (plus - minus) * k_scale * swap
+        if weights is None:
+            return diag, anti
+        return diag * weights, anti * weights[::-1]
+
+    def h_mean(g):
+        return h * _contour_mean(g, z)
+
+    e_half = symbol(np.exp(0.5 * z))
+    e_full = symbol(np.exp(z))
+    q = symbol(h_mean(lambda s: (np.exp(0.5 * s) - 1.0) / s), quad)
+    f1 = symbol(h_mean(lambda s: (-4.0 - s + np.exp(s) * (4.0 - 3.0 * s + s * s)) / s ** 3), quad)
+    f2 = symbol(h_mean(lambda s: 2.0 * (2.0 + s + np.exp(s) * (s - 2.0)) / s ** 3), quad)
+    f3 = symbol(h_mean(lambda s: (-4.0 - 3.0 * s - s * s + np.exp(s) * (4.0 - s)) / s ** 3), quad)
+
+    pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(swap.shape, dtype=complex)
+                                         for _ in range(9))
+
+    def apply(coef, x, out):
+        np.multiply(coef[0], x, out=out)
+        np.multiply(coef[1], x[::-1], out=tmp)
+        out += tmp
+
+    def apply_add(coef, x, out):
+        np.multiply(coef[0], x, out=tmp)
+        out += tmp
+        np.multiply(coef[1], x[::-1], out=tmp)
+        out += tmp
+
+    def step(v):
+        # a = E2 v + Q N(v), b = E2 v + Q N(a), c = E2 a + Q (2 N(b) - N(v)),
+        # v <- E v + f1 N(v) + 2 f2 (N(a) + N(b)) + f3 N(c)
+        nonlinear_hat(v, pv)
+        apply(e_half, v, e2v)
+        apply(q, pv, a)
+        np.add(a, e2v, out=a)
+        nonlinear_hat(a, pa)
+        apply(q, pa, b)
+        np.add(b, e2v, out=b)
+        nonlinear_hat(b, pb)
+        np.multiply(pb, 2.0, out=b)
+        np.subtract(b, pv, out=b)
+        apply(q, b, c)
+        apply_add(e_half, a, c)
+        nonlinear_hat(c, pc)
+        np.add(pa, pb, out=pa)
+        apply(e_full, v, e2v)
+        apply_add(f1, pv, e2v)
+        apply_add(f2, pa, e2v)
+        apply_add(f3, pc, e2v)
+        np.copyto(v, e2v)
+
+    return step
+
+
+def _rk4_stepper(linear: np.ndarray, nonlinear: np.ndarray, nonlinear_hat):
+    """One in-place classical RK4 step; linear and nonlinear carry the factor dt/2."""
+    products_hat, k, stage, acc = (np.empty(linear.shape, dtype=complex) for _ in range(4))
+
+    def increment(state, out):
+        # (dt/2) w_dot^: linear * state[::-1] + nonlinear * (u^2, eta u)^
+        nonlinear_hat(state, products_hat)
+        np.multiply(products_hat, nonlinear, out=products_hat)
+        np.multiply(linear, state[::-1], out=out)
+        out += products_hat
+
+    def step(w_hat):
+        # with s_i = (dt/2) k_i: w += (s1 + 2 s2 + 2 s3 + s4) / 3
+        increment(w_hat, acc)
+        np.add(w_hat, acc, out=stage)
+        increment(stage, k)
+        np.add(w_hat, k, out=stage)
+        np.multiply(k, 2.0, out=k)
+        np.add(acc, k, out=acc)
+        increment(stage, k)
+        np.multiply(k, 2.0, out=k)
+        np.add(w_hat, k, out=stage)
+        np.add(acc, k, out=acc)
+        increment(stage, k)
+        np.add(acc, k, out=acc)
+        np.multiply(acc, 1.0 / 3.0, out=acc)
+        w_hat += acc
+
+    return step
 
 
 def propagate(w0, params: BSParams, dt: float, t_end: float,
-              snapshot_times: Optional[Sequence[float]] = None) -> PropagationResult:
-    """Classical fourth-order time stepping of the evolution system.
+              snapshot_times: Optional[Sequence[float]] = None,
+              frame_speed: Optional[float] = None) -> PropagationResult:
+    """Fourth-order time stepping of the evolution system.
 
     eta_t = -(1 - b dxx)^{-1} dx(u + eta u)
     u_t   = -(1 - d dxx)^{-1} dx(eta + c eta_xx + u^2/2)
 
-    The state is the half spectrum (u^, eta^). Each stage sends it through
-    one batched inverse real transform to get u and eta, and the two
-    nonlinear fields (u^2, eta u) through one batched real transform back:
-    4 transform rows a stage, 16 a step. With the multipliers
+    The state is the half spectrum (u^, eta^). With the multipliers
     m_u = -i xi/(1 + d xi^2) and m_eta = -i xi/(1 + b xi^2), the derivatives
     are u_dot^ = m_u ((1 - c xi^2) eta^ + (u^2/2)^) and
-    eta_dot^ = m_eta (u^ + (eta u)^). Both multipliers zero the Nyquist
-    mode, so the Nyquist coefficients never change. Stages are accumulated
-    in place in preallocated buffers; no stage allocates an array.
+    eta_dot^ = m_eta (u^ + (eta u)^): a linear part K that swaps the two
+    rows, with K^2 = -omega^2 I, plus weighted products. Each evaluation of
+    the products sends the state through one batched inverse real transform
+    to get u and eta, and (u^2, eta u) through one batched real transform
+    back: 4 transform rows, 4 evaluations a step. Stages are accumulated in
+    place in preallocated buffers; no stage allocates an array.
 
+    frame_speed None steps the lab frame by classical RK4. Both multipliers
+    zero the Nyquist mode, so the Nyquist coefficients never change.
+
+    frame_speed cs steps the frame moving at cs, v(x, t) = w(x + cs t, t),
+    which obeys v_t = f(v) + cs dx v, by ETDRK4: the linear part
+    cs d1 I + K is integrated exactly per mode, with the coefficients of
+    Cox and Matthews evaluated by Kassam and Trefethen's contour mean. A
+    solitary wave at speed cs is an equilibrium of that frame, which the
+    exponential integrator keeps to the size of its residual |F|; the step
+    is bound only by the dynamics off the wave. Snapshots are carried back
+    to the lab frame by the symbol exp(-cs t d1), which keeps the Nyquist
+    coefficients as the lab frame does.
+
+    The step is t_end over the whole number of steps nearest t_end/dt.
     Snapshots, stacked states (u, eta), are recorded at the steps nearest
     the requested times (default: only t_end), transformed back to samples
     only then. A non-finite state aborts the run; the result then carries
@@ -320,26 +456,26 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     half = n // 2 + 1
     xi, d1, _ = fourier_symbols(n, params.half_length)
     xi, d1 = xi[:half], d1[:half]
-    # half-step increments (dt/2) w_dot^, rows (u^, eta^):
-    # linear[0] eta^ + nonlinear[0] (u^2)^ and linear[1] u^ + nonlinear[1] (eta u)^
     mult_u = -d1 / (1.0 + params.d * xi ** 2)
     mult_eta = -d1 / (1.0 + params.b * xi ** 2)
-    linear = 0.5 * dt_eff * np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
-    nonlinear = 0.5 * dt_eff * np.stack([0.5 * mult_u, mult_eta])
+    # rows (u^, eta^) of w_dot^: swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^
+    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
+    quad = np.stack([0.5 * mult_u, mult_eta])
 
     samples = np.empty((2, n))
     products = np.empty((2, n))
-    products_hat = np.empty((2, half), dtype=complex)
 
-    def increment(state, out):
+    def nonlinear_hat(state, out):
         np.fft.irfft(state, n, out=samples)
         u, eta = samples
         np.multiply(u, u, out=products[0])
         np.multiply(eta, u, out=products[1])
-        np.fft.rfft(products, out=products_hat)
-        np.multiply(products_hat, nonlinear, out=products_hat)
-        np.multiply(linear, state[::-1], out=out)
-        out += products_hat
+        np.fft.rfft(products, out=out)
+
+    if frame_speed is None:
+        step = _rk4_stepper(0.5 * dt_eff * swap, 0.5 * dt_eff * quad, nonlinear_hat)
+    else:
+        step = _etdrk4_stepper(dt_eff, float(frame_speed), d1, swap, quad, nonlinear_hat)
 
     requested = [t_end] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
     target_steps = []
@@ -350,43 +486,29 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
 
     result = PropagationResult(times=[], states=[], completed=True)
 
-    def record(step, w):
-        while target_steps and target_steps[0] == step:
+    def record(index, w):
+        while target_steps and target_steps[0] == index:
             target_steps.pop(0)
-            result.times.append(step * dt_eff)
+            result.times.append(index * dt_eff)
             result.states.append(w.copy())
 
     record(0, w0)
     w_hat = np.fft.rfft(w0.reshape(2, n))
-    k = np.empty_like(w_hat)
-    stage = np.empty_like(w_hat)
-    acc = np.empty_like(w_hat)
     finite = np.empty(w_hat.shape, dtype=bool)
     # overflow on a blowing-up run is reported via completed=False, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, nsteps + 1):
-            # with s_i = (dt/2) k_i: w += (s1 + 2 s2 + 2 s3 + s4) / 3
-            increment(w_hat, acc)
-            np.add(w_hat, acc, out=stage)
-            increment(stage, k)
-            np.add(w_hat, k, out=stage)
-            k *= 2.0
-            acc += k
-            increment(stage, k)
-            k *= 2.0
-            np.add(w_hat, k, out=stage)
-            acc += k
-            increment(stage, k)
-            acc += k
-            acc *= 1.0 / 3.0
-            w_hat += acc
+        for k in range(1, nsteps + 1):
+            step(w_hat)
+            result.steps = k
             if not np.isfinite(w_hat, out=finite).all():
                 result.completed = False
                 return result
-            if target_steps and target_steps[0] == step:
-                w = np.fft.irfft(w_hat, n).reshape(2 * n)
+            if target_steps and target_steps[0] == k:
+                lab = w_hat if frame_speed is None \
+                    else np.exp(-frame_speed * k * dt_eff * d1) * w_hat
+                w = np.fft.irfft(lab, n).reshape(2 * n)
                 if not np.isfinite(w).all():
                     result.completed = False
                     return result
-                record(step, w)
+                record(k, w)
     return result

@@ -397,7 +397,9 @@ def cmd_bs_propagate(args, out: Path) -> dict:
             return found
         w0 = outcome.x
 
-    result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times)
+    # the wave is an equilibrium of the frame moving at its speed
+    result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times,
+                          frame_speed=params.speed)
 
     x = bq.grid(params.n, params.half_length).tolist()
     rows = []
@@ -407,7 +409,8 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     _write_csv(out / "snapshots.csv", ("t", "x", "eta", "u"), rows)
 
     extras = found["extras"]
-    extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end)
+    extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end,
+                  frame_speed=params.speed, steps=result.steps)
     start_center = bq.translation_shift(w0, params.half_length)
     extras["start_center"] = start_center
     if result.states and result.completed:
@@ -491,7 +494,7 @@ def _build_parser() -> _Parser:
 
     p = bs_cmds.add_parser("propagate")
     bs_solver(p)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--snapshots", default=None)
     p.set_defaults(func=cmd_bs_propagate)

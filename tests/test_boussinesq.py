@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile, grid, precond_operator,
-                                 propagate, reflection_blocks, translation_action,
-                                 translation_shift)
+from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile, grid, periodic_wrap,
+                                 precond_operator, propagate, reflection_blocks,
+                                 translation_action, translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, inverse_2x2, materialize, minres,
                              preconditioned_product)
@@ -718,6 +718,7 @@ def test_propagate_snapshot_times():
     assert abs(result.times[0]) < 1e-12
     assert abs(result.times[1] - 0.5) < 0.011
     assert abs(result.times[2] - 1.0) < 1e-9
+    assert result.steps == 100
 
 
 def test_propagate_aborts_on_blowup():
@@ -760,3 +761,68 @@ def test_propagate_fourth_order_in_time():
         errs.append(np.linalg.norm(got - ref))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 4.0) < 0.5
+
+
+# ---------------- comoving ETDRK4 ----------------
+
+def _wave_params(theta2, n, half_length):
+    prof = exact_profile(theta2, n, half_length)
+    return prof, BSParams(theta2=theta2, speed=prof.speed, n=n, half_length=half_length)
+
+
+@pytest.mark.parametrize("theta2", [0.84, 0.88, 0.92])
+def test_comoving_propagate_keeps_the_closed_form_wave(theta2):
+    # the wave is an equilibrium of its own frame; lab RK4 at dt 0.01 misses
+    # the centre by 5e-7 to 9e-5 here
+    prof, params = _wave_params(theta2, 512, 50.0)
+    t_end = 100.0
+    result = propagate(prof.wave, params, dt=0.05, t_end=t_end, frame_speed=params.speed)
+    assert result.completed
+    assert result.steps == 2000
+    final = result.states[-1]
+    center = translation_shift(final, 50.0)
+    expected = prof.speed * t_end
+    assert abs(periodic_wrap(center - expected, 50.0)) <= 1e-10
+    moved = translation_action(params).act(center, prof.wave)
+    assert np.linalg.norm(final - moved) / np.linalg.norm(prof.wave) <= 1e-10
+
+
+def test_comoving_propagate_is_fourth_order_on_a_perturbed_wave():
+    prof, params = _wave_params(0.9, 256, 25.0)
+    bump = 0.05 * np.exp(-(grid(256, 25.0) - 3.0) ** 2)
+    w0 = prof.wave + np.concatenate([bump, bump])
+    times = [5.0, 10.0]
+    ref = propagate(w0, params, dt=0.001, t_end=10.0, snapshot_times=times).states
+    errs = []
+    for dt in (0.05, 0.1):
+        got = propagate(w0, params, dt=dt, t_end=10.0, snapshot_times=times,
+                        frame_speed=params.speed)
+        assert got.completed and got.times == pytest.approx(times)
+        errs.append(max(np.linalg.norm(g - r) / np.linalg.norm(r)
+                        for g, r in zip(got.states, ref)))
+    assert errs[0] <= 1e-6
+    assert 10.0 <= errs[1] / errs[0] <= 25.0
+
+
+def test_comoving_propagate_keeps_nyquist_coefficients():
+    params = _params(n=64, half_length=10.0)
+    w0 = _smooth_state_with_nyquist(64, seed=7)
+    final = propagate(w0, params, dt=0.05, t_end=1.0, frame_speed=params.speed).states[-1]
+    before = np.fft.rfft(w0.reshape(2, 64))[:, -1]
+    after = np.fft.rfft(final.reshape(2, 64))[:, -1]
+    assert np.all(np.abs(before) > 1e-2)
+    assert np.max(np.abs(after - before)) <= 1e-13 * np.max(np.abs(before))
+
+
+def test_comoving_propagate_blowup_keeps_finite_states():
+    # the bump of the RK4 case still overflows, at step 13 of 100; warnings are errors
+    params = _params(n=64, half_length=10.0)
+    x = grid(64, 10.0)
+    w0 = np.concatenate([40.0 / np.cosh(x) ** 2, np.zeros(64)])
+    result = propagate(w0, params, dt=0.1, t_end=10.0, snapshot_times=[0.0, 0.1, 10.0],
+                       frame_speed=params.speed)
+    assert not result.completed
+    assert 1 < result.steps < 100
+    assert result.times[:2] == [0.0, 0.1]
+    assert len(result.states) == 2
+    assert all(np.all(np.isfinite(s)) for s in result.states)

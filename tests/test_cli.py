@@ -182,8 +182,10 @@ def test_nbody_still_accepts_minres_inner_solver(tmp_path):
     ["bs", "spectrum", *BS_SMALL],
     # exit 2 from the worst row, with no status of its own
     ["bs", "shift-table", *BS_SMALL, "--eps", "0.01", "--max-outer", "1"],
-    # exit 3: the RK4 step blows up, with no solve before it
-    ["bs", "propagate", *BS_SMALL, "--dt", "2", "--t-end", "40"],
+    # exit 3: the step blows up, with no solve before it. The closed form at
+    # theta2 0.95 is under-resolved on this grid, so it is no equilibrium of the
+    # comoving frame; the wave at the default theta2 survives dt 2.
+    ["bs", "propagate", *BS_SMALL, "--theta2", "0.95", "--dt", "2", "--t-end", "40"],
 ])
 def test_every_command_writes_its_summary(tmp_path, argv):
     code = main([*argv, "--out", str(tmp_path)])
@@ -501,6 +503,28 @@ def test_bs_propagate(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert abs(float(rows[-1]["t"]) - 1.0) < 1e-6
+
+
+def test_bs_propagate_reports_frame_and_steps_run(tmp_path):
+    # 1/0.03 is not whole: the run takes 33 steps of 1/33
+    code = main(["bs", "propagate", *BS_SMALL, "--dt", "0.03", "--t-end", "1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    extras = _read_summary(tmp_path)["extras"]
+    assert extras["steps"] == 33
+    assert extras["dt"] == 0.03
+    assert extras["frame_speed"] == bq.exact_profile(0.9, 256, 25.0).speed
+    assert extras["center_error"] <= 1e-10
+
+
+def test_bs_propagate_blowup_exits_diverged(tmp_path):
+    code = main(["bs", "propagate", *BS_SMALL, "--theta2", "0.95", "--dt", "2",
+                 "--t-end", "40", "--out", str(tmp_path)])
+    assert code == 3
+    extras = _read_summary(tmp_path)["extras"]
+    assert extras["completed"] is False
+    assert 0 < extras["steps"] < 20
+    assert "center_error" not in extras
 
 
 def test_bs_propagate_rejects_bad_snapshots(tmp_path):
