@@ -288,15 +288,15 @@ class PropagationResult:
     steps: int = 0
 
 
-def _contour_mean(f, z: np.ndarray, points: int = 32) -> np.ndarray:
-    """f(z) as the mean of f over the circle of radius 1 about each z.
+def _contour_mean(f, z: np.ndarray) -> np.ndarray:
+    """f(z) as the mean of f over 32 points of the circle of radius 1 about each z.
 
     Kassam and Trefethen's way to evaluate the ETDRK4 coefficients without
     the cancellation of their closed forms near z = 0. The circle must be
     the full one: z is complex here, and the half circle they use for real
     z does not average to f(z).
     """
-    r = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     return f(z[..., None] + r).mean(axis=-1)
 
 
