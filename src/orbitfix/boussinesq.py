@@ -33,6 +33,7 @@ __all__ = [
     "translation_shift",
     "periodic_wrap",
     "PropagationResult",
+    "propagation_schedule",
     "propagate",
 ]
 
@@ -376,41 +377,33 @@ def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarr
     return step
 
 
-def _rk4_stepper(linear: np.ndarray, nonlinear: np.ndarray, nonlinear_hat):
-    """One in-place classical RK4 step; linear and nonlinear carry the factor dt/2."""
-    products_hat, k, stage, acc = (np.empty(linear.shape, dtype=complex) for _ in range(4))
+def propagation_schedule(dt: float, t_end: float,
+                         snapshot_times: Optional[Sequence[float]] = None):
+    """(steps, step, snapshot steps) of a run of propagate; ValueError on bad options.
 
-    def increment(state, out):
-        # (dt/2) w_dot^: linear * state[::-1] + nonlinear * (u^2, eta u)^
-        nonlinear_hat(state, products_hat)
-        np.multiply(products_hat, nonlinear, out=products_hat)
-        np.multiply(linear, state[::-1], out=out)
-        out += products_hat
-
-    def step(w_hat):
-        # with s_i = (dt/2) k_i: w += (s1 + 2 s2 + 2 s3 + s4) / 3
-        increment(w_hat, acc)
-        np.add(w_hat, acc, out=stage)
-        increment(stage, k)
-        np.add(w_hat, k, out=stage)
-        np.multiply(k, 2.0, out=k)
-        np.add(acc, k, out=acc)
-        increment(stage, k)
-        np.multiply(k, 2.0, out=k)
-        np.add(w_hat, k, out=stage)
-        np.add(acc, k, out=acc)
-        increment(stage, k)
-        np.add(acc, k, out=acc)
-        np.multiply(acc, 1.0 / 3.0, out=acc)
-        w_hat += acc
-
-    return step
+    The step is t_end over the whole number of steps nearest t_end/dt. Each
+    requested snapshot time (default: only t_end) must lie in [0, t_end] and
+    maps to the step nearest it; the snapshot steps come in time order.
+    """
+    if not (0.0 < dt < np.inf and 0.0 < t_end < np.inf):
+        raise ValueError("dt and t_end must be positive and finite")
+    if not t_end / dt < np.inf:
+        raise ValueError("t_end/dt steps overflow a float")
+    nsteps = max(1, int(round(t_end / dt)))
+    dt_eff = t_end / nsteps
+    requested = [t_end] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
+    target_steps = []
+    for t in requested:
+        if not 0.0 <= t <= t_end + 1e-9 * max(1.0, t_end):
+            raise ValueError("snapshot times must lie in [0, t_end]")
+        target_steps.append(min(nsteps, max(0, int(round(t / dt_eff)))))
+    return nsteps, dt_eff, target_steps
 
 
 def propagate(w0, params: BSParams, dt: float, t_end: float,
               snapshot_times: Optional[Sequence[float]] = None,
-              frame_speed: Optional[float] = None) -> PropagationResult:
-    """Fourth-order time stepping of the evolution system.
+              frame_speed: float = 0.0) -> PropagationResult:
+    """Fourth-order exponential time stepping of the evolution system.
 
     eta_t = -(1 - b dxx)^{-1} dx(u + eta u)
     u_t   = -(1 - d dxx)^{-1} dx(eta + c eta_xx + u^2/2)
@@ -425,33 +418,32 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     back: 4 transform rows, 4 evaluations a step. Stages are accumulated in
     place in preallocated buffers; no stage allocates an array.
 
-    frame_speed None steps the lab frame by classical RK4. Both multipliers
+    The run steps the frame moving at frame_speed cs,
+    v(x, t) = w(x + cs t, t), which obeys v_t = f(v) + cs dx v, by ETDRK4:
+    the linear part cs d1 I + K is integrated exactly per mode, with the
+    coefficients of Cox and Matthews evaluated by Kassam and Trefethen's
+    contour mean. The default cs = 0 is the lab frame. A solitary wave at
+    speed cs is an equilibrium of its frame, which the exponential
+    integrator keeps to the size of its residual |F|; the step is bound
+    only by the dynamics off the wave. Snapshots are carried back to the
+    lab frame by the symbol exp(-cs t d1), 1 at cs = 0. Both multipliers
     zero the Nyquist mode, so the Nyquist coefficients never change.
 
-    frame_speed cs steps the frame moving at cs, v(x, t) = w(x + cs t, t),
-    which obeys v_t = f(v) + cs dx v, by ETDRK4: the linear part
-    cs d1 I + K is integrated exactly per mode, with the coefficients of
-    Cox and Matthews evaluated by Kassam and Trefethen's contour mean. A
-    solitary wave at speed cs is an equilibrium of that frame, which the
-    exponential integrator keeps to the size of its residual |F|; the step
-    is bound only by the dynamics off the wave. Snapshots are carried back
-    to the lab frame by the symbol exp(-cs t d1), which keeps the Nyquist
-    coefficients as the lab frame does.
-
-    The step is t_end over the whole number of steps nearest t_end/dt.
-    Snapshots, stacked states (u, eta), are recorded at the steps nearest
-    the requested times (default: only t_end), transformed back to samples
-    only then. A non-finite state aborts the run; the result then carries
-    the snapshots collected so far and completed=False.
+    Steps and snapshot steps follow from propagation_schedule. Snapshots,
+    stacked states (u, eta), are transformed back to samples only when they
+    are recorded. A non-finite state aborts the run; the result then
+    carries the snapshots collected so far and completed=False. Raises
+    ValueError on a state of the wrong length, a non-finite frame_speed,
+    or step options propagation_schedule rejects.
     """
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (2 * params.n,):
         raise ValueError("state length must match the configured grid")
-    if not dt > 0.0 or not t_end > 0.0:
-        raise ValueError("dt and t_end must be positive")
+    frame_speed = float(frame_speed)
+    if not np.isfinite(frame_speed):
+        raise ValueError("frame_speed must be finite")
+    nsteps, dt_eff, target_steps = propagation_schedule(dt, t_end, snapshot_times)
 
-    nsteps = max(1, int(round(t_end / dt)))
-    dt_eff = t_end / nsteps
     n = params.n
     half = n // 2 + 1
     xi, d1, _ = fourier_symbols(n, params.half_length)
@@ -472,18 +464,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
         np.multiply(eta, u, out=products[1])
         np.fft.rfft(products, out=out)
 
-    if frame_speed is None:
-        step = _rk4_stepper(0.5 * dt_eff * swap, 0.5 * dt_eff * quad, nonlinear_hat)
-    else:
-        step = _etdrk4_stepper(dt_eff, float(frame_speed), d1, swap, quad, nonlinear_hat)
-
-    requested = [t_end] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
-    target_steps = []
-    for t in requested:
-        if t < 0.0 or t > t_end + 1e-9 * max(1.0, t_end):
-            raise ValueError("snapshot times must lie in [0, t_end]")
-        target_steps.append(min(nsteps, max(0, int(round(t / dt_eff)))))
-
+    step = _etdrk4_stepper(dt_eff, frame_speed, d1, swap, quad, nonlinear_hat)
     result = PropagationResult(times=[], states=[], completed=True)
 
     def record(index, w):
@@ -504,8 +485,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
                 result.completed = False
                 return result
             if target_steps and target_steps[0] == k:
-                lab = w_hat if frame_speed is None \
-                    else np.exp(-frame_speed * k * dt_eff * d1) * w_hat
+                lab = np.exp(-frame_speed * k * dt_eff * d1) * w_hat
                 w = np.fft.irfft(lab, n).reshape(2 * n)
                 if not np.isfinite(w).all():
                     result.completed = False

@@ -383,6 +383,8 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
 
 def cmd_bs_propagate(args, out: Path) -> dict:
     snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
+    # reject bad step options before a --cs solve spends its time
+    bq.propagation_schedule(args.dt, args.t_end, snapshot_times)
     profile, params = _bs_profile(args)
     found = {"extras": {"method": None, "anderson": None}}
     w0 = profile.wave

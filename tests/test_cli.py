@@ -540,6 +540,22 @@ def test_bs_propagate_rejects_empty_and_non_finite_snapshots(tmp_path, capsys, s
     assert not (tmp_path / "snapshots.csv").exists()
 
 
+@pytest.mark.parametrize("steps, message", [
+    (["--dt", "0"], "dt and t_end must be positive"),
+    (["--t-end", "-1"], "dt and t_end must be positive"),
+    (["--dt", "inf"], "dt and t_end must be positive"),
+    (["--dt", "1e-320"], "t_end/dt steps overflow a float"),
+    (["--snapshots", "0,5", "--t-end", "1"], "snapshot times must lie in [0, t_end]"),
+], ids=["dt-zero", "t-end-negative", "dt-inf", "dt-subnormal", "snapshot-past-end"])
+def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, message):
+    # --cs asks for a solve first; bad step options must stop the run before it
+    assert main(["bs", "propagate", *BS_SMALL, "--cs", "1.2", "--tol", "1e-11", *steps,
+                 "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("eps", [",", "0.01,nan"])
 def test_bs_shift_table_rejects_empty_and_non_finite_eps(tmp_path, capsys, eps):
     assert main(["bs", "shift-table", *BS_SMALL, "--eps", eps, "--out", str(tmp_path)]) == 1
