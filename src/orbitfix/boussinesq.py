@@ -63,12 +63,12 @@ class BSParams:
     def __post_init__(self):
         if not (2.0 / 3.0 < self.theta2 <= 1.0):
             raise ValueError("theta2 must lie in (2/3, 1]")
-        if not self.speed > 1.0:
-            raise ValueError("wave speed must exceed 1")
+        if not 1.0 < self.speed < np.inf:
+            raise ValueError("wave speed must be finite and exceed 1")
         if self.n < 4 or self.n % 2:
             raise ValueError("grid size must be even and >= 4")
-        if not self.half_length > 0.0:
-            raise ValueError("half_length must be positive")
+        if not 0.0 < self.half_length < np.inf:
+            raise ValueError("half_length must be positive and finite")
         object.__setattr__(self, "c", 2.0 / 3.0 - self.theta2)
         object.__setattr__(self, "b", 0.5 * (self.theta2 - 1.0 / 3.0))
         object.__setattr__(self, "d", 0.5 * (self.theta2 - 1.0 / 3.0))
@@ -92,6 +92,8 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
     """Squared-secant solitary wave, available for theta2 in (7/9, 1)."""
     if not (7.0 / 9.0 < theta2 < 1.0):
         raise ValueError("closed-form profiles require theta2 in (7/9, 1)")
+    if not 0.0 < half_length < np.inf:
+        raise ValueError("half_length must be positive and finite")
     eta0 = 4.5 * (theta2 - 7.0 / 9.0) / (1.0 - theta2)
     speed = 4.0 * (theta2 - 2.0 / 3.0) / np.sqrt(2.0 * (1.0 - theta2) * (theta2 - 1.0 / 3.0))
     decay = 0.5 * np.sqrt(3.0 * (theta2 - 7.0 / 9.0) / ((theta2 - 1.0 / 3.0) * (theta2 - 2.0 / 3.0)))
@@ -285,20 +287,32 @@ class PropagationResult:
     times: list
     states: list
     completed: bool
-    # steps taken, the one that went non-finite included
+    # position reached on the grid of step dt, the step that went non-finite included
     steps: int = 0
+    # ETDRK4 steps run, doubling checks and rejected steps included
+    etdrk4_steps: int = 0
+    # longest step whose result the run kept
+    longest_step: float = 0.0
 
 
-def _contour_mean(f, z: np.ndarray) -> np.ndarray:
-    """f(z) as the mean of f over 32 points of the circle of radius 1 about each z.
+# Step doubling keeps two steps of h, and moves on to steps of 2h, only when
+# one step of 2h agrees with them to this relative l2 distance on the half
+# spectrum: round-off, not an accuracy option. A level that fails waits up to
+# _MAX_WAIT intervals before it is tried again.
+_DOUBLING_TOL = 1e-13
+_MAX_WAIT = 64
 
-    Kassam and Trefethen's way to evaluate the ETDRK4 coefficients without
-    the cancellation of their closed forms near z = 0. The circle must be
-    the full one: z is complex here, and the half circle they use for real
-    z does not average to f(z).
+
+def _contour_points(z: np.ndarray) -> np.ndarray:
+    """32 points of the circle of radius 1 about each z, along a new last axis.
+
+    The mean of f over them is Kassam and Trefethen's way to evaluate the
+    ETDRK4 coefficients f(z) without the cancellation of their closed forms
+    near z = 0. The circle must be the full one: z is complex here, and the
+    half circle they use for real z does not average to f(z).
     """
     r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-    return f(z[..., None] + r).mean(axis=-1)
+    return z[..., None] + r
 
 
 def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
@@ -327,15 +341,21 @@ def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarr
             return diag, anti
         return diag * weights, anti * weights[::-1]
 
-    def h_mean(g):
-        return h * _contour_mean(g, z)
+    def h_mean(values):
+        return h * values.mean(axis=-1)
 
     e_half = symbol(np.exp(0.5 * z))
     e_full = symbol(np.exp(z))
-    q = symbol(h_mean(lambda s: (np.exp(0.5 * s) - 1.0) / s), quad)
-    f1 = symbol(h_mean(lambda s: (-4.0 - s + np.exp(s) * (4.0 - 3.0 * s + s * s)) / s ** 3), quad)
-    f2 = symbol(h_mean(lambda s: 2.0 * (2.0 + s + np.exp(s) * (s - 2.0)) / s ** 3), quad)
-    f3 = symbol(h_mean(lambda s: (-4.0 - 3.0 * s - s * s + np.exp(s) * (4.0 - s)) / s ** 3), quad)
+    # f1, f2 and f3 share exp(s), s^2, 3s and s^3 on the contour. exp(s)
+    # stays the left factor, as in the closed forms: numpy's complex product
+    # is not bitwise commutative, and `exp_s * temporary` may run as
+    # `temporary * exp_s`.
+    s = _contour_points(z)
+    exp_s, s2, s3, three_s = np.exp(s), s * s, s ** 3, 3.0 * s
+    q = symbol(h_mean((np.exp(0.5 * s) - 1.0) / s), quad)
+    f1 = symbol(h_mean((-4.0 - s + np.multiply(exp_s, 4.0 - three_s + s2)) / s3), quad)
+    f2 = symbol(h_mean(2.0 * (2.0 + s + np.multiply(exp_s, s - 2.0)) / s3), quad)
+    f3 = symbol(h_mean((-4.0 - three_s - s2 + np.multiply(exp_s, 4.0 - s)) / s3), quad)
 
     pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(swap.shape, dtype=complex)
                                          for _ in range(9))
@@ -429,12 +449,30 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     lab frame by the symbol exp(-cs t d1), 1 at cs = 0. Both multipliers
     zero the Nyquist mode, so the Nyquist coefficients never change.
 
-    Steps and snapshot steps follow from propagation_schedule. Snapshots,
-    stacked states (u, eta), are transformed back to samples only when they
-    are recorded. A non-finite state aborts the run; the result then
-    carries the snapshots collected so far and completed=False. Raises
-    ValueError on a state of the wrong length, a non-finite frame_speed,
-    or step options propagation_schedule rejects.
+    dt is the finest step. In a moving frame the run skips the steps that
+    change nothing by step doubling: level j steps 2^j dt, and an interval
+    at level j >= 1 runs one level-j step and, from the same state, two
+    level-(j-1) steps. The two are kept only when the one agrees with them
+    to _DOUBLING_TOL relative, l2 over the half spectrum; otherwise the
+    state is restored and the level drops by one. Each passed check tries
+    one level up on the next interval; a level that failed waits 1, 2, 4,
+    ... up to _MAX_WAIT intervals before it is tried again. Level-0 steps
+    are never checked or rejected, so wherever the dynamics is real the
+    path is the fixed-step path, bit for bit; level 1 keeps level-0 steps,
+    so it is checked only on the way to level 2. No interval steps past
+    the next snapshot or t_end. The lab frame keeps every step on the grid
+    of dt: no wave is an equilibrium there, and its fixed steps are what a
+    convergence study in dt needs.
+
+    Grid, step and snapshot steps follow from propagation_schedule. The
+    result's steps is the grid position reached, etdrk4_steps the ETDRK4
+    steps run (checks and rejected steps included), and longest_step the
+    longest step whose result was kept. Snapshots, stacked states (u, eta),
+    are transformed back to samples only when they are recorded. A
+    non-finite state aborts the run; the result then carries the snapshots
+    collected so far and completed=False. Raises ValueError on a state of
+    the wrong length, a non-finite frame_speed, or step options
+    propagation_schedule rejects.
     """
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (2 * params.n,):
@@ -464,8 +502,23 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
         np.multiply(eta, u, out=products[1])
         np.fft.rfft(products, out=out)
 
-    step = _etdrk4_stepper(dt_eff, frame_speed, d1, swap, quad, nonlinear_hat)
+    steppers = {}
     result = PropagationResult(times=[], states=[], completed=True)
+
+    def step(level, state):
+        # level j steps 2^j dt; each level's stepper is built on first use
+        if level not in steppers:
+            steppers[level] = _etdrk4_stepper(dt_eff * 2 ** level, frame_speed, d1, swap,
+                                              quad, nonlinear_hat)
+        steppers[level](state)
+        result.etdrk4_steps += 1
+
+    def keep(k, level):
+        # w_hat is the state at grid step k, reached by a step of 2^level dt
+        result.steps = k
+        result.longest_step = max(result.longest_step, dt_eff * 2 ** level)
+        result.completed = bool(np.isfinite(w_hat, out=finite).all())
+        return result.completed
 
     def record(index, w):
         while target_steps and target_steps[0] == index:
@@ -475,15 +528,63 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
 
     record(0, w0)
     w_hat = np.fft.rfft(w0.reshape(2, n))
+    start, coarse, first = (np.empty_like(w_hat) for _ in range(3))
     finite = np.empty(w_hat.shape, dtype=bool)
+    # known: the level whose one step from w_hat `first` holds, if any
+    level, k, known = 0, 0, None
+    waits, fails = {}, {}
     # overflow on a blowing-up run is reported via completed=False, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nsteps + 1):
-            step(w_hat)
-            result.steps = k
-            if not np.isfinite(w_hat, out=finite).all():
-                result.completed = False
-                return result
+        while k < nsteps:
+            # try one level up unless that level waits or the frame is the lab's,
+            # which keeps the grid of dt; never step past the next snapshot
+            j = level
+            if waits.get(level + 1, 0):
+                waits[level + 1] -= 1
+            elif frame_speed:
+                j += 1
+            room = (target_steps[0] if target_steps else nsteps) - k
+            while 2 ** j > room:
+                j -= 1
+            if j == 1 and level == 1:
+                # level 1 keeps level-0 steps, which are never rejected: it is
+                # checked only on the way to level 2, and takes single steps meanwhile
+                j = 0
+            reuse, known = known == j, None
+            if j == 0:
+                step(0, w_hat)
+                k += 1
+                if not keep(k, 0):
+                    return result
+            else:
+                # one step of 2^j dt against two of 2^(j-1) dt from the same state
+                np.copyto(start, w_hat)
+                if reuse:
+                    np.copyto(coarse, first)
+                else:
+                    np.copyto(coarse, w_hat)
+                    step(j, coarse)
+                step(j - 1, w_hat)
+                np.copyto(first, w_hat)
+                # level-0 steps are the fixed-step path: kept, never checked
+                if j == 1 and not keep(k + 1, 0):
+                    return result
+                step(j - 1, w_hat)
+                np.subtract(coarse, w_hat, out=coarse)
+                passed = np.linalg.norm(coarse) <= _DOUBLING_TOL * np.linalg.norm(w_hat)
+                if passed:
+                    level, fails[j] = max(level, j), 0
+                else:
+                    level, fails[j] = j - 1, fails.get(j, 0) + 1
+                    waits[j] = min(_MAX_WAIT, 2 ** (fails[j] - 1))
+                if passed or j == 1:
+                    k += 2 ** j
+                    if not keep(k, j - 1):
+                        return result
+                else:
+                    # the next interval, at level j - 1, opens with the step `first` holds
+                    np.copyto(w_hat, start)
+                    known = j - 1
             if target_steps and target_steps[0] == k:
                 lab = np.exp(-frame_speed * k * dt_eff * d1) * w_hat
                 w = np.fft.irfft(lab, n).reshape(2 * n)

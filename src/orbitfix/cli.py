@@ -412,7 +412,8 @@ def cmd_bs_propagate(args, out: Path) -> dict:
 
     extras = found["extras"]
     extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end,
-                  frame_speed=params.speed, steps=result.steps)
+                  frame_speed=params.speed, steps=result.steps,
+                  etdrk4_steps=result.etdrk4_steps, longest_step=result.longest_step)
     start_center = bq.translation_shift(w0, params.half_length)
     extras["start_center"] = start_center
     if result.states and result.completed:
@@ -496,7 +497,9 @@ def _build_parser() -> _Parser:
 
     p = bs_cmds.add_parser("propagate")
     bs_solver(p)
-    p.add_argument("--dt", type=float, default=0.05)
+    p.add_argument("--dt", type=float, default=0.05,
+                   help="finest step; in the wave's frame steps of 2^j dt run where they "
+                        "agree with two half steps to round-off")
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--snapshots", default=None)
     p.set_defaults(func=cmd_bs_propagate)

@@ -59,8 +59,8 @@ class NBodyConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two ring bodies")
-        if self.m0 < 0.0:
-            raise ValueError("central mass must be nonnegative")
+        if not 0.0 <= self.m0 < np.inf:
+            raise ValueError("central mass must be nonnegative and finite")
         masses = self.masses
         if masses is None:
             masses = tuple(1.0 for _ in range(self.n))
@@ -68,8 +68,8 @@ class NBodyConfig:
             masses = tuple(float(m) for m in masses)
             if len(masses) != self.n:
                 raise ValueError("need one mass per ring body")
-            if any(m <= 0.0 for m in masses):
-                raise ValueError("ring masses must be positive")
+            if not all(0.0 < m < np.inf for m in masses):
+                raise ValueError("ring masses must be positive and finite")
         object.__setattr__(self, "masses", masses)
         c = ring_constant(self.n)
         object.__setattr__(self, "omega", float(np.sqrt(self.m0 + c)))

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, build_bs_problem, exact_profile, grid, periodic_wrap,
-                                 precond_operator, propagate, reflection_blocks,
-                                 translation_action, translation_shift)
+from orbitfix.boussinesq import (BSParams, _etdrk4_stepper, build_bs_problem, exact_profile, grid,
+                                 periodic_wrap, precond_operator, propagate,
+                                 propagation_schedule, reflection_blocks, translation_action,
+                                 translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, inverse_2x2, materialize, minres,
                              preconditioned_product)
@@ -23,6 +24,14 @@ def _params(n=256, half_length=25.0, speed=None):
 
 
 # ---------------- parameters ----------------
+
+@pytest.mark.parametrize("speed, half_length", [
+    (np.inf, 10.0), (np.nan, 10.0), (2.0, np.inf), (2.0, np.nan),
+], ids=["speed-inf", "speed-nan", "half-length-inf", "half-length-nan"])
+def test_params_reject_non_finite_fields(speed, half_length):
+    with pytest.raises(ValueError, match="finite"):
+        BSParams(theta2=0.9, speed=speed, n=64, half_length=half_length)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -809,6 +818,8 @@ def test_comoving_propagate_keeps_the_closed_form_wave(theta2):
     result = propagate(prof.wave, params, dt=0.05, t_end=t_end, frame_speed=params.speed)
     assert result.completed
     assert result.steps == 2000
+    # step doubling skips most of the 2,000 steps: 76, 207 and 532 run
+    assert result.etdrk4_steps <= 600
     final = result.states[-1]
     center = translation_shift(final, 50.0)
     expected = prof.speed * t_end
@@ -834,3 +845,103 @@ def test_comoving_propagate_is_fourth_order_on_a_perturbed_wave():
                         for g, r in zip(got.states, ref)))
     assert errs[0] <= 1e-6
     assert 10.0 <= errs[1] / errs[0] <= 25.0
+
+
+# ---------------- step doubling ----------------
+
+def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
+    """Final state of propagate's ETDRK4 step taken at every point of the grid of dt.
+
+    Returns (state, steps), or (None, k) when step k goes non-finite.
+    """
+    nsteps, h, _ = propagation_schedule(dt, t_end)
+    n = params.n
+    half = n // 2 + 1
+    xi, d1, _ = fourier_symbols(n, params.half_length)
+    xi, d1 = xi[:half], d1[:half]
+    mult_u = -d1 / (1.0 + params.d * xi ** 2)
+    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
+    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
+    quad = np.stack([0.5 * mult_u, mult_eta])
+
+    def nonlinear_hat(state, out):
+        u, eta = np.fft.irfft(state, n)
+        out[...] = np.fft.rfft(np.stack([u * u, eta * u]))
+
+    step = _etdrk4_stepper(h, frame_speed, d1, swap, quad, nonlinear_hat)
+    v = np.fft.rfft(np.asarray(w0, dtype=float).reshape(2, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nsteps + 1):
+            step(v)
+            if not np.isfinite(v).all():
+                return None, k
+    return np.fft.irfft(np.exp(-frame_speed * nsteps * h * d1) * v, n).reshape(2 * n), nsteps
+
+
+def _bumped_wave(theta2, n, half_length, amplitude):
+    prof, params = _wave_params(theta2, n, half_length)
+    bump = amplitude * np.exp(-(grid(n, half_length) - 3.0) ** 2)
+    return prof.wave + np.concatenate([bump, bump]), params
+
+
+@pytest.mark.parametrize("frame, dt", [
+    ("comoving", 0.05), ("comoving", 0.1), ("comoving", 0.01),
+    ("lab", 0.0025), ("lab", 0.01), ("lab", 0.04),
+])
+def test_propagate_is_the_fixed_step_path_where_the_dynamics_is_real(frame, dt):
+    # comoving: on the wave plus a bump every doubling check fails, so the
+    # kept steps are the fixed ones, at one extra step per up to 64. Lab: a
+    # broad bump, on which a doubling check would pass at dt 0.0025 and 0.01
+    # (steps of 0.01 and 0.02 kept); the lab frame never doubles
+    x = grid(256, 25.0)
+    if frame == "comoving":
+        w0, params = _bumped_wave(0.9, 256, 25.0, 0.05 if dt > 0.01 else 1e-3)
+        frame_speed, t_end = params.speed, 10.0
+    else:
+        bump = 0.1 * np.exp(-(x / 3.0) ** 2)
+        w0, params = np.concatenate([bump, bump]), _params(n=256, half_length=25.0)
+        frame_speed, t_end = 0.0, 1.0
+    ref, nsteps = _fixed_step_propagate(w0, params, dt, t_end, frame_speed)
+    result = propagate(w0, params, dt=dt, t_end=t_end, frame_speed=frame_speed)
+    assert result.completed and result.steps == nsteps
+    assert np.array_equal(result.states[-1], ref)
+    assert result.longest_step == pytest.approx(t_end / nsteps)
+    if frame == "lab":
+        assert result.etdrk4_steps == nsteps
+    else:
+        assert nsteps < result.etdrk4_steps <= 1.1 * nsteps
+
+
+def test_comoving_snapshots_land_on_odd_grid_steps_between_longer_steps():
+    prof, params = _wave_params(THETA2, 256, 25.0)
+    times = [0.35, 3.15, 10.05, 19.95]
+    result = propagate(prof.wave, params, dt=0.05, t_end=20.0, snapshot_times=times,
+                       frame_speed=params.speed)
+    assert result.completed and result.steps == 400
+    assert result.times == [k * 0.05 for k in (7, 63, 201, 399)]
+    assert result.longest_step >= 16 * 0.05
+    assert result.etdrk4_steps < 100
+    act = translation_action(params).act
+    for t, w in zip(result.times, result.states):
+        center = translation_shift(w, 25.0)
+        assert abs(periodic_wrap(center - prof.speed * t, 25.0)) <= 1e-10
+        assert np.linalg.norm(w - act(center, prof.wave)) / np.linalg.norm(prof.wave) <= 1e-10
+
+
+def test_comoving_propagate_completes_where_a_fixed_long_step_blows_up():
+    # a fixed step of 2 overflows at step 25 of 50; the checks keep steps of
+    # at most 0.8 here
+    prof, params = _wave_params(0.92, 512, 50.0)
+    fixed, k = _fixed_step_propagate(prof.wave, params, 2.0, 100.0, params.speed)
+    assert fixed is None and k < 50
+    result = propagate(prof.wave, params, dt=0.05, t_end=100.0, frame_speed=params.speed)
+    assert result.completed
+    assert result.longest_step < 2.0
+
+
+def test_comoving_propagate_keeps_the_zero_state():
+    params = _params(n=64, half_length=10.0)
+    result = propagate(np.zeros(128), params, dt=0.01, t_end=10.0, frame_speed=params.speed)
+    assert result.completed and result.steps == 1000
+    assert not np.any(result.states[-1])
+    assert result.etdrk4_steps < 100

@@ -512,6 +512,9 @@ def test_bs_propagate_reports_frame_and_steps_run(tmp_path):
     assert code == 0
     extras = _read_summary(tmp_path)["extras"]
     assert extras["steps"] == 33
+    # step doubling: fewer ETDRK4 steps than grid steps, some longer than 1/33
+    assert 0 < extras["etdrk4_steps"] < 33
+    assert extras["longest_step"] >= 2.0 / 33
     assert extras["dt"] == 0.03
     assert extras["frame_speed"] == bq.exact_profile(0.9, 256, 25.0).speed
     assert extras["center_error"] <= 1e-10
@@ -554,6 +557,19 @@ def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, messa
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bs", "solve", "--grid-n", "64", "--half-length", "10", "--cs", "inf"], "wave speed"),
+    (["nbody", "solve", "--bodies", "3", "--m0", "nan"], "central mass"),
+    (["nbody", "solve", "--bodies", "3", "--m0", "inf"], "central mass"),
+    (["bs", "spectrum", "--half-length", "inf"], "half_length"),
+], ids=["bs-cs-inf", "nbody-m0-nan", "nbody-m0-inf", "bs-half-length-inf"])
+def test_non_finite_configuration_exits_before_any_work(tmp_path, capsys, argv, message):
+    # warnings are errors here, so a run on NaN states would fail the test
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("eps", [",", "0.01,nan"])

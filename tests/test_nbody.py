@@ -76,6 +76,14 @@ def test_config_validation():
         NBodyConfig(n=3, m0=1.0, masses=np.ones(2))
 
 
+@pytest.mark.parametrize("m0, masses", [
+    (np.nan, None), (np.inf, None), (1.0, (1.0, np.nan, 1.0)), (1.0, (1.0, np.inf, 1.0)),
+], ids=["m0-nan", "m0-inf", "mass-nan", "mass-inf"])
+def test_config_rejects_non_finite_masses(m0, masses):
+    with pytest.raises(ValueError, match="finite"):
+        NBodyConfig(n=3, m0=m0, masses=masses)
+
+
 def test_config_derives_omega_and_rejects_it_as_argument():
     # omega follows from n and m0, so it is not a constructor argument
     with pytest.raises(TypeError):
