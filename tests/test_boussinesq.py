@@ -890,15 +890,14 @@ def _bumped_wave(theta2, n, half_length, amplitude):
 ])
 def test_propagate_is_the_fixed_step_path_where_the_dynamics_is_real(frame, dt):
     # comoving: on the wave plus a bump every doubling check fails, so the
-    # kept steps are the fixed ones, at one extra step per up to 64. Lab: a
-    # broad bump, on which a doubling check would pass at dt 0.0025 and 0.01
-    # (steps of 0.01 and 0.02 kept); the lab frame never doubles
-    x = grid(256, 25.0)
+    # kept steps are the fixed ones, at 2-7 % extra steps for the checks.
+    # Lab: a broad bump, on which a doubling check would pass at dt 0.0025
+    # and 0.01 (steps of 0.01 and 0.02 kept); the lab frame never doubles
     if frame == "comoving":
         w0, params = _bumped_wave(0.9, 256, 25.0, 0.05 if dt > 0.01 else 1e-3)
         frame_speed, t_end = params.speed, 10.0
     else:
-        bump = 0.1 * np.exp(-(x / 3.0) ** 2)
+        bump = 0.1 * np.exp(-(grid(256, 25.0) / 3.0) ** 2)
         w0, params = np.concatenate([bump, bump]), _params(n=256, half_length=25.0)
         frame_speed, t_end = 0.0, 1.0
     ref, nsteps = _fixed_step_propagate(w0, params, dt, t_end, frame_speed)
