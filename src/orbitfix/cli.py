@@ -5,6 +5,8 @@ orbitfix bs {solve|orbit|spectrum|shift-table|propagate}, long-form flags
 only. Every command writes its artifacts into --out (default ./out) and
 returns what it found; main alone writes summary.json, conforming to
 SUMMARY_SCHEMA, from that. A non-finite number is written as null.
+solve and orbit are one command for both problems (cmd_solve), over a
+per-problem record (_Problem) built from the arguments.
 wall_time_s runs from after parsing to just before summary.json is
 written. Exit codes: 0 converged/success, 1 usage or configuration
 error, 2 iteration limit, 3 divergence.
@@ -18,7 +20,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +30,9 @@ from . import boussinesq as bq
 from . import nbody as nb
 from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
-                      SolverConfig, fixed_point_solve, iteration_matrix_spectrum,
-                      newton_solve, petviashvili_solve)
-from .symmetry import align_to_orbit, kernel_check, predict_limit
+                      STATUSES, ProblemSpec, SolverConfig, fixed_point_solve,
+                      iteration_matrix_spectrum, newton_solve, petviashvili_solve)
+from .symmetry import GroupAction, align_to_orbit, kernel_check, predict_limit
 
 __all__ = ["main", "SUMMARY_SCHEMA"]
 
@@ -48,8 +52,7 @@ SUMMARY_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "command": {"type": "string"},
-        "status": {"enum": [CONVERGED_RESIDUAL, CONVERGED_REFERENCE,
-                            MAX_ITERATIONS, DIVERGED, None]},
+        "status": {"enum": [*STATUSES, None]},
         "final_residual": {"type": ["number", "null"]},
         "iterations": {"type": ["integer", "null"]},
         "orbit": {
@@ -137,17 +140,6 @@ def _orbit_json(report):
     }
 
 
-def _solver_config(args, anderson) -> SolverConfig:
-    return SolverConfig(
-        tol_residual=args.tol,
-        max_outer=args.max_outer,
-        inner_tol=args.inner_tol,
-        inner_maxit=args.inner_maxit,
-        divergence_cap=args.cap,
-        anderson=anderson,
-    )
-
-
 def _config_echo(args) -> dict:
     skip = {"func", "command"}
     out = {}
@@ -195,17 +187,71 @@ def _finite(x) -> bool:
     return bool(np.all(np.isfinite(x)))
 
 
-# ---------------- nbody commands ----------------
+# ---------------- one solve path over a per-problem record ----------------
 
-def _nbody_seed(args, qstar):
-    if args.perturb == "none":
-        return qstar.copy()
-    if args.perturb == "ones":
-        return qstar + args.eps * np.ones_like(qstar)
-    if args.perturb == "generator":
-        return qstar + args.eps * nb.rotation_action().generators(qstar)[0]
-    raise _UsageError(f"perturbation kind {args.perturb!r} is not defined for nbody")
+@dataclass(frozen=True)
+class _Problem:
+    """What a solve needs of one problem; _nbody_problem and _bs_problem build it from args."""
 
+    params: object  # NBodyConfig or BSParams
+    spec: ProblemSpec
+    action: GroupAction
+    reference: Optional[np.ndarray]  # the solution runs are measured against, or None
+    start: np.ndarray  # the unperturbed seed, also written when a solve goes non-finite
+    seed: Callable  # (perturbation kind, eps) -> seed
+    precond: Callable  # seed -> Newton's preconditioner
+    anderson: int  # the window of the fixed-point methods' Anderson mixing
+    on_F: bool  # fixed-point runs classify and report on |F|, not on the gap
+    write: Callable  # (out, state): bodies.csv or profile.csv
+    extras: Callable  # (seed, state) -> the extras only this problem reports
+
+
+def _solve(args, p: _Problem, x0, perturbed):
+    """Solve from x0; return (outcome, what a command returns of it).
+
+    An explicit --method wins; only bs leaves it None. Then an unperturbed
+    seed with no reference (the closed-form wave at another speed) runs
+    Petviashvili; perturbed seeds (perturbed=True) and seeds at the
+    closed-form speed run Newton, whose limit is the orbit element the shift
+    diagnostics measure. final_residual is outcome.f_norm, |F| at the
+    returned state, when p.on_F, and else the trace's last residual.
+    """
+    method = args.method or ("petviashvili" if not perturbed and p.reference is None
+                             else "newton")
+    config = SolverConfig(tol_residual=args.tol, max_outer=args.max_outer,
+                          inner_tol=args.inner_tol, inner_maxit=args.inner_maxit,
+                          divergence_cap=args.cap, anderson=p.anderson)
+    if method == "newton":
+        # MINRES preconditioned by p.precond, each step deflated off the group's generators
+        outcome = newton_solve(p.spec, x0, config, reference=p.reference,
+                               precond=p.precond(x0), generators=p.action.generators)
+    elif method == "petviashvili":
+        outcome = petviashvili_solve(p.spec, x0, config, reference=p.reference,
+                                     tol_on_F=p.on_F)
+    else:
+        outcome = fixed_point_solve(p.spec, x0, config, reference=p.reference)
+    return outcome, {
+        "status": outcome.status, "iterations": outcome.iterations,
+        "final_residual": outcome.f_norm if p.on_F else outcome.trace.residuals[-1],
+        "extras": {"method": method, "anderson": None if method == "newton" else p.anderson}}
+
+
+def cmd_solve(args, out: Path) -> dict:
+    """solve and orbit, for either problem."""
+    p = (_nbody_problem if args.problem == "nbody" else _bs_problem)(args)
+    x0 = p.seed(args.perturb, args.eps)
+    outcome, found = _solve(args, p, x0, perturbed=args.perturb != "none")
+    _write_trace(out, outcome.trace)
+    finite = _finite(outcome.x)
+    p.write(out, outcome.x if finite else p.start)
+    found["orbit"] = (align_to_orbit(outcome.x, p.reference, p.action)
+                      if finite and p.reference is not None else None)
+    found["extras"].update(inner_iterations=outcome.inner_iterations,
+                           **p.extras(x0, outcome.x))
+    return found
+
+
+# ---------------- nbody ----------------
 
 def _write_bodies(out: Path, q):
     pos = q.reshape(-1, 2)
@@ -213,37 +259,30 @@ def _write_bodies(out: Path, q):
                ((str(j + 1), x, y) for j, (x, y) in enumerate(pos.tolist())))
 
 
-def cmd_nbody_solve(args, out: Path) -> dict:
-    """nbody solve and nbody orbit; orbit adds the predicted limit and kernel residual."""
+def _nbody_problem(args) -> _Problem:
     cfg = nb.NBodyConfig(n=args.bodies, m0=args.m0)
     problem = nb.build_nbody(cfg)
     qstar = nb.polygon_solution(args.bodies)
     action = nb.rotation_action()
-    config = _solver_config(args, args.anderson)
-    q0 = _nbody_seed(args, qstar)
-    if args.method == "petviashvili":
-        outcome = petviashvili_solve(problem, q0, config, reference=qstar)
-    elif args.method == "fixed-point":
-        outcome = fixed_point_solve(problem, q0, config, reference=qstar)
-    else:
-        # MINRES preconditioned by |J|^{-1} at the polygon rotated onto the seed, each
-        # step deflated off the rotation generator, as _bs_solve does for waves
-        outcome = newton_solve(problem, q0, config, reference=qstar,
-                               precond=nb.precond_operator(cfg, action.align(q0, qstar)),
-                               generators=action.generators)
-    _write_trace(out, outcome.trace)
-    _write_bodies(out, outcome.x if _finite(outcome.x) else qstar)
-    orbit = None
-    extras = {"omega": cfg.omega, "inner_iterations": outcome.inner_iterations,
-              "method": args.method,
-              "anderson": None if args.method == "newton" else config.anderson}
-    if _finite(outcome.x):
-        orbit = align_to_orbit(outcome.x, qstar, action)
-        if args.command == "orbit":
-            extras["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
-            extras["kernel_residual"] = kernel_check(problem, qstar, action)
-    return {"status": outcome.status, "final_residual": outcome.trace.residuals[-1],
-            "iterations": outcome.iterations, "orbit": orbit, "extras": extras}
+
+    def seed(kind, eps):
+        if kind == "none":
+            return qstar
+        return qstar + eps * (np.ones_like(qstar) if kind == "ones"
+                              else action.generators(qstar)[0])
+
+    def extras(q0, q):
+        # omega even when the solve diverged; orbit adds the predicted limit
+        out = {"omega": cfg.omega}
+        if args.command == "orbit" and _finite(q):
+            out["alpha_predicted"] = float(predict_limit(q0, qstar, action)[0])
+            out["kernel_residual"] = kernel_check(problem, qstar, action)
+        return out
+
+    # Newton's preconditioner is |J|^{-1} at the polygon rotated onto the seed
+    return _Problem(cfg, problem, action, qstar, qstar, seed,
+                    lambda q0: nb.precond_operator(cfg, action.align(q0, qstar)),
+                    args.anderson, False, _write_bodies, extras)
 
 
 def cmd_nbody_spectrum(args, out: Path) -> dict:
@@ -253,7 +292,7 @@ def cmd_nbody_spectrum(args, out: Path) -> dict:
     return {"extras": _write_spectrum(out, report)}
 
 
-# ---------------- bs commands ----------------
+# ---------------- bs ----------------
 
 def _bs_profile(args):
     """(closed-form profile, BSParams at --cs or else at the profile's own speed)."""
@@ -261,59 +300,6 @@ def _bs_profile(args):
     speed = args.cs if args.cs is not None else profile.speed
     return profile, bq.BSParams(theta2=args.theta2, speed=speed, n=args.grid_n,
                                 half_length=args.half_length)
-
-
-def _bs_reference(args, profile):
-    # the closed-form profile solves the system only at its own speed
-    if args.cs is not None and abs(args.cs - profile.speed) > 1e-12:
-        return None
-    return profile.wave
-
-
-def _bs_seed(profile, params, kind, eps, x0):
-    w = profile.wave
-    n = params.n
-    x = bq.grid(n, params.half_length)
-    if kind == "none":
-        return w
-    if kind == "gauss":
-        bump = eps * np.exp(-(x - x0) ** 2)
-        return w + np.concatenate([bump, bump])
-    if kind == "gauss-derivative":
-        bump = eps * (x - x0) * np.exp(-(x - x0) ** 2)
-        return w + np.concatenate([bump, bump])
-    if kind == "generator-discrete":
-        return w + eps * fourier_apply(fourier_symbols(n, params.half_length)[1], w)
-    raise _UsageError(f"perturbation kind {kind!r} is not defined for bs")
-
-
-# Anderson window of the bs Petviashvili path
-BS_ANDERSON = 5
-
-
-def _bs_solve(args, profile, params, problem, w0, perturbed):
-    """Solve for the wave from w0; return (outcome, extras naming the method).
-
-    An explicit --method wins. Otherwise the unperturbed closed-form wave
-    seeding a solve at another speed runs Petviashvili; perturbed seeds
-    (perturbed=True) and seeds at the closed-form speed run Newton, whose
-    limit is the orbit element the shift diagnostics measure.
-    outcome.f_norm is |F| at the returned wave.
-    """
-    reference = _bs_reference(args, profile)
-    method = args.method
-    if method is None:
-        method = "petviashvili" if not perturbed and reference is None else "newton"
-    if method == "petviashvili":
-        outcome = petviashvili_solve(problem, w0, _solver_config(args, BS_ANDERSON),
-                                     reference=reference, tol_on_F=True)
-        return outcome, {"method": method, "anderson": BS_ANDERSON}
-    # MINRES preconditioned by |S|^{-1}, each step deflated off the translation generator;
-    # the operator, not its apply, so that MINRES fuses it with the Jacobian
-    outcome = newton_solve(problem, w0, _solver_config(args, 0), reference=reference,
-                           precond=bq.precond_operator(params),
-                           generators=bq.translation_action(params).generators)
-    return outcome, {"method": method, "anderson": None}
 
 
 def _centers(w, params):
@@ -334,22 +320,28 @@ def _write_profile(out: Path, w, params):
                zip(x.tolist(), eta.tolist(), u.tolist()))
 
 
-def cmd_bs_solve(args, out: Path) -> dict:
+def _bs_problem(args) -> _Problem:
     profile, params = _bs_profile(args)
-    w0 = _bs_seed(profile, params, args.perturb, args.eps, args.x0)
-    outcome, ran = _bs_solve(args, profile, params, bq.build_bs_problem(params), w0,
-                             perturbed=args.perturb != "none")
-    _write_trace(out, outcome.trace)
-    _write_profile(out, outcome.x if _finite(outcome.x) else profile.wave, params)
-    orbit = None
-    extras = {"inner_iterations": outcome.inner_iterations, **ran}
-    reference = _bs_reference(args, profile)
-    if _finite(outcome.x):
-        extras.update(_centers(outcome.x, params))
-        if reference is not None:
-            orbit = align_to_orbit(outcome.x, reference, bq.translation_action(params))
-    return {"status": outcome.status, "final_residual": outcome.f_norm,
-            "iterations": outcome.iterations, "orbit": orbit, "extras": extras}
+    w = profile.wave
+    # the closed-form profile solves the system only at its own speed
+    reference = None if args.cs is not None and abs(args.cs - profile.speed) > 1e-12 else w
+
+    def seed(kind, eps):
+        if kind == "none":
+            return w
+        if kind == "generator-discrete":
+            return w + eps * fourier_apply(fourier_symbols(params.n, params.half_length)[1], w)
+        # the gauss kinds, which only solve and orbit offer, bump both fields at --x0
+        x = bq.grid(params.n, params.half_length) - args.x0
+        bump = (eps * x if kind == "gauss-derivative" else eps) * np.exp(-x ** 2)
+        return w + np.concatenate([bump, bump])
+
+    # Newton's preconditioner is |S|^{-1}: the operator, not its apply, so that MINRES
+    # fuses it with the Jacobian. Petviashvili mixes over the last 5 steps.
+    return _Problem(params, bq.build_bs_problem(params), bq.translation_action(params),
+                    reference, w, seed, lambda w0: bq.precond_operator(params), 5, True,
+                    lambda out, w: _write_profile(out, w, params),
+                    lambda w0, w: _centers(w, params) if _finite(w) else {})
 
 
 def cmd_bs_spectrum(args, out: Path) -> dict:
@@ -362,22 +354,18 @@ def cmd_bs_spectrum(args, out: Path) -> dict:
 
 
 def cmd_bs_shift_table(args, out: Path) -> dict:
-    profile, params = _bs_profile(args)
-    problem = bq.build_bs_problem(params)
-    eps_values = _floats(args.eps, "--eps")
+    p = _bs_problem(args)
     rows = []
-    for eps in eps_values:
+    for eps in _floats(args.eps, "--eps"):
         # derivative-direction seeds are perturbed
-        w0 = _bs_seed(profile, params, "generator-discrete", eps, 0.0)
-        outcome, ran = _bs_solve(args, profile, params, problem, w0, perturbed=True)
-        row = {"eps": eps, "status": outcome.status,
-               "final_residual": float(outcome.f_norm),
-               "x_u": None, "x_eta": None}
-        if _finite(outcome.x):
-            row.update(_centers(outcome.x, params))
+        w0 = p.seed("generator-discrete", eps)
+        outcome, found = _solve(args, p, w0, perturbed=True)
+        row = {"eps": eps, "status": found["status"],
+               "final_residual": found["final_residual"], "x_u": None, "x_eta": None}
+        row.update(p.extras(w0, outcome.x))
         rows.append(row)
     _write_json(out / "shift_table.json", rows)
-    return {"extras": {"table": rows, **ran},
+    return {"extras": {"table": rows, **found["extras"]},
             "exit_code": max(_EXIT_CODES[row["status"]] for row in rows)}
 
 
@@ -385,16 +373,14 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     # reject bad step options before a --cs solve spends its time
     bq.propagation_schedule(args.dt, args.t_end, snapshot_times)
-    profile, params = _bs_profile(args)
+    p = _bs_problem(args)
+    params = p.params
     found = {"extras": {"method": None, "anderson": None}}
-    w0 = profile.wave
-    if _bs_reference(args, profile) is None:
+    w0 = p.start
+    if p.reference is None:
         # no closed form at this speed: compute the travelling wave first
-        outcome, ran = _bs_solve(args, profile, params, bq.build_bs_problem(params), w0,
-                                 perturbed=False)
+        outcome, found = _solve(args, p, w0, perturbed=False)
         _write_trace(out, outcome.trace)
-        found = {"status": outcome.status, "final_residual": outcome.f_norm,
-                 "iterations": outcome.iterations, "extras": ran}
         if not outcome.converged:
             return found
         w0 = outcome.x
@@ -425,7 +411,7 @@ def cmd_bs_propagate(args, out: Path) -> dict:
         extras["expected_center"] = expected
         extras["center_error"] = abs(bq.periodic_wrap(final_center - expected,
                                                       params.half_length))
-        aligned = bq.translation_action(params).act(final_center - start_center, w0)
+        aligned = p.action.act(final_center - start_center, w0)
         extras["shape_error"] = float(
             np.linalg.norm(final - aligned) / np.linalg.norm(w0))
     if not result.completed:
@@ -455,7 +441,7 @@ def _build_parser() -> _Parser:
         _add_solver_flags(p, ("petviashvili", "fixed-point", "newton"), 1e-7)
         p.add_argument("--anderson", type=int, default=0)
         _add_perturb_flags(p, ("ones", "generator"))
-        p.set_defaults(func=cmd_nbody_solve)
+        p.set_defaults(func=cmd_solve)
 
     p = nbody_cmds.add_parser("spectrum")
     nbody_common(p)
@@ -475,7 +461,7 @@ def _build_parser() -> _Parser:
     def bs_solver(p):
         bs_common(p)
         _add_solver_flags(p, ("newton", "petviashvili"), 1e-12)
-        # None: the method follows from the seed (_bs_solve)
+        # None: the method follows from the seed (_solve)
         p.set_defaults(method=None)
 
     for name in ("solve", "orbit"):
@@ -484,7 +470,7 @@ def _build_parser() -> _Parser:
         _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
         # where the gauss bumps sit; the ring's perturbations have no position
         p.add_argument("--x0", type=float, default=0.0)
-        p.set_defaults(func=cmd_bs_solve)
+        p.set_defaults(func=cmd_solve)
 
     p = bs_cmds.add_parser("spectrum")
     bs_common(p)

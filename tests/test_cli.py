@@ -11,6 +11,7 @@ import pytest
 
 import orbitfix
 from orbitfix import boussinesq as bq
+from orbitfix import cli
 from orbitfix import nbody as nb
 from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, _write_csv, main
 from orbitfix.solvers import IterationTrace, SolverConfig, newton_solve
@@ -193,6 +194,75 @@ def test_every_command_writes_its_summary(tmp_path, argv):
     _validate(summary)
     assert summary["command"] == " ".join(argv[:2])
     assert summary["exit_code"] == code
+
+
+SOLVE_EXTRAS = {"anderson", "inner_iterations", "method"}
+PROPAGATE_EXTRAS = {"anderson", "method", "completed", "dt", "t_end", "frame_speed", "steps",
+                    "etdrk4_steps", "longest_step", "start_center", "final_center",
+                    "expected_center", "center_error", "shape_error"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv, code, keys", [
+    (["nbody", "solve", "--m0", "5", "--perturb", "ones", "--eps", "0.1"], 0,
+     SOLVE_EXTRAS | {"omega"}),
+    # omega is reported on a diverged run too
+    (["nbody", "solve", "--m0", "1", "--perturb", "ones", "--eps", "0.1"], 3,
+     SOLVE_EXTRAS | {"omega"}),
+    (["nbody", "orbit", "--perturb", "generator", "--eps", "1"], 0,
+     SOLVE_EXTRAS | {"omega", "alpha_predicted", "kernel_residual"}),
+    (["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01", "--tol", "1e-8"], 0,
+     SOLVE_EXTRAS | {"x_eta", "x_u"}),
+    (["bs", "orbit", *BS_SMALL, "--cs", "1.2", "--tol", "1e-10"], 0,
+     SOLVE_EXTRAS | {"x_eta", "x_u"}),
+    (["bs", "shift-table", *BS_SMALL, "--eps", "0.01,1e160", "--tol", "1e-8"], 3,
+     {"anderson", "method", "table"}),
+    (["bs", "propagate", *BS_SMALL, "--cs", "1.2", "--tol", "1e-10", "--t-end", "1"], 0,
+     PROPAGATE_EXTRAS),
+], ids=["nbody-solve", "nbody-solve-diverged", "nbody-orbit", "bs-solve", "bs-orbit-cs",
+        "shift-table", "propagate-cs"])
+def test_each_command_reports_a_fixed_extras_key_set(tmp_path, argv, code, keys):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    extras = _read_summary(tmp_path)["extras"]
+    assert set(extras) == keys
+    for row in extras.get("table", []):
+        assert set(row) == {"eps", "final_residual", "status", "x_eta", "x_u"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["nbody", "orbit", "--perturb", "ones", "--eps", "0.1"], SOLVE_EXTRAS | {"omega"}),
+    (["bs", "orbit", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01"], SOLVE_EXTRAS),
+], ids=["nbody", "bs"])
+def test_non_finite_state_reports_no_orbit_and_writes_the_unperturbed_seed(
+        tmp_path, monkeypatch, argv, keys):
+    real = cli.newton_solve
+
+    def blown_up(*args, **kwargs):
+        outcome = real(*args, **kwargs)
+        outcome.x = np.full_like(outcome.x, np.nan)
+        outcome.status = "Diverged"
+        return outcome
+
+    monkeypatch.setattr(cli, "newton_solve", blown_up)
+    assert main([*argv, "--method", "newton", "--tol", "1e-8", "--out", str(tmp_path)]) == 3
+    summary = _read_summary(tmp_path)
+    assert summary["orbit"] is None
+    assert set(summary["extras"]) == keys
+    if argv[0] == "nbody":
+        with open(tmp_path / "bodies.csv", newline="") as fh:
+            state = [float(r[k]) for r in csv.DictReader(fh) for k in ("x", "y")]
+        assert state == nb.polygon_solution(2).tolist()
+    else:
+        with open(tmp_path / "profile.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        state = [float(r["u"]) for r in rows] + [float(r["eta"]) for r in rows]
+        assert state == bq.exact_profile(0.9, 256, 25.0).wave.tolist()
+
+
+def test_summary_status_enum_names_every_status_and_null():
+    assert SUMMARY_SCHEMA["properties"]["status"]["enum"] == [
+        "ConvergedResidual", "ConvergedReference", "MaxIterations", "Diverged", None]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
