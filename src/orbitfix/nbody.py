@@ -55,6 +55,9 @@ class NBodyConfig:
     # so the unit polygon solves F = 0 at the configured omega:
     # central + pairwise * ring_constant(n) = omega^2.
     coefficients: Tuple[float, float] = field(init=False, repr=False, compare=False)
+    # read-only a m and b m m^T, the weights of the potential's central and pair terms
+    central_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -74,7 +77,12 @@ class NBodyConfig:
         c = ring_constant(self.n)
         object.__setattr__(self, "omega", float(np.sqrt(self.m0 + c)))
         a = (self.m0 + c) / (1.0 + self.m0 * c)
-        object.__setattr__(self, "coefficients", (a, self.m0 * a))
+        b = self.m0 * a
+        object.__setattr__(self, "coefficients", (a, b))
+        m = np.asarray(masses)
+        for name, w in (("central_weights", a * m), ("pair_weights", b * np.outer(m, m))):
+            w.flags.writeable = False
+            object.__setattr__(self, name, w)
 
     @property
     def mass_diagonal(self) -> np.ndarray:
@@ -108,27 +116,25 @@ def _pairs(config: NBodyConfig, q: np.ndarray):
     pos = _positions(config, q)
     x, y = pos[:, 0], pos[:, 1]
     r2 = x * x + y * y
-    if np.any(r2 < _COLLISION_EPS ** 2):
+    if (r2 < _COLLISION_EPS ** 2).any():
         raise ValueError("body collides with the center")
     dx = x[:, None] - x[None, :]
     dy = y[:, None] - y[None, :]
     d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    if np.any(d2 < _COLLISION_EPS ** 2):
+    d2.flat[::config.n + 1] = np.inf
+    if (d2 < _COLLISION_EPS ** 2).any():
         raise ValueError("two ring bodies collide")
     return x, y, r2, dx, dy, d2
 
 
 def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Gradient of the interaction potential at q."""
-    a, b = config.coefficients
     x, y, r2, dx, dy, d2 = _pairs(config, q)
-    masses = np.asarray(config.masses)
-    central = a * masses * r2 ** -1.5
-    pair = b * np.outer(masses, masses) * d2 ** -1.5
+    central = config.central_weights * r2 ** -1.5
+    pair = config.pair_weights * d2 ** -1.5
     g = np.empty(2 * config.n)
-    g[0::2] = -central * x - np.sum(pair * dx, axis=1)
-    g[1::2] = -central * y - np.sum(pair * dy, axis=1)
+    g[0::2] = -central * x - (pair * dx).sum(axis=1)
+    g[1::2] = -central * y - (pair * dy).sum(axis=1)
     return g
 
 
@@ -139,21 +145,19 @@ def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     with r = q_j - q_i; each diagonal block is the central term
     -a m_j (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks.
     """
-    a, b = config.coefficients
     x, y, r2, dx, dy, d2 = _pairs(config, q)
-    masses = np.asarray(config.masses)
     n = config.n
     inv3 = d2 ** -1.5
     inv5 = inv3 / d2
-    c = b * np.outer(masses, masses)
+    c = config.pair_weights
     hxx = c * (inv3 - 3.0 * dx * dx * inv5)
     hxy = -3.0 * c * dx * dy * inv5
     hyy = c * (inv3 - 3.0 * dy * dy * inv5)
-    central3 = a * masses * r2 ** -1.5
+    central3 = config.central_weights * r2 ** -1.5
     central5 = 3.0 * central3 / r2
-    np.fill_diagonal(hxx, central5 * x * x - central3 - np.sum(hxx, axis=1))
-    np.fill_diagonal(hxy, central5 * x * y - np.sum(hxy, axis=1))
-    np.fill_diagonal(hyy, central5 * y * y - central3 - np.sum(hyy, axis=1))
+    hxx.flat[::n + 1] = central5 * x * x - central3 - hxx.sum(axis=1)
+    hxy.flat[::n + 1] = central5 * x * y - hxy.sum(axis=1)
+    hyy.flat[::n + 1] = central5 * y * y - central3 - hyy.sum(axis=1)
     H = np.empty((2 * n, 2 * n))
     H[0::2, 0::2] = hxx
     H[0::2, 1::2] = hxy
@@ -169,22 +173,22 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
     degree -2 (stabilizing exponent 2/3). The fixed-point form
     G(q) = A^{-1}N(q) = -M^{-1} grad U(q) / omega^2 serves both iterations.
     """
-    w2 = config.omega ** 2
-    mdiag = config.mass_diagonal
+    w2m = config.omega ** 2 * config.mass_diagonal
     dim = 2 * config.n
 
     def F(q):
-        return w2 * mdiag * q + grad_U(config, q)
+        return w2m * q + grad_U(config, q)
 
     def G(q):
-        return -grad_U(config, q) / (w2 * mdiag)
+        return -grad_U(config, q) / w2m
 
     def jacobian_at(q):
-        m = w2 * np.diag(mdiag) + hess_U(config, q)
+        m = hess_U(config, q)
+        m.flat[::dim + 1] += w2m
         return LinearOperator(dim=dim, apply=lambda v: m @ v)
 
-    split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2 * mdiag * v),
-                             inverse=LinearOperator(dim=dim, apply=lambda v: v / (w2 * mdiag)),
+    split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2m * v),
+                             inverse=LinearOperator(dim=dim, apply=lambda v: v / w2m),
                              degree=-2.0)
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
 

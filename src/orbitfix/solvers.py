@@ -9,7 +9,7 @@ distance to that fixed reference.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -182,13 +182,18 @@ class SolveOutcome:
         return sum(k for k in self.trace.inner_iterations if k is not None)
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float vector, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _classify(n, residual, ref_error, config, accept=None):
     """Shared stopping logic; returns a status or None to continue.
 
     accept, when given, is asked before a residual below tolerance counts
     as converged.
     """
-    if not np.isfinite(residual) or residual > config.divergence_cap:
+    if not math.isfinite(residual) or residual > config.divergence_cap:
         return DIVERGED
     if residual <= config.tol_residual and (accept is None or accept()):
         return CONVERGED_RESIDUAL
@@ -247,24 +252,30 @@ def _fixed_point_loop(step: Callable, x0: np.ndarray, config: SolverConfig,
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
     mix = AndersonMixer(config.anderson) if config.anderson else None
+    memo = [None, None]  # this iterate's |F(x)| callable, and its value once evaluated
+
+    def f_norm():
+        if memo[1] is None:
+            memo[1] = memo[0]()
+        return memo[1]
+
+    accept = (lambda: f_norm() <= config.tol_residual) if tol_on_F else None
     for n in range(config.max_outer + 1):
-        gx, s, nxt, f_norm = step(x)
-        if f_norm is not None:
-            f_norm = functools.cache(f_norm)
-        residual = float(np.linalg.norm(x - gx))
-        ref_error = None if reference is None else float(np.linalg.norm(x - reference))
+        gx, s, nxt, memo[0] = step(x)
+        memo[1] = None
+        residual = _norm(x - gx)
+        ref_error = None if reference is None else _norm(x - reference)
         trace.append(residual, ref_error, s)
-        accept = (lambda: f_norm() <= config.tol_residual) if tol_on_F else None
         status = _classify(n, residual, ref_error, config, accept)
         message = ""
         if status is None and isinstance(nxt, str):
             status, message = DIVERGED, nxt
         if status is not None:
             return SolveOutcome(status, x, trace, n, message=message,
-                                f_norm=None if f_norm is None else f_norm())
+                                f_norm=None if memo[0] is None else f_norm())
         if mix is not None:
             nxt = mix(x, nxt)
-        trace.set_step_norm(float(np.linalg.norm(nxt - x)))
+        trace.set_step_norm(_norm(nxt - x))
         x = nxt
     raise AssertionError("unreachable")
 
@@ -425,8 +436,8 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     prev_budget_hit = False
     for n in range(config.max_outer + 1):
         fx = np.asarray(problem.F(x), dtype=float)
-        residual = float(np.linalg.norm(fx))
-        ref_error = None if reference is None else float(np.linalg.norm(x - reference))
+        residual = _norm(fx)
+        ref_error = None if reference is None else _norm(x - reference)
         trace.append(residual, ref_error)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
@@ -455,7 +466,7 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
             dx = deflate(dx)
         prev_budget_hit = stats.iterations >= config.inner_maxit
         prev_residual = residual
-        trace.set_step_norm(float(np.linalg.norm(dx)))
+        trace.set_step_norm(_norm(dx))
         x = x + dx
     raise AssertionError("unreachable")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,56 @@ def _loop_hess_U(cfg, q):
                 diag -= block
                 H[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block
         H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = diag
+    return H
+
+
+# ---------------- array reference for the potential ----------------
+# grad_U's and hess_U's array expressions as they were when each call
+# rebuilt a m and b m m^T from the masses. Reading the weights from the
+# configuration must reproduce them bit for bit.
+
+def _array_pairs(q):
+    pos = q.reshape(-1, 2)
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    return x, y, x * x + y * y, dx, dy, d2
+
+
+def _array_grad_U(cfg, q):
+    a, b = cfg.coefficients
+    x, y, r2, dx, dy, d2 = _array_pairs(q)
+    masses = np.asarray(cfg.masses)
+    central = a * masses * r2 ** -1.5
+    pair = b * np.outer(masses, masses) * d2 ** -1.5
+    g = np.empty(2 * cfg.n)
+    g[0::2] = -central * x - np.sum(pair * dx, axis=1)
+    g[1::2] = -central * y - np.sum(pair * dy, axis=1)
+    return g
+
+
+def _array_hess_U(cfg, q):
+    a, b = cfg.coefficients
+    x, y, r2, dx, dy, d2 = _array_pairs(q)
+    masses = np.asarray(cfg.masses)
+    inv3 = d2 ** -1.5
+    inv5 = inv3 / d2
+    c = b * np.outer(masses, masses)
+    hxx = c * (inv3 - 3.0 * dx * dx * inv5)
+    hxy = -3.0 * c * dx * dy * inv5
+    hyy = c * (inv3 - 3.0 * dy * dy * inv5)
+    central3 = a * masses * r2 ** -1.5
+    central5 = 3.0 * central3 / r2
+    np.fill_diagonal(hxx, central5 * x * x - central3 - np.sum(hxx, axis=1))
+    np.fill_diagonal(hxy, central5 * x * y - np.sum(hxy, axis=1))
+    np.fill_diagonal(hyy, central5 * y * y - central3 - np.sum(hyy, axis=1))
+    H = np.empty((2 * cfg.n, 2 * cfg.n))
+    H[0::2, 0::2] = hxx
+    H[0::2, 1::2] = hxy
+    H[1::2, 0::2] = hxy
+    H[1::2, 1::2] = hyy
     return H
 
 
@@ -196,6 +248,27 @@ def test_potential_matches_loop_reference(n):
         assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
         assert np.max(np.abs(H - H_ref)) <= 1e-13 * np.max(np.abs(H_ref))
         assert np.array_equal(H, H.T)
+        assert np.array_equal(g, _array_grad_U(cfg, q))
+        assert np.array_equal(H, _array_hess_U(cfg, q))
+        J = materialize(build_nbody(cfg).jacobian_at(q))
+        assert np.array_equal(J, cfg.omega ** 2 * np.diag(cfg.mass_diagonal) + H)
+
+
+@pytest.mark.parametrize("changes", [{"masses": (2.0, 0.5, 1.5)}, {"m0": 3.0}],
+                         ids=["masses", "m0"])
+def test_derived_weights_follow_replace_and_stay_out_of_identity(changes):
+    # weights derived in __post_init__ are rederived by dataclasses.replace,
+    # and repr, == and hash see only the declared fields
+    cfg = dataclasses.replace(NBodyConfig(n=3, m0=7.0, masses=(1.0, 1.25, 0.75)), **changes)
+    fresh = NBodyConfig(**{"n": 3, "m0": 7.0, "masses": (1.0, 1.25, 0.75), **changes})
+    q = polygon_solution(3) + 0.05 * np.random.default_rng(7).standard_normal(6)
+    assert np.array_equal(grad_U(cfg, q), grad_U(fresh, q))
+    assert np.array_equal(hess_U(cfg, q), hess_U(fresh, q))
+    assert not cfg.central_weights.flags.writeable and not cfg.pair_weights.flags.writeable
+    assert cfg == fresh
+    assert hash(cfg) == hash((cfg.n, cfg.m0, cfg.masses, cfg.omega))
+    assert repr(cfg) == (f"NBodyConfig(n={cfg.n!r}, m0={cfg.m0!r}, masses={cfg.masses!r}, "
+                         f"omega={cfg.omega!r})")
 
 
 def test_collision_raises():
