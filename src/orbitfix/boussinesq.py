@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numlin import (FourierOperator, abs_inverse_2x2, fourier_apply, fourier_operator,
-                     fourier_symbols, inverse_2x2)
+from .numlin import (FourierOperator, abs_inverse_2x2, check_dense_dim, fourier_apply,
+                     fourier_operator, fourier_symbols, inverse_2x2)
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -162,11 +162,12 @@ def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:
     odd: n - 2), whose eigenvalues together are the Jacobian's; the
     translation generator is odd. Each block is built in closed form when
     it is drawn, so a consumer that drops the even block before drawing
-    the odd one never holds both. Raises ValueError at once when the state
-    is not even to 1e-12 relative.
+    the odd one never holds both. Raises ValueError at once when the even
+    block is past DENSE_DIM_LIMIT or the state is not even to 1e-12 relative.
     """
     w0 = np.asarray(w0, dtype=float)
     n = params.n
+    check_dense_dim(n + 2)
     if w0.shape != (2 * n,):
         raise ValueError("state length must match the configured grid")
     fields = w0.reshape(2, n)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import boussinesq as bq
 from . import nbody as nb
-from .numlin import dense_eigenvalues, fourier_apply, fourier_symbols
+from .numlin import dense_eigenvalues
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       STATUSES, ProblemSpec, SolverConfig, fixed_point_solve,
                       iteration_matrix_spectrum, newton_solve, petviashvili_solve)
@@ -160,6 +160,14 @@ def _floats(text, flag):
     return values
 
 
+def _finite_float(text):
+    # an argparse type: nan and inf are usage errors, as in _floats
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite value, got {text!r}")
+    return value
+
+
 def _add_solver_flags(p, methods, default_tol):
     # the first method is the default; offer only what the problem runs
     p.add_argument("--method", choices=methods, default=methods[0])
@@ -171,7 +179,6 @@ def _add_solver_flags(p, methods, default_tol):
                    help="relative tolerance of each Newton inner solve; on a quotient "
                         "(deflated) solve, the floor of its Eisenstat-Walker forcing term")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
-    p.add_argument("--cap", type=float, default=1e8)
 
 
 def _add_common_flags(p):
@@ -180,7 +187,7 @@ def _add_common_flags(p):
 
 def _add_perturb_flags(p, kinds):
     p.add_argument("--perturb", choices=("none",) + kinds, default="none")
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=_finite_float, default=0.0)
 
 
 def _finite(x) -> bool:
@@ -220,7 +227,7 @@ def _solve(args, p: _Problem, x0, perturbed):
                              else "newton")
     config = SolverConfig(tol_residual=args.tol, max_outer=args.max_outer,
                           inner_tol=args.inner_tol, inner_maxit=args.inner_maxit,
-                          divergence_cap=args.cap, anderson=p.anderson)
+                          anderson=p.anderson)
     if method == "newton":
         # MINRES preconditioned by p.precond, each step deflated off the group's generators
         outcome = newton_solve(p.spec, x0, config, reference=p.reference,
@@ -323,6 +330,7 @@ def _write_profile(out: Path, w, params):
 def _bs_problem(args) -> _Problem:
     profile, params = _bs_profile(args)
     w = profile.wave
+    action = bq.translation_action(params)
     # the closed-form profile solves the system only at its own speed
     reference = None if args.cs is not None and abs(args.cs - profile.speed) > 1e-12 else w
 
@@ -330,7 +338,7 @@ def _bs_problem(args) -> _Problem:
         if kind == "none":
             return w
         if kind == "generator-discrete":
-            return w + eps * fourier_apply(fourier_symbols(params.n, params.half_length)[1], w)
+            return w - eps * action.generators(w)[0]
         # the gauss kinds, which only solve and orbit offer, bump both fields at --x0
         x = bq.grid(params.n, params.half_length) - args.x0
         bump = (eps * x if kind == "gauss-derivative" else eps) * np.exp(-x ** 2)
@@ -338,8 +346,8 @@ def _bs_problem(args) -> _Problem:
 
     # Newton's preconditioner is |S|^{-1}: the operator, not its apply, so that MINRES
     # fuses it with the Jacobian. Petviashvili mixes over the last 5 steps.
-    return _Problem(params, bq.build_bs_problem(params), bq.translation_action(params),
-                    reference, w, seed, lambda w0: bq.precond_operator(params), 5, True,
+    return _Problem(params, bq.build_bs_problem(params), action, reference, w, seed,
+                    lambda w0: bq.precond_operator(params), 5, True,
                     lambda out, w: _write_profile(out, w, params),
                     lambda w0, w: _centers(w, params) if _finite(w) else {})
 
@@ -469,7 +477,7 @@ def _build_parser() -> _Parser:
         bs_solver(p)
         _add_perturb_flags(p, ("gauss", "gauss-derivative", "generator-discrete"))
         # where the gauss bumps sit; the ring's perturbations have no position
-        p.add_argument("--x0", type=float, default=0.0)
+        p.add_argument("--x0", type=_finite_float, default=0.0)
         p.set_defaults(func=cmd_solve)
 
     p = bs_cmds.add_parser("spectrum")

@@ -3,16 +3,16 @@
 States interleave coordinates as (x_1, y_1, ..., x_n, y_n) for the ring
 bodies; the central body of mass m0 sits at the origin and is eliminated.
 In the frame rotating at the equilibrium rate the bodies satisfy
-F(q) = omega^2 M q + grad U(q) = 0, and the interaction coefficients are
-normalized so the unit regular polygon is an exact solution at
-omega^2 = m0 + ring_constant(n). The system is equivariant under global
-rotations, so solutions come in circles.
+F(q) = omega^2 q + grad U(q) = 0 (every ring body has unit mass), and the
+interaction coefficients are normalized so the unit regular polygon is an
+exact solution at omega^2 = m0 + ring_constant(n). The system is
+equivariant under global rotations, so solutions come in circles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,48 +45,25 @@ def ring_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class NBodyConfig:
-    """Ring size, central mass, per-body masses, and the equilibrium rate."""
+    """Ring size, central mass, and the equilibrium rate; ring bodies have unit mass."""
 
     n: int
     m0: float
-    masses: Optional[Tuple[float, ...]] = None
     omega: float = field(init=False)  # filled from n and m0
     # (central, pairwise) interaction strengths, filled from n and m0. Chosen
     # so the unit polygon solves F = 0 at the configured omega:
     # central + pairwise * ring_constant(n) = omega^2.
     coefficients: Tuple[float, float] = field(init=False, repr=False, compare=False)
-    # read-only a m and b m m^T, the weights of the potential's central and pair terms
-    central_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two ring bodies")
         if not 0.0 <= self.m0 < np.inf:
             raise ValueError("central mass must be nonnegative and finite")
-        masses = self.masses
-        if masses is None:
-            masses = tuple(1.0 for _ in range(self.n))
-        else:
-            masses = tuple(float(m) for m in masses)
-            if len(masses) != self.n:
-                raise ValueError("need one mass per ring body")
-            if not all(0.0 < m < np.inf for m in masses):
-                raise ValueError("ring masses must be positive and finite")
-        object.__setattr__(self, "masses", masses)
         c = ring_constant(self.n)
         object.__setattr__(self, "omega", float(np.sqrt(self.m0 + c)))
         a = (self.m0 + c) / (1.0 + self.m0 * c)
-        b = self.m0 * a
-        object.__setattr__(self, "coefficients", (a, b))
-        m = np.asarray(masses)
-        for name, w in (("central_weights", a * m), ("pair_weights", b * np.outer(m, m))):
-            w.flags.writeable = False
-            object.__setattr__(self, name, w)
-
-    @property
-    def mass_diagonal(self) -> np.ndarray:
-        return np.repeat(np.asarray(self.masses, dtype=float), 2)
+        object.__setattr__(self, "coefficients", (a, self.m0 * a))
 
 
 def polygon_solution(n: int) -> np.ndarray:
@@ -129,9 +106,10 @@ def _pairs(config: NBodyConfig, q: np.ndarray):
 
 def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Gradient of the interaction potential at q."""
+    a, b = config.coefficients
     x, y, r2, dx, dy, d2 = _pairs(config, q)
-    central = config.central_weights * r2 ** -1.5
-    pair = config.pair_weights * d2 ** -1.5
+    central = a * r2 ** -1.5
+    pair = b * d2 ** -1.5
     g = np.empty(2 * config.n)
     g[0::2] = -central * x - (pair * dx).sum(axis=1)
     g[1::2] = -central * y - (pair * dy).sum(axis=1)
@@ -141,19 +119,19 @@ def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
 def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Hessian of the interaction potential at q (dense, symmetric).
 
-    Body j's 2x2 block against body i != j is b m_i m_j (I/d^3 - 3 r r^T/d^5)
+    Body j's 2x2 block against body i != j is b (I/d^3 - 3 r r^T/d^5)
     with r = q_j - q_i; each diagonal block is the central term
-    -a m_j (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks.
+    -a (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks.
     """
+    a, b = config.coefficients
     x, y, r2, dx, dy, d2 = _pairs(config, q)
     n = config.n
     inv3 = d2 ** -1.5
     inv5 = inv3 / d2
-    c = config.pair_weights
-    hxx = c * (inv3 - 3.0 * dx * dx * inv5)
-    hxy = -3.0 * c * dx * dy * inv5
-    hyy = c * (inv3 - 3.0 * dy * dy * inv5)
-    central3 = config.central_weights * r2 ** -1.5
+    hxx = b * (inv3 - 3.0 * dx * dx * inv5)
+    hxy = -3.0 * b * dx * dy * inv5
+    hyy = b * (inv3 - 3.0 * dy * dy * inv5)
+    central3 = a * r2 ** -1.5
     central5 = 3.0 * central3 / r2
     hxx.flat[::n + 1] = central5 * x * x - central3 - hxx.sum(axis=1)
     hxy.flat[::n + 1] = central5 * x * y - hxy.sum(axis=1)
@@ -169,26 +147,26 @@ def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
 def build_nbody(config: NBodyConfig) -> ProblemSpec:
     """Rotating-frame equilibrium system for the configured ring.
 
-    F(q) = A q - N(q) with A = omega^2 M and N = -grad U, homogeneous of
+    F(q) = A q - N(q) with A = omega^2 and N = -grad U, homogeneous of
     degree -2 (stabilizing exponent 2/3). The fixed-point form
-    G(q) = A^{-1}N(q) = -M^{-1} grad U(q) / omega^2 serves both iterations.
+    G(q) = A^{-1}N(q) = -grad U(q) / omega^2 serves both iterations.
     """
-    w2m = config.omega ** 2 * config.mass_diagonal
+    w2 = config.omega ** 2
     dim = 2 * config.n
 
     def F(q):
-        return w2m * q + grad_U(config, q)
+        return w2 * q + grad_U(config, q)
 
     def G(q):
-        return -grad_U(config, q) / w2m
+        return -grad_U(config, q) / w2
 
     def jacobian_at(q):
         m = hess_U(config, q)
-        m.flat[::dim + 1] += w2m
+        m.flat[::dim + 1] += w2
         return LinearOperator(dim=dim, apply=lambda v: m @ v)
 
-    split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2m * v),
-                             inverse=LinearOperator(dim=dim, apply=lambda v: v / w2m),
+    split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2 * v),
+                             inverse=LinearOperator(dim=dim, apply=lambda v: v / w2),
                              degree=-2.0)
     return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
 
@@ -202,21 +180,20 @@ def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     """Per-mode symbol S(m) of the Jacobian at the unit polygon, shape (2, 2, n).
 
     In each body's (radial, tangential) frame the polygon's Jacobian is
-    block-circulant for equal masses: body j's block against body j + d is
-    the same 2x2 matrix C_d for every j, since rotating by 2 pi/n and
-    relabelling is a symmetry. A DFT over the bodies splits it into the
-    Hermitian blocks S(m) = sum_d C_d exp(2 pi i m d/n), laid out like
-    np.fft.fftfreq. C_d comes from one body's pair geometry, O(n).
+    block-circulant: body j's block against body j + d is the same 2x2
+    matrix C_d for every j, since rotating by 2 pi/n and relabelling is a
+    symmetry. A DFT over the bodies splits it into the Hermitian blocks
+    S(m) = sum_d C_d exp(2 pi i m d/n), laid out like np.fft.fftfreq. C_d
+    comes from one body's pair geometry, O(n).
     """
     n = config.n
     a, b = config.coefficients
-    m = config.masses[0]
     phi = 2.0 * np.pi * np.arange(1, n) / n
     c, s = np.cos(phi), np.sin(phi)
     # the body at (1, 0) against the one at angle phi: r = (1 - c, -s), |r|^2 = 2 - 2c
     rx, ry = 1.0 - c, -s
     d2 = 2.0 - 2.0 * c
-    inv3 = b * m * m * d2 ** -1.5
+    inv3 = b * d2 ** -1.5
     inv5 = 3.0 * inv3 / d2
     hxx = inv3 - inv5 * rx * rx
     hxy = -inv5 * rx * ry
@@ -225,16 +202,16 @@ def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     blocks = np.empty((2, 2, n))
     blocks[:, :, 1:] = [[hxx * c + hxy * s, hxy * c - hxx * s],
                         [hxy * c + hyy * s, hyy * c - hxy * s]]
-    w2m = config.omega ** 2 * m
-    blocks[:, :, 0] = [[w2m + 2.0 * a * m - hxx.sum(), -hxy.sum()],
-                       [-hxy.sum(), w2m - a * m - hyy.sum()]]
+    w2 = config.omega ** 2
+    blocks[:, :, 0] = [[w2 + 2.0 * a - hxx.sum(), -hxy.sum()],
+                       [-hxy.sum(), w2 - a - hyy.sum()]]
     # C_d is real, so S(m) = conj(rfft(C)[m]) and S(n - m) = conj(S(m))
     half = np.fft.rfft(blocks)
     return np.concatenate([half.conj(), half[..., 1:(n + 1) // 2][..., ::-1]], axis=-1)
 
 
 def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
-    """|J|^{-1} at the unit polygon rotated by alpha, for rings of equal masses.
+    """|J|^{-1} at the unit polygon rotated by alpha.
 
     The ring's counterpart of boussinesq.precond_operator: v is turned
     into the bodies' (radial, tangential) frames, multiplied mode by mode
@@ -244,8 +221,6 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
     the largest modulus as stand-in, so M maps the generator to a
     multiple of itself. Build O(n), apply O(n log n).
     """
-    if len(set(config.masses)) != 1:
-        raise ValueError("the polygon preconditioner needs equal ring masses")
     symbol = _polygon_symbol(config)
     symbol = abs_inverse_2x2(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
                              kernel_tol=_KERNEL_TOL)

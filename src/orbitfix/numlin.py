@@ -30,6 +30,7 @@ __all__ = [
     "abs_inverse_2x2",
     "spectral_derivative",
     "fd_jacobian",
+    "check_dense_dim",
     "dense_eigenvalues",
     "minres",
     "pcg",
@@ -321,18 +322,19 @@ def fd_jacobian(F: Callable, x: np.ndarray, step: Optional[float] = None) -> np.
     return np.column_stack(cols)
 
 
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense eigenvalue problem past DENSE_DIM_LIMIT, before it is built."""
+    if dim > DENSE_DIM_LIMIT:
+        raise ValueError(f"dimension {dim} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}")
+
+
 def _block_eigenvalues(A) -> np.ndarray:
-    if isinstance(A, LinearOperator) and A.dim > DENSE_DIM_LIMIT:
-        raise ValueError(
-            f"dimension {A.dim} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}"
-        )
+    if isinstance(A, LinearOperator):
+        check_dense_dim(A.dim)
     M = materialize(A)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
-    if M.shape[0] > DENSE_DIM_LIMIT:
-        raise ValueError(
-            f"dimension {M.shape[0]} exceeds the dense eigenvalue limit {DENSE_DIM_LIMIT}"
-        )
+    check_dense_dim(M.shape[0])
     if M.shape[0] == 0:
         return np.empty(0, dtype=complex)
     if _is_symmetric(M, 1e-12 * max(1.0, float(M.max()), float(-M.min()))):

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numlin import LinearOperator, dense_eigenvalues, minres
+from .numlin import LinearOperator, check_dense_dim, dense_eigenvalues, minres
 from .numlin import materialize, pcg  # noqa: F401  for perfbench's hooks of these names
 
 __all__ = [
@@ -93,12 +93,12 @@ class SolverConfig:
     anderson: int = 0
 
     def __post_init__(self):
-        if not self.tol_residual > 0.0:
-            raise ValueError("tol_residual must be positive")
+        if not 0.0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be positive and finite")
         if self.inner_maxit < 1:
             raise ValueError("inner_maxit must be >= 1")
         if not self.divergence_cap > 0.0:
@@ -485,6 +485,7 @@ def iteration_matrix_spectrum(problem: ProblemSpec, xstar: np.ndarray,
     if split is None or problem.jacobian_at is None:
         raise ValueError("iteration_matrix_spectrum requires jacobian_at and a homogeneous split")
     xstar = np.asarray(xstar, dtype=float)
+    check_dense_dim(xstar.size)  # before jacobian_at builds anything
     jac = problem.jacobian_at(xstar)
     row = None
     if stabilized:

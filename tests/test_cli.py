@@ -634,12 +634,38 @@ def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, messa
     (["nbody", "solve", "--bodies", "3", "--m0", "nan"], "central mass"),
     (["nbody", "solve", "--bodies", "3", "--m0", "inf"], "central mass"),
     (["bs", "spectrum", "--half-length", "inf"], "half_length"),
-], ids=["bs-cs-inf", "nbody-m0-nan", "nbody-m0-inf", "bs-half-length-inf"])
+    (["nbody", "solve", "--perturb", "ones", "--eps", "0.1", "--tol", "inf"], "tol_residual"),
+    (["bs", "solve", "--grid-n", "64", "--half-length", "10", "--perturb", "gauss",
+      "--eps", "0.01", "--tol", "inf"], "tol_residual"),
+    (["nbody", "solve", "--method", "newton", "--inner-tol", "inf"], "inner_tol"),
+    (["nbody", "solve", "--perturb", "ones", "--eps", "nan"], "argument --eps"),
+    (["nbody", "orbit", "--perturb", "generator", "--eps", "inf"], "argument --eps"),
+    (["bs", "solve", "--grid-n", "64", "--half-length", "10", "--perturb", "gauss",
+      "--eps", "0.01", "--x0", "nan"], "argument --x0"),
+], ids=["bs-cs-inf", "nbody-m0-nan", "nbody-m0-inf", "bs-half-length-inf", "nbody-tol-inf",
+        "bs-tol-inf", "nbody-inner-tol-inf", "nbody-eps-nan", "nbody-orbit-eps-inf",
+        "bs-x0-nan"])
 def test_non_finite_configuration_exits_before_any_work(tmp_path, capsys, argv, message):
     # warnings are errors here, so a run on NaN states would fail the test
     assert main([*argv, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["nbody", "spectrum", "--bodies", "2049"], (nb, "hess_U")),
+    (["bs", "spectrum", "--grid-n", "4096"], (bq, "_reflection_block")),
+], ids=["nbody-hessian", "bs-even-block"])
+def test_oversize_spectrum_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                         argv, builder):
+    def build(*args):
+        raise AssertionError("built a matrix past the dense eigenvalue limit")
+
+    monkeypatch.setattr(*builder, build)
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert "exceeds the dense eigenvalue limit 4096" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("eps", [",", "0.01,nan"])

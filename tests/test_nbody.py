@@ -13,19 +13,21 @@ from orbitfix.symmetry import align_to_orbit
 
 
 # ---------------- loop reference for the potential ----------------
-# One body pair at a time, written straight from the formulas; the library's
-# array expressions must agree with it to round-off.
+# One body pair at a time, written straight from the formulas with a mass
+# per body; the library's unit-mass array expressions must agree with it to
+# round-off.
 
 def _loop_grad_U(cfg, q):
     a, b = cfg.coefficients
+    masses = np.ones(cfg.n)
     pos = q.reshape(cfg.n, 2)
     g = np.zeros_like(pos)
     for j in range(cfg.n):
-        g[j] = -a * cfg.masses[j] * pos[j] / np.linalg.norm(pos[j]) ** 3
+        g[j] = -a * masses[j] * pos[j] / np.linalg.norm(pos[j]) ** 3
         for i in range(cfg.n):
             if i != j:
                 d = pos[j] - pos[i]
-                g[j] -= b * cfg.masses[i] * cfg.masses[j] * d / np.linalg.norm(d) ** 3
+                g[j] -= b * masses[i] * masses[j] * d / np.linalg.norm(d) ** 3
     return g.ravel()
 
 
@@ -36,13 +38,14 @@ def _loop_pair_block(r):
 
 def _loop_hess_U(cfg, q):
     a, b = cfg.coefficients
+    masses = np.ones(cfg.n)
     pos = q.reshape(cfg.n, 2)
     H = np.zeros((2 * cfg.n, 2 * cfg.n))
     for j in range(cfg.n):
-        diag = -a * cfg.masses[j] * _loop_pair_block(pos[j])
+        diag = -a * masses[j] * _loop_pair_block(pos[j])
         for i in range(cfg.n):
             if i != j:
-                block = b * cfg.masses[i] * cfg.masses[j] * _loop_pair_block(pos[j] - pos[i])
+                block = b * masses[i] * masses[j] * _loop_pair_block(pos[j] - pos[i])
                 diag -= block
                 H[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block
         H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = diag
@@ -50,9 +53,10 @@ def _loop_hess_U(cfg, q):
 
 
 # ---------------- array reference for the potential ----------------
-# grad_U's and hess_U's array expressions as they were when each call
-# rebuilt a m and b m m^T from the masses. Reading the weights from the
-# configuration must reproduce them bit for bit.
+# grad_U's and hess_U's array expressions as they were when the ring
+# carried per-body masses m and each call weighted its terms by a m and
+# b m m^T. At unit masses the library's scalar coefficients must reproduce
+# them bit for bit.
 
 def _array_pairs(q):
     pos = q.reshape(-1, 2)
@@ -67,7 +71,7 @@ def _array_pairs(q):
 def _array_grad_U(cfg, q):
     a, b = cfg.coefficients
     x, y, r2, dx, dy, d2 = _array_pairs(q)
-    masses = np.asarray(cfg.masses)
+    masses = np.ones(cfg.n)
     central = a * masses * r2 ** -1.5
     pair = b * np.outer(masses, masses) * d2 ** -1.5
     g = np.empty(2 * cfg.n)
@@ -79,7 +83,7 @@ def _array_grad_U(cfg, q):
 def _array_hess_U(cfg, q):
     a, b = cfg.coefficients
     x, y, r2, dx, dy, d2 = _array_pairs(q)
-    masses = np.asarray(cfg.masses)
+    masses = np.ones(cfg.n)
     inv3 = d2 ** -1.5
     inv5 = inv3 / d2
     c = b * np.outer(masses, masses)
@@ -124,16 +128,12 @@ def test_config_validation():
         NBodyConfig(n=1, m0=1.0)
     with pytest.raises(ValueError):
         NBodyConfig(n=2, m0=-1.0)
-    with pytest.raises(ValueError):
-        NBodyConfig(n=3, m0=1.0, masses=np.ones(2))
 
 
-@pytest.mark.parametrize("m0, masses", [
-    (np.nan, None), (np.inf, None), (1.0, (1.0, np.nan, 1.0)), (1.0, (1.0, np.inf, 1.0)),
-], ids=["m0-nan", "m0-inf", "mass-nan", "mass-inf"])
-def test_config_rejects_non_finite_masses(m0, masses):
+@pytest.mark.parametrize("m0", [np.nan, np.inf], ids=["m0-nan", "m0-inf"])
+def test_config_rejects_non_finite_masses(m0):
     with pytest.raises(ValueError, match="finite"):
-        NBodyConfig(n=3, m0=m0, masses=masses)
+        NBodyConfig(n=3, m0=m0)
 
 
 def test_config_derives_omega_and_rejects_it_as_argument():
@@ -142,11 +142,6 @@ def test_config_derives_omega_and_rejects_it_as_argument():
         NBodyConfig(n=2, m0=10.0, omega=1.0)
     assert NBodyConfig(n=2, m0=10.0) == NBodyConfig(n=2, m0=10.0)
     assert "omega=" in repr(NBodyConfig(n=2, m0=10.0))
-
-
-def test_mass_diagonal_interleaving():
-    cfg = NBodyConfig(n=2, m0=1.0, masses=np.array([2.0, 3.0]))
-    assert np.allclose(cfg.mass_diagonal, [2.0, 2.0, 3.0, 3.0])
 
 
 # ---------------- polygon geometry ----------------
@@ -194,10 +189,10 @@ def test_grad_matches_fd():
         pts = qv.reshape(-1, 2)
         val = 0.0
         for j in range(3):
-            val += a * cfg.masses[j] / np.linalg.norm(pts[j])
+            val += a / np.linalg.norm(pts[j])
         for j in range(3):
             for i in range(j):
-                val += b * cfg.masses[i] * cfg.masses[j] / np.linalg.norm(pts[j] - pts[i])
+                val += b / np.linalg.norm(pts[j] - pts[i])
         return val
 
     g = grad_U(cfg, q)
@@ -238,7 +233,7 @@ def test_euler_identity():
 @pytest.mark.parametrize("n", [2, 3, 7, 16])
 def test_potential_matches_loop_reference(n):
     rng = np.random.default_rng(100 + n)
-    cfg = NBodyConfig(n=n, m0=rng.uniform(0.0, 10.0), masses=rng.uniform(0.5, 2.0, n))
+    cfg = NBodyConfig(n=n, m0=rng.uniform(0.0, 10.0))
     for _ in range(3):
         q = polygon_solution(n) + 0.05 * rng.standard_normal(2 * n)
         g_ref = _loop_grad_U(cfg, q)
@@ -251,24 +246,21 @@ def test_potential_matches_loop_reference(n):
         assert np.array_equal(g, _array_grad_U(cfg, q))
         assert np.array_equal(H, _array_hess_U(cfg, q))
         J = materialize(build_nbody(cfg).jacobian_at(q))
-        assert np.array_equal(J, cfg.omega ** 2 * np.diag(cfg.mass_diagonal) + H)
+        assert np.array_equal(J, cfg.omega ** 2 * np.eye(2 * n) + H)
 
 
-@pytest.mark.parametrize("changes", [{"masses": (2.0, 0.5, 1.5)}, {"m0": 3.0}],
-                         ids=["masses", "m0"])
+@pytest.mark.parametrize("changes", [{"m0": 3.0}], ids=["m0"])
 def test_derived_weights_follow_replace_and_stay_out_of_identity(changes):
-    # weights derived in __post_init__ are rederived by dataclasses.replace,
+    # coefficients derived in __post_init__ are rederived by dataclasses.replace,
     # and repr, == and hash see only the declared fields
-    cfg = dataclasses.replace(NBodyConfig(n=3, m0=7.0, masses=(1.0, 1.25, 0.75)), **changes)
-    fresh = NBodyConfig(**{"n": 3, "m0": 7.0, "masses": (1.0, 1.25, 0.75), **changes})
+    cfg = dataclasses.replace(NBodyConfig(n=3, m0=7.0), **changes)
+    fresh = NBodyConfig(**{"n": 3, "m0": 7.0, **changes})
     q = polygon_solution(3) + 0.05 * np.random.default_rng(7).standard_normal(6)
     assert np.array_equal(grad_U(cfg, q), grad_U(fresh, q))
     assert np.array_equal(hess_U(cfg, q), hess_U(fresh, q))
-    assert not cfg.central_weights.flags.writeable and not cfg.pair_weights.flags.writeable
     assert cfg == fresh
-    assert hash(cfg) == hash((cfg.n, cfg.m0, cfg.masses, cfg.omega))
-    assert repr(cfg) == (f"NBodyConfig(n={cfg.n!r}, m0={cfg.m0!r}, masses={cfg.masses!r}, "
-                         f"omega={cfg.omega!r})")
+    assert hash(cfg) == hash((cfg.n, cfg.m0, cfg.omega))
+    assert repr(cfg) == f"NBodyConfig(n={cfg.n!r}, m0={cfg.m0!r}, omega={cfg.omega!r})"
 
 
 def test_collision_raises():
@@ -380,8 +372,7 @@ def test_iteration_spectrum_closed_form(m0):
     problem = build_nbody(NBodyConfig(n=2, m0=m0))
     cfg = NBodyConfig(n=2, m0=m0)
     qstar = polygon_solution(2)
-    scale = cfg.omega ** 2 * cfg.mass_diagonal
-    J = -hess_U(cfg, qstar) / scale[:, None]
+    J = -hess_U(cfg, qstar) / cfg.omega ** 2
     rep = dense_eigenvalues(J)
     expected = sorted([-2.0, 1.0, -8.0 / (m0 + 4.0), 4.0 / (m0 + 4.0)])
     assert np.allclose(sorted(rep.eigenvalues.real), expected, atol=1e-10)
@@ -418,7 +409,7 @@ def test_stabilized_map_is_unstable_at_eight_body_polygon(m0):
 
 def _polygon_jacobian(cfg, alpha=0.0):
     q = rotation_action().act(alpha, polygon_solution(cfg.n))
-    return cfg.omega ** 2 * np.diag(cfg.mass_diagonal) + hess_U(cfg, q), q
+    return cfg.omega ** 2 * np.eye(2 * cfg.n) + hess_U(cfg, q), q
 
 
 def _dense_abs_inverse(J, kernel_tol=1e-8):
@@ -477,8 +468,3 @@ def test_precond_operator_rotates_with_the_polygon(n):
     assert np.allclose(M, rotate @ M0 @ rotate.T, rtol=0.0, atol=1e-13 * np.abs(M0).max())
     expected = _dense_abs_inverse(_polygon_jacobian(cfg, alpha)[0])
     assert np.allclose(M, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-
-
-def test_precond_operator_needs_equal_masses():
-    with pytest.raises(ValueError, match="equal ring masses"):
-        precond_operator(NBodyConfig(n=3, m0=1.0, masses=(1.0, 2.0, 1.0)))

@@ -24,6 +24,10 @@ from orbitfix.nbody import NBodyConfig, build_nbody, hess_U, polygon_solution, r
     dict(inner_tol=0.0),
     dict(divergence_cap=0.0),
     dict(anderson=-1),
+    dict(tol_residual=np.inf),
+    dict(tol_residual=np.nan),
+    dict(inner_tol=np.inf),
+    dict(inner_tol=np.nan),
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -423,11 +427,11 @@ def test_stabilized_iteration_matrix_matches_differenced_wave_step(monkeypatch):
 
 
 def test_plain_iteration_matrix_is_the_scaled_ring_hessian(monkeypatch):
-    # G = -M^{-1} grad U / omega^2, so D = -hess_U / (omega^2 M)
+    # G = -grad U / omega^2, so D = -hess_U / omega^2
     cfg = NBodyConfig(n=64, m0=10.0)
     qstar = polygon_solution(64)
     D = _iteration_matrix(monkeypatch, build_nbody(cfg), qstar)
-    expected = -hess_U(cfg, qstar) / (cfg.omega ** 2 * cfg.mass_diagonal[:, None])
+    expected = -hess_U(cfg, qstar) / cfg.omega ** 2
     assert np.max(np.abs(D - expected)) <= 1e-12
 
 
