@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numlin import (FourierOperator, abs_inverse_2x2, check_dense_dim, fourier_apply,
                      fourier_operator, fourier_symbols, inverse_2x2)
@@ -43,6 +44,11 @@ def grid(n: int, half_length: float) -> np.ndarray:
     return -half_length + (2.0 * half_length / n) * np.arange(n)
 
 
+def _check_grid_size(n: int):
+    if n < 4 or n % 2:
+        raise ValueError("grid size must be even and >= 4")
+
+
 @dataclass(frozen=True)
 class BSParams:
     """Wave speed, grid, and the dispersion coefficients derived from theta2.
@@ -65,8 +71,7 @@ class BSParams:
             raise ValueError("theta2 must lie in (2/3, 1]")
         if not 1.0 < self.speed < np.inf:
             raise ValueError("wave speed must be finite and exceed 1")
-        if self.n < 4 or self.n % 2:
-            raise ValueError("grid size must be even and >= 4")
+        _check_grid_size(self.n)
         if not 0.0 < self.half_length < np.inf:
             raise ValueError("half_length must be positive and finite")
         object.__setattr__(self, "c", 2.0 / 3.0 - self.theta2)
@@ -92,6 +97,7 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
     """Squared-secant solitary wave, available for theta2 in (7/9, 1)."""
     if not (7.0 / 9.0 < theta2 < 1.0):
         raise ValueError("closed-form profiles require theta2 in (7/9, 1)")
+    _check_grid_size(n)
     if not 0.0 < half_length < np.inf:
         raise ValueError("half_length must be positive and finite")
     eta0 = 4.5 * (theta2 - 7.0 / 9.0) / (1.0 - theta2)
@@ -183,27 +189,26 @@ def _reflection_block(params: BSParams, fields: np.ndarray, sign: float) -> np.n
     # them I and diagonals keep their form, and the circulant D2, whose first
     # column col is even, becomes the Toeplitz-plus-Hankel matrix
     # t_r t_k (col[a_r - a_k] + sign col[a_r + a_k]), t = 1/sqrt(2) on the
-    # self-mirrored samples and 1 elsewhere.
+    # self-mirrored samples and 1 elsewhere. With a_r = lo + r, both terms are
+    # strided views of a row of 2m - 1 samples of col (indices mod n).
     n = params.n
     half = n // 2
-    a = np.arange(half + 1, dtype=np.int32) if sign > 0.0 else np.arange(1, half, dtype=np.int32)
-    m = a.size
+    lo, m = (0, half + 1) if sign > 0.0 else (1, half - 1)
     col = np.fft.irfft(fourier_symbols(n, params.half_length)[2][:half + 1], n)
-    idx = np.subtract.outer(a, a)
-    np.remainder(idx, n, out=idx)
-    d2 = col[idx]
-    np.add.outer(a, a, out=idx)
-    np.remainder(idx, n, out=idx)
-    d2 += sign * col[idx]
-    t = np.where((a == 0) | (a == half), np.sqrt(0.5), 1.0)
-    d2 *= t[:, None]
-    d2 *= t
+    j = np.arange(2 * m - 1)
+    toeplitz = sliding_window_view(col[(j - (m - 1)) % n], m)[:, ::-1]
+    hankel = sliding_window_view(col[(j + 2 * lo) % n], m)
+    d2 = np.add(toeplitz, hankel) if sign > 0.0 else np.subtract(toeplitz, hankel)
+    if sign > 0.0:
+        # a = 0 and n/2 are rows and columns 0 and m - 1; t = 1 elsewhere is exact
+        d2[::m - 1] *= np.sqrt(0.5)
+        d2[:, ::m - 1] *= np.sqrt(0.5)
     cs = params.speed
     block = np.zeros((2 * m, 2 * m))
     np.multiply(d2, -cs * params.b, out=block[:m, m:])
     np.multiply(d2, -cs * params.d, out=block[m:, :m])
     np.multiply(d2, -params.c, out=block[m:, m:])
-    u0, eta0 = fields[:, a]
+    u0, eta0 = fields[:, lo:lo + m]
     i = np.arange(m)
     block[i, i] = -1.0 - eta0
     block[i, m + i] += cs - u0
@@ -316,9 +321,36 @@ def _contour_points(z: np.ndarray) -> np.ndarray:
     return z[..., None] + r
 
 
-def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
-                    quad: np.ndarray, nonlinear_hat):
-    """One in-place ETDRK4 step of v_t = f(v) + frame_speed dx v on the half spectrum.
+def _contour_means(h: float, z: np.ndarray):
+    """(Q, f1, f2, f3) at z = h mu by the contour mean, and (phi_1, phi_2, phi_3) at z.
+
+    Q = (h/2) phi_1(z/2) weighs the stage products and f1..f3 the final ones
+    (Cox and Matthews); the phi_k come from the same samples.
+    """
+    def h_mean(values):
+        return h * values.mean(axis=-1)
+
+    # f1, f2 and f3 share exp(s), s^2, 3s and s^3 on the contour. exp(s)
+    # stays the left factor, as in the closed forms: numpy's complex product
+    # is not bitwise commutative, and `exp_s * temporary` may run as
+    # `temporary * exp_s`.
+    s = _contour_points(z)
+    exp_s, s2, s3, three_s = np.exp(s), s * s, s ** 3, 3.0 * s
+    weights = (h_mean((np.exp(0.5 * s) - 1.0) / s),
+               h_mean((-4.0 - s + np.multiply(exp_s, 4.0 - three_s + s2)) / s3),
+               h_mean(2.0 * (2.0 + s + np.multiply(exp_s, s - 2.0)) / s3),
+               h_mean((-4.0 - three_s - s2 + np.multiply(exp_s, 4.0 - s)) / s3))
+    rest = exp_s - 1.0
+    phi1 = (rest / s).mean(axis=-1)
+    rest -= s
+    phi2 = (rest / s2).mean(axis=-1)
+    rest -= 0.5 * s2
+    return weights, (phi1, phi2, (rest / s3).mean(axis=-1))
+
+
+def _etdrk4_levels(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
+                   quad: np.ndarray) -> Iterator[tuple]:
+    """ETDRK4 coefficients of v_t = f(v) + frame_speed dx v for steps h, 2h, 4h, ...
 
     Per mode the linear part is L = frame_speed d1 I + K, with K the swap
     multiplier [[0, swap[0]], [swap[1], 0]] and K^2 = -omega^2 I, so L has the
@@ -328,6 +360,18 @@ def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarr
     stored as its diagonal and anti-diagonal rows, applied as
     diag * x + anti * x[::-1]; those acting on the nonlinear products also
     carry their weights quad (Cox and Matthews, J. Comput. Phys. 176, 2002).
+    Each level is the tuple (exp(hL/2), exp(hL), Q, f1, f2, f3) at its step.
+
+    Level 0 takes Q and f1..f3 at z = h mu from Kassam and Trefethen's
+    contour mean, and phi_1..phi_3 at z from the same samples. Each level
+    after that comes from the one below in O(n), without exp or contour:
+    with phi_0 = exp, phi_k(2z) = 2^-k (e^z phi_k(z) + sum_{j=1..k}
+    phi_j(z)/(k - j)!) (Skaflestad and Wright, Appl. Numer. Math. 59, 2009),
+    and at the step h' = 2h the coefficients are exp(z), exp(2z) = exp(z)^2,
+    Q = h phi_1(z), f1 = h'(phi_1 - 3 phi_2 + 4 phi_3), f2 = 2h'(phi_2 - 2 phi_3)
+    and f3 = h'(4 phi_3 - phi_2), the phi_k at 2z. z is imaginary, so
+    |e^z| = 1: over levels 1-9 the derived coefficients stay within 3e-13
+    relative of a contour mean at their own step.
     """
     omega = np.sqrt(np.maximum(-(swap[0] * swap[1]).real, 0.0))
     mu = np.stack([frame_speed * d1 + 1j * omega, frame_speed * d1 - 1j * omega])
@@ -342,23 +386,28 @@ def _etdrk4_stepper(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarr
             return diag, anti
         return diag * weights, anti * weights[::-1]
 
-    def h_mean(values):
-        return h * values.mean(axis=-1)
+    def coefficients(e_half, e_full, q, f1, f2, f3):
+        return (symbol(e_half), symbol(e_full),
+                *(symbol(at_mu, quad) for at_mu in (q, f1, f2, f3)))
 
-    e_half = symbol(np.exp(0.5 * z))
-    e_full = symbol(np.exp(z))
-    # f1, f2 and f3 share exp(s), s^2, 3s and s^3 on the contour. exp(s)
-    # stays the left factor, as in the closed forms: numpy's complex product
-    # is not bitwise commutative, and `exp_s * temporary` may run as
-    # `temporary * exp_s`.
-    s = _contour_points(z)
-    exp_s, s2, s3, three_s = np.exp(s), s * s, s ** 3, 3.0 * s
-    q = symbol(h_mean((np.exp(0.5 * s) - 1.0) / s), quad)
-    f1 = symbol(h_mean((-4.0 - s + np.multiply(exp_s, 4.0 - three_s + s2)) / s3), quad)
-    f2 = symbol(h_mean(2.0 * (2.0 + s + np.multiply(exp_s, s - 2.0)) / s3), quad)
-    f3 = symbol(h_mean((-4.0 - three_s - s2 + np.multiply(exp_s, 4.0 - s)) / s3), quad)
+    exp_z = np.exp(z)
+    weights, (phi1, phi2, phi3) = _contour_means(h, z)
+    yield coefficients(np.exp(0.5 * z), exp_z, *weights)
+    while True:
+        # phi_k at 2z from phi_1..phi_k and e^z at z; then the step doubles
+        phi1, phi2, phi3, q = (0.5 * (exp_z * phi1 + phi1),
+                               0.25 * (exp_z * phi2 + phi1 + phi2),
+                               0.125 * (exp_z * phi3 + 0.5 * phi1 + phi2 + phi3),
+                               h * phi1)
+        e_half, exp_z, h = exp_z, exp_z * exp_z, 2.0 * h
+        yield coefficients(e_half, exp_z, q, h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+                           2.0 * h * (phi2 - 2.0 * phi3), h * (4.0 * phi3 - phi2))
 
-    pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(swap.shape, dtype=complex)
+
+def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
+    """One in-place ETDRK4 step on the half spectrum, by one level of _etdrk4_levels."""
+    e_half, e_full, q, f1, f2, f3 = coefficients
+    pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(e_full[1].shape, dtype=complex)
                                          for _ in range(9))
 
     def apply(coef, x, out):
@@ -443,7 +492,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     v(x, t) = w(x + cs t, t), which obeys v_t = f(v) + cs dx v, by ETDRK4:
     the linear part cs d1 I + K is integrated exactly per mode, with the
     coefficients of Cox and Matthews evaluated by Kassam and Trefethen's
-    contour mean. The default cs = 0 is the lab frame. A solitary wave at
+    contour mean at the step dt. The default cs = 0 is the lab frame. A solitary wave at
     speed cs is an equilibrium of its frame, which the exponential
     integrator keeps to the size of its residual |F|; the step is bound
     only by the dynamics off the wave. Snapshots are carried back to the
@@ -463,7 +512,10 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     so it is checked only on the way to level 2. No interval steps past
     the next snapshot or t_end. The lab frame keeps every step on the grid
     of dt: no wave is an equilibrium there, and its fixed steps are what a
-    convergence study in dt needs.
+    convergence study in dt needs. The levels' coefficients are built in
+    order, on first use: level 0 by the one contour mean of the run, each
+    level after it from the one below by phi-doubling in O(n)
+    (_etdrk4_levels).
 
     Grid, step and snapshot steps follow from propagation_schedule. The
     result's steps is the grid position reached, etdrk4_steps the ETDRK4
@@ -503,14 +555,14 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
         np.multiply(eta, u, out=products[1])
         np.fft.rfft(products, out=out)
 
-    steppers = {}
+    levels = _etdrk4_levels(dt_eff, frame_speed, d1, swap, quad)
+    steppers = []
     result = PropagationResult(times=[], states=[], completed=True)
 
     def step(level, state):
-        # level j steps 2^j dt; each level's stepper is built on first use
-        if level not in steppers:
-            steppers[level] = _etdrk4_stepper(dt_eff * 2 ** level, frame_speed, d1, swap,
-                                              quad, nonlinear_hat)
+        # level j steps 2^j dt; the levels up to j are built on first use of j
+        while len(steppers) <= level:
+            steppers.append(_etdrk4_stepper(next(levels), nonlinear_hat))
         steppers[level](state)
         result.etdrk4_steps += 1
 

@@ -309,6 +309,11 @@ def _bs_profile(args):
                                 half_length=args.half_length)
 
 
+def _closed_form_solves(args, profile) -> bool:
+    # the closed-form profile solves the system only at its own speed
+    return args.cs is None or abs(args.cs - profile.speed) <= 1e-12
+
+
 def _centers(w, params):
     out = {}
     for component in ("u", "eta"):
@@ -331,8 +336,7 @@ def _bs_problem(args) -> _Problem:
     profile, params = _bs_profile(args)
     w = profile.wave
     action = bq.translation_action(params)
-    # the closed-form profile solves the system only at its own speed
-    reference = None if args.cs is not None and abs(args.cs - profile.speed) > 1e-12 else w
+    reference = w if _closed_form_solves(args, profile) else None
 
     def seed(kind, eps):
         if kind == "none":
@@ -354,6 +358,9 @@ def _bs_problem(args) -> _Problem:
 
 def cmd_bs_spectrum(args, out: Path) -> dict:
     profile, params = _bs_profile(args)
+    if not _closed_form_solves(args, profile):
+        raise ValueError(f"the spectrum is taken at the closed-form wave, which solves the "
+                         f"system only at its own speed {profile.speed!r}, not at --cs {args.cs!r}")
     report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave))
     extras = _write_spectrum(out, report)
     extras["blocks"] = {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, _etdrk4_stepper, build_bs_problem, exact_profile, grid,
-                                 periodic_wrap, precond_operator, propagate,
+from orbitfix.boussinesq import (BSParams, _etdrk4_levels, _etdrk4_stepper, build_bs_problem,
+                                 exact_profile, grid, periodic_wrap, precond_operator, propagate,
                                  propagation_schedule, reflection_blocks, translation_action,
                                  translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
@@ -328,6 +328,71 @@ def test_reflection_blocks_reject_uncentred_state():
     shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave
     with pytest.raises(ValueError, match="even"):
         reflection_blocks(params, shifted)
+
+
+def _gathered_reflection_block(params, fields, sign):
+    """Reference: D2 gathered from col through m x m index arrays, scaled by t t^T."""
+    n = params.n
+    half = n // 2
+    a = np.arange(half + 1) if sign > 0.0 else np.arange(1, half)
+    m = a.size
+    col = np.fft.irfft(fourier_symbols(n, params.half_length)[2][:half + 1], n)
+    d2 = col[np.subtract.outer(a, a) % n]
+    d2 += sign * col[np.add.outer(a, a) % n]
+    t = np.where((a == 0) | (a == half), np.sqrt(0.5), 1.0)
+    d2 *= t[:, None]
+    d2 *= t
+    cs = params.speed
+    block = np.zeros((2 * m, 2 * m))
+    block[:m, m:] = d2 * (-cs * params.b)
+    block[m:, :m] = d2 * (-cs * params.d)
+    block[m:, m:] = d2 * -params.c
+    u0, eta0 = fields[:, a]
+    i = np.arange(m)
+    block[i, i] = -1.0 - eta0
+    block[i, m + i] += cs - u0
+    block[m + i, i] += cs - u0
+    block[m + i, m + i] -= 1.0
+    return block
+
+
+@pytest.mark.parametrize("n, half_length", [(4, 10.0), (8, 10.0), (64, 10.0), (1024, 50.0)])
+@pytest.mark.parametrize("state", ["profile", "random"])
+def test_reflection_block_rows_equal_the_index_gather(n, half_length, state):
+    # strided Toeplitz and Hankel views of two rows of col, bit for bit; at
+    # n = 4 the odd block has one row per field
+    import orbitfix.boussinesq as bq
+
+    params = _params(n=n, half_length=half_length)
+    if state == "profile":
+        w = exact_profile(THETA2, n, half_length).wave
+    else:
+        w = _random_even_state(n, seed=n)
+    fields = w.reshape(2, n)
+    for sign, m in ((1.0, n // 2 + 1), (-1.0, n // 2 - 1)):
+        block = bq._reflection_block(params, fields, sign)
+        assert block.shape == (2 * m, 2 * m)
+        assert np.array_equal(block, _gathered_reflection_block(params, fields, sign))
+
+
+def test_reflection_block_holds_no_index_array_or_gather_temporary():
+    import tracemalloc
+
+    import orbitfix.boussinesq as bq
+
+    n = 1024
+    params = _params(n=n, half_length=50.0)
+    fields = exact_profile(THETA2, n, 50.0).wave.reshape(2, n)
+    m = n // 2 + 1
+    tracemalloc.start()
+    try:
+        block = bq._reflection_block(params, fields, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the block and one m x m float64 D2; the index gather also held an m x m
+    # int array and an m x m gather temporary
+    assert peak < block.nbytes + 1.5 * m * m * 8
 
 
 # ---------------- preconditioner ----------------
@@ -818,7 +883,8 @@ def test_comoving_propagate_keeps_the_closed_form_wave(theta2):
     result = propagate(prof.wave, params, dt=0.05, t_end=t_end, frame_speed=params.speed)
     assert result.completed
     assert result.steps == 2000
-    # step doubling skips most of the 2,000 steps: 76, 207 and 532 run
+    # step doubling skips most of the 2,000 steps: 85, 151 and 391 run (76, 207
+    # and 532 when each level took its coefficients from its own contour)
     assert result.etdrk4_steps <= 600
     final = result.states[-1]
     center = translation_shift(final, 50.0)
@@ -849,6 +915,17 @@ def test_comoving_propagate_is_fourth_order_on_a_perturbed_wave():
 
 # ---------------- step doubling ----------------
 
+def _half_spectrum_symbols(params):
+    """(d1, swap, quad) on the half spectrum, as propagate builds them."""
+    half = params.n // 2 + 1
+    xi, d1, _ = fourier_symbols(params.n, params.half_length)
+    xi, d1 = xi[:half], d1[:half]
+    mult_u = -d1 / (1.0 + params.d * xi ** 2)
+    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
+    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
+    return d1, swap, np.stack([0.5 * mult_u, mult_eta])
+
+
 def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     """Final state of propagate's ETDRK4 step taken at every point of the grid of dt.
 
@@ -856,19 +933,13 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     """
     nsteps, h, _ = propagation_schedule(dt, t_end)
     n = params.n
-    half = n // 2 + 1
-    xi, d1, _ = fourier_symbols(n, params.half_length)
-    xi, d1 = xi[:half], d1[:half]
-    mult_u = -d1 / (1.0 + params.d * xi ** 2)
-    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
-    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
-    quad = np.stack([0.5 * mult_u, mult_eta])
+    d1, swap, quad = _half_spectrum_symbols(params)
 
     def nonlinear_hat(state, out):
         u, eta = np.fft.irfft(state, n)
         out[...] = np.fft.rfft(np.stack([u * u, eta * u]))
 
-    step = _etdrk4_stepper(h, frame_speed, d1, swap, quad, nonlinear_hat)
+    step = _etdrk4_stepper(next(_etdrk4_levels(h, frame_speed, d1, swap, quad)), nonlinear_hat)
     v = np.fft.rfft(np.asarray(w0, dtype=float).reshape(2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, nsteps + 1):
@@ -876,6 +947,46 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
             if not np.isfinite(v).all():
                 return None, k
     return np.fft.irfft(np.exp(-frame_speed * nsteps * h * d1) * v, n).reshape(2 * n), nsteps
+
+
+@pytest.mark.parametrize("theta2, n, half_length", [(0.84, 512, 50.0), (0.92, 512, 50.0),
+                                                     (THETA2, 256, 25.0)])
+def test_doubled_coefficients_match_the_contour_build(theta2, n, half_length):
+    # each level after 0 comes from the one below by phi-doubling; the contour
+    # build at the same step agrees to 2.7e-13 relative or better here
+    prof, params = _wave_params(theta2, n, half_length)
+    d1, swap, quad = _half_spectrum_symbols(params)
+    dt = 0.05
+    levels = _etdrk4_levels(dt, params.speed, d1, swap, quad)
+    for j in range(10):
+        derived = next(levels)
+        direct = next(_etdrk4_levels(dt * 2 ** j, params.speed, d1, swap, quad))
+        for got, ref in zip(derived, direct):
+            # a coefficient's diagonal and anti-diagonal rows together
+            err = np.max(np.abs(np.subtract(got, ref)))
+            if j == 0:
+                assert err == 0.0
+            assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_comoving_run_evaluates_the_contour_once(monkeypatch):
+    import orbitfix.boussinesq as bq
+
+    calls = []
+    contour = bq._contour_points
+
+    def counted(z):
+        calls.append(z.shape)
+        return contour(z)
+
+    monkeypatch.setattr(bq, "_contour_points", counted)
+    prof, params = _wave_params(0.84, 512, 50.0)
+    dt = 0.05
+    result = propagate(prof.wave, params, dt=dt, t_end=100.0, frame_speed=params.speed)
+    assert result.completed
+    # steps of 2^5 dt and longer were kept, so levels 0 to at least 6 were built
+    assert result.longest_step >= 2 ** 5 * dt
+    assert len(calls) == 1
 
 
 def _bumped_wave(theta2, n, half_length, amplitude):

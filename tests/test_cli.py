@@ -642,15 +642,35 @@ def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, messa
     (["nbody", "orbit", "--perturb", "generator", "--eps", "inf"], "argument --eps"),
     (["bs", "solve", "--grid-n", "64", "--half-length", "10", "--perturb", "gauss",
       "--eps", "0.01", "--x0", "nan"], "argument --x0"),
+    *((["bs", command, "--grid-n", "0"], "grid size must be even and >= 4")
+      for command in ("solve", "orbit", "spectrum", "shift-table", "propagate")),
 ], ids=["bs-cs-inf", "nbody-m0-nan", "nbody-m0-inf", "bs-half-length-inf", "nbody-tol-inf",
         "bs-tol-inf", "nbody-inner-tol-inf", "nbody-eps-nan", "nbody-orbit-eps-inf",
-        "bs-x0-nan"])
+        "bs-x0-nan", "bs-solve-grid-0", "bs-orbit-grid-0", "bs-spectrum-grid-0",
+        "bs-shift-table-grid-0", "bs-propagate-grid-0"])
 def test_non_finite_configuration_exits_before_any_work(tmp_path, capsys, argv, message):
-    # warnings are errors here, so a run on NaN states would fail the test
+    # warnings are errors here, so a run on NaN states would fail the test; an
+    # uncaught exception, such as a division by a zero grid size, fails it too
     assert main([*argv, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_bs_spectrum_refuses_a_speed_the_closed_form_wave_does_not_solve(tmp_path, capsys):
+    # the closed-form wave solves the system only at its own speed, so its
+    # Jacobian spectrum at another --cs describes no solution
+    speed = repr(bq.exact_profile(0.9, 64, 10.0).speed)
+    argv = ["bs", "spectrum", "--grid-n", "64", "--half-length", "10"]
+    assert main([*argv, "--cs", "1.5", "--out", str(tmp_path / "off")]) == 1
+    err = capsys.readouterr().err
+    assert "solves the system only at its own speed" in err and "--cs 1.5" in err
+    assert not (tmp_path / "off" / "summary.json").exists()
+    assert not (tmp_path / "off" / "spectrum.csv").exists()
+    assert main([*argv, "--cs", speed, "--out", str(tmp_path / "own")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    own, default = (_read_summary(tmp_path / name) for name in ("own", "default"))
+    assert own["extras"] == default["extras"]
 
 
 @pytest.mark.parametrize("argv, builder", [
