@@ -1040,7 +1040,7 @@ def test_comoving_snapshots_land_on_odd_grid_steps_between_longer_steps():
 
 def test_comoving_propagate_completes_where_a_fixed_long_step_blows_up():
     # a fixed step of 2 overflows at step 25 of 50; the checks keep steps of
-    # at most 0.8 here
+    # at most 1.6 here
     prof, params = _wave_params(0.92, 512, 50.0)
     fixed, k = _fixed_step_propagate(prof.wave, params, 2.0, 100.0, params.speed)
     assert fixed is None and k < 50
