@@ -309,48 +309,35 @@ _DOUBLING_TOL = 1e-13
 _MAX_WAIT = 64
 
 
-def _contour_points(z: np.ndarray) -> np.ndarray:
-    """32 points of the circle of radius 1 about each z, along a new last axis.
+# phi_3's Taylor coefficients 1/22!, ..., 1/3!, highest degree first; tail < 1e-22 for |z| < 1
+_PHI3_TAYLOR = 1.0 / np.cumprod(np.arange(1.0, 23.0))[:1:-1]
 
-    The mean of f over them is Kassam and Trefethen's way to evaluate the
-    ETDRK4 coefficients f(z) without the cancellation of their closed forms
-    near z = 0. The circle must be the full one: z is complex here, and the
-    half circle they use for real z does not average to f(z).
+
+def _phis(z: np.ndarray) -> np.ndarray:
+    """(phi_1, phi_2, phi_3) at each complex z, stacked; phi_k(z) = sum_m z^m/(m + k)!.
+
+    Inside the unit disc phi_3 is its Taylor series (Horner's rule), then
+    phi_2 = 1/2 + z phi_3 and phi_1 = 1 + z phi_2. Elsewhere the recurrence
+    phi_{k+1} = (phi_k - 1/k!)/z runs down from phi_1 = (e^z - 1)/z, which
+    cancels no more than a few bits for |z| >= 1 (Hochbruck and Ostermann,
+    Acta Numer. 19, 2010).
     """
-    r = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
-    return z[..., None] + r
+    phis = np.empty((3, *z.shape), dtype=complex)
+    small = np.abs(z) < 1.0
+    s = z[small]
+    phi3 = np.polyval(_PHI3_TAYLOR, s)
+    phi2 = 0.5 + s * phi3
+    phis[:, small] = 1.0 + s * phi2, phi2, phi3
+    s = z[~small]
+    phi1 = (np.exp(s) - 1.0) / s
+    phi2 = (phi1 - 1.0) / s
+    phis[:, ~small] = phi1, phi2, (phi2 - 0.5) / s
+    return phis
 
 
-def _contour_means(h: float, z: np.ndarray):
-    """(Q, f1, f2, f3) at z = h mu by the contour mean, and (phi_1, phi_2, phi_3) at z.
-
-    Q = (h/2) phi_1(z/2) weighs the stage products and f1..f3 the final ones
-    (Cox and Matthews); the phi_k come from the same samples.
-    """
-    def h_mean(values):
-        return h * values.mean(axis=-1)
-
-    # f1, f2 and f3 share exp(s), s^2, 3s and s^3 on the contour. exp(s)
-    # stays the left factor, as in the closed forms: numpy's complex product
-    # is not bitwise commutative, and `exp_s * temporary` may run as
-    # `temporary * exp_s`.
-    s = _contour_points(z)
-    exp_s, s2, s3, three_s = np.exp(s), s * s, s ** 3, 3.0 * s
-    weights = (h_mean((np.exp(0.5 * s) - 1.0) / s),
-               h_mean((-4.0 - s + np.multiply(exp_s, 4.0 - three_s + s2)) / s3),
-               h_mean(2.0 * (2.0 + s + np.multiply(exp_s, s - 2.0)) / s3),
-               h_mean((-4.0 - three_s - s2 + np.multiply(exp_s, 4.0 - s)) / s3))
-    rest = exp_s - 1.0
-    phi1 = (rest / s).mean(axis=-1)
-    rest -= s
-    phi2 = (rest / s2).mean(axis=-1)
-    rest -= 0.5 * s2
-    return weights, (phi1, phi2, (rest / s3).mean(axis=-1))
-
-
-def _etdrk4_levels(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
-                   quad: np.ndarray) -> Iterator[tuple]:
-    """ETDRK4 coefficients of v_t = f(v) + frame_speed dx v for steps h, 2h, 4h, ...
+def _etdrk4_level(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
+                  quad: np.ndarray) -> tuple:
+    """ETDRK4 coefficients of v_t = f(v) + frame_speed dx v for the step h.
 
     Per mode the linear part is L = frame_speed d1 I + K, with K the swap
     multiplier [[0, swap[0]], [swap[1], 0]] and K^2 = -omega^2 I, so L has the
@@ -358,54 +345,34 @@ def _etdrk4_levels(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarra
     (g(h mu+) + g(h mu-))/2 I + (g(h mu+) - g(h mu-))/(2 i omega) K, the
     identity's part alone where omega = 0. Every coefficient is a 2x2 symbol
     stored as its diagonal and anti-diagonal rows, applied as
-    diag * x + anti * x[::-1]; those acting on the nonlinear products also
-    carry their weights quad (Cox and Matthews, J. Comput. Phys. 176, 2002).
-    Each level is the tuple (exp(hL/2), exp(hL), Q, f1, f2, f3) at its step.
-
-    Level 0 takes Q and f1..f3 at z = h mu from Kassam and Trefethen's
-    contour mean, and phi_1..phi_3 at z from the same samples. Each level
-    after that comes from the one below in O(n), without exp or contour:
-    with phi_0 = exp, phi_k(2z) = 2^-k (e^z phi_k(z) + sum_{j=1..k}
-    phi_j(z)/(k - j)!) (Skaflestad and Wright, Appl. Numer. Math. 59, 2009),
-    and at the step h' = 2h the coefficients are exp(z), exp(2z) = exp(z)^2,
-    Q = h phi_1(z), f1 = h'(phi_1 - 3 phi_2 + 4 phi_3), f2 = 2h'(phi_2 - 2 phi_3)
-    and f3 = h'(4 phi_3 - phi_2), the phi_k at 2z. z is imaginary, so
-    |e^z| = 1: over levels 1-9 the derived coefficients stay within 3e-13
-    relative of a contour mean at their own step.
+    diag * x + anti * x[::-1], and carries row weights: quad on those acting
+    on the nonlinear products (Cox and Matthews, J. Comput. Phys. 176,
+    2002), ones on the exponentials.
+    The level is the tuple (exp(hL/2), exp(hL), Q, f1, f2, f3): with
+    z = h mu, Q = (h/2) phi_1(z/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
+    f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), the phi_k at z.
     """
     omega = np.sqrt(np.maximum(-(swap[0] * swap[1]).real, 0.0))
     mu = np.stack([frame_speed * d1 + 1j * omega, frame_speed * d1 - 1j * omega])
     k_scale = np.divide(1.0, 2j * omega, out=np.zeros_like(mu[0]), where=omega > 0.0)
     z = h * mu
 
-    def symbol(at_mu, weights=None):
+    def symbol(at_mu, weights):
         plus, minus = at_mu
-        diag = np.broadcast_to(0.5 * (plus + minus), swap.shape)
-        anti = (plus - minus) * k_scale * swap
-        if weights is None:
-            return diag, anti
-        return diag * weights, anti * weights[::-1]
+        return 0.5 * (plus + minus) * weights, (plus - minus) * k_scale * swap * weights[::-1]
 
-    def coefficients(e_half, e_full, q, f1, f2, f3):
-        return (symbol(e_half), symbol(e_full),
-                *(symbol(at_mu, quad) for at_mu in (q, f1, f2, f3)))
-
-    exp_z = np.exp(z)
-    weights, (phi1, phi2, phi3) = _contour_means(h, z)
-    yield coefficients(np.exp(0.5 * z), exp_z, *weights)
-    while True:
-        # phi_k at 2z from phi_1..phi_k and e^z at z; then the step doubles
-        phi1, phi2, phi3, q = (0.5 * (exp_z * phi1 + phi1),
-                               0.25 * (exp_z * phi2 + phi1 + phi2),
-                               0.125 * (exp_z * phi3 + 0.5 * phi1 + phi2 + phi3),
-                               h * phi1)
-        e_half, exp_z, h = exp_z, exp_z * exp_z, 2.0 * h
-        yield coefficients(e_half, exp_z, q, h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
-                           2.0 * h * (phi2 - 2.0 * phi3), h * (4.0 * phi3 - phi2))
+    # one evaluation at z/2 and z; only phi_1 is needed at z/2
+    (half_phi1, phi1), (_, phi2), (_, phi3) = _phis(np.stack([0.5 * z, z]))
+    ones = np.ones(swap.shape)
+    return (symbol(np.exp(0.5 * z), ones), symbol(np.exp(z), ones),
+            *(symbol(at_mu, quad) for at_mu in (0.5 * h * half_phi1,
+                                                 h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+                                                 2.0 * h * (phi2 - 2.0 * phi3),
+                                                 h * (4.0 * phi3 - phi2))))
 
 
 def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
-    """One in-place ETDRK4 step on the half spectrum, by one level of _etdrk4_levels."""
+    """One in-place ETDRK4 step on the half spectrum, by the coefficients of _etdrk4_level."""
     e_half, e_full, q, f1, f2, f3 = coefficients
     pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(e_full[1].shape, dtype=complex)
                                          for _ in range(9))
@@ -445,6 +412,20 @@ def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
         np.copyto(v, e2v)
 
     return step
+
+
+def _half_spectrum_symbols(params: BSParams):
+    """(d1, swap, quad) on modes 0..n/2, with m_u and m_eta as in propagate.
+
+    w_dot^ has the rows swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^.
+    """
+    half = params.n // 2 + 1
+    xi, d1, _ = fourier_symbols(params.n, params.half_length)
+    xi, d1 = xi[:half], d1[:half]
+    mult_u = -d1 / (1.0 + params.d * xi ** 2)
+    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
+    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
+    return d1, swap, np.stack([0.5 * mult_u, mult_eta])
 
 
 def propagation_schedule(dt: float, t_end: float,
@@ -491,8 +472,8 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     The run steps the frame moving at frame_speed cs,
     v(x, t) = w(x + cs t, t), which obeys v_t = f(v) + cs dx v, by ETDRK4:
     the linear part cs d1 I + K is integrated exactly per mode, with the
-    coefficients of Cox and Matthews evaluated by Kassam and Trefethen's
-    contour mean at the step dt. The default cs = 0 is the lab frame. A solitary wave at
+    coefficients of Cox and Matthews built from the phi-functions at the
+    step (_etdrk4_level). The default cs = 0 is the lab frame. A solitary wave at
     speed cs is an equilibrium of its frame, which the exponential
     integrator keeps to the size of its residual |F|; the step is bound
     only by the dynamics off the wave. Snapshots are carried back to the
@@ -512,10 +493,8 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     so it is checked only on the way to level 2. No interval steps past
     the next snapshot or t_end. The lab frame keeps every step on the grid
     of dt: no wave is an equilibrium there, and its fixed steps are what a
-    convergence study in dt needs. The levels' coefficients are built in
-    order, on first use: level 0 by the one contour mean of the run, each
-    level after it from the one below by phi-doubling in O(n)
-    (_etdrk4_levels).
+    convergence study in dt needs. Each level's coefficients are built on
+    its first use, from its own step alone.
 
     Grid, step and snapshot steps follow from propagation_schedule. The
     result's steps is the grid position reached, etdrk4_steps the ETDRK4
@@ -536,14 +515,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     nsteps, dt_eff, target_steps = propagation_schedule(dt, t_end, snapshot_times)
 
     n = params.n
-    half = n // 2 + 1
-    xi, d1, _ = fourier_symbols(n, params.half_length)
-    xi, d1 = xi[:half], d1[:half]
-    mult_u = -d1 / (1.0 + params.d * xi ** 2)
-    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
-    # rows (u^, eta^) of w_dot^: swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^
-    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
-    quad = np.stack([0.5 * mult_u, mult_eta])
+    d1, swap, quad = _half_spectrum_symbols(params)
 
     samples = np.empty((2, n))
     products = np.empty((2, n))
@@ -555,14 +527,14 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
         np.multiply(eta, u, out=products[1])
         np.fft.rfft(products, out=out)
 
-    levels = _etdrk4_levels(dt_eff, frame_speed, d1, swap, quad)
-    steppers = []
+    steppers = {}
     result = PropagationResult(times=[], states=[], completed=True)
 
     def step(level, state):
-        # level j steps 2^j dt; the levels up to j are built on first use of j
-        while len(steppers) <= level:
-            steppers.append(_etdrk4_stepper(next(levels), nonlinear_hat))
+        # level j steps 2^j dt; its stepper is built on first use
+        if level not in steppers:
+            coefficients = _etdrk4_level(dt_eff * 2 ** level, frame_speed, d1, swap, quad)
+            steppers[level] = _etdrk4_stepper(coefficients, nonlinear_hat)
         steppers[level](state)
         result.etdrk4_steps += 1
 

@@ -95,6 +95,7 @@ def _write_csv(path: Path, header, rows):
     for row in rows:
         row = tuple(row)
         lines.append(_row_format(tuple(map(type, row))) % row)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -127,6 +128,7 @@ def _json_safe(value):
 
 def _write_json(path: Path, doc, sort_keys=False):
     text = json.dumps(_json_safe(doc), indent=2, sort_keys=sort_keys, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
 
@@ -519,8 +521,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         t0 = time.perf_counter()
+        # the writers make --out on their first write, so a refused run leaves none
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         found = args.func(args, out)
     except _UsageError as exc:
         print(f"orbitfix: error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, _etdrk4_levels, _etdrk4_stepper, build_bs_problem,
-                                 exact_profile, grid, periodic_wrap, precond_operator, propagate,
-                                 propagation_schedule, reflection_blocks, translation_action,
-                                 translation_shift)
+from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
+                                 _half_spectrum_symbols, build_bs_problem, exact_profile, grid,
+                                 periodic_wrap, precond_operator, propagate, propagation_schedule,
+                                 reflection_blocks, translation_action, translation_shift)
 from orbitfix.numlin import (abs_inverse_2x2, dense_eigenvalues, fd_jacobian, fourier_apply,
                              fourier_symbols, inverse_2x2, materialize, minres,
                              preconditioned_product)
@@ -883,8 +883,8 @@ def test_comoving_propagate_keeps_the_closed_form_wave(theta2):
     result = propagate(prof.wave, params, dt=0.05, t_end=t_end, frame_speed=params.speed)
     assert result.completed
     assert result.steps == 2000
-    # step doubling skips most of the 2,000 steps: 85, 151 and 391 run (76, 207
-    # and 532 when each level took its coefficients from its own contour)
+    # step doubling skips most of the 2,000 steps: 83, 199 and 417 run, a count
+    # that rides on round-off in the doubling checks
     assert result.etdrk4_steps <= 600
     final = result.states[-1]
     center = translation_shift(final, 50.0)
@@ -915,17 +915,6 @@ def test_comoving_propagate_is_fourth_order_on_a_perturbed_wave():
 
 # ---------------- step doubling ----------------
 
-def _half_spectrum_symbols(params):
-    """(d1, swap, quad) on the half spectrum, as propagate builds them."""
-    half = params.n // 2 + 1
-    xi, d1, _ = fourier_symbols(params.n, params.half_length)
-    xi, d1 = xi[:half], d1[:half]
-    mult_u = -d1 / (1.0 + params.d * xi ** 2)
-    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
-    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
-    return d1, swap, np.stack([0.5 * mult_u, mult_eta])
-
-
 def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     """Final state of propagate's ETDRK4 step taken at every point of the grid of dt.
 
@@ -939,7 +928,7 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
         u, eta = np.fft.irfft(state, n)
         out[...] = np.fft.rfft(np.stack([u * u, eta * u]))
 
-    step = _etdrk4_stepper(next(_etdrk4_levels(h, frame_speed, d1, swap, quad)), nonlinear_hat)
+    step = _etdrk4_stepper(_etdrk4_level(h, frame_speed, d1, swap, quad), nonlinear_hat)
     v = np.fft.rfft(np.asarray(w0, dtype=float).reshape(2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, nsteps + 1):
@@ -949,44 +938,62 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     return np.fft.irfft(np.exp(-frame_speed * nsteps * h * d1) * v, n).reshape(2 * n), nsteps
 
 
+def _mp_level(mp, h, frame_speed, d1, swap, quad, modes):
+    """_etdrk4_level's six (diag, anti) pairs on the given modes, in mpmath.
+
+    Taken from the closed forms of exp and phi_1..phi_3 at h mu+- on the
+    float inputs, with every later operation in mpmath too.
+    """
+    h, frame_speed = mp.mpf(h), mp.mpf(frame_speed)
+    ref = np.zeros((6, 2, 2, len(modes)), dtype=complex)
+    for col, m in enumerate(modes):
+        sw = [mp.mpc(swap[0, m]), mp.mpc(swap[1, m])]
+        weights = [mp.mpc(quad[0, m]), mp.mpc(quad[1, m])]
+        omega = mp.sqrt(max(-mp.re(sw[0] * sw[1]), 0))
+        at_mu = []
+        for sign in (1, -1):
+            z = h * (frame_speed * mp.mpc(d1[m]) + sign * 1j * omega)
+            e_half = mp.exp(z / 2)
+            if z == 0:
+                phi1, phi2, phi3, half_phi1 = 1, mp.mpf(1) / 2, mp.mpf(1) / 6, 1
+            else:
+                phi1 = (e_half ** 2 - 1) / z
+                phi2 = (phi1 - 1) / z
+                phi3 = (phi2 - mp.mpf(1) / 2) / z
+                half_phi1 = (e_half - 1) / (z / 2)
+            at_mu.append((e_half, e_half ** 2, h / 2 * half_phi1,
+                          h * (phi1 - 3 * phi2 + 4 * phi3), 2 * h * (phi2 - 2 * phi3),
+                          h * (4 * phi3 - phi2)))
+        k_scale = 1 / (2j * omega) if omega > 0 else 0
+        for i, (plus, minus) in enumerate(zip(*at_mu)):
+            for r in range(2):
+                diag, anti = (plus + minus) / 2, (plus - minus) * k_scale * sw[r]
+                if i >= 2:
+                    diag, anti = diag * weights[r], anti * weights[1 - r]
+                ref[i, :, r, col] = complex(diag), complex(anti)
+    return ref
+
+
 @pytest.mark.parametrize("theta2, n, half_length", [(0.84, 512, 50.0), (0.92, 512, 50.0),
                                                      (THETA2, 256, 25.0)])
-def test_doubled_coefficients_match_the_contour_build(theta2, n, half_length):
-    # each level after 0 comes from the one below by phi-doubling; the contour
-    # build at the same step agrees to 2.7e-13 relative or better here
+def test_etdrk4_levels_match_mpmath(theta2, n, half_length):
+    # every level 0-9 of both frames, on every 7th mode, against 50 digits: within
+    # 2.6e-13 of each coefficient's largest entry here, most of it the conditioning
+    # of exp(z) to the rounding of z = h mu, |z| up to 700 at level 9
+    mpmath = pytest.importorskip("mpmath")
     prof, params = _wave_params(theta2, n, half_length)
     d1, swap, quad = _half_spectrum_symbols(params)
-    dt = 0.05
-    levels = _etdrk4_levels(dt, params.speed, d1, swap, quad)
-    for j in range(10):
-        derived = next(levels)
-        direct = next(_etdrk4_levels(dt * 2 ** j, params.speed, d1, swap, quad))
-        for got, ref in zip(derived, direct):
-            # a coefficient's diagonal and anti-diagonal rows together
-            err = np.max(np.abs(np.subtract(got, ref)))
-            if j == 0:
-                assert err == 0.0
-            assert err <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_comoving_run_evaluates_the_contour_once(monkeypatch):
-    import orbitfix.boussinesq as bq
-
-    calls = []
-    contour = bq._contour_points
-
-    def counted(z):
-        calls.append(z.shape)
-        return contour(z)
-
-    monkeypatch.setattr(bq, "_contour_points", counted)
-    prof, params = _wave_params(0.84, 512, 50.0)
-    dt = 0.05
-    result = propagate(prof.wave, params, dt=dt, t_end=100.0, frame_speed=params.speed)
-    assert result.completed
-    # steps of 2^5 dt and longer were kept, so levels 0 to at least 6 were built
-    assert result.longest_step >= 2 ** 5 * dt
-    assert len(calls) == 1
+    modes = list(range(0, d1.size, 7))
+    with mpmath.mp.workdps(50):
+        for frame_speed in (0.0, params.speed):
+            for j in range(10):
+                h = 0.05 * 2 ** j
+                got = np.array(_etdrk4_level(h, frame_speed, d1, swap, quad))[..., modes]
+                ref = _mp_level(mpmath.mp, h, frame_speed, d1, swap, quad, modes)
+                for coefficient, exact in zip(got, ref):
+                    # a coefficient's diagonal and anti-diagonal rows together
+                    err = np.max(np.abs(coefficient - exact))
+                    assert err <= 1e-12 * np.max(np.abs(exact)), (frame_speed, j)
 
 
 def _bumped_wave(theta2, n, half_length, amplitude):

@@ -39,6 +39,22 @@ def _validate(summary):
 BS_SMALL = ["--grid-n", "256", "--half-length", "25"]
 
 
+def _assert_refused(argv, tmp_path):
+    """argv exits 1 into an existing --out and into a new one, and changes neither.
+
+    The existing directory keeps just the file it held, and the new one, two
+    levels below tmp_path, is not left behind.
+    """
+    existing = tmp_path / "existing"
+    existing.mkdir(exist_ok=True)
+    (existing / "kept.txt").write_text("kept\n")
+    assert main([*argv, "--out", str(existing)]) == 1
+    assert [p.name for p in existing.iterdir()] == ["kept.txt"]
+    assert (existing / "kept.txt").read_text() == "kept\n"
+    assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert not (tmp_path / "new").exists()
+
+
 # ---------------- usage errors ----------------
 
 def test_no_arguments_is_usage_error():
@@ -50,23 +66,22 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_bad_perturbation_kind_is_usage_error(tmp_path):
-    assert main(["nbody", "solve", "--perturb", "gauss",
-                 "--out", str(tmp_path)]) == 1
+    _assert_refused(["nbody", "solve", "--perturb", "gauss"], tmp_path)
 
 
 def test_bad_theta2_is_usage_error(tmp_path):
-    assert main(["bs", "solve", "--theta2", "0.5", "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "solve", "--theta2", "0.5"], tmp_path)
 
 
 def test_gamma_flag_is_usage_error(tmp_path):
     # the stabilizing exponent follows from the nonlinearity's degree
-    assert main(["nbody", "solve", "--gamma", "0.5", "--out", str(tmp_path)]) == 1
+    _assert_refused(["nbody", "solve", "--gamma", "0.5"], tmp_path)
 
 
 @pytest.mark.parametrize("command", ["solve", "orbit"])
 def test_x0_is_a_bs_flag_only(tmp_path, command):
     # --x0 places the gauss bumps; the ring's perturbations have no position
-    assert main(["nbody", command, "--x0", "5", "--out", str(tmp_path)]) == 1
+    _assert_refused(["nbody", command, "--x0", "5"], tmp_path)
     assert _build_parser().parse_args(["bs", command, "--x0", "1.5"]).x0 == 1.5
 
 
@@ -151,15 +166,14 @@ def test_bs_petviashvili_final_residual_is_F_at_the_profile(tmp_path):
 
 
 def test_bs_rejects_fixed_point_method(tmp_path):
-    assert main(["bs", "solve", "--method", "fixed-point", *BS_SMALL,
-                 "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "solve", "--method", "fixed-point", *BS_SMALL], tmp_path)
 
 
 @pytest.mark.parametrize("command", [["nbody", "solve"], ["bs", "solve", *BS_SMALL]],
                          ids=["nbody", "bs"])
 def test_pcg_inner_solver_is_usage_error(tmp_path, command):
     # Newton solves by MINRES only; conjugate gradients fails on an indefinite J
-    assert main([*command, "--inner-solver", "pcg", "--out", str(tmp_path)]) == 1
+    _assert_refused([*command, "--inner-solver", "pcg"], tmp_path)
 
 
 def test_nbody_still_accepts_minres_inner_solver(tmp_path):
@@ -601,16 +615,13 @@ def test_bs_propagate_blowup_exits_diverged(tmp_path):
 
 
 def test_bs_propagate_rejects_bad_snapshots(tmp_path):
-    assert main(["bs", "propagate", *BS_SMALL, "--snapshots", "a,b",
-                 "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "propagate", *BS_SMALL, "--snapshots", "a,b"], tmp_path)
 
 
 @pytest.mark.parametrize("snapshots", [",", "0.5,inf"])
 def test_bs_propagate_rejects_empty_and_non_finite_snapshots(tmp_path, capsys, snapshots):
-    assert main(["bs", "propagate", *BS_SMALL, "--snapshots", snapshots,
-                 "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "propagate", *BS_SMALL, "--snapshots", snapshots], tmp_path)
     assert "--snapshots expects one or more finite values" in capsys.readouterr().err
-    assert not (tmp_path / "snapshots.csv").exists()
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -622,11 +633,9 @@ def test_bs_propagate_rejects_empty_and_non_finite_snapshots(tmp_path, capsys, s
 ], ids=["dt-zero", "t-end-negative", "dt-inf", "dt-subnormal", "snapshot-past-end"])
 def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, message):
     # --cs asks for a solve first; bad step options must stop the run before it
-    assert main(["bs", "propagate", *BS_SMALL, "--cs", "1.2", "--tol", "1e-11", *steps,
-                 "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "propagate", *BS_SMALL, "--cs", "1.2", "--tol", "1e-11", *steps],
+                    tmp_path)
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "trace.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -651,10 +660,8 @@ def test_bs_propagate_checks_steps_before_solving(tmp_path, capsys, steps, messa
 def test_non_finite_configuration_exits_before_any_work(tmp_path, capsys, argv, message):
     # warnings are errors here, so a run on NaN states would fail the test; an
     # uncaught exception, such as a division by a zero grid size, fails it too
-    assert main([*argv, "--out", str(tmp_path)]) == 1
+    _assert_refused(argv, tmp_path)
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "trace.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
 
 
 def test_bs_spectrum_refuses_a_speed_the_closed_form_wave_does_not_solve(tmp_path, capsys):
@@ -662,11 +669,9 @@ def test_bs_spectrum_refuses_a_speed_the_closed_form_wave_does_not_solve(tmp_pat
     # Jacobian spectrum at another --cs describes no solution
     speed = repr(bq.exact_profile(0.9, 64, 10.0).speed)
     argv = ["bs", "spectrum", "--grid-n", "64", "--half-length", "10"]
-    assert main([*argv, "--cs", "1.5", "--out", str(tmp_path / "off")]) == 1
+    _assert_refused([*argv, "--cs", "1.5"], tmp_path)
     err = capsys.readouterr().err
     assert "solves the system only at its own speed" in err and "--cs 1.5" in err
-    assert not (tmp_path / "off" / "summary.json").exists()
-    assert not (tmp_path / "off" / "spectrum.csv").exists()
     assert main([*argv, "--cs", speed, "--out", str(tmp_path / "own")]) == 0
     assert main([*argv, "--out", str(tmp_path / "default")]) == 0
     own, default = (_read_summary(tmp_path / name) for name in ("own", "default"))
@@ -683,16 +688,14 @@ def test_oversize_spectrum_is_refused_before_it_is_built(tmp_path, capsys, monke
         raise AssertionError("built a matrix past the dense eigenvalue limit")
 
     monkeypatch.setattr(*builder, build)
-    assert main([*argv, "--out", str(tmp_path)]) == 1
+    _assert_refused(argv, tmp_path)
     assert "exceeds the dense eigenvalue limit 4096" in capsys.readouterr().err
-    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("eps", [",", "0.01,nan"])
 def test_bs_shift_table_rejects_empty_and_non_finite_eps(tmp_path, capsys, eps):
-    assert main(["bs", "shift-table", *BS_SMALL, "--eps", eps, "--out", str(tmp_path)]) == 1
+    _assert_refused(["bs", "shift-table", *BS_SMALL, "--eps", eps], tmp_path)
     assert "--eps expects one or more finite values" in capsys.readouterr().err
-    assert not (tmp_path / "shift_table.json").exists()
 
 
 def test_bs_propagate_prescribed_speed_solves_first(tmp_path):
