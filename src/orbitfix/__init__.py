@@ -11,7 +11,7 @@ waves of a symmetric two-component long-wave system (`boussinesq`).
 
 from .numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, SpectrumReport,
                      as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
-                     fourier_symbols, materialize, minres, pcg, spectral_derivative)
+                     fourier_symbols, materialize, minres, pcg)
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
                       MAX_ITERATIONS, STATUSES, HomogeneousSplit, IterationTrace,
                       ProblemSpec, SolveOutcome, SolverConfig, convergence_ratios,

@@ -17,8 +17,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numlin import (FourierOperator, abs_inverse_2x2, check_dense_dim, fourier_apply,
-                     fourier_operator, fourier_symbols, inverse_2x2)
+from .numlin import (FourierOperator, check_dense_dim, fourier_apply, fourier_operator,
+                     fourier_symbols, hermitian_2x2_function)
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -131,7 +131,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     n = params.n
     a11, a12, a22 = np.broadcast_arrays(*_linear_symbol(params))
     s_symbol = np.array([[a11, a12], [a12, a22]])
-    s_inverse = inverse_2x2(a11, a12, a22)
+    s_inverse = hermitian_2x2_function(a11, a12, a22, np.reciprocal)
 
     def F(w):
         w = np.asarray(w, dtype=float)
@@ -228,7 +228,8 @@ def precond_operator(params: BSParams) -> FourierOperator:
     as the operator itself, not its apply, it is fused with the Jacobian:
     each iteration's M r and J M r come from one transform pair.
     """
-    return fourier_operator(abs_inverse_2x2(*_linear_symbol(params)))
+    symbol = hermitian_2x2_function(*_linear_symbol(params), lambda lam: 1.0 / np.abs(lam))
+    return fourier_operator(symbol)
 
 
 def periodic_wrap(v: float, half_length: float) -> float:

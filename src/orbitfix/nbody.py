@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numlin import LinearOperator, abs_inverse_2x2, fourier_apply
+from .numlin import LinearOperator, fourier_apply, hermitian_2x2_function
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -176,6 +176,12 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
 _KERNEL_TOL = 1e-8
 
 
+def _lifted_abs_inverse(lam: np.ndarray) -> np.ndarray:
+    # 1/|lam|, each kernel eigenvalue first raised to the largest modulus
+    mod = np.abs(lam)
+    return 1.0 / np.where(mod <= _KERNEL_TOL * mod.max(), mod.max(), mod)
+
+
 def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     """Per-mode symbol S(m) of the Jacobian at the unit polygon, shape (2, 2, n).
 
@@ -222,8 +228,8 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
     multiple of itself. Build O(n), apply O(n log n).
     """
     symbol = _polygon_symbol(config)
-    symbol = abs_inverse_2x2(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
-                             kernel_tol=_KERNEL_TOL)
+    symbol = hermitian_2x2_function(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
+                                    _lifted_abs_inverse)
     n = config.n
     # body j's radial direction as a unit complex number; states are x + iy per body
     turn = np.exp(1j * (2.0 * np.pi * np.arange(1, n + 1) / n + alpha))

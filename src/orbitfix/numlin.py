@@ -26,9 +26,7 @@ __all__ = [
     "fourier_apply",
     "fourier_operator",
     "preconditioned_product",
-    "inverse_2x2",
-    "abs_inverse_2x2",
-    "spectral_derivative",
+    "hermitian_2x2_function",
     "fd_jacobian",
     "check_dense_dim",
     "dense_eigenvalues",
@@ -42,6 +40,9 @@ DENSE_DIM_LIMIT = 4096
 # rows per band of the symmetry test: a band's temporaries stay far below
 # the matrix's own size
 _SYMMETRY_BAND = 64
+
+# distance from 1 within which dense_eigenvalues counts an eigenvalue as 1
+_TOL_UNIT = 1e-6
 
 # floor of the Givens norm in MINRES, looked up once for all iterations
 _EPS = np.finfo(float).eps
@@ -238,73 +239,26 @@ def preconditioned_product(A, M) -> Optional[Callable]:
     return apply
 
 
-def inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray) -> np.ndarray:
-    """Per-mode A^{-1} of symmetric 2x2 blocks [[a11, a12], [a12, a22]], shape (2, 2, n).
-
-    A^{-1} = adj(A) / det A. Every block must be nonsingular.
-    """
-    a11, a12, a22 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (a11, a12, a22)))
-    det = a11 * a22 - a12 * a12
-    if not np.all(det != 0.0):
-        raise ValueError("every 2x2 block must be nonsingular")
-    return np.stack([np.stack([a22, -a12]), np.stack([-a12, a11])]) / det
-
-
-def abs_inverse_2x2(a11: np.ndarray, a12: np.ndarray, a22: np.ndarray,
-                    kernel_tol: Optional[float] = None) -> np.ndarray:
-    """Per-mode |A|^{-1} of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, n).
+def hermitian_2x2_function(a11, a12, a22, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-mode f(A) of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, n).
 
     a11 and a22 are real; a12 may be complex, and then so is the result.
-    |A| = sqrt(A^2) is the positive definite matrix with A's eigenvectors
-    and the moduli of its eigenvalues. With B = A^2 + |det A| I and
-    s = |l1| + |l2| = sqrt(tr(A^2) + 2|det A|), |A| = B / s, so
-    |A|^{-1} = adj(B) / (s |det A|) and no eigenvectors are needed.
-
-    Without kernel_tol every block must be nonsingular. With it, an
-    eigenvalue whose modulus is at most kernel_tol times the largest
-    modulus over all blocks stands for a kernel direction: it is first
-    raised to that largest modulus along its own eigenvector, so |A|^{-1}
-    stays positive definite and bounded and gives the kernel the smallest
-    weight.
+    Scalar entries are shared by every block. A block has the eigenvalues
+    t +- h, with t the mean of its diagonal and h = |A - t I|, so
+    f(A) = (f(t + h) + f(t - h))/2 I + (f(t + h) - f(t - h))/(2h) (A - t I),
+    which is f(t) I where h = 0; no eigenvectors are formed. f maps the
+    stacked eigenvalues of every block at once, shape (2, n) with t + h
+    first, to their values, so it may read all of them, such as their
+    largest modulus.
     """
-    a11, a22 = (np.asarray(a, dtype=float) for a in (a11, a22))
-    a12 = np.asarray(a12, dtype=complex if np.iscomplexobj(a12) else float)
-    if kernel_tol is not None:
-        # eigenvalues t +- h, with eigenprojectors (I +- U)/2 for U = (A - t I)/h
-        t, d = 0.5 * (a11 + a22), 0.5 * (a11 - a22)
-        h = np.hypot(d, np.abs(a12))
-        lam = np.stack([t + h, t - h])
-        big = np.abs(lam).max()
-        lift = np.where(np.abs(lam) <= kernel_tol * big, big - lam, 0.0)
-        # A + mean I + diff (A - t I); a block with h = 0 is t I and has d = a12 = 0
-        mean = 0.5 * (lift[0] + lift[1])
-        diff = 0.5 * (lift[0] - lift[1]) / np.where(h > 0.0, h, 1.0)
-        a11, a12, a22 = a11 + mean + diff * d, a12 + diff * a12, a22 + mean - diff * d
-    sq12 = (a12 * a12.conj()).real
-    absdet = np.abs(a11 * a22 - sq12)
-    if not np.all(absdet > 0.0):
-        raise ValueError("every 2x2 block must be nonsingular")
-    b11 = a11 * a11 + sq12 + absdet
-    b22 = sq12 + a22 * a22 + absdet
-    b12 = a12 * (a11 + a22)
-    scale = np.sqrt(b11 + b22) * absdet
-    return np.stack([np.stack([b22, -b12]), np.stack([-b12.conj(), b11])]) / scale
-
-
-def spectral_derivative(v: np.ndarray, half_length: float, order: int = 1) -> np.ndarray:
-    """Fourier differentiation of samples on a uniform grid over [-L, L).
-
-    The first derivative zeroes the Nyquist mode.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    if v.ndim != 1 or n < 4 or n % 2:
-        raise ValueError("spectral_derivative requires an even number of samples >= 4")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if not half_length > 0.0:
-        raise ValueError("half_length must be positive")
-    return fourier_apply(fourier_symbols(n, half_length)[order], v)
+    t, d = 0.5 * (a11 + a22), 0.5 * (a11 - a22)
+    h = np.hypot(d, np.abs(a12))
+    f_up, f_down = f(np.stack([t + h, t - h]))
+    mean = 0.5 * (f_up + f_down)
+    # where h = 0 the two values are equal, so the slope is 0
+    slope = 0.5 * (f_up - f_down) / np.where(h > 0.0, h, 1.0)
+    b12 = slope * a12
+    return np.stack([np.stack([mean + slope * d, b12]), np.stack([b12.conj(), mean - slope * d])])
 
 
 def fd_jacobian(F: Callable, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
@@ -342,8 +296,8 @@ def _block_eigenvalues(A) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
-def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> SpectrumReport:
-    """Full eigenvalue set of a small matrix, with near-1 and near-0 counts.
+def dense_eigenvalues(A, tol_zero: float = 1e-6) -> SpectrumReport:
+    """Full eigenvalue set of a small matrix, with counts within _TOL_UNIT of 1 and tol_zero of 0.
 
     A tuple or an iterator of square matrices or operators stands for the
     block-diagonal matrix they form: its spectrum is the union of the
@@ -362,7 +316,7 @@ def dense_eigenvalues(A, tol_unit: float = 1e-6, tol_zero: float = 1e-6) -> Spec
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]
     return SpectrumReport(
         eigenvalues=ev,
-        count_near_unit=int(np.count_nonzero(np.abs(ev - 1.0) <= tol_unit)),
+        count_near_unit=int(np.count_nonzero(np.abs(ev - 1.0) <= _TOL_UNIT)),
         count_near_zero=sum(near_zero),
         dominant_modulus=float(np.abs(ev[0])) if ev.size else 0.0,
         block_dims=tuple(b.size for b in blocks),

@@ -12,7 +12,7 @@ import pytest
 
 import orbitfix.boussinesq as bq
 import orbitfix.nbody as nb
-from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize, spectral_derivative
+from orbitfix.numlin import dense_eigenvalues, fd_jacobian, materialize
 from orbitfix.solvers import (CONVERGED_RESIDUAL, DIVERGED, SolverConfig,
                               convergence_ratios, newton_solve, petviashvili_map,
                               petviashvili_solve)
@@ -324,8 +324,8 @@ def test_criterion_09_shift_family_reproduction():
     params = bq.BSParams(theta2=THETA2, speed=profile.speed, n=n, half_length=50.0)
     problem = bq.build_bs_problem(params)
     w = profile.wave
-    du = spectral_derivative(w[:n], 50.0, 1)
-    deta = spectral_derivative(w[n:], 50.0, 1)
+    # seeds displaced along the translation generator -w', as bs shift-table builds them
+    generator = bq.translation_action(params).generators(w)[0]
     expected = {0.1: -9.9534e-2, 0.05: -4.9941e-2, 0.01: -9.9995e-3, 0.005: -4.9999e-3}
     config = SolverConfig(tol_residual=1e-11, max_outer=1000, inner_maxit=500)
     precond = bq.precond_operator(params)
@@ -333,7 +333,7 @@ def test_criterion_09_shift_family_reproduction():
     ok = True
     parts = []
     for eps, ref_shift in expected.items():
-        w0 = w + eps * np.concatenate([du, deta])
+        w0 = w - eps * generator
         out = newton_solve(problem, w0, config, reference=w, precond=precond,
                            generators=generators)
         xu = bq.translation_shift(out.x, 50.0, component="u")

@@ -2,53 +2,44 @@ import numpy as np
 import pytest
 
 from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, precond_operator
-from orbitfix.nbody import NBodyConfig, build_nbody, polygon_solution
+from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, build_nbody,
+                            polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry_probe, _is_symmetric, abs_inverse_2x2,
-                             inverse_2x2, as_operator, dense_eigenvalues, fd_jacobian,
-                             fourier_apply, fourier_operator, fourier_symbols, materialize,
-                             minres, pcg, preconditioned_product, spectral_derivative)
+                             _check_symmetry_probe, _is_symmetric, as_operator,
+                             dense_eigenvalues, fd_jacobian, fourier_apply, fourier_operator,
+                             fourier_symbols, hermitian_2x2_function, materialize, minres, pcg,
+                             preconditioned_product)
 
 
-# ---------------- spectral_derivative ----------------
+# ---------------- spectral differentiation by fourier_apply ----------------
+
+def _derivative(v, half_length, order):
+    return fourier_apply(fourier_symbols(v.shape[0], half_length)[order], v)
+
 
 def test_spectral_derivative_trig_exact():
     n, L = 32, np.pi
     x = -L + (2 * L / n) * np.arange(n)
-    assert np.allclose(spectral_derivative(np.sin(x), L, 1), np.cos(x), atol=1e-12)
-    assert np.allclose(spectral_derivative(np.sin(x), L, 2), -np.sin(x), atol=1e-11)
+    assert np.allclose(_derivative(np.sin(x), L, 1), np.cos(x), atol=1e-12)
+    assert np.allclose(_derivative(np.sin(x), L, 2), -np.sin(x), atol=1e-11)
 
 
 def test_spectral_derivative_general_period():
     n, L = 64, 3.0
     x = -L + (2 * L / n) * np.arange(n)
     f = np.sin(np.pi * x / L)
-    assert np.allclose(spectral_derivative(f, L, 1), (np.pi / L) * np.cos(np.pi * x / L),
-                       atol=1e-12)
+    assert np.allclose(_derivative(f, L, 1), (np.pi / L) * np.cos(np.pi * x / L), atol=1e-12)
 
 
 def test_spectral_derivative_constant():
-    assert np.allclose(spectral_derivative(np.full(16, 2.5), 1.0, 1), 0.0, atol=1e-13)
+    assert np.allclose(_derivative(np.full(16, 2.5), 1.0, 1), 0.0, atol=1e-13)
 
 
 def test_spectral_derivative_nyquist_zeroed():
     n, L = 16, 2.0
     x = -L + (2 * L / n) * np.arange(n)
     nyquist = np.cos(np.pi * n / 2 * x / L)  # alternating +-1
-    assert np.allclose(spectral_derivative(nyquist, L, 1), 0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [np.ones(5), np.ones(2), np.ones((4, 4))])
-def test_spectral_derivative_bad_samples(bad):
-    with pytest.raises(ValueError):
-        spectral_derivative(bad, 1.0, 1)
-
-
-def test_spectral_derivative_bad_order_and_length():
-    with pytest.raises(ValueError):
-        spectral_derivative(np.ones(8), 1.0, 3)
-    with pytest.raises(ValueError):
-        spectral_derivative(np.ones(8), -1.0, 1)
+    assert np.allclose(_derivative(nyquist, L, 1), 0.0, atol=1e-12)
 
 
 # ---------------- fourier_symbols / fourier_apply ----------------
@@ -177,10 +168,14 @@ def test_preconditioned_product_declines_what_it_cannot_fuse():
         assert preconditioned_product(a, m) is None
 
 
+def _abs_inverse(lam):
+    return 1.0 / np.abs(lam)
+
+
 def test_abs_inverse_2x2_matches_eigendecomposition():
     rng = np.random.default_rng(12)
     a11, a12, a22 = rng.standard_normal((3, 200)) * np.array([[1.0], [3.0], [0.1]])
-    blocks = abs_inverse_2x2(a11, a12, a22)
+    blocks = hermitian_2x2_function(a11, a12, a22, _abs_inverse)
     assert blocks.shape == (2, 2, 200)
     for m in range(200):
         lam, vec = np.linalg.eigh(np.array([[a11[m], a12[m]], [a12[m], a22[m]]]))
@@ -201,7 +196,7 @@ def test_abs_inverse_2x2_hermitian_blocks_match_eigh():
     rng = np.random.default_rng(14)
     a11, a22 = rng.standard_normal((2, 200))
     a12 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    blocks = abs_inverse_2x2(a11, a12, a22)
+    blocks = hermitian_2x2_function(a11, a12, a22, _abs_inverse)
     assert blocks.shape == (2, 2, 200) and np.iscomplexobj(blocks)
     for m in range(200):
         expected = _eigh_abs_inverse(np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]))
@@ -211,7 +206,8 @@ def test_abs_inverse_2x2_hermitian_blocks_match_eigh():
 
 def test_abs_inverse_2x2_kernel_stand_in():
     # rank-one blocks l u u^H with complex u, a zero block, diag(2, 1e-12) and
-    # four nonsingular blocks; kernel eigenvalues take the largest modulus
+    # four nonsingular blocks; through the ring's lift, kernel eigenvalues
+    # take the largest modulus
     rng = np.random.default_rng(15)
     u1, u2 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     lam = 3.0 * rng.standard_normal(3)
@@ -221,36 +217,62 @@ def test_abs_inverse_2x2_kernel_stand_in():
                           rng.standard_normal(4) + 1j * rng.standard_normal(4)])
     hermitian = [np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]) for m in range(9)]
     largest = max(np.abs(np.linalg.eigvalsh(h)).max() for h in hermitian)
-    blocks = abs_inverse_2x2(a11, a12, a22, kernel_tol=1e-8)
+    blocks = hermitian_2x2_function(a11, a12, a22, _lifted_abs_inverse)
     for m, h in enumerate(hermitian):
         expected = _eigh_abs_inverse(h, 1e-8, largest)
         assert np.allclose(blocks[:, :, m], expected, rtol=0.0,
                            atol=1e-12 * np.abs(expected).max())
-    # without kernel_tol the singular blocks are refused
-    with pytest.raises(ValueError, match="nonsingular"):
-        abs_inverse_2x2(a11, a12, a22)
 
 
 def test_inverse_2x2_inverts_each_block():
     rng = np.random.default_rng(13)
     a11, a12, a22 = rng.standard_normal((3, 200))
-    blocks = inverse_2x2(a11, a12, a22)
+    blocks = hermitian_2x2_function(a11, a12, a22, np.reciprocal)
     assert blocks.shape == (2, 2, 200)
     for m in range(200):
         a = np.array([[a11[m], a12[m]], [a12[m], a22[m]]])
         assert np.allclose(blocks[:, :, m] @ a, np.eye(2), rtol=0.0, atol=1e-12 * np.linalg.cond(a))
     # a scalar entry is shared by every block
-    assert np.array_equal(inverse_2x2(-1.0, a12, a22), inverse_2x2(np.full(200, -1.0), a12, a22))
+    assert np.array_equal(hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
+                          hermitian_2x2_function(np.full(200, -1.0), a12, a22, np.reciprocal))
 
 
-def test_inverse_2x2_rejects_singular_blocks():
-    with pytest.raises(ValueError, match="nonsingular"):
-        inverse_2x2(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 4.0]))
+def _eigh_function(a11, a12, a22, f):
+    # f(A) block by block from batched eigh, f applied to all eigenvalues at once
+    a11, a12, a22 = np.broadcast_arrays(a11, a12, a22)
+    blocks = np.stack([np.stack([a11, a12], -1), np.stack([a12.conj(), a22], -1)], -2)
+    lam, vec = np.linalg.eigh(blocks.astype(complex))
+    f_lam = f(lam.T).T
+    return (vec * f_lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)
 
 
-def test_abs_inverse_2x2_rejects_singular_blocks():
-    with pytest.raises(ValueError, match="nonsingular"):
-        abs_inverse_2x2(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 4.0]))
+@pytest.mark.parametrize("n", [128, 2048])
+def test_hermitian_2x2_function_lifts_the_ring_kernel_to_round_off(n):
+    # the polygon's symbol at m0 = 10 has the rotation generator in its kernel
+    # and eigenvalues spread over orders of magnitude; every block of the lifted
+    # |S|^{-1} must agree with eigh to round-off
+    symbol = _polygon_symbol(NBodyConfig(n=n, m0=10.0))
+    a11, a12, a22 = symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real
+    got = np.moveaxis(hermitian_2x2_function(a11, a12, a22, _lifted_abs_inverse), -1, 0)
+    expected = _eigh_function(a11, a12, a22, _lifted_abs_inverse)
+    err = np.linalg.norm(got - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
+    assert err.max() <= 1e-14
+
+
+def test_hermitian_2x2_function_on_scalar_blocks_and_shared_entries():
+    # blocks t I (h = 0) give f(t) I, with f reading every block's eigenvalues
+    t = np.array([3.0, -2.0, 0.0, 5.0])
+    blocks = hermitian_2x2_function(t, np.zeros(4), t, _lifted_abs_inverse)
+    # the zero block is a kernel block and takes the largest modulus, 5
+    expected = 1.0 / np.array([3.0, 2.0, 5.0, 5.0])
+    assert np.array_equal(blocks, np.eye(2)[:, :, None] * expected)
+    # a scalar a11, as _linear_symbol gives it, is broadcast against array entries
+    rng = np.random.default_rng(16)
+    a12, a22 = rng.standard_normal((2, 64))
+    shared = hermitian_2x2_function(-1.0, a12, a22, _abs_inverse)
+    assert shared.shape == (2, 2, 64)
+    assert np.allclose(np.moveaxis(shared, -1, 0), _eigh_function(-1.0, a12, a22, _abs_inverse),
+                       rtol=0.0, atol=1e-14 * np.abs(shared).max())
 
 
 # ---------------- fd_jacobian ----------------
