@@ -123,8 +123,9 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
     F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic, so the problem
     carries the split (S, S^{-1}, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
-    symbols, one Fourier apply each. S^{-1} exists on every mode: det S =
-    (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
+    symbols, one Fourier apply each; S^{-1} is hermitian_2x2_function of S with
+    f = 1/lambda. It exists on every mode: det S = (1 - c xi^2) -
+    cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
     The Jacobian at w0 is the FourierOperator S minus pointwise
     multiplication by the symmetric 2x2 field [[eta0, u0], [u0, 0]].
     """
@@ -223,10 +224,11 @@ def precond_operator(params: BSParams) -> FourierOperator:
     Per Fourier mode S is the symmetric block [[-1, cs(1 + b xi^2)],
     [cs(1 + b xi^2), -(1 - c xi^2)]], indefinite with negative determinant.
     Its absolute value |S| has the same eigenvectors and the moduli of the
-    eigenvalues, so |S|^{-1} is symmetric positive definite and serves as
-    the MINRES preconditioner for the indefinite Jacobian. Passed to minres
-    as the operator itself, not its apply, it is fused with the Jacobian:
-    each iteration's M r and J M r come from one transform pair.
+    eigenvalues, so |S|^{-1}, hermitian_2x2_function of S with f = 1/|lambda|,
+    is symmetric positive definite and serves as the MINRES preconditioner
+    for the indefinite Jacobian. Passed to minres as the operator itself,
+    not its apply, it is fused with the Jacobian: each iteration's M r and
+    J M r come from one transform pair.
     """
     symbol = hermitian_2x2_function(*_linear_symbol(params), lambda lam: 1.0 / np.abs(lam))
     return fourier_operator(symbol)

@@ -222,10 +222,11 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
     The ring's counterpart of boussinesq.precond_operator: v is turned
     into the bodies' (radial, tangential) frames, multiplied mode by mode
     by |S(m)|^{-1} of _polygon_symbol in one fourier_apply, and turned
-    back. The result is symmetric positive definite: kernel eigenvalues
-    (the rotation generator, and every tangential motion at m0 = 0) get
-    the largest modulus as stand-in, so M maps the generator to a
-    multiple of itself. Build O(n), apply O(n log n).
+    back. |S(m)|^{-1} is hermitian_2x2_function with f = _lifted_abs_inverse,
+    which gives kernel eigenvalues (the rotation generator, and every
+    tangential motion at m0 = 0) the largest modulus over all modes. So
+    the result is symmetric positive definite, and M maps the generator to
+    a multiple of itself. Build O(n), apply O(n log n).
     """
     symbol = _polygon_symbol(config)
     symbol = hermitian_2x2_function(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
