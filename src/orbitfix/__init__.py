@@ -10,13 +10,12 @@ waves of a symmetric two-component long-wave system (`boussinesq`).
 """
 
 from .numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, SpectrumReport,
-                     as_operator, dense_eigenvalues, fd_jacobian, fourier_apply,
-                     fourier_symbols, materialize, minres, pcg)
+                     as_operator, dense_eigenvalues, fourier_apply, fourier_symbols,
+                     materialize, minres, pcg)
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
                       MAX_ITERATIONS, STATUSES, HomogeneousSplit, IterationTrace,
-                      ProblemSpec, SolveOutcome, SolverConfig, convergence_ratios,
-                      fixed_point_solve, iteration_matrix_spectrum, newton_solve,
-                      petviashvili_map, petviashvili_solve)
+                      ProblemSpec, SolveOutcome, SolverConfig, fixed_point_solve,
+                      iteration_matrix_spectrum, newton_solve, petviashvili_solve)
 from .symmetry import GroupAction, OrbitReport, align_to_orbit, kernel_check, predict_limit
 
 __version__ = "0.1.0"

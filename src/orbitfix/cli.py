@@ -223,7 +223,8 @@ def _solve(args, p: _Problem, x0, perturbed):
     Petviashvili; perturbed seeds (perturbed=True) and seeds at the
     closed-form speed run Newton, whose limit is the orbit element the shift
     diagnostics measure. final_residual is outcome.f_norm, |F| at the
-    returned state, when p.on_F, and else the trace's last residual.
+    returned state, when p.on_F, and else the trace's last residual. The
+    extras carry the solver's message, why it stopped, when it gave one.
     """
     method = args.method or ("petviashvili" if not perturbed and p.reference is None
                              else "newton")
@@ -239,10 +240,13 @@ def _solve(args, p: _Problem, x0, perturbed):
                                      tol_on_F=p.on_F)
     else:
         outcome = fixed_point_solve(p.spec, x0, config, reference=p.reference)
+    extras = {"method": method, "anderson": None if method == "newton" else p.anderson}
+    if outcome.message:
+        extras["message"] = outcome.message
     return outcome, {
         "status": outcome.status, "iterations": outcome.iterations,
         "final_residual": outcome.f_norm if p.on_F else outcome.trace.residuals[-1],
-        "extras": {"method": method, "anderson": None if method == "newton" else p.anderson}}
+        "extras": extras}
 
 
 def cmd_solve(args, out: Path) -> dict:

@@ -29,7 +29,6 @@ __all__ = [
     "build_nbody",
     "precond_operator",
     "rotation_action",
-    "reduced_polar_residual",
 ]
 
 _COLLISION_EPS = 1e-12
@@ -273,26 +272,3 @@ def rotation_action() -> GroupAction:
         generators=lambda q: [_rotation_generator(np.asarray(q, dtype=float))],
         align=_rotation_align,
     )
-
-
-def reduced_polar_residual(r1: float, r2: float, theta: float, m0: float) -> np.ndarray:
-    """Two-body system reduced to radii and separation angle.
-
-    Components: the two radial force balances and the rotation-invariant
-    angular balance r1<F_1, J q_1^> - r2<F_2, J q_2^>. All three vanish
-    at the polygon (r1 = r2 = 1, theta = pi) for every central mass.
-    """
-    if r1 < _COLLISION_EPS or r2 < _COLLISION_EPS:
-        raise ValueError("body collides with the center")
-    a, b = NBodyConfig(n=2, m0=m0).coefficients
-    # not NBodyConfig's omega squared, which can differ in the last bit
-    w2 = m0 + ring_constant(2)
-    rho2 = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * np.cos(theta)
-    if rho2 < _COLLISION_EPS ** 2:
-        raise ValueError("two ring bodies collide")
-    rho3 = rho2 ** 1.5
-    return np.array([
-        w2 * r1 - a / r1 ** 2 - b * (r1 - r2 * np.cos(theta)) / rho3,
-        w2 * r2 - a / r2 ** 2 - b * (r2 - r1 * np.cos(theta)) / rho3,
-        2.0 * b * r1 * r2 * np.sin(theta) / rho3,
-    ])

@@ -1,8 +1,8 @@
 """Dense and matrix-free numerical linear algebra helpers.
 
-Vectors are 1-D numpy arrays. Matrix-free maps are wrapped in
-LinearOperator so the iterative solvers can consume dense matrices and
-callables through one interface.
+Vectors are 1-D numpy arrays. A linear map the solvers apply is a
+LinearOperator; dense spectra are taken of matrices, and materialize turns
+an operator into one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "fourier_operator",
     "preconditioned_product",
     "hermitian_2x2_function",
-    "fd_jacobian",
     "check_dense_dim",
     "dense_eigenvalues",
     "minres",
@@ -54,9 +53,6 @@ class LinearOperator:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -129,10 +125,8 @@ def _is_symmetric(M: np.ndarray, atol: float) -> bool:
     return True
 
 
-def materialize(op) -> np.ndarray:
+def materialize(op: LinearOperator) -> np.ndarray:
     """Evaluate a linear operator column by column into a dense matrix."""
-    if not isinstance(op, LinearOperator):
-        return np.asarray(op, dtype=float)
     n = op.dim
     M = np.empty((n, n))
     e = np.zeros(n)
@@ -261,21 +255,6 @@ def hermitian_2x2_function(a11, a12, a22, f: Callable[[np.ndarray], np.ndarray])
     return np.stack([np.stack([mean + slope * d, b12]), np.stack([b12.conj(), mean - slope * d])])
 
 
-def fd_jacobian(F: Callable, x: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Central-difference Jacobian of F at x."""
-    x = np.asarray(x, dtype=float)
-    if step is None:
-        step = 1e-6 * max(1.0, float(np.linalg.norm(x, np.inf)))
-    n = x.shape[0]
-    cols = []
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = step
-        cols.append((np.asarray(F(x + e)) - np.asarray(F(x - e))) / (2.0 * step))
-        e[j] = 0.0
-    return np.column_stack(cols)
-
-
 def check_dense_dim(dim: int) -> None:
     """Refuse a dense eigenvalue problem past DENSE_DIM_LIMIT, before it is built."""
     if dim > DENSE_DIM_LIMIT:
@@ -283,9 +262,7 @@ def check_dense_dim(dim: int) -> None:
 
 
 def _block_eigenvalues(A) -> np.ndarray:
-    if isinstance(A, LinearOperator):
-        check_dense_dim(A.dim)
-    M = materialize(A)
+    M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     check_dense_dim(M.shape[0])
@@ -299,7 +276,7 @@ def _block_eigenvalues(A) -> np.ndarray:
 def dense_eigenvalues(A, tol_zero: float = 1e-6) -> SpectrumReport:
     """Full eigenvalue set of a small matrix, with counts within _TOL_UNIT of 1 and tol_zero of 0.
 
-    A tuple or an iterator of square matrices or operators stands for the
+    A is a square matrix. A tuple or an iterator of them stands for the
     block-diagonal matrix they form: its spectrum is the union of the
     blocks' spectra, the dimension limit applies to each block, and
     block_dims and block_near_zero give the size and near-0 count of each
@@ -346,11 +323,11 @@ def _check_symmetry_probe(op: LinearOperator) -> None:
 
 
 def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
-           precond: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+           precond: Optional[LinearOperator] = None):
     """Minimum-residual iteration for symmetric (possibly indefinite) systems.
 
-    precond, when given, applies a symmetric positive definite approximation
-    M of A^{-1}: a callable, or an operator whose apply method applies M.
+    precond, when given, is an operator whose apply method applies a
+    symmetric positive definite approximation M of A^{-1}.
     Each iteration applies M to the new residual r and A to M r; when A
     and M are Fourier operators that preconditioned_product fuses, both
     come from one transform pair, else M and then A are applied. Returns
@@ -369,7 +346,7 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
     _check_symmetry_probe(op)
 
-    apply_m = getattr(precond, "apply", precond) if precond is not None else (lambda v: v)
+    apply_m = precond.apply if precond is not None else (lambda v: v)
     fused = None if precond is None else preconditioned_product(op, precond)
 
     def precondition(r):

@@ -15,8 +15,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numlin import LinearOperator, check_dense_dim, dense_eigenvalues, minres
-from .numlin import materialize, pcg  # noqa: F401  for perfbench's hooks of these names
+from .numlin import LinearOperator, check_dense_dim, dense_eigenvalues, materialize, minres
+from .numlin import pcg  # noqa: F401  for perfbench's hook of this name
 
 __all__ = [
     "CONVERGED_RESIDUAL",
@@ -32,10 +32,8 @@ __all__ = [
     "AndersonMixer",
     "fixed_point_solve",
     "petviashvili_solve",
-    "petviashvili_map",
     "newton_solve",
     "iteration_matrix_spectrum",
-    "convergence_ratios",
 ]
 
 # Eisenstat-Walker choice 2 forcing terms of the quotient Newton solve
@@ -310,8 +308,8 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
 
     def step(x):
         gx = np.asarray(problem.G(x), dtype=float)
-        ax = split.linear(x)
-        agx = split.linear(gx)
+        ax = split.linear.apply(x)
+        agx = split.linear.apply(gx)
         den = float(np.dot(agx, x))
         s = float(np.dot(ax, x) / den) if den != 0.0 else None
 
@@ -342,19 +340,6 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
     """
     return _fixed_point_loop(_stabilized_step(problem), x0, config or SolverConfig(),
                              reference, tol_on_F)
-
-
-def petviashvili_map(problem: ProblemSpec) -> Callable:
-    """One step of the stabilized iteration as a plain map, to difference in checks."""
-    step = _stabilized_step(problem)
-
-    def apply(x):
-        nxt = step(x)[2]
-        if isinstance(nxt, str):
-            raise ValueError(nxt)
-        return nxt
-
-    return apply
 
 
 def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
@@ -403,15 +388,16 @@ def _forcing_term(residual: float, prev_residual: Optional[float],
 def newton_solve(problem: ProblemSpec, x0: np.ndarray,
                  config: Optional[SolverConfig] = None,
                  reference: Optional[np.ndarray] = None,
-                 precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 precond: Optional[LinearOperator] = None,
                  generators: Optional[Callable] = None) -> SolveOutcome:
     """Newton iteration with an iterative linear solve per step.
 
     The correction solves J(x) dx = -F(x) by MINRES, preconditioned with
-    precond, a symmetric positive definite approximation of J^{-1}, when
-    given. MINRES suits a symmetric indefinite J (Paige and Saunders, SIAM
-    J. Numer. Anal. 12, 1975), which both built-in problems have: J is
-    singular along the solution orbit and has eigenvalues of both signs.
+    precond, an operator applying a symmetric positive definite
+    approximation of J^{-1}, when given. MINRES suits a symmetric
+    indefinite J (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975), which
+    both built-in problems have: J is singular along the solution orbit and
+    has eigenvalues of both signs.
 
     generators, when given, maps a point to the tangent vectors of its
     group orbit (as GroupAction.generators does). Each step then solves on
@@ -479,7 +465,7 @@ def iteration_matrix_spectrum(problem: ProblemSpec, xstar: np.ndarray,
     (Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42, 2004): the plain map
     G = A^{-1}N has D = I - A^{-1}J; at a solution, for DN symmetric with
     DN x = d N(x), the stabilized map adds -d x* <A x*, .>/<A x*, x*>. D is
-    a matrix-free LinearOperator, materialized once by dense_eigenvalues.
+    a matrix-free LinearOperator, materialized once for dense_eigenvalues.
     """
     split = problem.homogeneous_split
     if split is None or problem.jacobian_at is None:
@@ -489,26 +475,11 @@ def iteration_matrix_spectrum(problem: ProblemSpec, xstar: np.ndarray,
     jac = problem.jacobian_at(xstar)
     row = None
     if stabilized:
-        ax = split.linear(xstar)
+        ax = split.linear.apply(xstar)
         row = split.degree * ax / float(np.dot(ax, xstar))
 
     def apply(v):
-        dv = v - split.inverse(jac(v))
+        dv = v - split.inverse.apply(jac.apply(v))
         return dv if row is None else dv - np.dot(row, v) * xstar
 
-    return dense_eigenvalues(LinearOperator(dim=jac.dim, apply=apply))
-
-
-def convergence_ratios(values) -> np.ndarray:
-    """Successive ratios of a positive decreasing sequence.
-
-    The sequence is cut at the first exact zero (converged-to-roundoff
-    tails carry no rate information).
-    """
-    vals = [float(v) for v in values]
-    out = []
-    for a, b in zip(vals, vals[1:]):
-        if a == 0.0 or b == 0.0:
-            break
-        out.append(b / a)
-    return np.asarray(out)
+    return dense_eigenvalues(materialize(LinearOperator(dim=jac.dim, apply=apply)))

@@ -55,13 +55,17 @@ def kernel_check(problem, xstar: np.ndarray, action: GroupAction) -> float:
     """Largest relative Jacobian residual over the symmetry generators.
 
     Small values certify that the generators span (part of) the Jacobian
-    kernel at the solution xstar. xstar must actually solve the system.
+    kernel at the solution xstar. xstar must actually solve the system:
+    |F(xstar)| <= 1e-8, relative to max(1, |A xstar|) when the problem has a
+    homogeneous split F = A x - N(x), whose round-off grows with A x.
     """
     if problem.jacobian_at is None:
         raise ValueError("kernel_check requires jacobian_at")
     xstar = np.asarray(xstar, dtype=float)
     fnorm = float(np.linalg.norm(problem.F(xstar)))
-    if fnorm > 1e-8:
+    split = problem.homogeneous_split
+    scale = 1.0 if split is None else max(1.0, float(np.linalg.norm(split.linear.apply(xstar))))
+    if fnorm > 1e-8 * scale:
         raise ValueError(f"kernel_check requires a solution; |F(x)| = {fnorm:.3e}")
     gens = action.generators(xstar)
     if not len(gens):

@@ -413,6 +413,18 @@ def test_nbody_orbit_generator_seed(tmp_path):
     assert summary["extras"]["kernel_residual"] <= 1e-6
 
 
+def test_nbody_orbit_of_a_large_ring_reports_its_kernel_residual(tmp_path):
+    # the 512-body polygon's round-off leaves |F| at 1.4e-8, above an absolute
+    # 1e-8 but 1.2e-12 of |A q*|, so the kernel check runs on it
+    code = main(["nbody", "orbit", "--bodies", "512", "--method", "newton",
+                 "--perturb", "generator", "--eps", "0.5", "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert summary["status"] == "ConvergedResidual"
+    assert summary["extras"]["kernel_residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("m0", [4, 1, 0])
 @pytest.mark.parametrize("method", ["petviashvili", "fixed-point"])
 def test_nbody_anderson_converges_where_criterion_3_diverges(tmp_path, method, m0):
@@ -696,6 +708,33 @@ def test_oversize_spectrum_is_refused_before_it_is_built(tmp_path, capsys, monke
 def test_bs_shift_table_rejects_empty_and_non_finite_eps(tmp_path, capsys, eps):
     _assert_refused(["bs", "shift-table", *BS_SMALL, "--eps", eps], tmp_path)
     assert "--eps expects one or more finite values" in capsys.readouterr().err
+
+
+def test_bs_propagate_stops_after_a_solve_that_falls_short(tmp_path):
+    # one Petviashvili step does not reach the wave at --cs 1.2: nothing is propagated
+    code = main(["bs", "propagate", *BS_SMALL, "--cs", "1.2", "--max-outer", "1",
+                 "--t-end", "1", "--out", str(tmp_path)])
+    assert code == 2
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert (summary["status"], summary["iterations"]) == ("MaxIterations", 1)
+    # the solver gave no message, so the extras are the method's alone
+    assert summary["extras"] == {"method": "petviashvili", "anderson": 5}
+    assert len(_read_trace(tmp_path)) == 2
+    assert not (tmp_path / "snapshots.csv").exists()
+
+
+def test_summary_names_why_the_solver_stopped(tmp_path):
+    # one MINRES iteration a step never lowers |F| at --cs 1.05, so Newton
+    # stops on its stall rule and says so
+    code = main(["bs", "solve", *BS_SMALL, "--cs", "1.05", "--method", "newton",
+                 "--inner-maxit", "1", "--max-outer", "60", "--out", str(tmp_path)])
+    assert code == 2
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert (summary["status"], summary["iterations"]) == ("MaxIterations", 8)
+    assert summary["extras"]["message"] == (
+        "inner solver repeatedly hit its budget without outer progress")
 
 
 def test_bs_propagate_prescribed_speed_solves_first(tmp_path):

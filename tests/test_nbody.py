@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from orbitfix.nbody import (NBodyConfig, _polygon_symbol, build_nbody, grad_U, hess_U,
-                            polygon_solution, precond_operator, reduced_polar_residual,
-                            ring_constant, rotation_action)
-from orbitfix.numlin import (LinearOperator, _check_symmetry_probe, dense_eigenvalues,
-                             fd_jacobian, materialize)
-from orbitfix.solvers import iteration_matrix_spectrum, petviashvili_map
+                            polygon_solution, precond_operator, ring_constant, rotation_action)
+from orbitfix.numlin import LinearOperator, _check_symmetry_probe, dense_eigenvalues, materialize
+from orbitfix.solvers import iteration_matrix_spectrum
 from orbitfix.symmetry import align_to_orbit
+from reference import fd_jacobian, petviashvili_map, reduced_polar_residual
 
 
 # ---------------- loop reference for the potential ----------------

@@ -5,12 +5,13 @@ import pytest
 
 import orbitfix.solvers as solvers
 from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile
-from orbitfix.numlin import DENSE_DIM_LIMIT, LinearOperator, fd_jacobian, materialize
+from orbitfix.numlin import DENSE_DIM_LIMIT, LinearOperator
 from orbitfix.solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, EW_ETA_MAX,
                               MAX_ITERATIONS, HomogeneousSplit, ProblemSpec, SolverConfig,
-                              convergence_ratios, fixed_point_solve, iteration_matrix_spectrum,
-                              newton_solve, petviashvili_map, petviashvili_solve)
+                              fixed_point_solve, iteration_matrix_spectrum, newton_solve,
+                              petviashvili_solve)
 from orbitfix.nbody import NBodyConfig, build_nbody, hess_U, polygon_solution, rotation_action
+from reference import convergence_ratios, fd_jacobian, petviashvili_map
 
 
 # ---------------- configuration validation ----------------
@@ -285,9 +286,7 @@ def test_newton_default_config_runs_preconditioned_minres_once_a_step(monkeypatc
         preconds.append(kwargs.get("precond"))
         return real(*args, **kwargs)
 
-    def abs_inverse(v):
-        return v / np.abs(a)
-
+    abs_inverse = LinearOperator(dim=3, apply=lambda v: v / np.abs(a))
     monkeypatch.setattr(solvers, "minres", recording)
     out = newton_solve(problem, np.zeros(3), SolverConfig(), precond=abs_inverse)
     assert out.converged and out.iterations >= 3
@@ -306,9 +305,11 @@ def test_newton_minres_branch_applies_the_preconditioner():
     )
     calls = []
 
-    def abs_inverse(v):
+    def apply(v):
         calls.append(1)
         return v / np.abs(np.diag(A))
+
+    abs_inverse = LinearOperator(dim=3, apply=apply)
 
     config = SolverConfig(tol_residual=1e-12, max_outer=10)
     plain = newton_solve(problem, np.zeros(3), config)
@@ -399,10 +400,10 @@ def test_petviashvili_spectrum_has_unit_symmetry_eigenvalue():
 
 def _iteration_matrix(monkeypatch, problem, xstar, stabilized=False):
     """The dense D that iteration_matrix_spectrum hands to dense_eigenvalues."""
-    operators = []
-    monkeypatch.setattr(solvers, "dense_eigenvalues", operators.append)
+    matrices = []
+    monkeypatch.setattr(solvers, "dense_eigenvalues", matrices.append)
     iteration_matrix_spectrum(problem, xstar, stabilized=stabilized)
-    return materialize(operators[0])
+    return matrices[0]
 
 
 @pytest.mark.parametrize("n", [2, 8])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,17 @@ def test_kernel_check_requires_solution():
     q = polygon_solution(2) + 0.1
     with pytest.raises(ValueError, match="solution"):
         kernel_check(problem, q, rotation_action())
+
+
+def test_kernel_check_judges_the_residual_against_the_linear_part():
+    # the 512-body polygon's round-off leaves |F| above 1e-8, but far below 1e-8 |A q*|
+    problem = build_nbody(NBodyConfig(n=512, m0=10.0))
+    q = polygon_solution(512)
+    assert np.linalg.norm(problem.F(q)) > 1e-8
+    assert kernel_check(problem, q, rotation_action()) <= 1e-8
+    # without a split the bound stays absolute
+    with pytest.raises(ValueError, match="solution"):
+        kernel_check(dataclasses.replace(problem, homogeneous_split=None), q, rotation_action())
 
 
 def test_kernel_check_empty_group_is_zero():
