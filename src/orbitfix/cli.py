@@ -384,9 +384,12 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
         row = {"eps": eps, "status": found["status"],
                "final_residual": found["final_residual"], "x_u": None, "x_eta": None}
         row.update(p.extras(w0, outcome.x))
+        if outcome.message:
+            row["message"] = outcome.message
         rows.append(row)
     _write_json(out / "shift_table.json", rows)
-    return {"extras": {"table": rows, **found["extras"]},
+    extras = found["extras"]
+    return {"extras": {"table": rows, "method": extras["method"], "anderson": extras["anderson"]},
             "exit_code": max(_EXIT_CODES[row["status"]] for row in rows)}
 
 

@@ -1,10 +1,11 @@
 """Outer iterations for algebraic systems whose solutions form group orbits.
 
 The three drivers (fixed-point, stabilized fixed-point, Newton-Krylov)
-share one trace format and one status vocabulary. A run that stalls on
-the residual may still converge to some element of the solution orbit,
-so traces carry both the residual and, when a reference is supplied, the
-distance to that fixed reference.
+share one trace format and one status vocabulary, and each outcome
+carries |F| at the returned state. A run that stalls on the residual may
+still converge to some element of the solution orbit, so traces carry
+both the residual and, when a reference is supplied, the distance to that
+fixed reference.
 """
 
 from __future__ import annotations
@@ -160,15 +161,14 @@ class IterationTrace:
 
 @dataclass
 class SolveOutcome:
-    """How a run ended. f_norm is |F(x)| at the returned x from the drivers
-    that evaluate F (Newton and the stabilized driver), else None."""
+    """How a run ended. f_norm is |F(x)| at the returned x."""
 
     status: str
     x: np.ndarray
     trace: IterationTrace
     iterations: int
+    f_norm: float
     message: str = ""
-    f_norm: Optional[float] = None
 
     @property
     def converged(self) -> bool:
@@ -185,21 +185,38 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _classify(n, residual, ref_error, config, accept=None):
+def _classify(n, residual, ref_error, config, accepted=True):
     """Shared stopping logic; returns a status or None to continue.
 
-    accept, when given, is asked before a residual below tolerance counts
-    as converged.
+    A residual below tolerance counts as converged only when accepted.
     """
     if not math.isfinite(residual) or residual > config.divergence_cap:
         return DIVERGED
-    if residual <= config.tol_residual and (accept is None or accept()):
+    if residual <= config.tol_residual and accepted:
         return CONVERGED_RESIDUAL
     if ref_error is not None and ref_error <= config.tol_residual:
         return CONVERGED_REFERENCE
     if n == config.max_outer:
         return MAX_ITERATIONS
     return None
+
+
+def _outcome(status, x, trace, n, f_norm, config, message=""):
+    """The SolveOutcome of a stop at iterate n, the trace's last row.
+
+    Two stops can end with |F| above tolerance and no other word of it, so
+    their message names the numbers: a stop on the reference, whatever |F|
+    is, and a stop at the budget whose last residual (the fixed-point
+    drivers' gap) met tolerance while |F| did not.
+    """
+    residual, ref_error, tol = trace.residuals[-1], trace.ref_errors[-1], config.tol_residual
+    if status == CONVERGED_REFERENCE:
+        message = (f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol "
+                   f"{tol:.3g}, |F(x)| = {f_norm:.3g}")
+    elif status == MAX_ITERATIONS and residual <= tol < f_norm:
+        message = (f"stopped at the budget: the gap |x - G(x)| = {residual:.3g} met tol "
+                   f"{tol:.3g}, |F(x)| = {f_norm:.3g} did not")
+    return SolveOutcome(status, x, trace, n, f_norm, message)
 
 
 class AndersonMixer:
@@ -237,40 +254,36 @@ class AndersonMixer:
         return g - np.column_stack(self.dg) @ c
 
 
-def _fixed_point_loop(step: Callable, x0: np.ndarray, config: SolverConfig,
+def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: SolverConfig,
                       reference: Optional[np.ndarray], tol_on_F: bool = False) -> SolveOutcome:
     """The fixed-point iteration x <- step(x), mixed when config.anderson > 0.
 
     step(x) returns (G(x), stabilizing factor or None, next iterate or the
-    reason there is none, |F(x)| as a zero-argument callable or None). Runs
-    classify on the gap |x - G(x)|; with tol_on_F, a gap below tolerance
-    counts as converged only once |F(x)| meets it too. |F(x)| is evaluated
-    at most once per iterate.
+    reason there is none). Runs classify on the gap |x - G(x)|; with
+    tol_on_F, a gap below tolerance counts as converged only once |F(x)|
+    meets it too. |F(x)| is evaluated at most once per iterate: there, and
+    at the returned iterate.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = IterationTrace()
     mix = AndersonMixer(config.anderson) if config.anderson else None
-    memo = [None, None]  # this iterate's |F(x)| callable, and its value once evaluated
-
-    def f_norm():
-        if memo[1] is None:
-            memo[1] = memo[0]()
-        return memo[1]
-
-    accept = (lambda: f_norm() <= config.tol_residual) if tol_on_F else None
     for n in range(config.max_outer + 1):
-        gx, s, nxt, memo[0] = step(x)
-        memo[1] = None
+        gx, s, nxt = step(x)
         residual = _norm(x - gx)
         ref_error = None if reference is None else _norm(x - reference)
         trace.append(residual, ref_error, s)
-        status = _classify(n, residual, ref_error, config, accept)
+        f_norm = None
+        if tol_on_F and residual <= config.tol_residual:
+            f_norm = float(np.linalg.norm(F(x)))
+        status = _classify(n, residual, ref_error, config,
+                           accepted=f_norm is None or f_norm <= config.tol_residual)
         message = ""
         if status is None and isinstance(nxt, str):
             status, message = DIVERGED, nxt
         if status is not None:
-            return SolveOutcome(status, x, trace, n, message=message,
-                                f_norm=None if memo[0] is None else f_norm())
+            if f_norm is None:
+                f_norm = float(np.linalg.norm(F(x)))
+            return _outcome(status, x, trace, n, f_norm, config, message)
         if mix is not None:
             nxt = mix(x, nxt)
         trace.set_step_norm(_norm(nxt - x))
@@ -287,17 +300,16 @@ def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
 
     def step(x):
         gx = np.asarray(problem.G(x), dtype=float)
-        return gx, None, gx, None
+        return gx, None, gx
 
-    return _fixed_point_loop(step, x0, config or SolverConfig(), reference)
+    return _fixed_point_loop(problem.F, step, x0, config or SolverConfig(), reference)
 
 
 def _stabilized_step(problem: ProblemSpec) -> Callable:
     """The stabilized step in _fixed_point_loop's form.
 
     The next iterate is s^gamma G(x), s = <Ax,x>/<A G(x),x>, gamma = d/(d-1)
-    from the split's degree d. |F(x)| is evaluated by problem.F, not as
-    |Ax - A G(x)|, which equals it only in exact arithmetic.
+    from the split's degree d.
     """
     split = problem.homogeneous_split
     if split is None:
@@ -312,15 +324,11 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
         agx = split.linear.apply(gx)
         den = float(np.dot(agx, x))
         s = float(np.dot(ax, x) / den) if den != 0.0 else None
-
-        def f_norm():
-            return float(np.linalg.norm(problem.F(x)))
-
         if s is None:
-            return gx, s, "stabilizing factor has zero denominator", f_norm
+            return gx, s, "stabilizing factor has zero denominator"
         if s < 0.0 and not float(gamma).is_integer():
-            return gx, s, "negative stabilizing factor with non-integer exponent", f_norm
-        return gx, s, (s ** gamma) * gx, f_norm
+            return gx, s, "negative stabilizing factor with non-integer exponent"
+        return gx, s, (s ** gamma) * gx
 
     return step
 
@@ -335,11 +343,11 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
     gamma = d/(d - 1) from the split's degree d. At a solution s = 1, so the
     recorded factors approach one on convergent runs, the terminal one included.
     The trace's residual is the gap |x - G(x)|; the outcome's f_norm is
-    |F(x)| at the returned iterate, and tol_on_F makes convergence on the
-    residual require both.
+    |F(x)| by problem.F, not |Ax - A G(x)|, which equals it only in exact
+    arithmetic. tol_on_F makes convergence on the residual require both.
     """
-    return _fixed_point_loop(_stabilized_step(problem), x0, config or SolverConfig(),
-                             reference, tol_on_F)
+    return _fixed_point_loop(problem.F, _stabilized_step(problem), x0,
+                             config or SolverConfig(), reference, tol_on_F)
 
 
 def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
@@ -427,14 +435,13 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         trace.append(residual, ref_error)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
-            return SolveOutcome(status, x, trace, n, f_norm=residual)
+            return _outcome(status, x, trace, n, residual, config)
         if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
             stall += 1
             if stall >= 3:
                 return SolveOutcome(
-                    MAX_ITERATIONS, x, trace, n,
-                    message="inner solver repeatedly hit its budget without outer progress",
-                    f_norm=residual)
+                    MAX_ITERATIONS, x, trace, n, residual,
+                    "inner solver repeatedly hit its budget without outer progress")
         else:
             stall = 0
 

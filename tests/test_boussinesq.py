@@ -642,6 +642,20 @@ def test_petviashvili_evaluates_F_once_per_iterate():
     assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
 
 
+def test_petviashvili_stall_at_the_F_floor_names_gap_and_F():
+    # at theta2 0.99 and cs 11.85 the gap falls below 1e-11 from iteration 11,
+    # while |F| stays above it: the budget stop says both
+    profile = exact_profile(0.99, 256, 25.0)
+    params = BSParams(theta2=0.99, speed=11.85, n=256, half_length=25.0)
+    config = SolverConfig(tol_residual=1e-11, max_outer=20, anderson=5)
+    out = petviashvili_solve(build_bs_problem(params), profile.wave, config, tol_on_F=True)
+    assert (out.status, out.iterations) == ("MaxIterations", 20)
+    gap = out.trace.residuals[-1]
+    assert gap <= 1e-11 < out.f_norm
+    assert out.message == (f"stopped at the budget: the gap |x - G(x)| = {gap:.3g} met tol "
+                           f"1e-11, |F(x)| = {out.f_norm:.3g} did not")
+
+
 def test_petviashvili_lands_on_the_newton_wave():
     n = 512
     profile = exact_profile(THETA2, n, 50.0)

@@ -737,6 +737,39 @@ def test_summary_names_why_the_solver_stopped(tmp_path):
         "inner solver repeatedly hit its budget without outer progress")
 
 
+def test_bs_shift_table_rows_name_their_stop_reason(tmp_path):
+    # each row's Newton solve stalls on its inner budget; the rows say so,
+    # and the summary's extras keep no message of their own
+    code = main(["bs", "shift-table", *BS_SMALL, "--cs", "1.05", "--inner-maxit", "1",
+                 "--max-outer", "60", "--eps", "0.1,0.05", "--out", str(tmp_path)])
+    assert code == 2
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    rows = json.loads((tmp_path / "shift_table.json").read_text())
+    assert [row["status"] for row in rows] == ["MaxIterations", "MaxIterations"]
+    for row in rows:
+        assert row["message"] == "inner solver repeatedly hit its budget without outer progress"
+    assert summary["extras"] == {"table": rows, "method": "newton", "anderson": None}
+
+
+def test_ring_reference_stop_names_its_distance_and_F(tmp_path):
+    # Newton lands within --tol of the polygon at |F| 2.8e-8: still a
+    # ConvergedReference exit 0, but the summary says how far from a solution
+    code = main(["nbody", "solve", "--method", "newton", "--inner-solver", "minres",
+                 "--perturb", "ones", "--tol", "1e-10", "--bodies", "64",
+                 "--eps", "0.0139772", "--m0", "8.46967", "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert (summary["status"], summary["iterations"]) == ("ConvergedReference", 2)
+    residual = summary["final_residual"]
+    ref_error = float(_read_trace(tmp_path)[-1]["ref_error"])
+    assert ref_error <= 1e-10 < residual
+    assert summary["extras"]["message"] == (
+        f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol 1e-10, "
+        f"|F(x)| = {residual:.3g}")
+
+
 def test_bs_propagate_prescribed_speed_solves_first(tmp_path):
     # the closed-form profile is only a seed here; the run must report a
     # genuine residual solve, not a reference stop at iteration zero

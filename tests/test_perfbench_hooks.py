@@ -1,12 +1,13 @@
 """Every benchmark hook still finds its target in the program, and every
-benchmark op still parses.
+benchmark op still parses and passes its gate.
 
 perfbench/tracing.py wraps orbitfix callables by module and attribute name.
 A hook whose target was renamed or deleted does not fail the benchmark; its
 per-layer metrics silently read null, and a solver called from anywhere but
-the hooked name reads 0. A workload op whose flag was dropped or renamed
-shows up only as a failed benchmark run. These tests turn both into failures.
-The benchmark files are loaded read-only (no bytecode cache is written).
+the hooked name reads 0. A workload op whose flag was dropped or renamed,
+or whose answer no longer passes its gate, shows up only as a failed
+benchmark run. These tests turn all three into failures. The benchmark
+files are loaded read-only (no bytecode cache is written).
 """
 
 import importlib.util
@@ -92,3 +93,16 @@ def test_every_workload_op_parses(workloads):
                 for op in workloads.pass_ops(workload, seed, index, 3):
                     args = parser.parse_args(list(op.argv))
                     assert args.func.__module__ == "orbitfix.cli", op.name
+
+
+def test_every_workload_op_passes_its_gate(workloads, tmp_path):
+    # pass 0 of 3 at seed 0: each op passes its gate or ends the way
+    # KNOWN_DEFECTS records for it
+    failed = []
+    for workload in workloads.WORKLOADS.values():
+        for i, op in enumerate(workloads.pass_ops(workload, 0, 0, 3)):
+            out = tmp_path / workload.name / f"op{i}"
+            ok, detail = op.gate(main([*op.argv, "--out", str(out)]), out)
+            if not ok and not workloads.is_known_defect(op.name, out):
+                failed.append(f"{workload.name}/{op.name}: {detail}")
+    assert not failed

@@ -87,7 +87,8 @@ def test_fixed_point_divergence_cap():
 
 def test_fixed_point_reference_stop():
     # the gap |x - G(x)| = 1.9|x| always exceeds the error |x - 0|, so the
-    # reference test fires first
+    # reference test fires first; it fires whatever |F| is, so the outcome
+    # says how far from a solution it stopped
     problem = ProblemSpec(F=lambda x: 1.9 * x, G=lambda x: -0.9 * x)
     out = fixed_point_solve(problem, np.ones(1),
                             SolverConfig(tol_residual=1e-6, max_outer=1000),
@@ -95,6 +96,22 @@ def test_fixed_point_reference_stop():
     assert out.status == CONVERGED_REFERENCE
     assert out.trace.ref_errors[-1] <= 1e-6
     assert out.trace.residuals[-1] > 1e-6
+    assert out.f_norm == 1.9 * abs(out.x[0])
+    assert out.message == (
+        f"stopped on the reference: |x - reference| = {out.trace.ref_errors[-1]:.3g} "
+        f"<= tol 1e-06, |F(x)| = {out.f_norm:.3g}")
+
+
+@pytest.mark.parametrize("driver", ["fixed-point", "petviashvili", "newton"])
+def test_every_driver_reports_F_at_the_returned_iterate(driver):
+    # the plain map keeps the scaling mode and diverges here; it reports |F| too
+    problem = _ring_problem(10.0)
+    config = SolverConfig(tol_residual=1e-10, max_outer=200)
+    solve = {"fixed-point": fixed_point_solve, "petviashvili": petviashvili_solve,
+             "newton": newton_solve}[driver]
+    out = solve(problem, _ones_seed(), config)
+    assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
+    assert not out.message
 
 
 # ---------------- Petviashvili ----------------
