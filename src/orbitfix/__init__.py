@@ -13,8 +13,8 @@ from .numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, SpectrumRepor
                      as_operator, dense_eigenvalues, fourier_apply, fourier_symbols,
                      materialize, minres, pcg)
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
-                      MAX_ITERATIONS, STATUSES, HomogeneousSplit, IterationTrace,
-                      ProblemSpec, SolveOutcome, SolverConfig, fixed_point_solve,
+                      MAX_ITERATIONS, STATUSES, HomogeneousSplit, ProblemSpec,
+                      SolveOutcome, SolverConfig, TraceRow, fixed_point_solve,
                       iteration_matrix_spectrum, newton_solve, petviashvili_solve)
 from .symmetry import GroupAction, OrbitReport, align_to_orbit, kernel_check, predict_limit
 

@@ -30,7 +30,7 @@ from . import boussinesq as bq
 from . import nbody as nb
 from .numlin import dense_eigenvalues
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
-                      STATUSES, ProblemSpec, SolverConfig, fixed_point_solve,
+                      STATUSES, ProblemSpec, SolverConfig, TraceRow, fixed_point_solve,
                       iteration_matrix_spectrum, newton_solve, petviashvili_solve)
 from .symmetry import GroupAction, align_to_orbit, kernel_check, predict_limit
 
@@ -100,8 +100,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_trace(out: Path, trace):
-    _write_csv(out / "trace.csv", trace.COLUMNS,
-               ((str(n), *cells) for n, *cells in trace.rows()))
+    _write_csv(out / "trace.csv", TraceRow._fields, ((str(n), *cells) for n, *cells in trace))
 
 
 def _write_spectrum(out: Path, report) -> dict:
@@ -245,7 +244,7 @@ def _solve(args, p: _Problem, x0, perturbed):
         extras["message"] = outcome.message
     return outcome, {
         "status": outcome.status, "iterations": outcome.iterations,
-        "final_residual": outcome.f_norm if p.on_F else outcome.trace.residuals[-1],
+        "final_residual": outcome.f_norm if p.on_F else outcome.trace[-1].residual,
         "extras": extras}
 
 
@@ -376,11 +375,12 @@ def cmd_bs_spectrum(args, out: Path) -> dict:
 
 def cmd_bs_shift_table(args, out: Path) -> dict:
     p = _bs_problem(args)
-    rows = []
+    rows, solves = [], []
     for eps in _floats(args.eps, "--eps"):
         # derivative-direction seeds are perturbed
         w0 = p.seed("generator-discrete", eps)
         outcome, found = _solve(args, p, w0, perturbed=True)
+        solves.append(found)
         row = {"eps": eps, "status": found["status"],
                "final_residual": found["final_residual"], "x_u": None, "x_eta": None}
         row.update(p.extras(w0, outcome.x))
@@ -388,9 +388,11 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
             row["message"] = outcome.message
         rows.append(row)
     _write_json(out / "shift_table.json", rows)
-    extras = found["extras"]
-    return {"extras": {"table": rows, "method": extras["method"], "anderson": extras["anderson"]},
-            "exit_code": max(_EXIT_CODES[row["status"]] for row in rows)}
+    # the summary's status, iterations and final_residual: the first worst solve's
+    worst = max(solves, key=lambda found: _EXIT_CODES[found["status"]])
+    extras = worst["extras"]
+    return {**worst, "extras": {"table": rows, "method": extras["method"],
+                                "anderson": extras["anderson"]}}
 
 
 def cmd_bs_propagate(args, out: Path) -> dict:
@@ -439,7 +441,7 @@ def cmd_bs_propagate(args, out: Path) -> dict:
         extras["shape_error"] = float(
             np.linalg.norm(final - aligned) / np.linalg.norm(w0))
     if not result.completed:
-        found["exit_code"] = _EXIT_CODES[DIVERGED]
+        found["status"] = DIVERGED
     return found
 
 
@@ -521,8 +523,8 @@ def main(argv=None) -> int:
     """Run one command and write its summary.json; return the exit code.
 
     A command writes its artifacts into --out and returns what it found: any
-    of status, final_residual, iterations, orbit (an OrbitReport) and extras,
-    plus exit_code where that differs from _EXIT_CODES[status].
+    of status, final_residual, iterations, orbit (an OrbitReport) and extras.
+    The exit code follows from the status.
     """
     parser = _build_parser()
     try:
@@ -538,7 +540,7 @@ def main(argv=None) -> int:
         print(f"orbitfix: invalid configuration: {exc}", file=sys.stderr)
         return 1
     status = found.get("status")
-    exit_code = found.get("exit_code", _EXIT_CODES[status])
+    exit_code = _EXIT_CODES[status]
     _write_json(out / "summary.json", {
         "command": f"{args.problem} {args.command}",
         "status": status,

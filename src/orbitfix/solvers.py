@@ -11,8 +11,8 @@ fixed reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "HomogeneousSplit",
     "ProblemSpec",
     "SolverConfig",
-    "IterationTrace",
+    "TraceRow",
     "SolveOutcome",
     "AndersonMixer",
     "fixed_point_solve",
@@ -48,6 +48,9 @@ CONVERGED_REFERENCE = "ConvergedReference"
 MAX_ITERATIONS = "MaxIterations"
 DIVERGED = "Diverged"
 STATUSES = (CONVERGED_RESIDUAL, CONVERGED_REFERENCE, MAX_ITERATIONS, DIVERGED)
+
+# a residual above this classifies the run as Diverged
+DIVERGENCE_CAP = 1e8
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class SolverConfig:
     max_outer: int = 1000
     inner_tol: float = 1e-10
     inner_maxit: int = 500
-    divergence_cap: float = 1e8
     anderson: int = 0
 
     def __post_init__(self):
@@ -100,63 +102,29 @@ class SolverConfig:
             raise ValueError("inner_tol must be positive and finite")
         if self.inner_maxit < 1:
             raise ValueError("inner_maxit must be >= 1")
-        if not self.divergence_cap > 0.0:
-            raise ValueError("divergence_cap must be positive")
         if self.anderson < 0:
             raise ValueError("anderson must be >= 0")
 
 
-@dataclass
-class IterationTrace:
-    """Per-iterate history; row k describes iterate k.
+class TraceRow(NamedTuple):
+    """One iterate of a run; its fields, in order, are trace.csv's header.
 
-    ref_errors is None-filled when no reference was supplied,
-    stab_factors is None-filled outside the stabilized driver, and the
-    terminal row has no step norm. inner_tols, inner_iterations and
-    inner_residuals describe the linear solve of each Newton step (the
-    relative tolerance it was given, its iteration count and its true
-    relative residual); they are None in the fixed-point drivers and on
-    the terminal row.
+    ref_error is None when no reference was supplied, stab_factor outside
+    the stabilized driver, and step_norm on the terminal row. inner_tol,
+    inner_iterations and inner_residual describe the linear solve of a
+    Newton step (the relative tolerance it was given, its iteration count
+    and its true relative residual); they are None in the fixed-point
+    drivers and on the terminal row.
     """
 
-    # the names of rows()'s cells, in order; trace.csv's header
-    COLUMNS = ("n", "residual", "ref_error", "stab_factor", "step_norm",
-               "inner_tol", "inner_iterations", "inner_residual")
-
-    residuals: List[float] = field(default_factory=list)
-    ref_errors: List[Optional[float]] = field(default_factory=list)
-    stab_factors: List[Optional[float]] = field(default_factory=list)
-    step_norms: List[Optional[float]] = field(default_factory=list)
-    inner_tols: List[Optional[float]] = field(default_factory=list)
-    inner_iterations: List[Optional[int]] = field(default_factory=list)
-    inner_residuals: List[Optional[float]] = field(default_factory=list)
-
-    def append(self, residual, ref_error=None, stab_factor=None):
-        self.residuals.append(residual)
-        self.ref_errors.append(ref_error)
-        self.stab_factors.append(stab_factor)
-        self.step_norms.append(None)
-        self.inner_tols.append(None)
-        self.inner_iterations.append(None)
-        self.inner_residuals.append(None)
-
-    def set_step_norm(self, value):
-        self.step_norms[-1] = value
-
-    def set_inner(self, tol, iterations, relative_residual):
-        self.inner_tols[-1] = tol
-        self.inner_iterations[-1] = iterations
-        self.inner_residuals[-1] = relative_residual
-
-    def __len__(self):
-        return len(self.residuals)
-
-    def rows(self):
-        """One tuple per iterate, its cells named by COLUMNS."""
-        for k in range(len(self.residuals)):
-            yield (k, self.residuals[k], self.ref_errors[k],
-                   self.stab_factors[k], self.step_norms[k], self.inner_tols[k],
-                   self.inner_iterations[k], self.inner_residuals[k])
+    n: int
+    residual: float
+    ref_error: Optional[float] = None
+    stab_factor: Optional[float] = None
+    step_norm: Optional[float] = None
+    inner_tol: Optional[float] = None
+    inner_iterations: Optional[int] = None
+    inner_residual: Optional[float] = None
 
 
 @dataclass
@@ -165,7 +133,7 @@ class SolveOutcome:
 
     status: str
     x: np.ndarray
-    trace: IterationTrace
+    trace: List[TraceRow]  # one row per iterate, the terminal one last
     iterations: int
     f_norm: float
     message: str = ""
@@ -177,7 +145,7 @@ class SolveOutcome:
     @property
     def inner_iterations(self) -> int:
         """Linear-solve iterations over all Newton steps; 0 in the fixed-point drivers."""
-        return sum(k for k in self.trace.inner_iterations if k is not None)
+        return sum(row.inner_iterations or 0 for row in self.trace)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -190,7 +158,7 @@ def _classify(n, residual, ref_error, config, accepted=True):
 
     A residual below tolerance counts as converged only when accepted.
     """
-    if not math.isfinite(residual) or residual > config.divergence_cap:
+    if not math.isfinite(residual) or residual > DIVERGENCE_CAP:
         return DIVERGED
     if residual <= config.tol_residual and accepted:
         return CONVERGED_RESIDUAL
@@ -209,7 +177,7 @@ def _outcome(status, x, trace, n, f_norm, config, message=""):
     is, and a stop at the budget whose last residual (the fixed-point
     drivers' gap) met tolerance while |F| did not.
     """
-    residual, ref_error, tol = trace.residuals[-1], trace.ref_errors[-1], config.tol_residual
+    residual, ref_error, tol = trace[-1].residual, trace[-1].ref_error, config.tol_residual
     if status == CONVERGED_REFERENCE:
         message = (f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol "
                    f"{tol:.3g}, |F(x)| = {f_norm:.3g}")
@@ -265,13 +233,12 @@ def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: Solve
     at the returned iterate.
     """
     x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
+    trace: List[TraceRow] = []
     mix = AndersonMixer(config.anderson) if config.anderson else None
     for n in range(config.max_outer + 1):
         gx, s, nxt = step(x)
         residual = _norm(x - gx)
         ref_error = None if reference is None else _norm(x - reference)
-        trace.append(residual, ref_error, s)
         f_norm = None
         if tol_on_F and residual <= config.tol_residual:
             f_norm = float(np.linalg.norm(F(x)))
@@ -283,10 +250,11 @@ def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: Solve
         if status is not None:
             if f_norm is None:
                 f_norm = float(np.linalg.norm(F(x)))
+            trace.append(TraceRow(n, residual, ref_error, s))
             return _outcome(status, x, trace, n, f_norm, config, message)
         if mix is not None:
             nxt = mix(x, nxt)
-        trace.set_step_norm(_norm(nxt - x))
+        trace.append(TraceRow(n, residual, ref_error, s, step_norm=_norm(nxt - x)))
         x = nxt
     raise AssertionError("unreachable")
 
@@ -424,7 +392,7 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         raise ValueError("newton_solve requires jacobian_at")
     config = config or SolverConfig()
     x = np.asarray(x0, dtype=float).copy()
-    trace = IterationTrace()
+    trace: List[TraceRow] = []
     stall = 0
     prev_residual = None
     prev_budget_hit = False
@@ -432,13 +400,14 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         fx = np.asarray(problem.F(x), dtype=float)
         residual = _norm(fx)
         ref_error = None if reference is None else _norm(x - reference)
-        trace.append(residual, ref_error)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
+            trace.append(TraceRow(n, residual, ref_error))
             return _outcome(status, x, trace, n, residual, config)
         if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
             stall += 1
             if stall >= 3:
+                trace.append(TraceRow(n, residual, ref_error))
                 return SolveOutcome(
                     MAX_ITERATIONS, x, trace, n, residual,
                     "inner solver repeatedly hit its budget without outer progress")
@@ -454,12 +423,13 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
             inner_tol = _forcing_term(residual, prev_residual, config.tol_residual,
                                       config.inner_tol)
         dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit, precond=precond)
-        trace.set_inner(inner_tol, stats.iterations, stats.relative_residual)
         if generators is not None:
             dx = deflate(dx)
+        trace.append(TraceRow(n, residual, ref_error, step_norm=_norm(dx), inner_tol=inner_tol,
+                              inner_iterations=stats.iterations,
+                              inner_residual=stats.relative_residual))
         prev_budget_hit = stats.iterations >= config.inner_maxit
         prev_residual = residual
-        trace.set_step_norm(_norm(dx))
         x = x + dx
     raise AssertionError("unreachable")
 

@@ -203,16 +203,16 @@ def test_criterion_04_orbital_convergence_of_generator_seeds():
                                  SolverConfig(tol_residual=1e-10, max_outer=2000),
                                  reference=qstar)
         rep = align_to_orbit(out.x, qstar, action)
-        s_term = out.trace.stab_factors[-1]
+        s_term = out.trace[-1].stab_factor
         # the reference error settles at a positive level (the distance to the
         # reached orbit element) while the residual keeps dropping
-        e_final = out.trace.ref_errors[-1]
-        plateau = e_final > 1e-2 and e_final > 1e4 * out.trace.residuals[-1]
+        e_final = out.trace[-1].ref_error
+        plateau = e_final > 1e-2 and e_final > 1e4 * out.trace[-1].residual
         this_ok = (out.status == CONVERGED_RESIDUAL
                    and rep.orbital_distance <= 1e-6
                    and rep.raw_distance > 1e-2
                    and abs(1.0 - s_term) <= 1e-8
-                   and out.trace.residuals[-1] <= 1e-7
+                   and out.trace[-1].residual <= 1e-7
                    and plateau)
         ok = ok and this_ok
         parts.append(f"eps={eps:g}: orbital {rep.orbital_distance:.1e}, "
@@ -308,12 +308,12 @@ def test_criterion_08_newton_pcg_recentering():
                        precond=bq.precond_operator(params),
                        generators=bq.translation_action(params).generators)
     xc = bq.translation_shift(out.x, 50.0)
-    ratios = convergence_ratios(out.trace.residuals)
+    ratios = convergence_ratios([row.residual for row in out.trace])
     bounded = bool(np.all(np.isfinite(ratios)) and (ratios.size == 0 or ratios.max() <= 10.0))
     elapsed = time.perf_counter() - t0
-    ok = (out.status == CONVERGED_RESIDUAL and out.trace.residuals[-1] <= 1e-12
+    ok = (out.status == CONVERGED_RESIDUAL and out.trace[-1].residual <= 1e-12
           and abs(xc) <= 1e-6 and bounded and elapsed < 60.0)
-    assert _report(8, ok, f"residual {out.trace.residuals[-1]:.3e} after "
+    assert _report(8, ok, f"residual {out.trace[-1].residual:.3e} after "
                           f"{out.iterations} steps, center {xc:.2e}, "
                           f"max ratio {ratios.max() if ratios.size else 0.0:.2f}, "
                           f"{elapsed:.1f}s")
@@ -356,13 +356,13 @@ def test_criterion_10_unknown_speed_waves():
         xu = bq.translation_shift(out.x, 50.0, component="u")
         xe = bq.translation_shift(out.x, 50.0, component="eta")
         this_ok = (out.status == CONVERGED_RESIDUAL
-                   and out.trace.residuals[-1] <= 1e-11
+                   and out.trace[-1].residual <= 1e-11
                    and abs(xu - xe) <= 1e-10)
         if cs == 1.05:
             this_ok = this_ok and abs(xu) > 1e-4
         ok = ok and this_ok
         parts.append(f"cs={cs:g}: {out.status}@{out.iterations}, "
-                     f"residual {out.trace.residuals[-1]:.2e}, shift {xu:.4e}, "
+                     f"residual {out.trace[-1].residual:.2e}, shift {xu:.4e}, "
                      f"|xu-xeta| {abs(xu - xe):.1e}")
     assert _report(10, ok, "; ".join(parts))
 

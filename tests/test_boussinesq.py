@@ -576,10 +576,10 @@ def test_deflated_newton_solves_loosely_until_it_can_finish():
     out = _wave_newton(params, w0, 1e-11)
     assert out.status == "ConvergedResidual" and out.f_norm <= 1e-11
     assert out.inner_iterations <= 85 // 2
-    tols = out.trace.inner_tols[:-1]
+    tols = [row.inner_tol for row in out.trace[:-1]]
     # the finishing step solves to the floor 0.5 tol / |F|
-    assert tols[0] == 0.1 and tols[-1] == 0.5e-11 / out.trace.residuals[-2]
-    assert sum(out.trace.inner_iterations[:-1]) == out.inner_iterations
+    assert tols[0] == 0.1 and tols[-1] == 0.5e-11 / out.trace[-2].residual
+    assert sum(row.inner_iterations for row in out.trace[:-1]) == out.inner_iterations
 
 
 def test_deflated_newton_at_prescribed_speed_needs_few_inner_iterations():
@@ -615,7 +615,7 @@ def test_petviashvili_stops_on_the_residual_not_only_the_gap():
     on_gap = petviashvili_solve(problem, w0, config)
     on_F = petviashvili_solve(problem, w0, config, tol_on_F=True)
     assert on_gap.status == on_F.status == "ConvergedResidual"
-    assert on_gap.f_norm > 1e-6 >= on_gap.trace.residuals[-1]
+    assert on_gap.f_norm > 1e-6 >= on_gap.trace[-1].residual
     assert on_F.iterations > on_gap.iterations
     assert on_F.f_norm <= 1e-6
     assert on_F.f_norm == pytest.approx(np.linalg.norm(problem.F(on_F.x)), rel=1e-6)
@@ -638,7 +638,7 @@ def test_petviashvili_evaluates_F_once_per_iterate():
     out = petviashvili_solve(replace(problem, F=counted_F), profile.wave, config,
                              tol_on_F=True)
     assert (out.status, out.iterations) == ("ConvergedResidual", 12)
-    assert len(calls) == sum(r <= 1e-11 for r in out.trace.residuals) == 2
+    assert len(calls) == sum(row.residual <= 1e-11 for row in out.trace) == 2
     assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
 
 
@@ -650,7 +650,7 @@ def test_petviashvili_stall_at_the_F_floor_names_gap_and_F():
     config = SolverConfig(tol_residual=1e-11, max_outer=20, anderson=5)
     out = petviashvili_solve(build_bs_problem(params), profile.wave, config, tol_on_F=True)
     assert (out.status, out.iterations) == ("MaxIterations", 20)
-    gap = out.trace.residuals[-1]
+    gap = out.trace[-1].residual
     assert gap <= 1e-11 < out.f_norm
     assert out.message == (f"stopped at the budget: the gap |x - G(x)| = {gap:.3g} met tol "
                            f"1e-11, |F(x)| = {out.f_norm:.3g} did not")

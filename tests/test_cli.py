@@ -13,8 +13,8 @@ import orbitfix
 from orbitfix import boussinesq as bq
 from orbitfix import cli
 from orbitfix import nbody as nb
-from orbitfix.cli import SUMMARY_SCHEMA, _build_parser, _write_csv, main
-from orbitfix.solvers import IterationTrace, SolverConfig, newton_solve
+from orbitfix.cli import _EXIT_CODES, SUMMARY_SCHEMA, _build_parser, _write_csv, main
+from orbitfix.solvers import SolverConfig, TraceRow, newton_solve
 
 try:
     import jsonschema
@@ -195,7 +195,7 @@ def test_nbody_still_accepts_minres_inner_solver(tmp_path):
     ["bs", "orbit", *BS_SMALL, "--perturb", "generator-discrete", "--eps", "0.01",
      "--tol", "1e-10"],
     ["bs", "spectrum", *BS_SMALL],
-    # exit 2 from the worst row, with no status of its own
+    # exit 2 from the worst row, whose status the summary takes
     ["bs", "shift-table", *BS_SMALL, "--eps", "0.01", "--max-outer", "1"],
     # exit 3: the step blows up, with no solve before it. The closed form at
     # theta2 0.95 is under-resolved on this grid, so it is no equilibrium of the
@@ -207,7 +207,7 @@ def test_every_command_writes_its_summary(tmp_path, argv):
     summary = _read_summary(tmp_path)
     _validate(summary)
     assert summary["command"] == " ".join(argv[:2])
-    assert summary["exit_code"] == code
+    assert summary["exit_code"] == code == _EXIT_CODES[summary["status"]]
 
 
 SOLVE_EXTRAS = {"anderson", "inner_iterations", "method"}
@@ -296,6 +296,7 @@ def test_non_finite_residual_is_written_as_null(tmp_path, method):
     summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
     _validate(summary)
     assert code == summary["exit_code"] == 3
+    assert summary["status"] == "Diverged" and summary["final_residual"] is None
     assert summary["extras"]["table"] == table
     assert table[0]["status"] == "Diverged"
     assert table[0]["final_residual"] is None
@@ -349,8 +350,8 @@ def test_trace_header_names_the_row_cells(tmp_path):
     header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
     assert header == ("n,residual,ref_error,stab_factor,step_norm,"
                       "inner_tol,inner_iterations,inner_residual")
-    assert header.split(",") == list(IterationTrace.COLUMNS)
-    assert rows and all(row.count(",") == len(IterationTrace.COLUMNS) - 1 for row in rows)
+    assert header.split(",") == list(TraceRow._fields)
+    assert rows and all(row.count(",") == len(TraceRow._fields) - 1 for row in rows)
 
 
 def test_nbody_solve_divergent_exit_code(tmp_path):
