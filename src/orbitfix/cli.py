@@ -82,19 +82,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@functools.lru_cache(maxsize=64)
-def _row_format(kinds) -> str:
-    # a string cell as it is, None as an empty cell ("%.0s" prints nothing),
-    # anything else as a float to 17 significant digits
-    return ",".join("%s" if issubclass(kind, str) else "%.0s" if kind is type(None) else "%.17g"
-                    for kind in kinds)
-
-
 def _write_csv(path: Path, header, rows):
+    """Write a header and rows of tuples; the cells of a row pick its format by their types.
+
+    A string cell is written as it is, None as an empty cell ("%.0s"
+    prints nothing), anything else as a float to 17 significant digits.
+    """
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                "%s" if issubclass(kind, str) else "%.0s" if kind is type(None) else "%.17g"
+                for kind in kinds)
+        lines.append(fmt % row)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
@@ -354,9 +357,12 @@ def _bs_problem(args) -> _Problem:
         return w + np.concatenate([bump, bump])
 
     # Newton's preconditioner is |S|^{-1}: the operator, not its apply, so that MINRES
-    # fuses it with the Jacobian. Petviashvili mixes over the last 5 steps.
+    # fuses it with the Jacobian. It depends on params alone, so the command's first
+    # Newton solve builds it and the others share it. Petviashvili mixes over the last
+    # 5 steps.
+    precond = functools.cache(lambda: bq.precond_operator(params))
     return _Problem(params, bq.build_bs_problem(params), action, reference, w, seed,
-                    lambda w0: bq.precond_operator(params), 5, True,
+                    lambda w0: precond(), 5, True,
                     lambda out, w: _write_profile(out, w, params),
                     lambda w0, w: _centers(w, params) if _finite(w) else {})
 

@@ -7,6 +7,7 @@ an operator into one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +45,7 @@ _SYMMETRY_BAND = 64
 _TOL_UNIT = 1e-6
 
 # floor of the Givens norm in MINRES, looked up once for all iterations
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -212,22 +213,38 @@ def preconditioned_product(A, M) -> Optional[Callable]:
 
     Defined when A and M are FourierOperators of the same shape and M has
     no pointwise part. The symbols of M and of A's multiplier times M are
-    stacked once into a (2k, k, n) symbol, so one fourier_apply returns
-    M r and the multiplier part of A M r together; A's pointwise part is
-    then subtracted from M r. Any other pair returns None: its product is
-    the composition, M then A.
+    stacked once into a (2k, k, n) symbol and split into its k per-field
+    columns, so one transform pair returns M r and the multiplier part of
+    A M r together; A's pointwise part is then subtracted from M r. The
+    result equals fourier_apply of the stacked symbol bit for bit. Both
+    vectors returned are views into one buffer, which the next call
+    overwrites. Any other pair returns None: its product is the
+    composition, M then A.
     """
     if not (isinstance(A, FourierOperator) and isinstance(M, FourierOperator)
             and M.pointwise is None and A.symbol.shape == M.symbol.shape):
         return None
     stacked = np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)])
-    dim = M.dim
+    rows, k, n = stacked.shape
+    modes = n // 2 + 1
+    columns = [np.ascontiguousarray(stacked[:, j, :modes]) for j in range(k)]
+    v_hat = np.empty((k, modes), dtype=complex)
+    acc = np.empty((rows, modes), dtype=complex)
+    term = np.empty_like(acc)
+    out = np.empty((rows, n))
+    y, ay = np.split(out.reshape(-1), 2)
+    pointwise = A.pointwise
 
     def apply(r):
-        out = fourier_apply(stacked, r)
-        y, ay = out[:dim], out[dim:]
-        if A.pointwise is not None:
-            ay -= A.pointwise(y)
+        np.fft.rfft(np.asarray(r, dtype=float).reshape(k, n), out=v_hat)
+        # sum_j column_j v_hat_j in j order, as (half * v_hat).sum(axis=1) adds
+        np.multiply(columns[0], v_hat[0], out=acc)
+        for j in range(1, k):
+            np.multiply(columns[j], v_hat[j], out=term)
+            np.add(acc, term, out=acc)
+        np.fft.irfft(acc, n, out=out)
+        if pointwise is not None:
+            np.subtract(ay, pointwise(y), out=ay)
         return y, ay
 
     return apply
@@ -313,10 +330,28 @@ def _symmetry_probes(dim: int):
 
 
 def _check_symmetry_probe(op: LinearOperator) -> None:
-    # two-vector probe: <Au, w> must equal <u, Aw> for a symmetric map
+    """Refuse an operator that is not symmetric.
+
+    A FourierOperator is judged by its parts. Each mode 0..n/2 of its
+    symbol, the modes fourier_apply reads, must be Hermitian to 1e-12 of
+    the symbol's largest modulus, which is exact for the multiplier; its
+    pointwise part, when given, must pass the probe. Any other operator
+    must pass the probe itself: <Au, w> = <u, Aw> for two seeded vectors,
+    to 1e-8 relative.
+    """
+    apply = op.apply
+    if isinstance(op, FourierOperator):
+        half = op.symbol[..., :op.symbol.shape[-1] // 2 + 1]
+        # a NaN compares false, so a symbol holding one fails
+        if not (np.abs(half - half.transpose(1, 0, 2).conj()).max()
+                <= 1e-12 * np.abs(half).max()):
+            raise ValueError("operator's Fourier symbol is not Hermitian, so it is not symmetric")
+        apply = op.pointwise
+        if apply is None:
+            return
     u, w = _symmetry_probes(op.dim)
-    au = op.apply(u)
-    aw = op.apply(w)
+    au = apply(u)
+    aw = apply(w)
     scale = np.linalg.norm(au) * np.linalg.norm(w) + np.linalg.norm(u) * np.linalg.norm(aw)
     if abs(np.dot(au, w) - np.dot(u, aw)) > 1e-8 * max(scale, 1e-30):
         raise ValueError("operator failed the symmetry probe")
@@ -334,6 +369,10 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     (x, KrylovStats) with the true relative residual. Stops on tolerance,
     iteration budget, or stagnation (no residual-estimate decrease over 50
     consecutive iterations).
+
+    The vectors of the iteration live in buffers allocated once per call
+    and rotated by reference; every update keeps the operand order of the
+    plain expressions, so the result is the same to the bit.
     """
     op = as_operator(A)
     b = np.asarray(b, dtype=float)
@@ -341,7 +380,9 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         raise ValueError("right-hand side length does not match operator dimension")
     if maxit < 1:
         raise ValueError("maxit must be >= 1")
-    bnorm = float(np.linalg.norm(b))
+    r1 = b.copy()
+    # sqrt(b . b) of a contiguous copy, as np.linalg.norm takes a 1-D norm
+    bnorm = math.sqrt(r1.dot(r1))
     if bnorm == 0.0:
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
     _check_symmetry_probe(op)
@@ -356,12 +397,11 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         return fused(r)
 
     x = np.zeros(op.dim)
-    r1 = b.copy()
     y, ay = precondition(r1)
-    beta1 = float(np.dot(r1, y))
+    beta1 = float(r1.dot(y))
     if beta1 <= 0.0:
         raise ValueError("preconditioner is not positive definite")
-    beta1 = np.sqrt(beta1)
+    beta1 = math.sqrt(beta1)
 
     oldb = 0.0
     beta = beta1
@@ -370,43 +410,56 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     phibar = beta1
     cs = -1.0
     sn = 0.0
+    v = np.empty(op.dim)
+    tmp = np.empty(op.dim)
     w = np.zeros(op.dim)
+    w1 = np.zeros(op.dim)
     w2 = np.zeros(op.dim)
     r2 = r1.copy()
     it = 0
     best = np.inf
     stalled = 0
     for it in range(1, maxit + 1):
-        v = y / beta
-        y = op.apply(v) if ay is None else ay / beta
+        np.divide(y, beta, out=v)
+        if ay is None:
+            y = op.apply(v)
+        else:
+            y = np.divide(ay, beta, out=ay)
+        # the new Lanczos vector y - (beta/oldb) r1 - (alfa/beta) r2 goes into r1
         if it >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+            np.multiply(r1, beta / oldb, out=tmp)
+            y = np.subtract(y, tmp, out=r1)
+        alfa = float(v.dot(y))
+        np.multiply(r2, alfa / beta, out=tmp)
+        np.subtract(y, tmp, out=r1)
+        r1, r2 = r2, r1
         y, ay = precondition(r2)
         oldb = beta
-        beta = float(np.dot(r2, y))
+        beta = float(r2.dot(y))
         if beta < 0.0:
             raise ValueError("preconditioner is not positive definite")
-        beta = np.sqrt(beta)
+        beta = math.sqrt(beta)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), _EPS)
+        gamma = max(float(np.hypot(gbar, beta)), _EPS)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma into the buffer the old w1 frees
+        w1, w2, w = w2, w, w1
+        np.multiply(w1, oldeps, out=tmp)
+        np.subtract(v, tmp, out=w)
+        np.multiply(w2, delta, out=tmp)
+        np.subtract(w, tmp, out=w)
+        np.divide(w, gamma, out=w)
+        np.multiply(w, phi, out=tmp)
+        np.add(x, tmp, out=x)
 
         rel = phibar / beta1
         if rel < best:
@@ -417,8 +470,8 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
         if rel <= tol or stalled > 50:
             break
 
-    true_rel = float(np.linalg.norm(b - op.apply(x)) / bnorm)
-    return x, KrylovStats(it, true_rel, False)
+    np.subtract(b, op.apply(x), out=tmp)
+    return x, KrylovStats(it, math.sqrt(tmp.dot(tmp)) / bnorm, False)
 
 
 def pcg(A, b: np.ndarray,

@@ -7,8 +7,8 @@ from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
                                  _half_spectrum_symbols, build_bs_problem, exact_profile, grid,
                                  periodic_wrap, precond_operator, propagate, propagation_schedule,
                                  reflection_blocks, translation_action, translation_shift)
-from orbitfix.numlin import (dense_eigenvalues, fourier_apply, fourier_symbols,
-                             hermitian_2x2_function, materialize, minres,
+from orbitfix.numlin import (_check_symmetry_probe, dense_eigenvalues, fourier_apply,
+                             fourier_symbols, hermitian_2x2_function, materialize, minres,
                              preconditioned_product)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
@@ -498,6 +498,17 @@ def test_fused_product_equals_precond_then_jacobian(n, perturbed):
     assert _rel_err(jy, J.apply(my)) <= 1e-13
 
 
+def _count_transforms(monkeypatch):
+    # the names of the real transforms called from now on, in order
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def test_fused_minres_takes_one_transform_pair_an_iteration(monkeypatch):
     params, w0 = _generator_seed(512, 0.1)
     problem = build_bs_problem(params)
@@ -506,19 +517,22 @@ def test_fused_minres_takes_one_transform_pair_an_iteration(monkeypatch):
     g = translation_action(params).generators(w0)[0]
     rhs = -problem.F(w0)
     rhs = rhs - (np.dot(g, rhs) / np.dot(g, g)) * g
-    calls = []
-    for name in ("rfft", "irfft"):
-        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = _count_transforms(monkeypatch)
     _, stats = minres(J, rhs, tol=1e-10, maxit=500, precond=M)
     monkeypatch.undo()
     assert stats.iterations >= 10 and stats.relative_residual <= 1e-9
-    # fixed work, one transform pair each: the two symmetry-probe products,
-    # the first (M r, J M r) and the final true residual
-    assert len(calls) == 2 * 4 + 2 * stats.iterations
+    # fixed work, one transform pair each: the first (M r, J M r) and the
+    # final true residual; the symmetry check reads J's symbol
+    assert len(calls) == 2 * 2 + 2 * stats.iterations
     assert calls.count("rfft") == calls.count("irfft")
+
+
+def test_wave_jacobian_symmetry_check_takes_no_transform(monkeypatch):
+    params, w0 = _generator_seed(512, 0.1)
+    J = build_bs_problem(params).jacobian_at(w0)
+    calls = _count_transforms(monkeypatch)
+    _check_symmetry_probe(J)
+    assert calls == []
 
 
 # ---------------- deflated, preconditioned Newton ----------------

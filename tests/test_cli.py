@@ -542,6 +542,20 @@ def test_bs_shift_table(tmp_path):
     assert abs(row["x_u"] - row["x_eta"]) < 1e-6
 
 
+def test_bs_shift_table_builds_the_preconditioner_once(tmp_path, monkeypatch):
+    builds, build = [], bq.precond_operator
+
+    def counted(params):
+        builds.append(params)
+        return build(params)
+
+    monkeypatch.setattr(bq, "precond_operator", counted)
+    code = main(["bs", "shift-table", *BS_SMALL, "--eps", "0.1,0.05", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(json.loads((tmp_path / "shift_table.json").read_text())) == 2
+    assert len(builds) == 1
+
+
 def test_bs_spectrum_single_null_mode(tmp_path):
     code = main(["bs", "spectrum", *BS_SMALL, "--out", str(tmp_path)])
     assert code == 0

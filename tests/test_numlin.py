@@ -152,10 +152,13 @@ def test_fourier_operator_applies_symbol_minus_pointwise():
 def test_preconditioned_product_equals_the_composition():
     n = 32
     A, M, _, rng = _fourier_pair(n, 14)
-    r = rng.standard_normal(2 * n)
-    y, ay = preconditioned_product(A, M)(r)
-    assert np.allclose(y, M.apply(r), rtol=0.0, atol=1e-13 * np.linalg.norm(y))
-    assert np.allclose(ay, A.apply(M.apply(r)), rtol=0.0, atol=1e-13 * np.linalg.norm(ay))
+    product = preconditioned_product(A, M)
+    r, s = rng.standard_normal((2, 2 * n))
+    # each call returns views into one buffer, which the next call overwrites
+    first = [a.copy() for a in product(r)]
+    for (y, ay), v in ((first, r), (product(s), s)):
+        assert np.allclose(y, M.apply(v), rtol=0.0, atol=1e-13 * np.linalg.norm(y))
+        assert np.allclose(ay, A.apply(M.apply(v)), rtol=0.0, atol=1e-13 * np.linalg.norm(ay))
 
 
 def test_preconditioned_product_declines_what_it_cannot_fuse():
@@ -492,6 +495,29 @@ def test_minres_rejects_nonsymmetric_probe():
     op = LinearOperator(dim=2, apply=lambda v: A @ v)
     with pytest.raises(ValueError, match="symmetr"):
         minres(op, np.ones(2))
+
+
+def test_minres_rejects_a_fourier_operator_whose_symbol_is_not_hermitian():
+    n = 16
+    A, _, field, _ = _fourier_pair(n, 16)
+    symbol = A.symbol.astype(complex)
+    symbol[0, 1, 3] += 1e-6j  # mode 3 alone: its block is no longer Hermitian
+    with pytest.raises(ValueError, match="symmetr"):
+        minres(fourier_operator(symbol, pointwise=lambda v: field * v), np.ones(2 * n))
+
+
+def test_minres_rejects_a_fourier_operator_whose_pointwise_part_is_not_symmetric():
+    n = 16
+    A, _, _, rng = _fourier_pair(n, 17)
+    a, b, c = rng.standard_normal((3, n))
+
+    def coupling(v):
+        # [[a, b], [c, 0]] sample by sample, with b != c
+        vu, ve = v[:n], v[n:]
+        return np.concatenate([a * vu + b * ve, c * vu])
+
+    with pytest.raises(ValueError, match="symmetr"):
+        minres(fourier_operator(A.symbol, pointwise=coupling), np.ones(2 * n))
 
 
 def test_minres_preconditioned():
