@@ -121,11 +121,12 @@ def _linear_symbol(params: BSParams):
 def build_bs_problem(params: BSParams) -> ProblemSpec:
     """Travelling-wave system for the given speed on the configured grid.
 
-    F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic, so the problem
-    carries the split (S, S^{-1}, degree 2) and G = S^{-1}N; S and S^{-1} are matrix
-    symbols, one Fourier apply each; S^{-1} is hermitian_2x2_function of S with
-    f = 1/lambda. It exists on every mode: det S = (1 - c xi^2) -
-    cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as 2b - |c| = 1/3.
+    F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic: the problem is
+    the split (S, S^{-1}, N, degree 2), which gives F and G = S^{-1}N. S and
+    S^{-1} are matrix symbols, one Fourier apply each; S^{-1} is
+    hermitian_2x2_function of S with f = 1/lambda. It exists on every mode:
+    det S = (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as
+    2b - |c| = 1/3.
     The Jacobian at w0 is the FourierOperator S minus pointwise
     multiplication by the symmetric 2x2 field [[eta0, u0], [u0, 0]].
     """
@@ -134,10 +135,10 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     s_symbol = np.array([[a11, a12], [a12, a22]])
     s_inverse = hermitian_2x2_function(a11, a12, a22, np.reciprocal)
 
-    def F(w):
+    def nonlinear(w):
         w = np.asarray(w, dtype=float)
         u, eta = w[:n], w[n:]
-        return fourier_apply(s_symbol, w) - np.concatenate([u * eta, 0.5 * u * u])
+        return np.concatenate([u * eta, 0.5 * u * u])
 
     def jacobian_at(w0):
         w0 = np.asarray(w0, dtype=float)
@@ -149,13 +150,10 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
         return fourier_operator(s_symbol, pointwise=coupling)
 
-    def G(w):
-        w = np.asarray(w, dtype=float)
-        u, eta = w[:n], w[n:]
-        return fourier_apply(s_inverse, np.concatenate([u * eta, 0.5 * u * u]))
-
-    split = HomogeneousSplit(fourier_operator(s_symbol), fourier_operator(s_inverse), 2.0)
-    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
+    split = HomogeneousSplit(fourier_operator(s_symbol), fourier_operator(s_inverse),
+                             nonlinear, 2.0)
+    return ProblemSpec(F=split.residual, G=split.fixed_point_map, jacobian_at=jacobian_at,
+                       homogeneous_split=split)
 
 
 def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:

@@ -404,7 +404,10 @@ def cmd_bs_shift_table(args, out: Path) -> dict:
 def cmd_bs_propagate(args, out: Path) -> dict:
     snapshot_times = _floats(args.snapshots, "--snapshots") if args.snapshots else None
     # reject bad step options before a --cs solve spends its time
-    bq.propagation_schedule(args.dt, args.t_end, snapshot_times)
+    nsteps, _, steps = bq.propagation_schedule(args.dt, args.t_end, snapshot_times)
+    if steps[-1] != nsteps:
+        # the summary describes the final state, so it is always recorded
+        snapshot_times.append(args.t_end)
     p = _bs_problem(args)
     params = p.params
     found = {"extras": {"method": None, "anderson": None}}
@@ -539,25 +542,29 @@ def main(argv=None) -> int:
         # the writers make --out on their first write, so a refused run leaves none
         out = Path(args.out)
         found = args.func(args, out)
+        status = found.get("status")
+        exit_code = _EXIT_CODES[status]
+        _write_json(out / "summary.json", {
+            "command": f"{args.problem} {args.command}",
+            "status": status,
+            "final_residual": found.get("final_residual"),
+            "iterations": found.get("iterations"),
+            "orbit": _orbit_json(found.get("orbit")),
+            "wall_time_s": time.perf_counter() - t0,
+            "exit_code": exit_code,
+            "config": _config_echo(args),
+            "extras": found.get("extras", {}),
+        }, sort_keys=True)
     except _UsageError as exc:
         print(f"orbitfix: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"orbitfix: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    status = found.get("status")
-    exit_code = _EXIT_CODES[status]
-    _write_json(out / "summary.json", {
-        "command": f"{args.problem} {args.command}",
-        "status": status,
-        "final_residual": found.get("final_residual"),
-        "iterations": found.get("iterations"),
-        "orbit": _orbit_json(found.get("orbit")),
-        "wall_time_s": time.perf_counter() - t0,
-        "exit_code": exit_code,
-        "config": _config_echo(args),
-        "extras": found.get("extras", {}),
-    }, sort_keys=True)
+    except OSError as exc:
+        # only the writers touch the file system
+        print(f"orbitfix: cannot write --out: {exc}", file=sys.stderr)
+        return 1
     return exit_code
 
 

@@ -147,17 +147,11 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
     """Rotating-frame equilibrium system for the configured ring.
 
     F(q) = A q - N(q) with A = omega^2 and N = -grad U, homogeneous of
-    degree -2 (stabilizing exponent 2/3). The fixed-point form
-    G(q) = A^{-1}N(q) = -grad U(q) / omega^2 serves both iterations.
+    degree -2 (stabilizing exponent 2/3). F and the fixed-point form
+    G(q) = A^{-1}N(q) = -grad U(q) / omega^2 come from the split.
     """
     w2 = config.omega ** 2
     dim = 2 * config.n
-
-    def F(q):
-        return w2 * q + grad_U(config, q)
-
-    def G(q):
-        return -grad_U(config, q) / w2
 
     def jacobian_at(q):
         m = hess_U(config, q)
@@ -166,8 +160,9 @@ def build_nbody(config: NBodyConfig) -> ProblemSpec:
 
     split = HomogeneousSplit(linear=LinearOperator(dim=dim, apply=lambda v: w2 * v),
                              inverse=LinearOperator(dim=dim, apply=lambda v: v / w2),
-                             degree=-2.0)
-    return ProblemSpec(F=F, G=G, jacobian_at=jacobian_at, homogeneous_split=split)
+                             nonlinear=lambda q: -grad_U(config, q), degree=-2.0)
+    return ProblemSpec(F=split.residual, G=split.fixed_point_map, jacobian_at=jacobian_at,
+                       homogeneous_split=split)
 
 
 # eigenvalues of the polygon's Jacobian at most this fraction of the largest

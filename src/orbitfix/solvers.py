@@ -55,15 +55,23 @@ DIVERGENCE_CAP = 1e8
 
 @dataclass(frozen=True)
 class HomogeneousSplit:
-    """F(x) = A x - N(x): A = linear, A^{-1} = inverse, N = A G of degree d != 1."""
+    """F(x) = A x - N(x) (residual) and G = A^{-1}N (fixed_point_map), with A = linear,
+    A^{-1} = inverse and N = nonlinear, homogeneous of degree d != 1."""
 
     linear: LinearOperator
     inverse: LinearOperator
+    nonlinear: Callable[[np.ndarray], np.ndarray]
     degree: float
 
     def __post_init__(self):
         if self.degree == 1:
             raise ValueError("degree 1 leaves the stabilizing exponent d/(d - 1) undefined")
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        return self.linear.apply(x) - self.nonlinear(x)
+
+    def fixed_point_map(self, x: np.ndarray) -> np.ndarray:
+        return self.inverse.apply(self.nonlinear(x))
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,9 @@ class ProblemSpec:
     """Algebraic system F(x) = 0 with optional extra structure.
 
     G is a fixed-point form (x = G(x) at solutions) and jacobian_at maps a
-    point to the derivative J of F as a LinearOperator. The stabilized
-    fixed-point driver needs both G = A^{-1}N and homogeneous_split;
-    iteration_matrix_spectrum needs jacobian_at and homogeneous_split.
+    point to the derivative J of F as a LinearOperator. A homogeneous_split
+    gives F and G; the stabilized fixed-point driver needs it, and
+    iteration_matrix_spectrum needs it and jacobian_at.
     """
 
     F: Callable[[np.ndarray], np.ndarray]
@@ -274,24 +282,21 @@ def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
 
 
 def _stabilized_step(problem: ProblemSpec) -> Callable:
-    """The stabilized step in _fixed_point_loop's form.
+    """The stabilized step in _fixed_point_loop's form, from the split alone.
 
-    The next iterate is s^gamma G(x), s = <Ax,x>/<A G(x),x>, gamma = d/(d-1)
-    from the split's degree d.
+    The next iterate is s^gamma A^{-1}N(x), s = <Ax,x>/<N(x),x>, gamma =
+    d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once.
     """
     split = problem.homogeneous_split
     if split is None:
         raise ValueError("the stabilized iteration requires a homogeneous split")
-    if problem.G is None:
-        raise ValueError("the stabilized iteration requires the fixed-point map G = A^{-1}N")
     gamma = split.degree / (split.degree - 1.0)
 
     def step(x):
-        gx = np.asarray(problem.G(x), dtype=float)
-        ax = split.linear.apply(x)
-        agx = split.linear.apply(gx)
-        den = float(np.dot(agx, x))
-        s = float(np.dot(ax, x) / den) if den != 0.0 else None
+        nx = np.asarray(split.nonlinear(x), dtype=float)
+        gx = split.inverse.apply(nx)
+        den = float(np.dot(nx, x))
+        s = float(np.dot(split.linear.apply(x), x) / den) if den != 0.0 else None
         if s is None:
             return gx, s, "stabilizing factor has zero denominator"
         if s < 0.0 and not float(gamma).is_integer():

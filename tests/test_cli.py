@@ -631,6 +631,22 @@ def test_bs_propagate_reports_frame_and_steps_run(tmp_path):
     assert extras["center_error"] <= 1e-10
 
 
+def test_bs_propagate_reports_on_the_final_state(tmp_path):
+    # the snapshots stop short of --t-end: the state at t_end is still
+    # recorded, and the centers and errors describe it
+    code = main(["bs", "propagate", *BS_SMALL, "--snapshots", "0", "--t-end", "5",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    extras = _read_summary(tmp_path)["extras"]
+    speed = bq.exact_profile(0.9, 256, 25.0).speed
+    expected = bq.periodic_wrap(extras["start_center"] + 5.0 * speed, 25.0)
+    assert extras["expected_center"] == pytest.approx(expected, abs=1e-12)
+    assert abs(extras["final_center"] - expected) <= 1e-10
+    assert extras["center_error"] <= 1e-10
+    with open(tmp_path / "snapshots.csv", newline="") as fh:
+        assert sorted({float(row["t"]) for row in csv.DictReader(fh)}) == [0.0, 5.0]
+
+
 def test_bs_propagate_blowup_exits_diverged(tmp_path):
     code = main(["bs", "propagate", *BS_SMALL, "--theta2", "0.95", "--dt", "2",
                  "--t-end", "40", "--out", str(tmp_path)])
@@ -639,6 +655,16 @@ def test_bs_propagate_blowup_exits_diverged(tmp_path):
     assert extras["completed"] is False
     assert 0 < extras["steps"] < 20
     assert "center_error" not in extras
+
+
+@pytest.mark.parametrize("sub", [None, "sub"], ids=["file", "below-file"])
+def test_unwritable_out_is_a_named_error(tmp_path, capsys, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker if sub is None else blocker / sub
+    assert main(["nbody", "spectrum", "--out", str(out)]) == 1
+    assert "orbitfix: cannot write --out: " in capsys.readouterr().err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_bs_propagate_rejects_bad_snapshots(tmp_path):

@@ -183,24 +183,19 @@ def test_petviashvili_requires_split():
         petviashvili_solve(problem, np.ones(1), SolverConfig())
 
 
-def test_petviashvili_requires_fixed_point_map():
-    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=2.0)
-    problem = ProblemSpec(F=lambda x: x - x * x, homogeneous_split=split)
-    with pytest.raises(ValueError, match="fixed-point map"):
-        petviashvili_solve(problem, np.ones(1), SolverConfig())
-
-
 def test_homogeneous_split_rejects_degree_one():
     # the stabilizing exponent d/(d - 1) is undefined for a linear "nonlinearity"
     with pytest.raises(ValueError, match="degree 1"):
-        HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=1.0)
+        HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, nonlinear=lambda x: x,
+                         degree=1.0)
 
 
 def test_petviashvili_exponent_follows_the_degree():
     # A = I, N(x) = x^2: from x0 = 3, s = 1/3 and gamma = 2 give s^2 * 9 = 1,
     # the fixed point, in one step; gamma = 2/3 would overshoot to 9^(2/3) and diverge
-    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=2.0)
-    problem = ProblemSpec(F=lambda x: x - x * x, G=lambda x: x * x, homogeneous_split=split)
+    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, nonlinear=lambda x: x * x,
+                             degree=2.0)
+    problem = ProblemSpec(F=split.residual, G=split.fixed_point_map, homogeneous_split=split)
     out = petviashvili_solve(problem, np.array([3.0]),
                              SolverConfig(tol_residual=1e-12, max_outer=50))
     assert out.status == CONVERGED_RESIDUAL
@@ -210,22 +205,48 @@ def test_petviashvili_exponent_follows_the_degree():
 
 
 def test_petviashvili_zero_denominator_diverges():
-    # G rotates by 90 degrees and A = I, so <A G(x), x> = 0 identically
+    # N rotates by 90 degrees, so <N(x), x> = 0 identically
     identity = LinearOperator(dim=2, apply=lambda v: v)
-    split = HomogeneousSplit(linear=identity, inverse=identity, degree=-2)
-    problem = ProblemSpec(F=lambda x: x - np.array([-x[1], x[0]]),
-                          G=lambda x: np.array([-x[1], x[0]]), homogeneous_split=split)
+    split = HomogeneousSplit(linear=identity, inverse=identity,
+                             nonlinear=lambda x: np.array([-x[1], x[0]]), degree=-2)
+    problem = ProblemSpec(F=split.residual, G=split.fixed_point_map, homogeneous_split=split)
     out = petviashvili_solve(problem, np.array([1.0, 0.0]), SolverConfig())
     assert out.status == DIVERGED
     assert "denominator" in out.message
 
 
 def test_petviashvili_negative_factor_diverges():
-    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, degree=-2)
-    problem = ProblemSpec(F=lambda x: 2 * x, G=lambda x: -x, homogeneous_split=split)
+    # A = I and N(x) = -x, so s = <x, x>/<-x, x> = -1
+    split = HomogeneousSplit(linear=_IDENTITY, inverse=_IDENTITY, nonlinear=lambda x: -x,
+                             degree=-2)
+    problem = ProblemSpec(F=split.residual, G=split.fixed_point_map, homogeneous_split=split)
     out = petviashvili_solve(problem, np.ones(1), SolverConfig())
     assert out.status == DIVERGED
     assert "negative" in out.message
+
+
+def test_petviashvili_step_applies_each_part_of_the_split_once():
+    # A = diag(1, 2), N(x) = x^2: a step applies N, A^{-1} and A once each, and
+    # each evaluation of F = A x - N(x) one A and one N more
+    calls = dict(linear=0, inverse=0, nonlinear=0, F=0)
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    diag = np.array([1.0, 2.0])
+    split = HomogeneousSplit(LinearOperator(dim=2, apply=counted("linear", lambda v: diag * v)),
+                             LinearOperator(dim=2, apply=counted("inverse", lambda v: v / diag)),
+                             counted("nonlinear", lambda x: x * x), 2.0)
+    problem = ProblemSpec(F=counted("F", split.residual), G=split.fixed_point_map,
+                          homogeneous_split=split)
+    out = petviashvili_solve(problem, np.array([1.5, 1.0]),
+                             SolverConfig(tol_residual=1e-14, max_outer=4))
+    assert (out.status, calls["F"]) == (MAX_ITERATIONS, 1)
+    steps = out.iterations + 1
+    assert calls == dict(linear=steps + 1, inverse=steps, nonlinear=steps + 1, F=1)
 
 
 def test_petviashvili_map_matches_solver_step():
@@ -469,7 +490,8 @@ def test_iteration_matrix_spectrum_refuses_large_dimension_before_any_apply():
         return LinearOperator(dim=dim, apply=apply)
 
     problem = ProblemSpec(F=lambda x: x, jacobian_at=jacobian_at,
-                          homogeneous_split=HomogeneousSplit(identity, identity, 2.0))
+                          homogeneous_split=HomogeneousSplit(identity, identity,
+                                                             lambda x: x * x, 2.0))
     for stabilized in (False, True):
         with pytest.raises(ValueError, match="limit"):
             iteration_matrix_spectrum(problem, np.ones(dim), stabilized=stabilized)
