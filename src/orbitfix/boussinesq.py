@@ -12,13 +12,12 @@ to a shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .numlin import (FourierOperator, check_dense_dim, fourier_apply, fourier_operator,
-                     fourier_symbols, hermitian_2x2_function)
+from .numlin import (FourierOperator, fourier_apply, fourier_operator, fourier_symbols,
+                     hermitian_2x2_function)
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -28,7 +27,6 @@ __all__ = [
     "grid",
     "exact_profile",
     "build_bs_problem",
-    "reflection_blocks",
     "precond_operator",
     "translation_action",
     "translation_shift",
@@ -127,8 +125,9 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     hermitian_2x2_function of S with f = 1/lambda. It exists on every mode:
     det S = (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as
     2b - |c| = 1/3.
-    The Jacobian at w0 is the FourierOperator S minus pointwise
-    multiplication by the symmetric 2x2 field [[eta0, u0], [u0, 0]].
+    The Jacobian at w0 is the FourierOperator with symbol S and the
+    symmetric 2x2 fields [[eta0, u0], [u0, 0]], whose reflection_blocks
+    bs spectrum diagonalizes.
     """
     n = params.n
     a11, a12, a22 = np.broadcast_arrays(*_linear_symbol(params))
@@ -141,79 +140,13 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
         return np.concatenate([u * eta, 0.5 * u * u])
 
     def jacobian_at(w0):
-        w0 = np.asarray(w0, dtype=float)
-        u0, eta0 = w0[:n], w0[n:]
-
-        def coupling(v):
-            vu, ve = v[:n], v[n:]
-            return np.concatenate([eta0 * vu + u0 * ve, u0 * vu])
-
-        return fourier_operator(s_symbol, pointwise=coupling)
+        u0, eta0 = np.asarray(w0, dtype=float).reshape(2, n)
+        return fourier_operator(s_symbol, np.array([[eta0, u0], [u0, np.zeros(n)]]))
 
     split = HomogeneousSplit(fourier_operator(s_symbol), fourier_operator(s_inverse),
                              nonlinear, 2.0)
     return ProblemSpec(F=split.residual, G=split.fixed_point_map, jacobian_at=jacobian_at,
                        homogeneous_split=split)
-
-
-def reflection_blocks(params: BSParams, w0) -> Iterator[np.ndarray]:
-    """The Jacobian at a reflection-even state, split into its even and odd blocks.
-
-    The grid reflection x -> -x sends sample j of each field to sample
-    (-j) mod n. At a state it fixes, it commutes with the Jacobian, so the
-    Jacobian is block diagonal in the orthonormal basis of even vectors
-    (e_j + e_-j)/sqrt(2), e_0, e_{n/2} and odd vectors (e_j - e_-j)/sqrt(2).
-    Yields the two symmetric blocks (even: n + 2 rows over both fields,
-    odd: n - 2), whose eigenvalues together are the Jacobian's; the
-    translation generator is odd. Each block is built in closed form when
-    it is drawn, so a consumer that drops the even block before drawing
-    the odd one never holds both. Raises ValueError at once when the even
-    block is past DENSE_DIM_LIMIT or the state is not even to 1e-12 relative.
-    """
-    w0 = np.asarray(w0, dtype=float)
-    n = params.n
-    check_dense_dim(n + 2)
-    if w0.shape != (2 * n,):
-        raise ValueError("state length must match the configured grid")
-    fields = w0.reshape(2, n)
-    if np.linalg.norm(fields[:, (-np.arange(n)) % n] - fields) > 1e-12 * np.linalg.norm(w0):
-        raise ValueError("state is not even under the grid reflection")
-    return (_reflection_block(params, fields, sign) for sign in (1.0, -1.0))
-
-
-def _reflection_block(params: BSParams, fields: np.ndarray, sign: float) -> np.ndarray:
-    # In each field pair the linear part is alpha I + beta D2 and the
-    # pointwise part is diagonal. The basis vectors are (e_a + sign e_-a)/sqrt(2),
-    # and e_a alone for the self-mirrored samples a = 0, n/2 (even only). On
-    # them I and diagonals keep their form, and the circulant D2, whose first
-    # column col is even, becomes the Toeplitz-plus-Hankel matrix
-    # t_r t_k (col[a_r - a_k] + sign col[a_r + a_k]), t = 1/sqrt(2) on the
-    # self-mirrored samples and 1 elsewhere. With a_r = lo + r, both terms are
-    # strided views of a row of 2m - 1 samples of col (indices mod n).
-    n = params.n
-    half = n // 2
-    lo, m = (0, half + 1) if sign > 0.0 else (1, half - 1)
-    col = np.fft.irfft(fourier_symbols(n, params.half_length)[2][:half + 1], n)
-    j = np.arange(2 * m - 1)
-    toeplitz = sliding_window_view(col[(j - (m - 1)) % n], m)[:, ::-1]
-    hankel = sliding_window_view(col[(j + 2 * lo) % n], m)
-    d2 = np.add(toeplitz, hankel) if sign > 0.0 else np.subtract(toeplitz, hankel)
-    if sign > 0.0:
-        # a = 0 and n/2 are rows and columns 0 and m - 1; t = 1 elsewhere is exact
-        d2[::m - 1] *= np.sqrt(0.5)
-        d2[:, ::m - 1] *= np.sqrt(0.5)
-    cs = params.speed
-    block = np.zeros((2 * m, 2 * m))
-    np.multiply(d2, -cs * params.b, out=block[:m, m:])
-    np.multiply(d2, -cs * params.d, out=block[m:, :m])
-    np.multiply(d2, -params.c, out=block[m:, m:])
-    u0, eta0 = fields[:, lo:lo + m]
-    i = np.arange(m)
-    block[i, i] = -1.0 - eta0
-    block[i, m + i] += cs - u0
-    block[m + i, i] += cs - u0
-    block[m + i, m + i] -= 1.0
-    return block
 
 
 def precond_operator(params: BSParams) -> FourierOperator:

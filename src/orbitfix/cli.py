@@ -28,7 +28,7 @@ import numpy as np
 
 from . import boussinesq as bq
 from . import nbody as nb
-from .numlin import dense_eigenvalues
+from .numlin import dense_eigenvalues, reflection_blocks
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       STATUSES, ProblemSpec, SolverConfig, TraceRow, fixed_point_solve,
                       iteration_matrix_spectrum, newton_solve, petviashvili_solve)
@@ -208,8 +208,7 @@ class _Problem:
     spec: ProblemSpec
     action: GroupAction
     reference: Optional[np.ndarray]  # the solution runs are measured against, or None
-    start: np.ndarray  # the unperturbed seed, also written when a solve goes non-finite
-    seed: Callable  # (perturbation kind, eps) -> seed
+    seed: Callable  # (perturbation kind, eps) -> seed; ("none", 0.0) is the unperturbed one
     precond: Callable  # seed -> Newton's preconditioner
     anderson: int  # the window of the fixed-point methods' Anderson mixing
     on_F: bool  # fixed-point runs classify and report on |F|, not on the gap
@@ -258,7 +257,7 @@ def cmd_solve(args, out: Path) -> dict:
     outcome, found = _solve(args, p, x0, perturbed=args.perturb != "none")
     _write_trace(out, outcome.trace)
     finite = _finite(outcome.x)
-    p.write(out, outcome.x if finite else p.start)
+    p.write(out, outcome.x if finite else p.seed("none", 0.0))
     found["orbit"] = (align_to_orbit(outcome.x, p.reference, p.action)
                       if finite and p.reference is not None else None)
     found["extras"].update(inner_iterations=outcome.inner_iterations,
@@ -295,7 +294,7 @@ def _nbody_problem(args) -> _Problem:
         return out
 
     # Newton's preconditioner is |J|^{-1} at the polygon rotated onto the seed
-    return _Problem(cfg, problem, action, qstar, qstar, seed,
+    return _Problem(cfg, problem, action, qstar, seed,
                     lambda q0: nb.precond_operator(cfg, action.align(q0, qstar)),
                     args.anderson, False, _write_bodies, extras)
 
@@ -361,7 +360,7 @@ def _bs_problem(args) -> _Problem:
     # Newton solve builds it and the others share it. Petviashvili mixes over the last
     # 5 steps.
     precond = functools.cache(lambda: bq.precond_operator(params))
-    return _Problem(params, bq.build_bs_problem(params), action, reference, w, seed,
+    return _Problem(params, bq.build_bs_problem(params), action, reference, seed,
                     lambda w0: precond(), 5, True,
                     lambda out, w: _write_profile(out, w, params),
                     lambda w0, w: _centers(w, params) if _finite(w) else {})
@@ -372,7 +371,8 @@ def cmd_bs_spectrum(args, out: Path) -> dict:
     if not _closed_form_solves(args, profile):
         raise ValueError(f"the spectrum is taken at the closed-form wave, which solves the "
                          f"system only at its own speed {profile.speed!r}, not at --cs {args.cs!r}")
-    report = dense_eigenvalues(bq.reflection_blocks(params, profile.wave))
+    jacobian = bq.build_bs_problem(params).jacobian_at(profile.wave)
+    report = dense_eigenvalues(reflection_blocks(jacobian))
     extras = _write_spectrum(out, report)
     extras["blocks"] = {name: {"dim": dim, "count_near_zero": zeros} for name, dim, zeros
                         in zip(("even", "odd"), report.block_dims, report.block_near_zero)}
@@ -411,7 +411,7 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     p = _bs_problem(args)
     params = p.params
     found = {"extras": {"method": None, "anderson": None}}
-    w0 = p.start
+    w0 = p.seed("none", 0.0)
     if p.reference is None:
         # no closed form at this speed: compute the travelling wave first
         outcome, found = _solve(args, p, w0, perturbed=False)

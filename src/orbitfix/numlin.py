@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DENSE_DIM_LIMIT",
@@ -30,6 +31,7 @@ __all__ = [
     "hermitian_2x2_function",
     "check_dense_dim",
     "dense_eigenvalues",
+    "reflection_blocks",
     "minres",
     "pcg",
 ]
@@ -58,16 +60,15 @@ class LinearOperator:
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class FourierOperator(LinearOperator):
-    """v -> symbol v mode by mode (fourier_apply), minus pointwise(v) when given.
+    """v -> symbol v mode by mode (fourier_apply), minus fields v sample by sample.
 
-    symbol is a per-mode k x k matrix symbol of shape (k, k, n) and dim is
-    k n. apply computes exactly this map; build instances with
-    fourier_operator. MINRES reads the structure to fuse a Fourier
-    preconditioner with the operator (preconditioned_product).
+    Built by fourier_operator, whose apply computes exactly this map. MINRES
+    reads symbol and fields to check symmetry and to fuse a Fourier
+    preconditioner (preconditioned_product); reflection_blocks splits it.
     """
 
     symbol: np.ndarray
-    pointwise: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fields: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -187,42 +188,52 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft((half * v_hat).sum(axis=1), n).reshape(m * n)
 
 
-def fourier_operator(symbol: np.ndarray,
-                     pointwise: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                     ) -> FourierOperator:
-    """The symmetric map v -> fourier_apply(symbol, v) - pointwise(v).
+def fourier_operator(symbol: np.ndarray, fields: Optional[np.ndarray] = None) -> FourierOperator:
+    """The map v -> fourier_apply(symbol, v) - fields v.
 
-    symbol is a per-mode symmetric k x k matrix symbol of shape (k, k, n);
-    pointwise, when given, is a symmetric map on R^(k n) that acts sample
-    by sample, such as multiplication by fields.
+    symbol and fields, when given, have shape (k, k, n): a k x k matrix per
+    mode and per sample. Block i of fields v is the sum over j, in j order,
+    of fields[i, j] times block j of v.
     """
     if symbol.ndim != 3 or symbol.shape[0] != symbol.shape[1]:
         raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n)")
-    if pointwise is None:
-        def apply(v):
-            return fourier_apply(symbol, v)
-    else:
-        def apply(v):
-            return fourier_apply(symbol, v) - pointwise(v)
-    return FourierOperator(dim=symbol.shape[0] * symbol.shape[2], apply=apply,
-                           symbol=symbol, pointwise=pointwise)
+    k, _, n = symbol.shape
+    if fields is not None and fields.shape != symbol.shape:
+        raise ValueError("fields must have the symbol's shape (k, k, n)")
+    terms, product = np.empty(symbol.shape), np.empty((k, n))
+
+    def apply(v):
+        v = np.asarray(v, dtype=float)
+        out = fourier_apply(symbol, v)
+        if fields is not None:
+            _subtract_fields(fields, v.reshape(k, n), out.reshape(k, n), terms, product)
+        return out
+
+    return FourierOperator(dim=k * n, apply=apply, symbol=symbol, fields=fields)
+
+
+def _subtract_fields(fields, v, out, terms, product):
+    # out -= fields[:, 0] v[0] + fields[:, 1] v[1] + ... for v and out of shape (k, n),
+    # bit for bit: a reduction along a middle axis adds in index order
+    np.multiply(fields, v, out=terms)
+    np.subtract(out, np.add.reduce(terms, axis=1, out=product), out=out)
 
 
 def preconditioned_product(A, M) -> Optional[Callable]:
     """r -> (M r, A M r) in one forward and one batched inverse transform, or None.
 
     Defined when A and M are FourierOperators of the same shape and M has
-    no pointwise part. The symbols of M and of A's multiplier times M are
-    stacked once into a (2k, k, n) symbol and split into its k per-field
-    columns, so one transform pair returns M r and the multiplier part of
-    A M r together; A's pointwise part is then subtracted from M r. The
-    result equals fourier_apply of the stacked symbol bit for bit. Both
+    no fields. The symbols of M and of A's multiplier times M are stacked
+    once into a (2k, k, n) symbol and split into its k per-field columns,
+    so one transform pair returns M r and the multiplier part of A M r
+    together, equal to fourier_apply of the stacked symbol bit for bit;
+    A's fields times M r is then subtracted as A.apply subtracts it. Both
     vectors returned are views into one buffer, which the next call
     overwrites. Any other pair returns None: its product is the
     composition, M then A.
     """
     if not (isinstance(A, FourierOperator) and isinstance(M, FourierOperator)
-            and M.pointwise is None and A.symbol.shape == M.symbol.shape):
+            and M.fields is None and A.symbol.shape == M.symbol.shape):
         return None
     stacked = np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)])
     rows, k, n = stacked.shape
@@ -233,7 +244,8 @@ def preconditioned_product(A, M) -> Optional[Callable]:
     term = np.empty_like(acc)
     out = np.empty((rows, n))
     y, ay = np.split(out.reshape(-1), 2)
-    pointwise = A.pointwise
+    fields = A.fields
+    terms, product = np.empty((k, k, n)), np.empty((k, n))
 
     def apply(r):
         np.fft.rfft(np.asarray(r, dtype=float).reshape(k, n), out=v_hat)
@@ -243,8 +255,8 @@ def preconditioned_product(A, M) -> Optional[Callable]:
             np.multiply(columns[j], v_hat[j], out=term)
             np.add(acc, term, out=acc)
         np.fft.irfft(acc, n, out=out)
-        if pointwise is not None:
-            np.subtract(ay, pointwise(y), out=ay)
+        if fields is not None:
+            _subtract_fields(fields, out[:k], out[k:], terms, product)
         return y, ay
 
     return apply
@@ -318,6 +330,59 @@ def dense_eigenvalues(A, tol_zero: float = 1e-6) -> SpectrumReport:
     )
 
 
+def reflection_blocks(op: FourierOperator) -> Iterator[np.ndarray]:
+    """op split by the grid reflection x -> -x into its even and odd blocks.
+
+    The reflection, sample j to (-j) mod n in each field, commutes with op
+    when op's symbol is real on modes 0..n/2 and its fields are even; op is
+    then block diagonal in the orthonormal even vectors (e_j + e_-j)/sqrt(2),
+    e_0, e_{n/2} and odd ones (e_j - e_-j)/sqrt(2), its isotypic decomposition
+    (Golubitsky, Stewart and Schaeffer, 1988). Yields the even block, k (n/2
+    + 1) rows, then the odd one, k (n/2 - 1), each built when drawn. Raises
+    ValueError at once past DENSE_DIM_LIMIT, on odd n, or when the symbol or
+    fields are not even to 1e-12 relative.
+    """
+    k, _, n = op.symbol.shape
+    check_dense_dim(k * (n // 2 + 1))
+    if n % 2:
+        raise ValueError("reflection blocks need an even number of samples")
+    half = op.symbol[..., :n // 2 + 1]
+    if not np.abs(np.imag(half)).max() <= 1e-12 * np.abs(half).max():
+        raise ValueError("operator's symbol is not real on modes 0..n/2, so it is not even")
+    fields = op.fields
+    if fields is not None and (np.linalg.norm(fields[..., (-np.arange(n)) % n] - fields)
+                               > 1e-12 * np.linalg.norm(fields)):
+        raise ValueError("operator's fields are not even under the grid reflection")
+    columns = np.fft.irfft(np.real(half), n)  # column 0 of each entry's circulant
+    return (_reflection_block(columns, fields, sign) for sign in (1.0, -1.0))
+
+
+def _reflection_block(columns: np.ndarray, fields: Optional[np.ndarray],
+                      sign: float) -> np.ndarray:
+    # Entry (r, c) of op is the circulant of even column col = columns[r, c]
+    # minus diag(fields[r, c]). On the basis (e_a + sign e_-a)/sqrt(2), and e_a
+    # alone for a = 0, n/2 (even only), a diagonal keeps its form and the
+    # circulant becomes t_p t_q (col[a_p - a_q] + sign col[a_p + a_q]), t =
+    # 1/sqrt(2) at a = 0, n/2 and 1 elsewhere, with a_p = lo + p.
+    k, _, n = columns.shape
+    lo, m = (0, n // 2 + 1) if sign > 0.0 else (1, n // 2 - 1)
+    j = np.arange(2 * m - 1)
+    toeplitz = sliding_window_view(columns[..., (j - (m - 1)) % n], m, axis=-1)[..., ::-1]
+    hankel = sliding_window_view(columns[..., (j + 2 * lo) % n], m, axis=-1)
+    block = np.empty((k * m, k * m))
+    quadrants = block.reshape(k, m, k, m)  # quadrant (r, c) is quadrants[r, :, c]
+    (np.add if sign > 0.0 else np.subtract)(toeplitz, hankel,
+                                            out=quadrants.transpose(0, 2, 1, 3))
+    if sign > 0.0:
+        # a = 0 and n/2 are rows and columns 0 and m - 1 of each quadrant; t = 1 elsewhere is exact
+        quadrants[:, ::m - 1] *= np.sqrt(0.5)
+        quadrants[..., ::m - 1] *= np.sqrt(0.5)
+    if fields is not None:
+        i = np.arange(m)
+        quadrants[:, i, :, i] -= fields[..., lo:lo + m].transpose(2, 0, 1)
+    return block
+
+
 @lru_cache(maxsize=16)
 def _symmetry_probes(dim: int):
     """The two seeded probe vectors of length dim, read-only and shared."""
@@ -329,29 +394,26 @@ def _symmetry_probes(dim: int):
     return u, w
 
 
-def _check_symmetry_probe(op: LinearOperator) -> None:
+def _check_symmetry(op: LinearOperator) -> None:
     """Refuse an operator that is not symmetric.
 
-    A FourierOperator is judged by its parts. Each mode 0..n/2 of its
-    symbol, the modes fourier_apply reads, must be Hermitian to 1e-12 of
-    the symbol's largest modulus, which is exact for the multiplier; its
-    pointwise part, when given, must pass the probe. Any other operator
-    must pass the probe itself: <Au, w> = <u, Aw> for two seeded vectors,
-    to 1e-8 relative.
+    A FourierOperator is judged by its data and applied not once: each
+    mode 0..n/2 of its symbol, the modes fourier_apply reads, must be
+    Hermitian, and each sample of its fields symmetric, each to 1e-12 of
+    its largest modulus. Any other operator must pass a probe:
+    <Au, w> = <u, Aw> for two seeded vectors, to 1e-8 relative.
     """
-    apply = op.apply
     if isinstance(op, FourierOperator):
         half = op.symbol[..., :op.symbol.shape[-1] // 2 + 1]
-        # a NaN compares false, so a symbol holding one fails
-        if not (np.abs(half - half.transpose(1, 0, 2).conj()).max()
-                <= 1e-12 * np.abs(half).max()):
-            raise ValueError("operator's Fourier symbol is not Hermitian, so it is not symmetric")
-        apply = op.pointwise
-        if apply is None:
-            return
+        for name, part in (("Fourier symbol", half), ("fields", op.fields)):
+            # a NaN compares false, so a part holding one fails
+            if part is not None and not (np.abs(part - part.transpose(1, 0, 2).conj()).max()
+                                         <= 1e-12 * np.abs(part).max()):
+                raise ValueError(f"operator is not symmetric: {name} not Hermitian to 1e-12")
+        return
     u, w = _symmetry_probes(op.dim)
-    au = apply(u)
-    aw = apply(w)
+    au = op.apply(u)
+    aw = op.apply(w)
     scale = np.linalg.norm(au) * np.linalg.norm(w) + np.linalg.norm(u) * np.linalg.norm(aw)
     if abs(np.dot(au, w) - np.dot(u, aw)) > 1e-8 * max(scale, 1e-30):
         raise ValueError("operator failed the symmetry probe")
@@ -385,7 +447,7 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     bnorm = math.sqrt(r1.dot(r1))
     if bnorm == 0.0:
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
-    _check_symmetry_probe(op)
+    _check_symmetry(op)
 
     apply_m = precond.apply if precond is not None else (lambda v: v)
     fused = None if precond is None else preconditioned_product(op, precond)

@@ -142,9 +142,13 @@ class SolveOutcome:
     status: str
     x: np.ndarray
     trace: List[TraceRow]  # one row per iterate, the terminal one last
-    iterations: int
     f_norm: float
     message: str = ""
+
+    @property
+    def iterations(self) -> int:
+        """The terminal iterate's index: the steps the run took."""
+        return self.trace[-1].n
 
     @property
     def converged(self) -> bool:
@@ -177,8 +181,8 @@ def _classify(n, residual, ref_error, config, accepted=True):
     return None
 
 
-def _outcome(status, x, trace, n, f_norm, config, message=""):
-    """The SolveOutcome of a stop at iterate n, the trace's last row.
+def _outcome(status, x, trace, f_norm, config, message=""):
+    """The SolveOutcome of a stop at the trace's last row.
 
     Two stops can end with |F| above tolerance and no other word of it, so
     their message names the numbers: a stop on the reference, whatever |F|
@@ -192,7 +196,7 @@ def _outcome(status, x, trace, n, f_norm, config, message=""):
     elif status == MAX_ITERATIONS and residual <= tol < f_norm:
         message = (f"stopped at the budget: the gap |x - G(x)| = {residual:.3g} met tol "
                    f"{tol:.3g}, |F(x)| = {f_norm:.3g} did not")
-    return SolveOutcome(status, x, trace, n, f_norm, message)
+    return SolveOutcome(status, x, trace, f_norm, message)
 
 
 class AndersonMixer:
@@ -259,7 +263,7 @@ def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: Solve
             if f_norm is None:
                 f_norm = float(np.linalg.norm(F(x)))
             trace.append(TraceRow(n, residual, ref_error, s))
-            return _outcome(status, x, trace, n, f_norm, config, message)
+            return _outcome(status, x, trace, f_norm, config, message)
         if mix is not None:
             nxt = mix(x, nxt)
         trace.append(TraceRow(n, residual, ref_error, s, step_norm=_norm(nxt - x)))
@@ -408,14 +412,13 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         status = _classify(n, residual, ref_error, config)
         if status is not None:
             trace.append(TraceRow(n, residual, ref_error))
-            return _outcome(status, x, trace, n, residual, config)
+            return _outcome(status, x, trace, residual, config)
         if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
             stall += 1
             if stall >= 3:
                 trace.append(TraceRow(n, residual, ref_error))
-                return SolveOutcome(
-                    MAX_ITERATIONS, x, trace, n, residual,
-                    "inner solver repeatedly hit its budget without outer progress")
+                return _outcome(MAX_ITERATIONS, x, trace, residual, config,
+                                "inner solver repeatedly hit its budget without outer progress")
         else:
             stall = 0
 

@@ -6,10 +6,10 @@ import pytest
 from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
                                  _half_spectrum_symbols, build_bs_problem, exact_profile, grid,
                                  periodic_wrap, precond_operator, propagate, propagation_schedule,
-                                 reflection_blocks, translation_action, translation_shift)
-from orbitfix.numlin import (_check_symmetry_probe, dense_eigenvalues, fourier_apply,
+                                 translation_action, translation_shift)
+from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_apply,
                              fourier_symbols, hermitian_2x2_function, materialize, minres,
-                             preconditioned_product)
+                             preconditioned_product, reflection_blocks)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
 from reference import fd_jacobian
@@ -277,8 +277,9 @@ def test_reflection_blocks_match_matvec_reference(n, half_length, state):
         w = _random_even_state(n, seed=n)
         assert abs(np.sum(w[:n] * (-1.0) ** np.arange(n))) > 1.0
         assert abs(np.sum(w[n:] * (-1.0) ** np.arange(n))) > 1.0
-    ref = _matvec_reflection_blocks(build_bs_problem(params), w)
-    got = list(reflection_blocks(params, w))
+    problem = build_bs_problem(params)
+    ref = _matvec_reflection_blocks(problem, w)
+    got = list(reflection_blocks(problem.jacobian_at(w)))
     assert [g.shape for g in got] == [(n + 2, n + 2), (n - 2, n - 2)]
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
@@ -289,7 +290,7 @@ def test_reflection_blocks_match_dense_spectrum(n, half_length):
     params = _params(n=n, half_length=half_length)
     problem = build_bs_problem(params)
     w = exact_profile(THETA2, n, half_length).wave
-    even, odd = reflection_blocks(params, w)
+    even, odd = reflection_blocks(problem.jacobian_at(w))
     assert even.shape == (n + 2, n + 2) and odd.shape == (n - 2, n - 2)
     dense = np.linalg.eigvalsh(materialize(problem.jacobian_at(w)))
     rep = dense_eigenvalues((even, odd))
@@ -304,11 +305,11 @@ def test_reflection_blocks_match_dense_spectrum(n, half_length):
 def test_spectrum_builds_each_reflection_block_after_dropping_the_last(monkeypatch):
     import weakref
 
-    import orbitfix.boussinesq as bq
+    import orbitfix.numlin as numlin
 
     params = _params(n=64, half_length=10.0)
     w = exact_profile(THETA2, 64, 10.0).wave
-    build = bq._reflection_block
+    build = numlin._reflection_block
     built = []  # weak references to the blocks built so far
     held = []  # per build: was an earlier block still alive?
 
@@ -318,8 +319,8 @@ def test_spectrum_builds_each_reflection_block_after_dropping_the_last(monkeypat
         built.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(bq, "_reflection_block", tracked)
-    blocks = reflection_blocks(params, w)
+    monkeypatch.setattr(numlin, "_reflection_block", tracked)
+    blocks = reflection_blocks(build_bs_problem(params).jacobian_at(w))
     assert built == []
     rep = dense_eigenvalues(blocks)
     assert held == [False, False]
@@ -330,70 +331,69 @@ def test_reflection_blocks_reject_uncentred_state():
     params = _params(n=64, half_length=25.0)
     shifted = exact_profile(THETA2, 64, 25.0, x0=0.3).wave
     with pytest.raises(ValueError, match="even"):
-        reflection_blocks(params, shifted)
+        reflection_blocks(build_bs_problem(params).jacobian_at(shifted))
 
 
-def _gathered_reflection_block(params, fields, sign):
-    """Reference: D2 gathered from col through m x m index arrays, scaled by t t^T."""
-    n = params.n
+def _gathered_reflection_block(columns, fields, sign):
+    """Reference: each circulant gathered from its column by index arrays, scaled by t t^T."""
+    k, _, n = columns.shape
     half = n // 2
     a = np.arange(half + 1) if sign > 0.0 else np.arange(1, half)
     m = a.size
-    col = np.fft.irfft(fourier_symbols(n, params.half_length)[2][:half + 1], n)
-    d2 = col[np.subtract.outer(a, a) % n]
-    d2 += sign * col[np.add.outer(a, a) % n]
     t = np.where((a == 0) | (a == half), np.sqrt(0.5), 1.0)
-    d2 *= t[:, None]
-    d2 *= t
-    cs = params.speed
-    block = np.zeros((2 * m, 2 * m))
-    block[:m, m:] = d2 * (-cs * params.b)
-    block[m:, :m] = d2 * (-cs * params.d)
-    block[m:, m:] = d2 * -params.c
-    u0, eta0 = fields[:, a]
-    i = np.arange(m)
-    block[i, i] = -1.0 - eta0
-    block[i, m + i] += cs - u0
-    block[m + i, i] += cs - u0
-    block[m + i, m + i] -= 1.0
+    block = np.zeros((k * m, k * m))
+    for r in range(k):
+        for c in range(k):
+            col = columns[r, c]
+            quadrant = col[np.subtract.outer(a, a) % n]
+            quadrant += sign * col[np.add.outer(a, a) % n]
+            quadrant *= t[:, None]
+            quadrant *= t
+            quadrant[np.arange(m), np.arange(m)] -= fields[r, c, a]
+            block[r * m:(r + 1) * m, c * m:(c + 1) * m] = quadrant
     return block
+
+
+def _circulant_columns(op):
+    n = op.symbol.shape[-1]
+    return np.fft.irfft(op.symbol[..., :n // 2 + 1].real, n)
 
 
 @pytest.mark.parametrize("n, half_length", [(4, 10.0), (8, 10.0), (64, 10.0), (1024, 50.0)])
 @pytest.mark.parametrize("state", ["profile", "random"])
 def test_reflection_block_rows_equal_the_index_gather(n, half_length, state):
-    # strided Toeplitz and Hankel views of two rows of col, bit for bit; at
-    # n = 4 the odd block has one row per field
-    import orbitfix.boussinesq as bq
-
+    # strided Toeplitz and Hankel views of two rows of each circulant column,
+    # bit for bit; at n = 4 the odd block has one row per field
     params = _params(n=n, half_length=half_length)
     if state == "profile":
         w = exact_profile(THETA2, n, half_length).wave
     else:
         w = _random_even_state(n, seed=n)
-    fields = w.reshape(2, n)
-    for sign, m in ((1.0, n // 2 + 1), (-1.0, n // 2 - 1)):
-        block = bq._reflection_block(params, fields, sign)
+    J = build_bs_problem(params).jacobian_at(w)
+    columns = _circulant_columns(J)
+    blocks = list(reflection_blocks(J))
+    for block, sign, m in zip(blocks, (1.0, -1.0), (n // 2 + 1, n // 2 - 1)):
         assert block.shape == (2 * m, 2 * m)
-        assert np.array_equal(block, _gathered_reflection_block(params, fields, sign))
+        assert np.array_equal(block, _gathered_reflection_block(columns, J.fields, sign))
 
 
 def test_reflection_block_holds_no_index_array_or_gather_temporary():
     import tracemalloc
 
-    import orbitfix.boussinesq as bq
+    import orbitfix.numlin as numlin
 
     n = 1024
     params = _params(n=n, half_length=50.0)
-    fields = exact_profile(THETA2, n, 50.0).wave.reshape(2, n)
+    J = build_bs_problem(params).jacobian_at(exact_profile(THETA2, n, 50.0).wave)
+    columns = _circulant_columns(J)
     m = n // 2 + 1
     tracemalloc.start()
     try:
-        block = bq._reflection_block(params, fields, 1.0)
+        block = numlin._reflection_block(columns, J.fields, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the block and one m x m float64 D2; the index gather also held an m x m
+    # the block, and nothing of an m x m size: an index gather holds an m x m
     # int array and an m x m gather temporary
     assert peak < block.nbytes + 1.5 * m * m * 8
 
@@ -486,9 +486,10 @@ def test_fused_product_equals_precond_then_jacobian(n, perturbed):
     w = exact_profile(THETA2, n, 50.0).wave
     if perturbed:
         w = w + 0.05 * rng.standard_normal(2 * n)
-        with pytest.raises(ValueError, match="not even"):
-            reflection_blocks(params, w)
     J = build_bs_problem(params).jacobian_at(w)
+    if perturbed:
+        with pytest.raises(ValueError, match="not even"):
+            reflection_blocks(J)
     M = precond_operator(params)
     r = rng.standard_normal(2 * n) + np.tile((-1.0) ** np.arange(n), 2)
     assert np.min(np.abs(np.fft.rfft(r.reshape(2, n))[:, -1])) > 1.0  # Nyquist content
@@ -531,7 +532,7 @@ def test_wave_jacobian_symmetry_check_takes_no_transform(monkeypatch):
     params, w0 = _generator_seed(512, 0.1)
     J = build_bs_problem(params).jacobian_at(w0)
     calls = _count_transforms(monkeypatch)
-    _check_symmetry_probe(J)
+    _check_symmetry(J)
     assert calls == []
 
 

@@ -13,6 +13,7 @@ import orbitfix
 from orbitfix import boussinesq as bq
 from orbitfix import cli
 from orbitfix import nbody as nb
+from orbitfix import numlin
 from orbitfix.cli import _EXIT_CODES, SUMMARY_SCHEMA, _build_parser, _write_csv, main
 from orbitfix.solvers import SolverConfig, TraceRow, newton_solve
 
@@ -733,7 +734,7 @@ def test_bs_spectrum_refuses_a_speed_the_closed_form_wave_does_not_solve(tmp_pat
 
 @pytest.mark.parametrize("argv, builder", [
     (["nbody", "spectrum", "--bodies", "2049"], (nb, "hess_U")),
-    (["bs", "spectrum", "--grid-n", "4096"], (bq, "_reflection_block")),
+    (["bs", "spectrum", "--grid-n", "4096"], (numlin, "_reflection_block")),
 ], ids=["nbody-hessian", "bs-even-block"])
 def test_oversize_spectrum_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                          argv, builder):

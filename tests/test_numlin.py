@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, preco
 from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, build_nbody,
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry_probe, _is_symmetric, as_operator,
+                             _check_symmetry, _is_symmetric, as_operator,
                              dense_eigenvalues, fourier_apply, fourier_operator,
                              fourier_symbols, hermitian_2x2_function, materialize, minres, pcg,
-                             preconditioned_product)
+                             preconditioned_product, reflection_blocks)
 from reference import fd_jacobian
 
 
@@ -125,28 +127,39 @@ def test_fourier_apply_rectangular_symbol_stacks_its_rows():
 
 # ---------------- Fourier operators ----------------
 
+def _symmetric_fields(rng, k, n):
+    fields = rng.standard_normal((k, k, n))
+    return fields + fields.transpose(1, 0, 2)
+
+
 def _fourier_pair(n, seed):
-    # A = symbol minus a pointwise field; M a symmetric positive definite multiplier
+    # A = symbol minus symmetric fields; M a symmetric positive definite multiplier
     rng = np.random.default_rng(seed)
-    field = rng.standard_normal(2 * n)
-    A = fourier_operator(_even_symbol(rng, (2, 2, n)), pointwise=lambda v: field * v)
+    fields = _symmetric_fields(rng, 2, n)
+    A = fourier_operator(_even_symbol(rng, (2, 2, n)), fields)
     root = _even_symbol(rng, (2, 2, n))
     M = fourier_operator(np.einsum("ijn,kjn->ikn", root, root) + np.eye(2)[:, :, None])
-    return A, M, field, rng
+    return A, M, fields, rng
 
 
 def test_fourier_operator_applies_symbol_minus_pointwise():
     n = 16
-    A, M, field, rng = _fourier_pair(n, 13)
+    A, M, fields, rng = _fourier_pair(n, 13)
     v = rng.standard_normal(2 * n)
-    assert A.dim == M.dim == 2 * n and M.pointwise is None
-    assert np.array_equal(A.apply(v), fourier_apply(A.symbol, v) - field * v)
+    vu, ve = v.reshape(2, n)
+    assert A.dim == M.dim == 2 * n and M.fields is None
+    # the fields' sum in j order, as a hand-written coupling adds it
+    coupling = np.concatenate([fields[0, 0] * vu + fields[0, 1] * ve,
+                               fields[1, 0] * vu + fields[1, 1] * ve])
+    assert np.array_equal(A.apply(v), fourier_apply(A.symbol, v) - coupling)
     assert np.array_equal(M.apply(v), fourier_apply(M.symbol, v))
     dense = materialize(A)
     assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
     for bad in (np.ones(8), np.ones((2, 3, 8))):
         with pytest.raises(ValueError):
             fourier_operator(bad)
+    with pytest.raises(ValueError, match="fields"):
+        fourier_operator(A.symbol, fields[:, :, :8])
 
 
 def test_preconditioned_product_equals_the_composition():
@@ -166,10 +179,60 @@ def test_preconditioned_product_declines_what_it_cannot_fuse():
     A, M, _, rng = _fourier_pair(n, 15)
     plain = LinearOperator(dim=M.dim, apply=M.apply)
     assert preconditioned_product(A, M) is not None
-    # a callable, a plain operator, an M with a pointwise part, a dense A, another grid
+    # a callable, a plain operator, an M with fields, a dense A, another grid
     for a, m in ((A, M.apply), (A, plain), (A, A), (plain, M), (materialize(A), M),
                  (fourier_operator(_even_symbol(rng, (2, 2, 2 * n))), M)):
         assert preconditioned_product(a, m) is None
+
+
+# ---------------- reflection blocks ----------------
+
+def _reflection_basis(k, n, sign):
+    """Columns: the even (sign 1) or odd (sign -1) orthonormal grid vectors of each of k fields."""
+    half = n // 2
+    samples = range(half + 1) if sign > 0.0 else range(1, half)
+    m = len(samples)
+    Q = np.zeros((k * n, k * m))
+    for f in range(k):
+        for idx, a in enumerate(samples):
+            if a in (0, half):
+                Q[f * n + a, f * m + idx] = 1.0
+            else:
+                Q[f * n + a, f * m + idx] = np.sqrt(0.5)
+                Q[f * n + (-a) % n, f * m + idx] = sign * np.sqrt(0.5)
+    return Q
+
+
+def _even_operator(rng, k, n):
+    # a real even symbol, and even symmetric fields with Nyquist content
+    nyquist = (-1.0) ** np.arange(n)
+    fields = _symmetric_fields(rng, k, n) + 0.3 * nyquist * _symmetric_fields(rng, k, 1)
+    return fourier_operator(_even_symbol(rng, (k, k, n)), fields + fields[..., (-np.arange(n)) % n])
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+@pytest.mark.parametrize("k", [1, 3])
+def test_reflection_blocks_are_the_even_and_odd_projections(k, n):
+    op = _even_operator(np.random.default_rng(100 * k + n), k, n)
+    dense = materialize(op)
+    blocks = list(reflection_blocks(op))
+    assert [b.shape for b in blocks] == [(k * (n // 2 + 1),) * 2, (k * (n // 2 - 1),) * 2]
+    for block, sign in zip(blocks, (1.0, -1.0)):
+        Q = _reflection_basis(k, n, sign)
+        ref = Q.T @ dense @ Q
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_reflection_blocks_refuse_an_operator_that_is_not_even():
+    n = 16
+    rng = np.random.default_rng(19)
+    op = _even_operator(rng, 2, n)
+    # d1 is odd in the mode; random fields are not even on the grid
+    odd_symbol = op.symbol + 0.5 * fourier_symbols(n, 1.0)[1]
+    for bad in (fourier_operator(odd_symbol, op.fields),
+                fourier_operator(op.symbol, _symmetric_fields(rng, 2, n))):
+        with pytest.raises(ValueError, match="even"):
+            reflection_blocks(bad)
 
 
 def _abs_inverse(lam):
@@ -499,25 +562,40 @@ def test_minres_rejects_nonsymmetric_probe():
 
 def test_minres_rejects_a_fourier_operator_whose_symbol_is_not_hermitian():
     n = 16
-    A, _, field, _ = _fourier_pair(n, 16)
+    A, _, fields, _ = _fourier_pair(n, 16)
     symbol = A.symbol.astype(complex)
     symbol[0, 1, 3] += 1e-6j  # mode 3 alone: its block is no longer Hermitian
     with pytest.raises(ValueError, match="symmetr"):
-        minres(fourier_operator(symbol, pointwise=lambda v: field * v), np.ones(2 * n))
+        minres(fourier_operator(symbol, fields), np.ones(2 * n))
 
 
-def test_minres_rejects_a_fourier_operator_whose_pointwise_part_is_not_symmetric():
+def test_minres_rejects_a_fourier_operator_whose_fields_are_not_symmetric():
+    # [[a, b], [b (1 + 1e-9), 0]] sample by sample: read from the fields, a
+    # relative asymmetry of 1e-9 is far past the check's 1e-12
     n = 16
     A, _, _, rng = _fourier_pair(n, 17)
-    a, b, c = rng.standard_normal((3, n))
-
-    def coupling(v):
-        # [[a, b], [c, 0]] sample by sample, with b != c
-        vu, ve = v[:n], v[n:]
-        return np.concatenate([a * vu + b * ve, c * vu])
-
+    a, b = rng.standard_normal((2, n))
+    fields = np.array([[a, b], [b * (1.0 + 1e-9), np.zeros(n)]])
     with pytest.raises(ValueError, match="symmetr"):
-        minres(fourier_operator(A.symbol, pointwise=coupling), np.ones(2 * n))
+        minres(fourier_operator(A.symbol, fields), np.ones(2 * n))
+    fields[1, 0] = b
+    minres(fourier_operator(A.symbol, fields), np.ones(2 * n), maxit=1)
+
+
+def test_symmetry_check_of_a_fourier_operator_applies_it_zero_times():
+    n = 16
+    A, _, _, _ = _fourier_pair(n, 18)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return A.apply(v)
+
+    _check_symmetry(replace(A, apply=counted))
+    assert calls == []
+    # a plain operator is probed: two applies
+    _check_symmetry(LinearOperator(dim=A.dim, apply=counted))
+    assert len(calls) == 2
 
 
 def test_minres_preconditioned():
@@ -541,7 +619,7 @@ def _reference_minres(A, b, tol=1e-10, maxit=500, precond=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
-    _check_symmetry_probe(op)
+    _check_symmetry(op)
 
     apply_m = precond if precond is not None else (lambda v: v)
     x = np.zeros(op.dim)
