@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numlin import LinearOperator, fourier_apply, hermitian_2x2_function
+from .numlin import LinearOperator, fourier_operator, hermitian_2x2_function
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -215,16 +215,16 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
 
     The ring's counterpart of boussinesq.precond_operator: v is turned
     into the bodies' (radial, tangential) frames, multiplied mode by mode
-    by |S(m)|^{-1} of _polygon_symbol in one fourier_apply, and turned
-    back. |S(m)|^{-1} is hermitian_2x2_function with f = _lifted_abs_inverse,
+    by |S(m)|^{-1} of _polygon_symbol through one FourierOperator, and
+    turned back. |S(m)|^{-1} is hermitian_2x2_function with f = _lifted_abs_inverse,
     which gives kernel eigenvalues (the rotation generator, and every
     tangential motion at m0 = 0) the largest modulus over all modes. So
     the result is symmetric positive definite, and M maps the generator to
     a multiple of itself. Build O(n), apply O(n log n).
     """
     symbol = _polygon_symbol(config)
-    symbol = hermitian_2x2_function(symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real,
-                                    _lifted_abs_inverse)
+    product = fourier_operator(hermitian_2x2_function(
+        symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real, _lifted_abs_inverse)).apply
     n = config.n
     # body j's radial direction as a unit complex number; states are x + iy per body
     turn = np.exp(1j * (2.0 * np.pi * np.arange(1, n + 1) / n + alpha))
@@ -232,7 +232,7 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
 
     def apply(v):
         rt = np.ascontiguousarray(v, dtype=float).view(complex) * unturn
-        rt = fourier_apply(symbol, np.concatenate([rt.real, rt.imag]))
+        rt = product(np.concatenate([rt.real, rt.imag]))
         return ((rt[:n] + 1j * rt[n:]) * turn).view(float)
 
     return LinearOperator(dim=2 * n, apply=apply)

@@ -8,6 +8,7 @@ an operator into one.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +61,7 @@ class LinearOperator:
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class FourierOperator(LinearOperator):
-    """v -> symbol v mode by mode (fourier_apply), minus fields v sample by sample.
+    """v -> symbol v mode by mode, minus fields v sample by sample.
 
     Built by fourier_operator, whose apply computes exactly this map. MINRES
     reads symbol and fields to check symmetry and to fuse a Fourier
@@ -157,107 +158,107 @@ def fourier_symbols(n: int, half_length: float):
 
 
 def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply v by symbol in Fourier space, through real transforms.
+    """Multiply v by a scalar symbol of shape (n,) in Fourier space, through real transforms.
 
     The symbol is laid out like np.fft.fftfreq and must be Hermitian,
     symbol(-xi) = conj symbol(xi), so that it maps real fields to real
     fields; only its modes 0..n/2 are read, and the imaginary parts of
     the mean and Nyquist terms are dropped. d1, d2, exp(-i xi alpha) and
-    every symbol built from xi^2 qualify.
-
-    A scalar symbol of shape (n,) multiplies each n-sample block of v, so a
-    stacked state (u, eta) goes through one batched transform. A matrix
-    symbol of shape (m, k, n) maps k stacked fields to m mode by mode: v
-    holds k blocks of n samples and block i of the result (m blocks) is the
-    sum over j of symbol[i, j] times block j. Either way it takes one
-    forward and one batched inverse transform.
+    every symbol built from xi^2 qualify. It multiplies each n-sample
+    block of v, so a stacked state (u, eta) goes through one batched
+    transform pair. fourier_operator applies a matrix symbol.
     """
+    if symbol.ndim != 1:
+        raise ValueError("fourier_apply takes a scalar symbol; use fourier_operator for a matrix")
     v = np.asarray(v, dtype=float)
-    n = symbol.shape[-1]
-    half = symbol[..., :n // 2 + 1]
-    if symbol.ndim == 1:
-        if v.ndim != 1 or v.shape[0] % n:
-            raise ValueError("vector length must be a multiple of the symbol length")
-        return np.fft.irfft(np.fft.rfft(v.reshape(-1, n)) * half, n).reshape(v.shape)
+    n = symbol.shape[0]
+    if v.ndim != 1 or v.shape[0] % n:
+        raise ValueError("vector length must be a multiple of the symbol length")
+    return np.fft.irfft(np.fft.rfft(v.reshape(-1, n)) * symbol[:n // 2 + 1], n).reshape(v.shape)
+
+
+def _symbol_product(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> symbol v mode by mode, as an (m, n) buffer that the next call overwrites.
+
+    symbol, of shape (m, k, n) and Hermitian as for fourier_apply, maps the
+    k blocks of v to m rows: row i is the sum over j, in j order, of
+    symbol[i, j] times block j, from one forward and one batched inverse
+    transform. Its columns on modes 0..n/2 and the buffers are made here.
+    """
     if symbol.ndim != 3:
         raise ValueError("matrix symbol must have shape (m, k, n)")
-    m, k = symbol.shape[:2]
-    if v.shape != (k * n,):
-        raise ValueError("vector length must be the symbol's field count times its length")
-    v_hat = np.fft.rfft(v.reshape(k, n))
-    return np.fft.irfft((half * v_hat).sum(axis=1), n).reshape(m * n)
+    m, k, n = symbol.shape
+    modes = n // 2 + 1
+    columns = [np.ascontiguousarray(symbol[:, j, :modes]) for j in range(k)]
+    v_hat = np.empty((k, modes), dtype=complex)
+    acc, term = np.empty((2, m, modes), dtype=complex)
+    out = np.empty((m, n))
+
+    def product(v):
+        np.fft.rfft(np.asarray(v, dtype=float).reshape(k, n), out=v_hat)
+        np.multiply(columns[0], v_hat[0], out=acc)
+        for j in range(1, k):
+            np.multiply(columns[j], v_hat[j], out=term)
+            np.add(acc, term, out=acc)
+        return np.fft.irfft(acc, n, out=out)
+
+    return product
 
 
 def fourier_operator(symbol: np.ndarray, fields: Optional[np.ndarray] = None) -> FourierOperator:
-    """The map v -> fourier_apply(symbol, v) - fields v.
+    """The map v -> symbol v mode by mode (_symbol_product, built once), minus fields v.
 
     symbol and fields, when given, have shape (k, k, n): a k x k matrix per
-    mode and per sample. Block i of fields v is the sum over j, in j order,
-    of fields[i, j] times block j of v.
+    mode and per sample; fields v is their product sample by sample
+    (_fields_product). Each apply returns a fresh vector.
     """
     if symbol.ndim != 3 or symbol.shape[0] != symbol.shape[1]:
         raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n)")
     k, _, n = symbol.shape
     if fields is not None and fields.shape != symbol.shape:
         raise ValueError("fields must have the symbol's shape (k, k, n)")
-    terms, product = np.empty(symbol.shape), np.empty((k, n))
+    product = _symbol_product(symbol)
+    coupling = None if fields is None else _fields_product(fields)
 
     def apply(v):
-        v = np.asarray(v, dtype=float)
-        out = fourier_apply(symbol, v)
-        if fields is not None:
-            _subtract_fields(fields, v.reshape(k, n), out.reshape(k, n), terms, product)
-        return out
+        out = product(v)
+        if coupling is None:
+            return out.reshape(k * n).copy()
+        return (out - coupling(np.asarray(v, dtype=float).reshape(k, n))).reshape(k * n)
 
     return FourierOperator(dim=k * n, apply=apply, symbol=symbol, fields=fields)
 
 
-def _subtract_fields(fields, v, out, terms, product):
-    # out -= fields[:, 0] v[0] + fields[:, 1] v[1] + ... for v and out of shape (k, n),
-    # bit for bit: a reduction along a middle axis adds in index order
-    np.multiply(fields, v, out=terms)
-    np.subtract(out, np.add.reduce(terms, axis=1, out=product), out=out)
+def _fields_product(fields):
+    # v -> fields[:, 0] v[0] + fields[:, 1] v[1] + ... for v of shape (k, n), into one
+    # reused buffer, bit for bit: a reduction along a middle axis adds in index order
+    terms, sums = np.empty(fields.shape), np.empty(fields.shape[1:])
+    return lambda v: np.add.reduce(np.multiply(fields, v, out=terms), axis=1, out=sums)
 
 
 def preconditioned_product(A, M) -> Optional[Callable]:
     """r -> (M r, A M r) in one forward and one batched inverse transform, or None.
 
     Defined when A and M are FourierOperators of the same shape and M has
-    no fields. The symbols of M and of A's multiplier times M are stacked
-    once into a (2k, k, n) symbol and split into its k per-field columns,
-    so one transform pair returns M r and the multiplier part of A M r
-    together, equal to fourier_apply of the stacked symbol bit for bit;
-    A's fields times M r is then subtracted as A.apply subtracts it. Both
-    vectors returned are views into one buffer, which the next call
-    overwrites. Any other pair returns None: its product is the
-    composition, M then A.
+    no fields. One _symbol_product of M's symbol stacked over A's times
+    M's, built once, gives M r and the multiplier part of A M r; A's
+    fields times M r is then subtracted as A.apply subtracts it. Returns
+    one (2, dim) buffer, which the next call overwrites. Any other pair
+    returns None: its product is the composition, M then A.
     """
     if not (isinstance(A, FourierOperator) and isinstance(M, FourierOperator)
             and M.fields is None and A.symbol.shape == M.symbol.shape):
         return None
-    stacked = np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)])
-    rows, k, n = stacked.shape
-    modes = n // 2 + 1
-    columns = [np.ascontiguousarray(stacked[:, j, :modes]) for j in range(k)]
-    v_hat = np.empty((k, modes), dtype=complex)
-    acc = np.empty((rows, modes), dtype=complex)
-    term = np.empty_like(acc)
-    out = np.empty((rows, n))
-    y, ay = np.split(out.reshape(-1), 2)
-    fields = A.fields
-    terms, product = np.empty((k, k, n)), np.empty((k, n))
+    k = M.symbol.shape[0]
+    product = _symbol_product(
+        np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)]))
+    coupling = None if A.fields is None else _fields_product(A.fields)
 
     def apply(r):
-        np.fft.rfft(np.asarray(r, dtype=float).reshape(k, n), out=v_hat)
-        # sum_j column_j v_hat_j in j order, as (half * v_hat).sum(axis=1) adds
-        np.multiply(columns[0], v_hat[0], out=acc)
-        for j in range(1, k):
-            np.multiply(columns[j], v_hat[j], out=term)
-            np.add(acc, term, out=acc)
-        np.fft.irfft(acc, n, out=out)
-        if fields is not None:
-            _subtract_fields(fields, out[:k], out[k:], terms, product)
-        return y, ay
+        out = product(r)
+        if coupling is not None:
+            out[k:] -= coupling(out[:k])
+        return out.reshape(2, -1)
 
     return apply
 
@@ -385,20 +386,19 @@ def _reflection_block(columns: np.ndarray, fields: Optional[np.ndarray],
 
 @lru_cache(maxsize=16)
 def _symmetry_probes(dim: int):
-    """The two seeded probe vectors of length dim, read-only and shared."""
-    rng = np.random.default_rng(0x5EED)
-    u = rng.standard_normal(dim)
-    w = rng.standard_normal(dim)
-    for a in (u, w):
-        a.flags.writeable = False
-    return u, w
+    """The two seeded probe vectors of length dim, uniform in [-0.5, 0.5), read-only and shared."""
+    # drawn by the standard library: importing numpy.random costs about 11 ms and 6 MiB
+    bits = np.frombuffer(random.Random(0x5EED).randbytes(16 * dim), dtype="<u8")
+    probes = ((bits >> 11) * 2.0 ** -53 - 0.5).reshape(2, dim)
+    probes.flags.writeable = False
+    return tuple(probes)
 
 
 def _check_symmetry(op: LinearOperator) -> None:
     """Refuse an operator that is not symmetric.
 
     A FourierOperator is judged by its data and applied not once: each
-    mode 0..n/2 of its symbol, the modes fourier_apply reads, must be
+    mode 0..n/2 of its symbol, the modes its product reads, must be
     Hermitian, and each sample of its fields symmetric, each to 1e-12 of
     its largest modulus. Any other operator must pass a probe:
     <Au, w> = <u, Aw> for two seeded vectors, to 1e-8 relative.

@@ -8,7 +8,8 @@ from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
                                  periodic_wrap, precond_operator, propagate, propagation_schedule,
                                  translation_action, translation_shift)
 from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_apply,
-                             fourier_symbols, hermitian_2x2_function, materialize, minres,
+                             fourier_operator, fourier_symbols, hermitian_2x2_function,
+                             materialize, minres,
                              preconditioned_product, reflection_blocks)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
@@ -158,11 +159,12 @@ def test_real_transforms_match_the_complex_fft_definition():
     a22 = -(1.0 - params.c * xi ** 2)
     s_symbol = np.array([[-np.ones(512), a12], [a12, a22]])
     v = np.random.default_rng(18).standard_normal(1024)  # every mode, Nyquist included
-    symbols = (d1, d2, np.exp(-1j * xi * 0.123), s_symbol,
-               hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
-               hermitian_2x2_function(-1.0, a12, a22, lambda lam: 1.0 / np.abs(lam)))
-    for symbol in symbols:
+    for symbol in (d1, d2, np.exp(-1j * xi * 0.123)):
         assert _rel_err(fourier_apply(symbol, v), _complex_fft_apply(symbol, v)) <= 1e-13
+    # a matrix symbol goes through its Fourier operator
+    for symbol in (s_symbol, hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
+                   hermitian_2x2_function(-1.0, a12, a22, lambda lam: 1.0 / np.abs(lam))):
+        assert _rel_err(fourier_operator(symbol).apply(v), _complex_fft_apply(symbol, v)) <= 1e-13
 
 
 def test_residual_and_jacobian_match_the_d2_formulas():

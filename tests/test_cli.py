@@ -872,3 +872,17 @@ def test_python_dash_m_orbitfix(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "orbitfix"], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 1
+
+
+def test_ring_minres_solve_does_not_import_numpy_random(tmp_path):
+    # MINRES probes the ring's plain Jacobian for symmetry with vectors drawn
+    # by the standard library, so no command pays for numpy.random's import
+    paths = [str(Path(orbitfix.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = ("import sys; from orbitfix.cli import main; "
+              "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, "nbody", "solve", "--method", "newton",
+                           "--inner-solver", "minres", "--bodies", "16", "--perturb", "ones",
+                           "--eps", "0.03", "--tol", "1e-10", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr

@@ -7,7 +7,7 @@ from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, preco
 from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, build_nbody,
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry, _is_symmetric, as_operator,
+                             _check_symmetry, _is_symmetric, _symbol_product, as_operator,
                              dense_eigenvalues, fourier_apply, fourier_operator,
                              fourier_symbols, hermitian_2x2_function, materialize, minres, pcg,
                              preconditioned_product, reflection_blocks)
@@ -80,7 +80,7 @@ def test_fourier_apply_rejects_partial_blocks():
         fourier_apply(fourier_symbols(8, 1.0)[1], np.ones(12))
 
 
-def test_fourier_apply_matrix_symbol_equals_per_mode_product():
+def test_symbol_product_equals_per_mode_product():
     # a real-to-real map needs a Hermitian symbol; a real one must be even in the mode
     n = 16
     rng = np.random.default_rng(11)
@@ -91,18 +91,46 @@ def test_fourier_apply_matrix_symbol_equals_per_mode_product():
     out_hat = np.empty((2, n), dtype=complex)
     for m in range(n):
         out_hat[:, m] = symbol[:, :, m] @ v_hat[:, m]
-    expected = np.fft.ifft(out_hat).real.reshape(-1)
-    assert np.allclose(fourier_apply(symbol, v), expected, rtol=0.0, atol=1e-13)
+    expected = np.fft.ifft(out_hat).real
+    assert np.allclose(_symbol_product(symbol)(v), expected, rtol=0.0, atol=1e-13)
+    assert np.allclose(fourier_operator(symbol).apply(v), expected.reshape(-1),
+                       rtol=0.0, atol=1e-13)
 
 
 def test_fourier_apply_matrix_symbol_rejects_bad_shapes():
-    symbol = np.ones((2, 2, 8))
+    # fourier_apply takes scalar symbols only; the product of a matrix symbol
+    # refuses a vector that is not its field count times its length
+    for symbol in (np.ones((2, 2, 8)), np.ones((2, 3, 8))):
+        with pytest.raises(ValueError, match="fourier_operator"):
+            fourier_apply(symbol, np.ones(symbol.shape[1] * 8))
+    product = _symbol_product(np.ones((2, 2, 8)))
+    for bad in (np.ones(8), np.ones(24)):
+        with pytest.raises(ValueError):
+            product(bad)
     with pytest.raises(ValueError):
-        fourier_apply(symbol, np.ones(8))
-    with pytest.raises(ValueError):
-        fourier_apply(symbol, np.ones(24))
-    with pytest.raises(ValueError):
-        fourier_apply(np.ones((2, 3, 8)), np.ones(16))
+        _symbol_product(np.ones((2, 8)))
+
+
+def _hermitian_symbol(rng, shape, complex_part):
+    # symbol(-xi) = conj symbol(xi): real and even, or complex with an odd imaginary part
+    symbol = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_part else 0)
+    return symbol + symbol[..., (-np.arange(shape[-1])) % shape[-1]].conj()
+
+
+@pytest.mark.parametrize("complex_part", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("rows", [1, 2], ids=["square", "stacked"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbol_product_is_the_summed_broadcast_bit_for_bit(k, rows, complex_part):
+    # the kernel adds each row's terms in j order, as a sum over the middle axis does
+    n = 32
+    rng = np.random.default_rng(20 + k)
+    symbol = _hermitian_symbol(rng, (rows * k, k, n), complex_part)
+    v = rng.standard_normal(k * n)
+    half = symbol[..., :n // 2 + 1]
+    expected = np.fft.irfft((half * np.fft.rfft(v.reshape(k, n))).sum(axis=1), n)
+    out = _symbol_product(symbol)(v)
+    assert out.shape == (rows * k, n)
+    assert np.array_equal(out, expected)
 
 
 def _even_symbol(rng, shape):
@@ -112,17 +140,16 @@ def _even_symbol(rng, shape):
     return symbol + symbol.transpose(1, 0, 2) if shape[0] == shape[1] else symbol
 
 
-def test_fourier_apply_rectangular_symbol_stacks_its_rows():
-    # an (m, k, n) symbol maps k fields to m; row block i is the (1, k, n) symbol's image
+def test_symbol_product_of_a_rectangular_symbol_stacks_its_rows():
+    # an (m, k, n) symbol maps k fields to m; row i is the (1, k, n) symbol's image
     n = 16
     rng = np.random.default_rng(12)
     symbol = _even_symbol(rng, (3, 2, n))
     v = rng.standard_normal(2 * n)
-    out = fourier_apply(symbol, v)
-    assert out.shape == (3 * n,)
+    out = _symbol_product(symbol)(v).copy()
+    assert out.shape == (3, n)
     for i in range(3):
-        assert np.allclose(out[i * n:(i + 1) * n], fourier_apply(symbol[i:i + 1], v),
-                           rtol=0.0, atol=1e-14)
+        assert np.allclose(out[i], _symbol_product(symbol[i:i + 1])(v)[0], rtol=0.0, atol=1e-14)
 
 
 # ---------------- Fourier operators ----------------
@@ -151,8 +178,8 @@ def test_fourier_operator_applies_symbol_minus_pointwise():
     # the fields' sum in j order, as a hand-written coupling adds it
     coupling = np.concatenate([fields[0, 0] * vu + fields[0, 1] * ve,
                                fields[1, 0] * vu + fields[1, 1] * ve])
-    assert np.array_equal(A.apply(v), fourier_apply(A.symbol, v) - coupling)
-    assert np.array_equal(M.apply(v), fourier_apply(M.symbol, v))
+    assert np.array_equal(A.apply(v), _symbol_product(A.symbol)(v).reshape(-1) - coupling)
+    assert np.array_equal(M.apply(v), _symbol_product(M.symbol)(v).reshape(-1))
     dense = materialize(A)
     assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
     for bad in (np.ones(8), np.ones((2, 3, 8))):
@@ -160,6 +187,19 @@ def test_fourier_operator_applies_symbol_minus_pointwise():
             fourier_operator(bad)
     with pytest.raises(ValueError, match="fields"):
         fourier_operator(A.symbol, fields[:, :, :8])
+
+
+def test_fourier_operator_apply_returns_a_fresh_vector():
+    # the product's buffers stay inside the operator: no result is overwritten later
+    n = 16
+    A, M, _, rng = _fourier_pair(n, 16)
+    r, s = rng.standard_normal((2, 2 * n))
+    for op in (A, M):
+        first = op.apply(r)
+        kept = first.copy()
+        second = op.apply(s)
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, kept) and np.array_equal(op.apply(r), kept)
 
 
 def test_preconditioned_product_equals_the_composition():
