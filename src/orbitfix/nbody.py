@@ -76,37 +76,38 @@ def polygon_solution(n: int) -> np.ndarray:
     return q
 
 
-def _positions(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
+def _positions(config: NBodyConfig, q: np.ndarray):
+    """Coordinates and squared radii of q, checked against the center."""
     q = np.asarray(q, dtype=float)
     if q.shape != (2 * config.n,):
         raise ValueError("state length must be twice the body count")
-    return q.reshape(config.n, 2)
-
-
-def _pairs(config: NBodyConfig, q: np.ndarray):
-    """Coordinates, squared radii and pair offsets of q, collision-checked.
-
-    dx[j, i] = x_j - x_i and likewise dy; the squared pair distances d2
-    carry inf on the diagonal, so self-pairs vanish from every inverse power.
-    """
-    pos = _positions(config, q)
-    x, y = pos[:, 0], pos[:, 1]
+    x, y = q[0::2], q[1::2]
     r2 = x * x + y * y
     if (r2 < _COLLISION_EPS ** 2).any():
         raise ValueError("body collides with the center")
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
+    return x, y, r2
+
+
+def _pairs(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
+    """Pair offsets of bodies lo..hi-1 against every body, collision-checked.
+
+    dx[k, i] = x_{lo+k} - x_i and likewise dy; the squared pair distances d2
+    carry inf at the self-pairs, so they vanish from every inverse power.
+    """
+    dx = x[lo:hi, None] - x[None, :]
+    dy = y[lo:hi, None] - y[None, :]
     d2 = dx * dx + dy * dy
-    d2.flat[::config.n + 1] = np.inf
+    d2.flat[lo::x.size + 1] = np.inf
     if (d2 < _COLLISION_EPS ** 2).any():
         raise ValueError("two ring bodies collide")
-    return x, y, r2, dx, dy, d2
+    return dx, dy, d2
 
 
 def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Gradient of the interaction potential at q."""
     a, b = config.coefficients
-    x, y, r2, dx, dy, d2 = _pairs(config, q)
+    x, y, r2 = _positions(config, q)
+    dx, dy, d2 = _pairs(x, y, 0, config.n)
     central = a * r2 ** -1.5
     pair = b * d2 ** -1.5
     g = np.empty(2 * config.n)
@@ -115,32 +116,49 @@ def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     return g
 
 
+# hess_U forms its pair terms this many body pairs (32 KiB an array) at a
+# time, so its temporaries stay a few cache-sized blocks beside the output
+# instead of eight whole-ring n x n arrays; rings of up to 64 bodies take one
+_PAIR_BLOCK = 4096
+
+
 def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Hessian of the interaction potential at q (dense, symmetric).
 
     Body j's 2x2 block against body i != j is b (I/d^3 - 3 r r^T/d^5)
     with r = q_j - q_i; each diagonal block is the central term
-    -a (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks.
+    -a (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks. The
+    rows are built _PAIR_BLOCK pairs at a time, straight into H.
     """
     a, b = config.coefficients
-    x, y, r2, dx, dy, d2 = _pairs(config, q)
+    x, y, r2 = _positions(config, q)
     n = config.n
-    inv3 = d2 ** -1.5
-    inv5 = inv3 / d2
-    hxx = b * (inv3 - 3.0 * dx * dx * inv5)
-    hxy = -3.0 * b * dx * dy * inv5
-    hyy = b * (inv3 - 3.0 * dy * dy * inv5)
     central3 = a * r2 ** -1.5
     central5 = 3.0 * central3 / r2
-    hxx.flat[::n + 1] = central5 * x * x - central3 - hxx.sum(axis=1)
-    hxy.flat[::n + 1] = central5 * x * y - hxy.sum(axis=1)
-    hyy.flat[::n + 1] = central5 * y * y - central3 - hyy.sum(axis=1)
-    H = np.empty((2 * n, 2 * n))
-    H[0::2, 0::2] = hxx
-    H[0::2, 1::2] = hxy
-    H[1::2, 0::2] = hxy
-    H[1::2, 1::2] = hyy
-    return H
+    cxx = central5 * x * x - central3
+    cxy = central5 * x * y
+    cyy = central5 * y * y - central3
+    H = np.empty((n, 2, n, 2))
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dx, dy, d2 = _pairs(x, y, lo, hi)
+        inv3 = d2 ** -1.5
+        inv5 = inv3 / d2
+        hxx = b * (inv3 - 3.0 * dx * dx * inv5)
+        hxy = -3.0 * b * dx * dy * inv5
+        hyy = b * (inv3 - 3.0 * dy * dy * inv5)
+        hxx.flat[lo::n + 1] = cxx[lo:hi] - hxx.sum(axis=1)
+        hxy.flat[lo::n + 1] = cxy[lo:hi] - hxy.sum(axis=1)
+        hyy.flat[lo::n + 1] = cyy[lo:hi] - hyy.sum(axis=1)
+        block = H[lo:hi]
+        block[:, 0, :, 0] = hxx
+        block[:, 0, :, 1] = hxy
+        block[:, 1, :, 0] = hxy
+        block[:, 1, :, 1] = hyy
+        # free this block's arrays before the next block forms its own
+        del dx, dy, d2, inv3, inv5, hxx, hxy, hyy
+    return H.reshape(2 * n, 2 * n)
 
 
 def build_nbody(config: NBodyConfig) -> ProblemSpec:

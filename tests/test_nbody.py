@@ -229,7 +229,8 @@ def test_euler_identity():
     assert np.allclose(hess_U(cfg, q) @ q, -2.0 * grad_U(cfg, q), atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 16])
+# 65 bodies take row blocks of 63 and 2, 130 bodies four of 31 and one of 6
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 65, 130])
 def test_potential_matches_loop_reference(n):
     rng = np.random.default_rng(100 + n)
     cfg = NBodyConfig(n=n, m0=rng.uniform(0.0, 10.0))
@@ -274,6 +275,28 @@ def test_collision_raises():
         # the diagonal must not hide a collision between distinct bodies
         with pytest.raises(ValueError, match="two ring bodies collide"):
             potential(three, np.array([1.0, 0.5, -1.0, 0.0, 1.0, 0.5]))
+        # the same in hess_U's fourth row block (bodies 93-123), whose self-pair
+        # mask starts at the block's first row
+        q = polygon_solution(130)
+        q[240:244] = q[200:204]
+        with pytest.raises(ValueError, match="two ring bodies collide"):
+            potential(NBodyConfig(n=130, m0=1.0), q)
+
+
+def test_hessian_temporaries_stay_bounded():
+    import tracemalloc
+
+    cfg = NBodyConfig(n=256, m0=10.0)
+    q = polygon_solution(256)
+    tracemalloc.start()
+    try:
+        H = hess_U(cfg, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # row blocks of _PAIR_BLOCK pairs beside the 2 MiB output; whole-ring
+    # pair arrays would add 0.5 MiB each
+    assert peak <= 1.5 * H.nbytes
 
 
 # ---------------- fixed-point map ----------------
