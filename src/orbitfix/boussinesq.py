@@ -49,11 +49,11 @@ def _check_grid_size(n: int):
 
 @dataclass(frozen=True)
 class BSParams:
-    """Wave speed, grid, and the dispersion coefficients derived from theta2.
+    """Wave speed, grid, and the coefficients derived from theta2.
 
-    The modelling parameter theta2 fixes c = 2/3 - theta2 and
-    b = d = (theta2 - 1/3)/2; equal b and d make the travelling-wave
-    Jacobian symmetric.
+    The modelling parameter theta2 fixes c = 2/3 - theta2 and the one
+    dispersion coefficient b = (theta2 - 1/3)/2, shared by both fields,
+    which makes the travelling-wave Jacobian symmetric.
     """
 
     theta2: float
@@ -62,7 +62,6 @@ class BSParams:
     half_length: float = 50.0
     c: float = field(init=False)
     b: float = field(init=False)
-    d: float = field(init=False)
 
     def __post_init__(self):
         if not (2.0 / 3.0 < self.theta2 <= 1.0):
@@ -74,7 +73,6 @@ class BSParams:
             raise ValueError("half_length must be positive and finite")
         object.__setattr__(self, "c", 2.0 / 3.0 - self.theta2)
         object.__setattr__(self, "b", 0.5 * (self.theta2 - 1.0 / 3.0))
-        object.__setattr__(self, "d", 0.5 * (self.theta2 - 1.0 / 3.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +169,11 @@ def periodic_wrap(v: float, half_length: float) -> float:
     return half_length if v == -half_length else v
 
 
-def _field_center(v: np.ndarray, half_length: float) -> float:
-    # first Fourier mode relative to the cell center locates the bump
+def _field_center(v: np.ndarray, half_length: float) -> Optional[float]:
+    # first Fourier mode relative to the cell center locates the bump; None if it is too small
     m1 = -np.fft.rfft(np.asarray(v, dtype=float))[1]
     if abs(m1) < 1e-13:
-        raise ValueError("first Fourier mode too small to locate the wave")
+        return None
     return periodic_wrap(-(half_length / np.pi) * float(np.angle(m1)), half_length)
 
 
@@ -192,7 +190,10 @@ def translation_shift(w, half_length: float, component: str = "eta") -> float:
     if component not in ("eta", "u"):
         raise ValueError("component must be 'eta' or 'u'")
     u, eta = w.reshape(2, -1)
-    return _field_center(eta if component == "eta" else u, half_length)
+    center = _field_center(eta if component == "eta" else u, half_length)
+    if center is None:
+        raise ValueError("first Fourier mode too small to locate the wave")
+    return center
 
 
 def translation_action(params: BSParams) -> GroupAction:
@@ -204,11 +205,12 @@ def translation_action(params: BSParams) -> GroupAction:
     only on fields without a Nyquist mode (or at shifts that are whole
     multiples of the grid step). align reads the shift from the first
     Fourier mode of eta: exact between translates, and otherwise an
-    element whose distance bounds the L2 orbit distance from above.
+    element whose distance bounds the L2 orbit distance from above. An eta
+    with no first mode, as at w = 0, a one-point orbit, aligns at 0: the reference.
     """
     n = params.n
     L = params.half_length
-    xi, d1, _ = fourier_symbols(n, L)
+    xi, d1 = fourier_symbols(n, L)
 
     def act(alpha, w):
         return fourier_apply(np.exp(-1j * xi * float(alpha)), w)
@@ -217,7 +219,8 @@ def translation_action(params: BSParams) -> GroupAction:
         return [-fourier_apply(d1, w)]
 
     def align(x, xref):
-        return periodic_wrap(_field_center(x[n:], L) - _field_center(xref[n:], L), L)
+        center, ref_center = _field_center(x[n:], L), _field_center(xref[n:], L)
+        return 0.0 if None in (center, ref_center) else periodic_wrap(center - ref_center, L)
 
     return GroupAction(act=act, generators=generators, align=align)
 
@@ -349,17 +352,19 @@ def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
 
 
 def _half_spectrum_symbols(params: BSParams):
-    """(d1, swap, quad) on modes 0..n/2, with m_u and m_eta as in propagate.
+    """(d1, swap, quad) on modes 0..n/2 of the lab-frame evolution -m P (S_0 v - N(v)).
 
-    w_dot^ has the rows swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^.
+    K = -m P S_0 has the rows swap = (-m a22, -m a11) of _linear_symbol, and
+    m P N weights the products by quad = (m/2, m): w_dot^ has the rows
+    swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^.
     """
     half = params.n // 2 + 1
-    xi, d1, _ = fourier_symbols(params.n, params.half_length)
+    xi, d1 = fourier_symbols(params.n, params.half_length)
     xi, d1 = xi[:half], d1[:half]
-    mult_u = -d1 / (1.0 + params.d * xi ** 2)
-    mult_eta = -d1 / (1.0 + params.b * xi ** 2)
-    swap = np.stack([mult_u * (1.0 - params.c * xi ** 2), mult_eta])
-    return d1, swap, np.stack([0.5 * mult_u, mult_eta])
+    a11, _, a22 = _linear_symbol(params)
+    m = -d1 / (1.0 + params.b * xi ** 2)
+    # -m a22 and -m a11 in the forms whose zeros carry the signs of m (1 - c xi^2) and m
+    return d1, np.stack([m * -a22[:half], -(m * a11)]), np.stack([0.5 * m, m])
 
 
 def propagation_schedule(dt: float, t_end: float,
@@ -391,14 +396,13 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     """Fourth-order exponential time stepping of the evolution system.
 
     eta_t = -(1 - b dxx)^{-1} dx(u + eta u)
-    u_t   = -(1 - d dxx)^{-1} dx(eta + c eta_xx + u^2/2)
+    u_t   = -(1 - b dxx)^{-1} dx(eta + c eta_xx + u^2/2)
 
-    The state is the half spectrum (u^, eta^). With the multipliers
-    m_u = -i xi/(1 + d xi^2) and m_eta = -i xi/(1 + b xi^2), the derivatives
-    are u_dot^ = m_u ((1 - c xi^2) eta^ + (u^2/2)^) and
-    eta_dot^ = m_eta (u^ + (eta u)^): a linear part K that swaps the two
-    rows, with K^2 = -omega^2 I, plus weighted products. Each evaluation of
-    the products sends the state through one batched inverse real transform
+    The state is the half spectrum (u^, eta^). With m = -i xi/(1 + b xi^2),
+    P the row swap and S_0 the speed-0 part of S, the derivative is
+    -m P (S_0 w - N(w)): a linear part K = -m P S_0 that swaps the two rows,
+    with K^2 = -omega^2 I, plus weighted products. Each evaluation of the
+    products sends the state through one batched inverse real transform
     to get u and eta, and (u^2, eta u) through one batched real transform
     back: 4 transform rows, 4 evaluations a step. Stages are accumulated in
     place in preallocated buffers; no stage allocates an array.
@@ -407,12 +411,14 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     v(x, t) = w(x + cs t, t), which obeys v_t = f(v) + cs dx v, by ETDRK4:
     the linear part cs d1 I + K is integrated exactly per mode, with the
     coefficients of Cox and Matthews built from the phi-functions at the
-    step (_etdrk4_level). The default cs = 0 is the lab frame. A solitary wave at
-    speed cs is an equilibrium of its frame, which the exponential
-    integrator keeps to the size of its residual |F|; the step is bound
-    only by the dynamics off the wave. Snapshots are carried back to the
-    lab frame by the symbol exp(-cs t d1), 1 at cs = 0. Both multipliers
-    zero the Nyquist mode, so the Nyquist coefficients never change.
+    step (_etdrk4_level). The default cs = 0 is the lab frame. As
+    -m P S = cs d1 I + K for S at speed cs, the frame's evolution is
+    -m P (S v - N(v)): a solitary wave at speed cs is an equilibrium of its
+    frame by construction, which the exponential integrator keeps to the
+    size of its residual |F|; the step is bound only by the dynamics off
+    the wave. Snapshots are carried back to the lab frame by the symbol
+    exp(-cs t d1), 1 at cs = 0. m zeroes the Nyquist mode, so the Nyquist
+    coefficients never change.
 
     dt is the finest step. In a moving frame the run skips the steps that
     change nothing by step doubling: level j steps 2^j dt, and an interval

@@ -8,8 +8,8 @@ SUMMARY_SCHEMA, from that. A non-finite number is written as null.
 solve and orbit are one command for both problems (cmd_solve), over a
 per-problem record (_Problem) built from the arguments.
 wall_time_s runs from after parsing to just before summary.json is
-written. Exit codes: 0 converged/success, 1 usage or configuration
-error, 2 iteration limit, 3 divergence.
+written. Exit codes: 0 converged/success, 1 usage or configuration error,
+2 iteration limit, 3 divergence, colliding ring bodies included.
 """
 
 from __future__ import annotations
@@ -183,10 +183,6 @@ def _add_solver_flags(p, methods, default_tol):
                    help="relative tolerance of each Newton inner solve; on a quotient "
                         "(deflated) solve, the floor of its Eisenstat-Walker forcing term")
     p.add_argument("--inner-maxit", type=int, default=500, dest="inner_maxit")
-
-
-def _add_common_flags(p):
-    p.add_argument("--out", default="./out")
 
 
 def _add_perturb_flags(p, kinds):
@@ -468,7 +464,7 @@ def _build_parser() -> _Parser:
     def nbody_common(p):
         p.add_argument("--bodies", type=int, default=2)
         p.add_argument("--m0", type=float, default=10.0)
-        _add_common_flags(p)
+        p.add_argument("--out", default="./out")
 
     for name in ("solve", "orbit"):
         p = nbody_cmds.add_parser(name)
@@ -491,7 +487,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--cs", type=float, default=None)
         p.add_argument("--grid-n", type=int, default=1024, dest="grid_n")
         p.add_argument("--half-length", type=float, default=50.0, dest="half_length")
-        _add_common_flags(p)
+        p.add_argument("--out", default="./out")
 
     def bs_solver(p):
         bs_common(p)

@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .numlin import LinearOperator, fourier_operator, hermitian_2x2_function
-from .solvers import HomogeneousSplit, ProblemSpec
+from .solvers import DomainError, HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
 __all__ = [
@@ -77,19 +77,19 @@ def polygon_solution(n: int) -> np.ndarray:
 
 
 def _positions(config: NBodyConfig, q: np.ndarray):
-    """Coordinates and squared radii of q, checked against the center."""
+    """Coordinates and squared radii of q; DomainError when a body meets the center."""
     q = np.asarray(q, dtype=float)
     if q.shape != (2 * config.n,):
         raise ValueError("state length must be twice the body count")
     x, y = q[0::2], q[1::2]
     r2 = x * x + y * y
     if (r2 < _COLLISION_EPS ** 2).any():
-        raise ValueError("body collides with the center")
+        raise DomainError("body collides with the center")
     return x, y, r2
 
 
 def _pairs(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
-    """Pair offsets of bodies lo..hi-1 against every body, collision-checked.
+    """Pair offsets of bodies lo..hi-1 against every body; DomainError on a collision.
 
     dx[k, i] = x_{lo+k} - x_i and likewise dy; the squared pair distances d2
     carry inf at the self-pairs, so they vanish from every inverse power.
@@ -99,7 +99,7 @@ def _pairs(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
     d2 = dx * dx + dy * dy
     d2.flat[lo::x.size + 1] = np.inf
     if (d2 < _COLLISION_EPS ** 2).any():
-        raise ValueError("two ring bodies collide")
+        raise DomainError("two ring bodies collide")
     return dx, dy, d2
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "FourierOperator",
     "KrylovStats",
     "SpectrumReport",
-    "as_operator",
     "materialize",
     "fourier_symbols",
     "fourier_apply",
@@ -102,16 +101,6 @@ class SpectrumReport:
     block_near_zero: Tuple[int, ...]
 
 
-def as_operator(A) -> LinearOperator:
-    """Wrap a square matrix (or pass through a LinearOperator)."""
-    if isinstance(A, LinearOperator):
-        return A
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
-    return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v)
-
-
 def _is_symmetric(M: np.ndarray, atol: float) -> bool:
     """Whether |M[i, j] - M[j, i]| <= atol for all i, j; a NaN fails.
 
@@ -142,19 +131,18 @@ def materialize(op: LinearOperator) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def fourier_symbols(n: int, half_length: float):
-    """Wavenumbers xi and the symbols of d/dx and d2/dx2 on n samples of [-L, L).
+    """Wavenumbers xi and the symbol of d/dx on n samples of [-L, L).
 
-    Returns read-only arrays (xi, d1, d2) with d1 = i*xi and d2 = -xi^2,
-    shared between callers. d1 zeroes the Nyquist mode, which has no
-    consistent odd-order derivative on an even grid.
+    Returns read-only arrays (xi, d1) with d1 = i*xi, shared between
+    callers. d1 zeroes the Nyquist mode, which has no consistent odd-order
+    derivative on an even grid.
     """
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
     d1 = 1j * xi
     d1[n // 2] = 0.0
-    d2 = -(xi ** 2)
-    for a in (xi, d1, d2):
+    for a in (xi, d1):
         a.flags.writeable = False
-    return xi, d1, d2
+    return xi, d1
 
 
 def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,7 +151,7 @@ def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     The symbol is laid out like np.fft.fftfreq and must be Hermitian,
     symbol(-xi) = conj symbol(xi), so that it maps real fields to real
     fields; only its modes 0..n/2 are read, and the imaginary parts of
-    the mean and Nyquist terms are dropped. d1, d2, exp(-i xi alpha) and
+    the mean and Nyquist terms are dropped. d1, exp(-i xi alpha) and
     every symbol built from xi^2 qualify. It multiplies each n-sample
     block of v, so a stacked state (u, eta) goes through one batched
     transform pair. fourier_operator applies a matrix symbol.
@@ -419,15 +407,15 @@ def _check_symmetry(op: LinearOperator) -> None:
         raise ValueError("operator failed the symmetry probe")
 
 
-def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
+def minres(op: LinearOperator, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
            precond: Optional[LinearOperator] = None):
-    """Minimum-residual iteration for symmetric (possibly indefinite) systems.
+    """Minimum-residual iteration for a symmetric (possibly indefinite) operator.
 
-    precond, when given, is an operator whose apply method applies a
-    symmetric positive definite approximation M of A^{-1}.
-    Each iteration applies M to the new residual r and A to M r; when A
+    precond, when given, is an operator that applies a symmetric positive
+    definite approximation M of op^{-1}.
+    Each iteration applies M to the new residual r and op to M r; when op
     and M are Fourier operators that preconditioned_product fuses, both
-    come from one transform pair, else M and then A are applied. Returns
+    come from one transform pair, else M and then op are applied. Returns
     (x, KrylovStats) with the true relative residual. Stops on tolerance,
     iteration budget, or stagnation (no residual-estimate decrease over 50
     consecutive iterations).
@@ -436,7 +424,6 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     and rotated by reference; every update keeps the operand order of the
     plain expressions, so the result is the same to the bit.
     """
-    op = as_operator(A)
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise ValueError("right-hand side length does not match operator dimension")
@@ -536,16 +523,14 @@ def minres(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 500,
     return x, KrylovStats(it, math.sqrt(tmp.dot(tmp)) / bnorm, False)
 
 
-def pcg(A, b: np.ndarray,
-        precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+def pcg(op: LinearOperator, b: np.ndarray, precond: Optional[LinearOperator] = None,
         tol: float = 1e-10, maxit: int = 500):
-    """Preconditioned conjugate gradients.
+    """Preconditioned conjugate gradients; precond, when given, is an operator.
 
     Indefiniteness (a nonpositive curvature or preconditioned inner product)
     is reported through KrylovStats.breakdown, not an exception; the current
     iterate is returned so callers can switch methods.
     """
-    op = as_operator(A)
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise ValueError("right-hand side length does not match operator dimension")
@@ -555,7 +540,7 @@ def pcg(A, b: np.ndarray,
     if bnorm == 0.0:
         return np.zeros(op.dim), KrylovStats(0, 0.0, False)
 
-    apply_m = precond if precond is not None else (lambda v: v)
+    apply_m = precond.apply if precond is not None else (lambda v: v)
     x = np.zeros(op.dim)
     r = b.copy()
     z = np.asarray(apply_m(r), dtype=float)

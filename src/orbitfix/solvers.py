@@ -25,6 +25,7 @@ __all__ = [
     "MAX_ITERATIONS",
     "DIVERGED",
     "STATUSES",
+    "DomainError",
     "HomogeneousSplit",
     "ProblemSpec",
     "SolverConfig",
@@ -51,6 +52,10 @@ STATUSES = (CONVERGED_RESIDUAL, CONVERGED_REFERENCE, MAX_ITERATIONS, DIVERGED)
 
 # a residual above this classifies the run as Diverged
 DIVERGENCE_CAP = 1e8
+
+
+class DomainError(ValueError):
+    """F or G at a point outside the problem's domain: the drivers end the run Diverged there."""
 
 
 @dataclass(frozen=True)
@@ -248,9 +253,13 @@ def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: Solve
     trace: List[TraceRow] = []
     mix = AndersonMixer(config.anderson) if config.anderson else None
     for n in range(config.max_outer + 1):
-        gx, s, nxt = step(x)
-        residual = _norm(x - gx)
         ref_error = None if reference is None else _norm(x - reference)
+        try:
+            gx, s, nxt = step(x)
+        except DomainError as error:
+            trace.append(TraceRow(n, math.nan, ref_error))
+            return _outcome(DIVERGED, x, trace, math.nan, config, f"iterate {n}: {error}")
+        residual = _norm(x - gx)
         f_norm = None
         if tol_on_F and residual <= config.tol_residual:
             f_norm = float(np.linalg.norm(F(x)))
@@ -406,9 +415,13 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     prev_residual = None
     prev_budget_hit = False
     for n in range(config.max_outer + 1):
-        fx = np.asarray(problem.F(x), dtype=float)
-        residual = _norm(fx)
         ref_error = None if reference is None else _norm(x - reference)
+        try:
+            fx = np.asarray(problem.F(x), dtype=float)
+        except DomainError as error:
+            trace.append(TraceRow(n, math.nan, ref_error))
+            return _outcome(DIVERGED, x, trace, math.nan, config, f"iterate {n}: {error}")
+        residual = _norm(fx)
         status = _classify(n, residual, ref_error, config)
         if status is not None:
             trace.append(TraceRow(n, residual, ref_error))

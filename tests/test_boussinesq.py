@@ -50,12 +50,12 @@ def test_derived_coefficients():
     p = _params()
     assert abs(p.c - (2.0 / 3.0 - THETA2)) < 1e-15
     assert abs(p.b - (THETA2 - 1.0 / 3.0) / 2.0) < 1e-15
-    assert p.b == p.d
 
 
 @pytest.mark.parametrize("name", ["c", "b", "d"])
 def test_derived_coefficients_are_not_arguments(name):
-    # c, b and d follow from theta2, so none is a constructor argument
+    # c and b follow from theta2, and b is the one dispersion coefficient (no d),
+    # so none is a constructor argument
     with pytest.raises(TypeError):
         BSParams(theta2=THETA2, speed=2.0, n=64, half_length=10.0, **{name: 0.1})
 
@@ -142,10 +142,11 @@ def _d2_linear_part(params, v):
     # S v written out through d2, as F and the Jacobian used to apply it
     n = params.n
     u, eta = v[:n], v[n:]
-    d2v = _complex_fft_apply(fourier_symbols(n, params.half_length)[2], v)
+    xi = fourier_symbols(n, params.half_length)[0]
+    d2v = _complex_fft_apply(-(xi ** 2), v)
     d2u, d2eta = d2v[:n], d2v[n:]
     return np.concatenate([-u + params.speed * (eta - params.b * d2eta),
-                           params.speed * (u - params.d * d2u) - (eta + params.c * d2eta)])
+                           params.speed * (u - params.b * d2u) - (eta + params.c * d2eta)])
 
 
 def _rel_err(a, b):
@@ -154,12 +155,12 @@ def _rel_err(a, b):
 
 def test_real_transforms_match_the_complex_fft_definition():
     params = _params(n=512, half_length=50.0)
-    xi, d1, d2 = fourier_symbols(512, 50.0)
+    xi, d1 = fourier_symbols(512, 50.0)
     a12 = params.speed * (1.0 + params.b * xi ** 2)
     a22 = -(1.0 - params.c * xi ** 2)
     s_symbol = np.array([[-np.ones(512), a12], [a12, a22]])
     v = np.random.default_rng(18).standard_normal(1024)  # every mode, Nyquist included
-    for symbol in (d1, d2, np.exp(-1j * xi * 0.123)):
+    for symbol in (d1, -(xi ** 2), np.exp(-1j * xi * 0.123)):
         assert _rel_err(fourier_apply(symbol, v), _complex_fft_apply(symbol, v)) <= 1e-13
     # a matrix symbol goes through its Fourier operator
     for symbol in (s_symbol, hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
@@ -728,9 +729,10 @@ def test_exact_profile_wave_is_read_only():
 def _complex_fft_rk4(w, params, dt, nsteps):
     """RK4 with the right-hand side written as five complex transforms."""
     n = params.n
-    xi, d1, lap = fourier_symbols(n, params.half_length)
+    xi, d1 = fourier_symbols(n, params.half_length)
+    lap = -(xi ** 2)
     mult_eta = d1 / (1.0 + params.b * xi ** 2)
-    mult_u = d1 / (1.0 + params.d * xi ** 2)
+    mult_u = d1 / (1.0 + params.b * xi ** 2)
 
     def rhs(state):
         u, eta = state[:n], state[n:]

@@ -375,6 +375,23 @@ def test_nbody_solve_iteration_budget_exit_code(tmp_path):
     assert summary["iterations"] == 3
 
 
+def test_nbody_iterate_outside_the_domain_exits_diverged(tmp_path):
+    # the gap is 2.7e7 at iterate 4, below the divergence cap; iterate 5 puts
+    # body 1 1.3e-15 from the center, where F and G are undefined
+    code = main(["nbody", "solve", "--method", "fixed-point", "--bodies", "2", "--m0", "0",
+                 "--perturb", "ones", "--eps", "-1.5", "--out", str(tmp_path)])
+    assert code == 3
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert (summary["status"], summary["iterations"]) == ("Diverged", 5)
+    assert summary["extras"]["message"] == "iterate 5: body collides with the center"
+    # the terminal row's residual is NaN, which summary.json writes as null
+    assert summary["final_residual"] is None
+    assert _read_trace(tmp_path)[-1]["residual"] == "nan"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bodies.csv", "summary.json",
+                                                         "trace.csv"]
+
+
 def test_nbody_spectrum_closed_form(tmp_path):
     code = main(["nbody", "spectrum", "--m0", "10", "--out", str(tmp_path)])
     assert code == 0
@@ -584,6 +601,29 @@ def test_bs_solve_at_speeds_where_newton_wandered(tmp_path, cs):
     # |F| at the returned wave, not the fixed-point gap the iteration stops on
     assert summary["final_residual"] <= 1e-11
     assert abs(summary["extras"]["x_eta"]) <= 1e-8
+
+
+def test_bs_solve_that_reaches_the_zero_state_reports_its_orbit(tmp_path):
+    # Newton lands on w = 0, which solves F = 0 and which every shift fixes: its
+    # orbit is one point, with no crest to locate, so the orbit is measured
+    # against the reference itself
+    code = main(["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "-3",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = _read_summary(tmp_path)
+    _validate(summary)
+    assert (summary["status"], summary["iterations"]) == ("ConvergedResidual", 6)
+    assert summary["final_residual"] <= 1e-20
+    with open(tmp_path / "profile.csv", newline="") as fh:
+        assert max(abs(float(row["eta"])) for row in csv.DictReader(fh)) <= 1e-20
+    orbit = summary["orbit"]
+    wave_norm = np.linalg.norm(bq.exact_profile(0.9, 256, 25.0).wave)
+    assert orbit["alpha_star"] == 0.0
+    assert orbit["raw_distance"] == pytest.approx(wave_norm, rel=1e-12)
+    assert orbit["orbital_distance"] == pytest.approx(wave_norm, rel=1e-12)
+    assert summary["extras"]["x_u"] is None and summary["extras"]["x_eta"] is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "summary.json",
+                                                         "trace.csv"]
 
 
 def test_bs_solve_prescribed_speed_at_another_theta2(tmp_path):

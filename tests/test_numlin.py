@@ -7,17 +7,23 @@ from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, preco
 from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, build_nbody,
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry, _is_symmetric, _symbol_product, as_operator,
-                             dense_eigenvalues, fourier_apply, fourier_operator,
+                             _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues, fourier_apply, fourier_operator,
                              fourier_symbols, hermitian_2x2_function, materialize, minres, pcg,
                              preconditioned_product, reflection_blocks)
 from reference import fd_jacobian
 
 
+def _operator(M):
+    """The LinearOperator of a square matrix: the form the solvers and materialize take."""
+    M = np.asarray(M, dtype=float)
+    return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v)
+
+
 # ---------------- spectral differentiation by fourier_apply ----------------
 
 def _derivative(v, half_length, order):
-    return fourier_apply(fourier_symbols(v.shape[0], half_length)[order], v)
+    xi, d1 = fourier_symbols(v.shape[0], half_length)
+    return fourier_apply(d1 if order == 1 else -(xi ** 2), v)
 
 
 def test_spectral_derivative_trig_exact():
@@ -48,16 +54,15 @@ def test_spectral_derivative_nyquist_zeroed():
 # ---------------- fourier_symbols / fourier_apply ----------------
 
 def test_fourier_symbols_are_cached_and_read_only():
-    xi, d1, d2 = fourier_symbols(16, 2.0)
-    assert all(a is b for a, b in zip(fourier_symbols(16, 2.0), (xi, d1, d2)))
-    for a in (xi, d1, d2):
+    xi, d1 = fourier_symbols(16, 2.0)
+    assert all(a is b for a, b in zip(fourier_symbols(16, 2.0), (xi, d1)))
+    for a in (xi, d1):
         with pytest.raises(ValueError):
             a[0] = 1.0
-    assert np.array_equal(d2, -(xi ** 2))
 
 
 def test_fourier_symbols_zero_the_nyquist_first_derivative():
-    xi, d1, _ = fourier_symbols(16, 2.0)
+    xi, d1 = fourier_symbols(16, 2.0)
     assert xi[8] != 0.0 and d1[8] == 0.0
     keep = np.arange(16) != 8
     assert np.array_equal(d1[keep], 1j * xi[keep])
@@ -65,9 +70,9 @@ def test_fourier_symbols_zero_the_nyquist_first_derivative():
 
 def test_fourier_apply_blockwise_equals_per_block():
     n, L = 32, 3.0
-    xi, d1, d2 = fourier_symbols(n, L)
+    xi, d1 = fourier_symbols(n, L)
     v = np.random.default_rng(7).standard_normal(3 * n)
-    for symbol in (d1, d2, 1.0 / (1.7 + xi ** 2), np.exp(-1j * xi * 0.37)):
+    for symbol in (d1, -(xi ** 2), 1.0 / (1.7 + xi ** 2), np.exp(-1j * xi * 0.37)):
         half = symbol[:n // 2 + 1]
         per_block = np.concatenate([np.fft.irfft(np.fft.rfft(v[k * n:(k + 1) * n]) * half, n)
                                     for k in range(3)])
@@ -543,7 +548,7 @@ def test_dense_eigenvalues_dimension_guard_applies_per_block():
 def test_materialize_roundtrip():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((5, 5))
-    assert np.allclose(materialize(as_operator(M)), M)
+    assert np.allclose(materialize(_operator(M)), M)
 
 
 # ---------------- minres ----------------
@@ -556,7 +561,7 @@ def _spd(n, seed):
 
 def test_minres_identity_one_iteration():
     b = np.array([1.0, -2.0, 3.0])
-    x, stats = minres(np.eye(3), b)
+    x, stats = minres(_operator(np.eye(3)), b)
     assert np.allclose(x, b, atol=1e-12)
     assert stats.iterations == 1
     assert not stats.breakdown
@@ -565,7 +570,7 @@ def test_minres_identity_one_iteration():
 def test_minres_spd_matches_dense_solve():
     A = _spd(50, 3)
     b = np.random.default_rng(4).standard_normal(50)
-    x, stats = minres(A, b, tol=1e-12, maxit=500)
+    x, stats = minres(_operator(A), b, tol=1e-12, maxit=500)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
     assert stats.relative_residual <= 1e-10
 
@@ -573,7 +578,7 @@ def test_minres_spd_matches_dense_solve():
 def test_minres_indefinite_system():
     A = np.diag([2.0, -1.0, 0.5])
     b = np.array([2.0, 2.0, 1.0])
-    x, stats = minres(A, b, tol=1e-12)
+    x, stats = minres(_operator(A), b, tol=1e-12)
     assert np.allclose(x, [1.0, -2.0, 2.0], atol=1e-10)
 
 
@@ -581,14 +586,14 @@ def test_minres_singular_consistent_system():
     # kernel direction e3 is never excited by a consistent right-hand side
     A = np.diag([1.0, 1.0, 0.0])
     b = np.array([1.0, 2.0, 0.0])
-    x, stats = minres(A, b, tol=1e-12)
+    x, stats = minres(_operator(A), b, tol=1e-12)
     assert abs(x[2]) < 1e-12
     assert np.allclose(x[:2], [1.0, 2.0], atol=1e-10)
     assert stats.relative_residual <= 1e-10
 
 
 def test_minres_zero_rhs():
-    x, stats = minres(np.eye(4), np.zeros(4))
+    x, stats = minres(_operator(np.eye(4)), np.zeros(4))
     assert np.all(x == 0.0)
     assert stats == KrylovStats(0, 0.0, False)
 
@@ -642,19 +647,19 @@ def test_minres_preconditioned():
     A = _spd(40, 5)
     b = np.random.default_rng(6).standard_normal(40)
     d = 1.0 / np.diag(A)
-    x, stats = minres(A, b, tol=1e-12, precond=LinearOperator(dim=40, apply=lambda v: d * v))
+    x, stats = minres(_operator(A), b, tol=1e-12,
+                      precond=LinearOperator(dim=40, apply=lambda v: d * v))
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
 
 
-def _reference_minres(A, b, tol=1e-10, maxit=500, precond=None):
+def _reference_minres(op, b, tol=1e-10, maxit=500, precond=None):
     """MINRES as it was before preconditioned products were fused.
 
     Each iteration applies the preconditioner, a callable, to the new
-    residual and then A to the scaled result. Kept as the reference for the
-    paths that must not change: unpreconditioned, and preconditioned by an
-    operator that does not fuse with A.
+    residual and then the operator op to the scaled result. Kept as the
+    reference for the paths that must not change: unpreconditioned, and
+    preconditioned by an operator that does not fuse with op.
     """
-    op = as_operator(A)
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -725,7 +730,7 @@ def _dense_indefinite():
     rng = np.random.default_rng(21)
     q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     A = (q * np.linspace(-3.0, 5.0, 60)) @ q.T
-    return (A + A.T) / 2.0, rng.standard_normal(60), None
+    return _operator((A + A.T) / 2.0), rng.standard_normal(60), None
 
 
 def _ring_jacobian():
@@ -767,7 +772,7 @@ def test_minres_matches_the_reference_loop_bit_for_bit(case):
 
 def test_minres_takes_a_preconditioner_by_its_apply_method():
     A, b, _ = _dense_indefinite()
-    d = 1.0 / (1.0 + np.abs(np.diag(A)))
+    d = 1.0 / (1.0 + np.abs(np.diag(materialize(A))))
 
     class Diagonal:
         def apply(self, v):
@@ -780,7 +785,7 @@ def test_minres_takes_a_preconditioner_by_its_apply_method():
 
 def test_minres_rhs_length_mismatch():
     with pytest.raises(ValueError):
-        minres(np.eye(3), np.ones(4))
+        minres(_operator(np.eye(3)), np.ones(4))
 
 
 # ---------------- pcg ----------------
@@ -788,7 +793,7 @@ def test_minres_rhs_length_mismatch():
 def test_pcg_spd_matches_dense_solve():
     A = _spd(60, 7)
     b = np.random.default_rng(8).standard_normal(60)
-    x, stats = pcg(A, b, tol=1e-12, maxit=500)
+    x, stats = pcg(_operator(A), b, tol=1e-12, maxit=500)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
     assert not stats.breakdown
 
@@ -797,28 +802,29 @@ def test_pcg_preconditioned_converges_faster():
     A = _spd(60, 9) + np.diag(np.linspace(0.0, 200.0, 60))
     b = np.random.default_rng(10).standard_normal(60)
     d = 1.0 / np.diag(A)
-    x_plain, plain = pcg(A, b, tol=1e-10, maxit=500)
-    x_prec, prec = pcg(A, b, precond=lambda v: d * v, tol=1e-10, maxit=500)
+    x_plain, plain = pcg(_operator(A), b, tol=1e-10, maxit=500)
+    x_prec, prec = pcg(_operator(A), b, precond=LinearOperator(dim=60, apply=lambda v: d * v),
+                       tol=1e-10, maxit=500)
     assert prec.iterations <= plain.iterations
     assert np.allclose(x_prec, np.linalg.solve(A, b), atol=1e-7)
 
 
 def test_pcg_breakdown_on_indefinite():
     A = np.diag([1.0, -1.0])
-    x, stats = pcg(A, np.array([0.0, 1.0]), tol=1e-12, maxit=50)
+    x, stats = pcg(_operator(A), np.array([0.0, 1.0]), tol=1e-12, maxit=50)
     assert stats.breakdown
     # breakdown always leaves budget unused
     assert stats.iterations < 50
 
 
 def test_pcg_zero_rhs():
-    x, stats = pcg(np.eye(3), np.zeros(3))
+    x, stats = pcg(_operator(np.eye(3)), np.zeros(3))
     assert np.all(x == 0.0)
     assert stats.iterations == 0 and not stats.breakdown
 
 
 def test_pcg_identity_single_iteration():
     b = np.array([1.0, 2.0])
-    x, stats = pcg(np.eye(2), b)
+    x, stats = pcg(_operator(np.eye(2)), b)
     assert np.allclose(x, b, atol=1e-14)
     assert stats.iterations == 1
