@@ -7,8 +7,9 @@ from orbitfix.boussinesq import BSParams, build_bs_problem, exact_profile, preco
 from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, build_nbody,
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
-                             _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues, fourier_apply, fourier_operator,
-                             fourier_symbols, hermitian_2x2_function, materialize, minres, pcg,
+                             _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues,
+                             fourier_apply, fourier_operator, fourier_symbols,
+                             hermitian_2x2_function, materialize, minres, pcg,
                              preconditioned_product, reflection_blocks)
 from reference import fd_jacobian
 
