@@ -1,7 +1,7 @@
 """Outer iterations for algebraic systems whose solutions form group orbits.
 
 The three drivers (fixed-point, stabilized fixed-point, Newton-Krylov)
-share one trace format and one status vocabulary, and each outcome
+share one outer loop, trace format and status vocabulary, and each outcome
 carries |F| at the returned state. A run that stalls on the residual may
 still converge to some element of the solution orbit, so traces carry
 both the residual and, when a reference is supplied, the distance to that
@@ -170,38 +170,21 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _classify(n, residual, ref_error, config, accepted=True):
+def _classify(n, residual, ref_error, config, f_norm=None):
     """Shared stopping logic; returns a status or None to continue.
 
-    A residual below tolerance counts as converged only when accepted.
+    A residual below tolerance counts as converged only when f_norm, the
+    |F(x)| measured with it if any, meets tolerance too.
     """
     if not math.isfinite(residual) or residual > DIVERGENCE_CAP:
         return DIVERGED
-    if residual <= config.tol_residual and accepted:
+    if residual <= config.tol_residual and (f_norm is None or f_norm <= config.tol_residual):
         return CONVERGED_RESIDUAL
     if ref_error is not None and ref_error <= config.tol_residual:
         return CONVERGED_REFERENCE
     if n == config.max_outer:
         return MAX_ITERATIONS
     return None
-
-
-def _outcome(status, x, trace, f_norm, config, message=""):
-    """The SolveOutcome of a stop at the trace's last row.
-
-    Two stops can end with |F| above tolerance and no other word of it, so
-    their message names the numbers: a stop on the reference, whatever |F|
-    is, and a stop at the budget whose last residual (the fixed-point
-    drivers' gap) met tolerance while |F| did not.
-    """
-    residual, ref_error, tol = trace[-1].residual, trace[-1].ref_error, config.tol_residual
-    if status == CONVERGED_REFERENCE:
-        message = (f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol "
-                   f"{tol:.3g}, |F(x)| = {f_norm:.3g}")
-    elif status == MAX_ITERATIONS and residual <= tol < f_norm:
-        message = (f"stopped at the budget: the gap |x - G(x)| = {residual:.3g} met tol "
-                   f"{tol:.3g}, |F(x)| = {f_norm:.3g} did not")
-    return SolveOutcome(status, x, trace, f_norm, message)
 
 
 class AndersonMixer:
@@ -239,45 +222,76 @@ class AndersonMixer:
         return g - np.column_stack(self.dg) @ c
 
 
-def _fixed_point_loop(F: Callable, step: Callable, x0: np.ndarray, config: SolverConfig,
-                      reference: Optional[np.ndarray], tol_on_F: bool = False) -> SolveOutcome:
-    """The fixed-point iteration x <- step(x), mixed when config.anderson > 0.
+def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarray,
+                config: SolverConfig, reference: Optional[np.ndarray]) -> SolveOutcome:
+    """The frame every driver shares: a trace row per iterate, one exit.
 
-    step(x) returns (G(x), stabilizing factor or None, next iterate or the
-    reason there is none). Runs classify on the gap |x - G(x)|; with
-    tol_on_F, a gap below tolerance counts as converged only once |F(x)|
-    meets it too. |F(x)| is evaluated at most once per iterate: there, and
-    at the returned iterate.
+    measure(x) returns the residual the run classifies on, |F(x)| or None,
+    the stabilizing factor or None, and what advance reuses.
+    advance(x, residual, reused) returns the next iterate and its row's own
+    fields, or a (status, message) pair that ends the run. A DomainError in
+    either ends the run Diverged. F is evaluated at the returned iterate
+    only when measure gave no |F(x)| there.
+
+    A stop on the reference, whatever |F| is, and a stop at the budget whose
+    last residual (the fixed-point drivers' gap) met tolerance while |F| did
+    not, name their numbers in the message: nothing else would say so.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace: List[TraceRow] = []
-    mix = AndersonMixer(config.anderson) if config.anderson else None
-    for n in range(config.max_outer + 1):
+    tol = config.tol_residual
+    for n in range(config.max_outer + 1):  # _classify ends the run at n == max_outer
         ref_error = None if reference is None else _norm(x - reference)
         try:
-            gx, s, nxt = step(x)
+            residual, f_norm, s, reused = measure(x)
+            status = _classify(n, residual, ref_error, config, f_norm)
+            result = (status, "") if status is not None else advance(x, residual, reused)
         except DomainError as error:
-            trace.append(TraceRow(n, math.nan, ref_error))
-            return _outcome(DIVERGED, x, trace, math.nan, config, f"iterate {n}: {error}")
+            residual, f_norm, s = math.nan, math.nan, None
+            result = (DIVERGED, f"iterate {n}: {error}")
+        if isinstance(result[0], str):
+            break
+        x, fields = result
+        trace.append(TraceRow(n, residual, ref_error, s, **fields))
+    status, message = result
+    trace.append(TraceRow(n, residual, ref_error, s))
+    if f_norm is None:
+        f_norm = float(np.linalg.norm(F(x)))
+    if status == CONVERGED_REFERENCE:
+        message = (f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol "
+                   f"{tol:.3g}, |F(x)| = {f_norm:.3g}")
+    elif status == MAX_ITERATIONS and residual <= tol < f_norm:
+        message = (f"stopped at the budget: the gap |x - G(x)| = {residual:.3g} met tol "
+                   f"{tol:.3g}, |F(x)| = {f_norm:.3g} did not")
+    return SolveOutcome(status, x, trace, f_norm, message)
+
+
+def _fixed_point_iteration(F: Callable, step: Callable, x0: np.ndarray, config: SolverConfig,
+                           reference: Optional[np.ndarray], tol_on_F: bool = False) -> SolveOutcome:
+    """x <- step(x) in _outer_loop, mixed when config.anderson > 0.
+
+    step(x) returns (G(x), stabilizing factor or None, next iterate or the
+    reason there is none). The residual is the gap |x - G(x)|; with
+    tol_on_F, measure also gives |F(x)| once the gap meets tolerance.
+    """
+    mix = AndersonMixer(config.anderson) if config.anderson else None
+
+    def measure(x):
+        gx, s, nxt = step(x)
         residual = _norm(x - gx)
         f_norm = None
         if tol_on_F and residual <= config.tol_residual:
             f_norm = float(np.linalg.norm(F(x)))
-        status = _classify(n, residual, ref_error, config,
-                           accepted=f_norm is None or f_norm <= config.tol_residual)
-        message = ""
-        if status is None and isinstance(nxt, str):
-            status, message = DIVERGED, nxt
-        if status is not None:
-            if f_norm is None:
-                f_norm = float(np.linalg.norm(F(x)))
-            trace.append(TraceRow(n, residual, ref_error, s))
-            return _outcome(status, x, trace, f_norm, config, message)
+        return residual, f_norm, s, nxt
+
+    def advance(x, residual, nxt):
+        if isinstance(nxt, str):
+            return DIVERGED, nxt
         if mix is not None:
             nxt = mix(x, nxt)
-        trace.append(TraceRow(n, residual, ref_error, s, step_norm=_norm(nxt - x)))
-        x = nxt
-    raise AssertionError("unreachable")
+        return nxt, {"step_norm": _norm(nxt - x)}
+
+    return _outer_loop(F, measure, advance, x0, config, reference)
 
 
 def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
@@ -291,11 +305,11 @@ def fixed_point_solve(problem: ProblemSpec, x0: np.ndarray,
         gx = np.asarray(problem.G(x), dtype=float)
         return gx, None, gx
 
-    return _fixed_point_loop(problem.F, step, x0, config or SolverConfig(), reference)
+    return _fixed_point_iteration(problem.F, step, x0, config or SolverConfig(), reference)
 
 
 def _stabilized_step(problem: ProblemSpec) -> Callable:
-    """The stabilized step in _fixed_point_loop's form, from the split alone.
+    """The stabilized step in _fixed_point_iteration's form, from the split alone.
 
     The next iterate is s^gamma A^{-1}N(x), s = <Ax,x>/<N(x),x>, gamma =
     d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once.
@@ -332,8 +346,8 @@ def petviashvili_solve(problem: ProblemSpec, x0: np.ndarray,
     |F(x)| by problem.F, not |Ax - A G(x)|, which equals it only in exact
     arithmetic. tol_on_F makes convergence on the residual require both.
     """
-    return _fixed_point_loop(problem.F, _stabilized_step(problem), x0,
-                             config or SolverConfig(), reference, tol_on_F)
+    return _fixed_point_iteration(problem.F, _stabilized_step(problem), x0,
+                                  config or SolverConfig(), reference, tol_on_F)
 
 
 def _orthogonal_projector(vectors) -> Callable[[np.ndarray], np.ndarray]:
@@ -409,32 +423,18 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     if problem.jacobian_at is None:
         raise ValueError("newton_solve requires jacobian_at")
     config = config or SolverConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    trace: List[TraceRow] = []
-    stall = 0
-    prev_residual = None
-    prev_budget_hit = False
-    for n in range(config.max_outer + 1):
-        ref_error = None if reference is None else _norm(x - reference)
-        try:
-            fx = np.asarray(problem.F(x), dtype=float)
-        except DomainError as error:
-            trace.append(TraceRow(n, math.nan, ref_error))
-            return _outcome(DIVERGED, x, trace, math.nan, config, f"iterate {n}: {error}")
-        residual = _norm(fx)
-        status = _classify(n, residual, ref_error, config)
-        if status is not None:
-            trace.append(TraceRow(n, residual, ref_error))
-            return _outcome(status, x, trace, residual, config)
-        if prev_budget_hit and prev_residual is not None and residual >= prev_residual:
-            stall += 1
-            if stall >= 3:
-                trace.append(TraceRow(n, residual, ref_error))
-                return _outcome(MAX_ITERATIONS, x, trace, residual, config,
-                                "inner solver repeatedly hit its budget without outer progress")
-        else:
-            stall = 0
+    stall, prev_residual, prev_budget_hit = 0, None, False
 
+    def measure(x):
+        fx = np.asarray(problem.F(x), dtype=float)
+        residual = _norm(fx)
+        return residual, residual, None, fx
+
+    def advance(x, residual, fx):
+        nonlocal stall, prev_residual, prev_budget_hit
+        stall = stall + 1 if prev_budget_hit and residual >= prev_residual else 0
+        if stall >= 3:
+            return MAX_ITERATIONS, "inner solver repeatedly hit its budget without outer progress"
         jac = problem.jacobian_at(x)
         rhs = -fx
         inner_tol = config.inner_tol
@@ -446,13 +446,13 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
         dx, stats = minres(jac, rhs, tol=inner_tol, maxit=config.inner_maxit, precond=precond)
         if generators is not None:
             dx = deflate(dx)
-        trace.append(TraceRow(n, residual, ref_error, step_norm=_norm(dx), inner_tol=inner_tol,
-                              inner_iterations=stats.iterations,
-                              inner_residual=stats.relative_residual))
         prev_budget_hit = stats.iterations >= config.inner_maxit
         prev_residual = residual
-        x = x + dx
-    raise AssertionError("unreachable")
+        return x + dx, {"step_norm": _norm(dx), "inner_tol": inner_tol,
+                        "inner_iterations": stats.iterations,
+                        "inner_residual": stats.relative_residual}
+
+    return _outer_loop(problem.F, measure, advance, x0, config, reference)
 
 
 def iteration_matrix_spectrum(problem: ProblemSpec, xstar: np.ndarray,

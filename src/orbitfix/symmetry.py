@@ -92,8 +92,9 @@ def align_to_orbit(x: np.ndarray, xref: np.ndarray, action: GroupAction) -> Orbi
     xref = np.asarray(xref, dtype=float)
     raw = float(np.linalg.norm(x - xref))
     alpha = float(action.align(x, xref))
-    orbital = float(np.linalg.norm(x - action.act(alpha, xref)))
-    # alpha = 0 reproduces the reference itself; never report worse than that
+    # alpha = 0 is the reference itself, which act(0, .) may give only to
+    # round-off; never report worse than it
+    orbital = raw if alpha == 0.0 else float(np.linalg.norm(x - action.act(alpha, xref)))
     if raw < orbital:
         alpha, orbital = 0.0, raw
     return OrbitReport(alpha_star=alpha, orbital_distance=orbital, raw_distance=raw)

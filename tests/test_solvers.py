@@ -100,16 +100,45 @@ def test_fixed_point_reference_stop():
         f"<= tol 1e-06, |F(x)| = {out.f_norm:.3g}")
 
 
+_DRIVERS = {"fixed-point": fixed_point_solve, "petviashvili": petviashvili_solve,
+            "newton": newton_solve}
+
+
 @pytest.mark.parametrize("driver", ["fixed-point", "petviashvili", "newton"])
 def test_every_driver_reports_F_at_the_returned_iterate(driver):
     # the plain map keeps the scaling mode and diverges here; it reports |F| too
     problem = _ring_problem(10.0)
     config = SolverConfig(tol_residual=1e-10, max_outer=200)
-    solve = {"fixed-point": fixed_point_solve, "petviashvili": petviashvili_solve,
-             "newton": newton_solve}[driver]
-    out = solve(problem, _ones_seed(), config)
+    calls = []
+
+    def F(x):
+        calls.append(x)
+        return problem.F(x)
+
+    out = _DRIVERS[driver](replace(problem, F=F), _ones_seed(), config)
+    # Newton evaluates F at every iterate and reuses the last; the fixed-point
+    # drivers classify on the gap and evaluate F once, at the returned iterate
+    assert len(calls) == (out.iterations + 1 if driver == "newton" else 1)
+    if driver == "newton":
+        assert out.iterations == 5
     assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
     assert not out.message
+
+
+@pytest.mark.parametrize("driver", ["fixed-point", "petviashvili", "newton"])
+def test_every_driver_ends_diverged_outside_the_domain(driver):
+    # the first body sits on the central mass: F, G and N all refuse the point
+    problem = _ring_problem(10.0)
+    reference = polygon_solution(2)
+    x0 = np.array([0.0, 0.0, -1.0, 0.0])
+    out = _DRIVERS[driver](problem, x0, SolverConfig(tol_residual=1e-10, max_outer=200),
+                           reference=reference)
+    assert (out.status, out.iterations) == (DIVERGED, 0)
+    assert np.isnan(out.f_norm) and np.isnan(out.trace[-1].residual)
+    assert out.message == "iterate 0: body collides with the center"
+    assert out.trace[-1].ref_error == pytest.approx(np.linalg.norm(x0 - reference), rel=1e-15)
+    assert out.trace[-1].step_norm is None and out.trace[-1].inner_iterations is None
+    np.testing.assert_array_equal(out.x, x0)
 
 
 # ---------------- Petviashvili ----------------
@@ -422,7 +451,11 @@ def test_newton_stalls_out_when_inner_budget_never_helps():
                        SolverConfig(tol_residual=1e-12, max_outer=100, inner_maxit=5))
     assert out.status == MAX_ITERATIONS
     assert "without outer progress" in out.message
-    assert out.iterations <= 5
+    # steps 0, 1 and 2 hit the budget; iterates 1, 2 and 3 show no progress
+    assert out.iterations == 3
+    last = out.trace[-1]
+    assert (last.inner_tol, last.inner_iterations, last.inner_residual) == (None, None, None)
+    assert all(row.inner_iterations == 5 for row in out.trace[:-1])
 
 
 # ---------------- spectra and diagnostics ----------------
