@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Hash every artifact the benchmark's workload ops write, for one source tree.
 
-    python3 scripts/artifact_hashes.py TREE OUT.json [--seeds 3,4] [--seconds 32]
+    python3 scripts/artifact_hashes.py TREE OUT.json [--seeds 3,4]
 
 For each seed, every op of every workload in TREE/perfbench/workloads.py
-runs at the pass count of a benchmark run of --seconds, through TREE's own
+runs at the pass count of a default benchmark run, through TREE's own
 orbitfix.cli.main in this process. OUT.json lists each op's argv, exit code
 and the SHA-256 of every file it wrote. summary.json is hashed as its parsed
 content without wall_time_s and config.out, the two fields that differ
@@ -25,6 +25,10 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+# the run length that sets each workload's pass count: perfbench/run.py's
+# RUN_SECONDS, so the ops hashed are those a default benchmark run draws
+RUN_SECONDS = 32
 
 # volatile fields of summary.json: (path of keys) -> removed before hashing
 VOLATILE = (("wall_time_s",), ("config", "out"))
@@ -52,7 +56,7 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def artifact_hashes(tree: Path, seeds, seconds: float) -> dict:
+def artifact_hashes(tree: Path, seeds) -> dict:
     sys.dont_write_bytecode = True  # leave no __pycache__ in TREE
     sys.path.insert(0, str(tree / "src"))
     from orbitfix import cli
@@ -61,7 +65,7 @@ def artifact_hashes(tree: Path, seeds, seconds: float) -> dict:
     ops = []
     with tempfile.TemporaryDirectory(prefix="artifact-hashes-") as work:
         for name, workload in workloads.WORKLOADS.items():
-            passes = workloads.pass_count(workload, seconds)
+            passes = workloads.pass_count(workload, RUN_SECONDS)
             for seed in seeds:
                 for k in range(passes):
                     for i, op in enumerate(workloads.pass_ops(workload, seed, k, passes)):
@@ -72,7 +76,7 @@ def artifact_hashes(tree: Path, seeds, seconds: float) -> dict:
                             for p in sorted(out.rglob("*")) if p.is_file()}
                         ops.append({"workload": name, "seed": seed, "pass": k, "op": op.name,
                                     "argv": list(op.argv), "exit_code": code, "files": files})
-    return {"seeds": list(seeds), "seconds": seconds, "ops": ops}
+    return {"seeds": list(seeds), "seconds": RUN_SECONDS, "ops": ops}
 
 
 def main(argv=None) -> int:
@@ -80,11 +84,9 @@ def main(argv=None) -> int:
     parser.add_argument("tree", type=Path, help="source tree with src/ and perfbench/")
     parser.add_argument("out", type=Path, help="JSON file to write")
     parser.add_argument("--seeds", default="3,4", help="comma-separated benchmark seeds")
-    parser.add_argument("--seconds", type=float, default=32.0,
-                        help="run length that sets each workload's pass count")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    doc = artifact_hashes(args.tree.resolve(), seeds, args.seconds)
+    doc = artifact_hashes(args.tree.resolve(), seeds)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     files = sum(len(op["files"]) for op in doc["ops"])
     print(f"{len(doc['ops'])} ops, {files} files -> {args.out}")

@@ -227,11 +227,11 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     """The frame every driver shares: a trace row per iterate, one exit.
 
     measure(x) returns the residual the run classifies on, |F(x)| or None,
-    the stabilizing factor or None, and what advance reuses.
-    advance(x, residual, reused) returns the next iterate and its row's own
-    fields, or a (status, message) pair that ends the run. A DomainError in
-    either ends the run Diverged. F is evaluated at the returned iterate
-    only when measure gave no |F(x)| there.
+    the stabilizing factor or None, and what advance reuses. advance(x,
+    residual, reused) returns the next iterate and its row's own fields, or
+    a (status, message) pair that ends the run. A DomainError in either ends
+    the run Diverged, keeping what measure gave: NaN where measure raised. F
+    is evaluated at the returned iterate only when measure gave no |F(x)|.
 
     A stop on the reference, whatever |F| is, and a stop at the budget whose
     last residual (the fixed-point drivers' gap) met tolerance while |F| did
@@ -242,12 +242,12 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     tol = config.tol_residual
     for n in range(config.max_outer + 1):  # _classify ends the run at n == max_outer
         ref_error = None if reference is None else _norm(x - reference)
+        residual, f_norm, s = math.nan, math.nan, None  # what a DomainError in measure leaves
         try:
             residual, f_norm, s, reused = measure(x)
             status = _classify(n, residual, ref_error, config, f_norm)
             result = (status, "") if status is not None else advance(x, residual, reused)
         except DomainError as error:
-            residual, f_norm, s = math.nan, math.nan, None
             result = (DIVERGED, f"iterate {n}: {error}")
         if isinstance(result[0], str):
             break

@@ -141,6 +141,22 @@ def test_every_driver_ends_diverged_outside_the_domain(driver):
     np.testing.assert_array_equal(out.x, x0)
 
 
+def test_a_domain_error_in_the_step_keeps_what_the_iterate_measured():
+    # F is finite at the seed; only the Jacobian refuses it
+    problem = _ring_problem(10.0)
+
+    def jacobian_at(x):
+        raise solvers.DomainError("no Jacobian here")
+
+    x0 = _ones_seed()
+    out = newton_solve(replace(problem, jacobian_at=jacobian_at), x0,
+                       SolverConfig(tol_residual=1e-10, max_outer=200))
+    f0 = float(np.linalg.norm(problem.F(x0)))
+    assert (out.status, out.iterations, out.message) == (DIVERGED, 0, "iterate 0: no Jacobian here")
+    assert out.f_norm == out.trace[-1].residual == f0
+    np.testing.assert_array_equal(out.x, x0)
+
+
 # ---------------- Petviashvili ----------------
 
 def _ring_problem(m0):

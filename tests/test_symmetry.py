@@ -132,13 +132,12 @@ def test_align_translation_profile():
 
 def test_align_at_zero_measures_against_the_reference_itself():
     # w = 0 has no crest, so align returns 0; the wave's act(0, .) is a
-    # transform round trip, which gives the reference back only to round-off
+    # transform round trip, which may give the reference back only to round-off
     params = _bs_params()
     action = translation_action(params)
     w = exact_profile(0.9, params.n, params.half_length).wave
     x = np.zeros_like(w)
     assert action.align(x, w) == 0.0
-    assert not np.array_equal(action.act(0.0, w), w)
     rep = align_to_orbit(x, w, action)
     assert rep.alpha_star == 0.0
     assert rep.orbital_distance == rep.raw_distance == np.linalg.norm(w)
