@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Hash every artifact the benchmark's workload ops write, for one source tree.
+"""Record every artifact the benchmark's workload ops write, for one source tree.
 
     python3 scripts/artifact_hashes.py TREE OUT.json [--seeds 3,4]
 
 For each seed, every op of every workload in TREE/perfbench/workloads.py
 runs at the pass count of a default benchmark run, through TREE's own
 orbitfix.cli.main in this process. OUT.json lists each op's argv, exit code
-and the SHA-256 of every file it wrote. summary.json is hashed as its parsed
-content without wall_time_s and config.out, the two fields that differ
-between runs of the same code; its numbers round-trip exactly. Two trees
-give the same artifacts, file for file, when their OUT.json files are
-equal (`cmp parent.json change.json`).
+and, for every file it wrote, the file's SHA-256; a summary.json is stored as
+its parsed content instead, without wall_time_s and config.out, the two
+fields that differ between runs of the same code, and its numbers
+round-trip exactly. Two trees give the same artifacts, file for file, when
+their OUT.json files are equal (`cmp parent.json change.json`); where they
+are not, `diff parent.json change.json` names each summary field that moved.
 
 Only workloads.py is read from TREE/perfbench: no timing, tracing or gate
 is run. Run one tree per process, since the process imports TREE's orbitfix.
@@ -30,7 +31,7 @@ from pathlib import Path
 # RUN_SECONDS, so the ops hashed are those a default benchmark run draws
 RUN_SECONDS = 32
 
-# volatile fields of summary.json: (path of keys) -> removed before hashing
+# volatile fields of summary.json: (path of keys) -> removed before it is stored
 VOLATILE = (("wall_time_s",), ("config", "out"))
 
 
@@ -43,17 +44,18 @@ def _load_workloads(tree: Path):
     return module
 
 
-def _file_digest(path: Path) -> str:
+def _file_record(path: Path):
+    # a summary.json's content without its volatile fields; any other file's SHA-256
     data = path.read_bytes()
-    if path.name == "summary.json":
-        doc = json.loads(data)
-        for keys in VOLATILE:
-            parent = doc
-            for key in keys[:-1]:
-                parent = parent.get(key, {})
-            parent.pop(keys[-1], None)
-        data = json.dumps(doc, indent=2, allow_nan=False).encode()
-    return hashlib.sha256(data).hexdigest()
+    if path.name != "summary.json":
+        return hashlib.sha256(data).hexdigest()
+    doc = json.loads(data)
+    for keys in VOLATILE:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent.get(key, {})
+        parent.pop(keys[-1], None)
+    return doc
 
 
 def artifact_hashes(tree: Path, seeds) -> dict:
@@ -72,7 +74,7 @@ def artifact_hashes(tree: Path, seeds) -> dict:
                         out = Path(work) / f"{name}-{seed}-{k}-{i}"
                         code = cli.main(list(op.argv) + ["--out", str(out)])
                         files = {} if not out.exists() else {
-                            str(p.relative_to(out)): _file_digest(p)
+                            str(p.relative_to(out)): _file_record(p)
                             for p in sorted(out.rglob("*")) if p.is_file()}
                         ops.append({"workload": name, "seed": seed, "pass": k, "op": op.name,
                                     "argv": list(op.argv), "exit_code": code, "files": files})

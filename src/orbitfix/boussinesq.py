@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numlin import (FourierOperator, fourier_apply, fourier_operator, fourier_symbols,
-                     hermitian_2x2_function)
+from .numlin import FourierOperator, fourier_operator, fourier_symbols, hermitian_2x2_function
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -199,24 +198,24 @@ def translation_shift(w, half_length: float, component: str = "eta") -> float:
 def translation_action(params: BSParams) -> GroupAction:
     """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields.
 
-    A real field's Nyquist coefficient is real and cannot carry the phase
-    exp(-i xi_N alpha), so act keeps only its real part, c cos(xi_N alpha).
-    act therefore obeys the group law act(a, act(b, w)) = act(a + b, w)
-    only on fields without a Nyquist mode (or at shifts that are whole
-    multiples of the grid step). align reads the shift from the first
-    Fourier mode of eta: exact between translates, and otherwise an
-    element whose distance bounds the L2 orbit distance from above. An eta
-    with no first mode, as at w = 0, a one-point orbit, aligns at 0: the reference.
+    A real field's Nyquist coefficient c is real and cannot carry the phase
+    exp(-i xi_N alpha), so act keeps c cos(xi_N alpha) and obeys act(a,
+    act(b, w)) = act(a + b, w) only on fields without a Nyquist mode (or at
+    whole multiples of the grid step). align reads the shift from the first
+    Fourier mode of eta: exact between translates, and otherwise an element
+    whose distance bounds the L2 orbit distance from above. An eta with no
+    first mode, as at w = 0, a one-point orbit, aligns at 0: the reference.
     """
     n = params.n
     L = params.half_length
     xi, d1 = fourier_symbols(n, L)
+    derivative = fourier_operator(d1 * np.eye(2)[:, :, None])
 
     def act(alpha, w):
-        return fourier_apply(np.exp(-1j * xi * float(alpha)), w)
+        return fourier_operator(np.exp(-1j * xi * float(alpha)) * np.eye(2)[:, :, None]).apply(w)
 
     def generators(w):
-        return [-fourier_apply(d1, w)]
+        return [-derivative.apply(w)]
 
     def align(x, xref):
         center, ref_center = _field_center(x[n:], L), _field_center(xref[n:], L)

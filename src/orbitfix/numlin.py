@@ -25,7 +25,6 @@ __all__ = [
     "SpectrumReport",
     "materialize",
     "fourier_symbols",
-    "fourier_apply",
     "fourier_operator",
     "preconditioned_product",
     "hermitian_2x2_function",
@@ -43,8 +42,9 @@ DENSE_DIM_LIMIT = 4096
 # the matrix's own size
 _SYMMETRY_BAND = 64
 
-# distance from 1 within which dense_eigenvalues counts an eigenvalue as 1
+# distances from 1 and from 0 within which dense_eigenvalues counts an eigenvalue as 1 or 0
 _TOL_UNIT = 1e-6
+_TOL_ZERO = 1e-6
 
 # floor of the Givens norm in MINRES, looked up once for all iterations
 _EPS = float(np.finfo(float).eps)
@@ -134,44 +134,27 @@ def fourier_symbols(n: int, half_length: float):
     """Wavenumbers xi and the symbol of d/dx on n samples of [-L, L).
 
     Returns read-only arrays (xi, d1) with d1 = i*xi, shared between
-    callers. d1 zeroes the Nyquist mode, which has no consistent odd-order
-    derivative on an even grid.
+    callers. On an even grid d1 zeroes the Nyquist mode, which has no
+    consistent odd-order derivative; an odd grid has no such mode.
     """
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
     d1 = 1j * xi
-    d1[n // 2] = 0.0
+    if n % 2 == 0:
+        d1[n // 2] = 0.0
     for a in (xi, d1):
         a.flags.writeable = False
     return xi, d1
 
 
-def fourier_apply(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply v by a scalar symbol of shape (n,) in Fourier space, through real transforms.
-
-    The symbol is laid out like np.fft.fftfreq and must be Hermitian,
-    symbol(-xi) = conj symbol(xi), so that it maps real fields to real
-    fields; only its modes 0..n/2 are read, and the imaginary parts of
-    the mean and Nyquist terms are dropped. d1, exp(-i xi alpha) and
-    every symbol built from xi^2 qualify. It multiplies each n-sample
-    block of v, so a stacked state (u, eta) goes through one batched
-    transform pair. fourier_operator applies a matrix symbol.
-    """
-    if symbol.ndim != 1:
-        raise ValueError("fourier_apply takes a scalar symbol; use fourier_operator for a matrix")
-    v = np.asarray(v, dtype=float)
-    n = symbol.shape[0]
-    if v.ndim != 1 or v.shape[0] % n:
-        raise ValueError("vector length must be a multiple of the symbol length")
-    return np.fft.irfft(np.fft.rfft(v.reshape(-1, n)) * symbol[:n // 2 + 1], n).reshape(v.shape)
-
-
 def _symbol_product(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """v -> symbol v mode by mode, as an (m, n) buffer that the next call overwrites.
 
-    symbol, of shape (m, k, n) and Hermitian as for fourier_apply, maps the
-    k blocks of v to m rows: row i is the sum over j, in j order, of
-    symbol[i, j] times block j, from one forward and one batched inverse
-    transform. Its columns on modes 0..n/2 and the buffers are made here.
+    symbol, of shape (m, k, n), maps the k blocks of v to m rows: row i is the
+    sum over j, in j order, of symbol[i, j] times block j, from one forward and
+    one batched inverse transform. Its columns on modes 0..n/2 and the buffers
+    are made here. Real fields map to real fields when symbol(-xi) = conj
+    symbol(xi), in np.fft.fftfreq order: only modes 0..n/2 are read, and the
+    imaginary parts of the mean and Nyquist terms are dropped.
     """
     if symbol.ndim != 3:
         raise ValueError("matrix symbol must have shape (m, k, n)")
@@ -198,7 +181,10 @@ def fourier_operator(symbol: np.ndarray, fields: Optional[np.ndarray] = None) ->
 
     symbol and fields, when given, have shape (k, k, n): a k x k matrix per
     mode and per sample; fields v is their product sample by sample
-    (_fields_product). Each apply returns a fresh vector.
+    (_fields_product), and s * np.eye(k)[:, :, None] is a scalar symbol s
+    on k stacked fields. symbol(-xi) = conj symbol(xi) keeps v real: only
+    modes 0..n/2 are read, and the imaginary parts of the mean and Nyquist
+    terms are dropped. Each apply returns a fresh vector.
     """
     if symbol.ndim != 3 or symbol.shape[0] != symbol.shape[1]:
         raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n)")
@@ -291,22 +277,22 @@ def _block_eigenvalues(A) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
-def dense_eigenvalues(A, tol_zero: float = 1e-6) -> SpectrumReport:
-    """Full eigenvalue set of a small matrix, with counts within _TOL_UNIT of 1 and tol_zero of 0.
+def dense_eigenvalues(A) -> SpectrumReport:
+    """Full eigenvalue set of a small matrix, counting those within _TOL_UNIT of 1, _TOL_ZERO of 0.
 
-    A is a square matrix. A tuple or an iterator of them stands for the
+    A is a square matrix, or an iterator of blocks that stands for the
     block-diagonal matrix they form: its spectrum is the union of the
     blocks' spectra, the dimension limit applies to each block, and
     block_dims and block_near_zero give the size and near-0 count of each
-    block in order. An iterator is consumed one block at a time, and no
-    block is kept once its eigenvalues are known.
+    block in order. The blocks are drawn one at a time, and none is kept
+    once its eigenvalues are known.
 
     Memory: at any time one block is held, plus the copy LAPACK makes of
     it, and nothing else of the block's size. The symmetry test that picks
     eigvalsh or eigvals works on bands of rows.
     """
-    blocks = list(map(_block_eigenvalues, A if isinstance(A, (tuple, Iterator)) else (A,)))
-    near_zero = tuple(int(np.count_nonzero(np.abs(b) <= tol_zero)) for b in blocks)
+    blocks = list(map(_block_eigenvalues, A if isinstance(A, Iterator) else (A,)))
+    near_zero = tuple(int(np.count_nonzero(np.abs(b) <= _TOL_ZERO)) for b in blocks)
     ev = np.concatenate(blocks)
     ev = ev[np.argsort(-np.abs(ev), kind="stable")]
     return SpectrumReport(

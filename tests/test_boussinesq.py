@@ -7,9 +7,8 @@ from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
                                  _half_spectrum_symbols, build_bs_problem, exact_profile, grid,
                                  periodic_wrap, precond_operator, propagate, propagation_schedule,
                                  translation_action, translation_shift)
-from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_apply,
-                             fourier_operator, fourier_symbols, hermitian_2x2_function,
-                             materialize, minres,
+from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_operator,
+                             fourier_symbols, hermitian_2x2_function, materialize, minres,
                              preconditioned_product, reflection_blocks)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
@@ -130,7 +129,7 @@ def test_zero_wave_is_trivial_solution():
 
 
 def _complex_fft_apply(symbol, v):
-    # fourier_apply's former definition: complex transforms, real part kept
+    # the product of a symbol through complex transforms, real part kept
     n = symbol.shape[-1]
     if symbol.ndim == 1:
         return np.fft.ifft(np.fft.fft(v.reshape(-1, n)) * symbol).real.reshape(-1)
@@ -160,12 +159,26 @@ def test_real_transforms_match_the_complex_fft_definition():
     a22 = -(1.0 - params.c * xi ** 2)
     s_symbol = np.array([[-np.ones(512), a12], [a12, a22]])
     v = np.random.default_rng(18).standard_normal(1024)  # every mode, Nyquist included
-    for symbol in (d1, -(xi ** 2), np.exp(-1j * xi * 0.123)):
-        assert _rel_err(fourier_apply(symbol, v), _complex_fft_apply(symbol, v)) <= 1e-13
-    # a matrix symbol goes through its Fourier operator
-    for symbol in (s_symbol, hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
+    # the scalar symbols of a shift and of the generator -d/dx, on both fields
+    action = translation_action(params)
+    shift = np.exp(-1j * xi * 0.123)
+    assert _rel_err(action.act(0.123, v), _complex_fft_apply(shift, v)) <= 1e-13
+    assert _rel_err(action.generators(v)[0], _complex_fft_apply(-d1, v)) <= 1e-13
+    # every other symbol goes through its Fourier operator, a scalar one times the identity
+    for symbol in (s_symbol, -(xi ** 2) * np.eye(2)[:, :, None],
+                   hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
                    hermitian_2x2_function(-1.0, a12, a22, lambda lam: 1.0 / np.abs(lam))):
         assert _rel_err(fourier_operator(symbol).apply(v), _complex_fft_apply(symbol, v)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_generator_is_minus_the_spectral_derivative_bit_for_bit(n):
+    # d1 is purely imaginary, so its product with a mode rounds alike in either operand order
+    params = _params(n=n, half_length=50.0)
+    d1 = fourier_symbols(n, 50.0)[1]
+    w = np.random.default_rng(n).standard_normal(2 * n)
+    want = -np.fft.irfft(np.fft.rfft(w.reshape(2, n)) * d1[:n // 2 + 1], n)
+    assert np.array_equal(translation_action(params).generators(w)[0], want.reshape(-1))
 
 
 def test_residual_and_jacobian_match_the_d2_formulas():
@@ -296,7 +309,7 @@ def test_reflection_blocks_match_dense_spectrum(n, half_length):
     even, odd = reflection_blocks(problem.jacobian_at(w))
     assert even.shape == (n + 2, n + 2) and odd.shape == (n - 2, n - 2)
     dense = np.linalg.eigvalsh(materialize(problem.jacobian_at(w)))
-    rep = dense_eigenvalues((even, odd))
+    rep = dense_eigenvalues(iter((even, odd)))
     split = np.sort(rep.eigenvalues.real)
     assert np.max(np.abs(rep.eigenvalues.imag)) == 0.0
     assert np.max(np.abs(split - dense)) <= 1e-10 * np.max(np.abs(dense))
@@ -560,7 +573,7 @@ def _generator_seed(n, eps):
     profile = exact_profile(THETA2, n, 50.0)
     params = BSParams(theta2=THETA2, speed=profile.speed, n=n, half_length=50.0)
     w = profile.wave
-    return params, w + eps * fourier_apply(fourier_symbols(n, 50.0)[1], w)
+    return params, w - eps * translation_action(params).generators(w)[0]
 
 
 def test_deflated_newton_converges_from_small_generator_seed():

@@ -8,7 +8,7 @@ from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, b
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
                              _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues,
-                             fourier_apply, fourier_operator, fourier_symbols,
+                             fourier_operator, fourier_symbols,
                              hermitian_2x2_function, materialize, minres, pcg,
                              preconditioned_product, reflection_blocks)
 from reference import fd_jacobian
@@ -20,11 +20,13 @@ def _operator(M):
     return LinearOperator(dim=M.shape[0], apply=lambda v: M @ v)
 
 
-# ---------------- spectral differentiation by fourier_apply ----------------
+# ---------------- spectral differentiation by fourier_symbols ----------------
 
 def _derivative(v, half_length, order):
-    xi, d1 = fourier_symbols(v.shape[0], half_length)
-    return fourier_apply(d1 if order == 1 else -(xi ** 2), v)
+    n = v.shape[0]
+    xi, d1 = fourier_symbols(n, half_length)
+    symbol = d1 if order == 1 else -(xi ** 2)
+    return np.fft.irfft(np.fft.rfft(v) * symbol[:n // 2 + 1], n)
 
 
 def test_spectral_derivative_trig_exact():
@@ -52,7 +54,7 @@ def test_spectral_derivative_nyquist_zeroed():
     assert np.allclose(_derivative(nyquist, L, 1), 0.0, atol=1e-12)
 
 
-# ---------------- fourier_symbols / fourier_apply ----------------
+# ---------------- fourier_symbols / _symbol_product ----------------
 
 def test_fourier_symbols_are_cached_and_read_only():
     xi, d1 = fourier_symbols(16, 2.0)
@@ -69,21 +71,13 @@ def test_fourier_symbols_zero_the_nyquist_first_derivative():
     assert np.array_equal(d1[keep], 1j * xi[keep])
 
 
-def test_fourier_apply_blockwise_equals_per_block():
-    n, L = 32, 3.0
+def test_fourier_symbols_keep_the_highest_mode_of_an_odd_grid():
+    # an odd grid has no Nyquist mode: its highest modes +-3 (n = 7) are a conjugate pair
+    n, L = 7, np.pi
     xi, d1 = fourier_symbols(n, L)
-    v = np.random.default_rng(7).standard_normal(3 * n)
-    for symbol in (d1, -(xi ** 2), 1.0 / (1.7 + xi ** 2), np.exp(-1j * xi * 0.37)):
-        half = symbol[:n // 2 + 1]
-        per_block = np.concatenate([np.fft.irfft(np.fft.rfft(v[k * n:(k + 1) * n]) * half, n)
-                                    for k in range(3)])
-        assert np.array_equal(fourier_apply(symbol, v), per_block)
-        assert np.array_equal(fourier_apply(symbol, v[:2 * n]), per_block[:2 * n])
-
-
-def test_fourier_apply_rejects_partial_blocks():
-    with pytest.raises(ValueError):
-        fourier_apply(fourier_symbols(8, 1.0)[1], np.ones(12))
+    assert np.array_equal(d1, 1j * xi)
+    x = -L + (2 * L / n) * np.arange(n)
+    assert np.allclose(_derivative(np.sin(3 * x), L, 1), 3 * np.cos(3 * x), rtol=0.0, atol=1e-13)
 
 
 def test_symbol_product_equals_per_mode_product():
@@ -103,12 +97,8 @@ def test_symbol_product_equals_per_mode_product():
                        rtol=0.0, atol=1e-13)
 
 
-def test_fourier_apply_matrix_symbol_rejects_bad_shapes():
-    # fourier_apply takes scalar symbols only; the product of a matrix symbol
-    # refuses a vector that is not its field count times its length
-    for symbol in (np.ones((2, 2, 8)), np.ones((2, 3, 8))):
-        with pytest.raises(ValueError, match="fourier_operator"):
-            fourier_apply(symbol, np.ones(symbol.shape[1] * 8))
+def test_symbol_product_rejects_bad_shapes():
+    # the product refuses a vector that is not the symbol's field count times its length
     product = _symbol_product(np.ones((2, 2, 8)))
     for bad in (np.ones(8), np.ones(24)):
         with pytest.raises(ValueError):
@@ -451,7 +441,7 @@ def test_dense_eigenvalues_of_blocks_is_the_union():
     a = rng.standard_normal((4, 4))
     a = a + a.T
     b = np.diag([1e-9, 3.0])
-    rep = dense_eigenvalues((a, b))
+    rep = dense_eigenvalues(iter((a, b)))
     full = np.zeros((6, 6))
     full[:4, :4] = a
     full[4:, 4:] = b
@@ -481,8 +471,8 @@ def test_dense_eigenvalues_consumes_an_iterator_one_block_at_a_time():
 
     rep = dense_eigenvalues(blocks())
     assert released == [True]
-    tup = dense_eigenvalues((a, b))
-    assert np.array_equal(rep.eigenvalues, tup.eigenvalues)
+    listed = dense_eigenvalues(iter((a, b)))
+    assert np.array_equal(rep.eigenvalues, listed.eigenvalues)
     assert rep.block_dims == (5, 2) and rep.block_near_zero == (0, 1)
 
 
@@ -543,7 +533,7 @@ def test_dense_eigenvalues_sends_a_lower_triangle_nan_to_eigvals():
 
 def test_dense_eigenvalues_dimension_guard_applies_per_block():
     with pytest.raises(ValueError, match="limit"):
-        dense_eigenvalues((np.eye(2), _too_big()))
+        dense_eigenvalues(iter((np.eye(2), _too_big())))
 
 
 def test_materialize_roundtrip():
