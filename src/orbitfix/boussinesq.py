@@ -138,9 +138,9 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
 
     def jacobian_at(w0):
         u0, eta0 = np.asarray(w0, dtype=float).reshape(2, n)
-        return fourier_operator(s_symbol, np.array([[eta0, u0], [u0, np.zeros(n)]]))
+        return fourier_operator(s_symbol, n, np.array([[eta0, u0], [u0, np.zeros(n)]]))
 
-    split = HomogeneousSplit(fourier_operator(s_symbol), fourier_operator(s_inverse),
+    split = HomogeneousSplit(fourier_operator(s_symbol, n), fourier_operator(s_inverse, n),
                              nonlinear, 2.0)
     return ProblemSpec(F=split.residual, G=split.fixed_point_map, jacobian_at=jacobian_at,
                        homogeneous_split=split)
@@ -159,7 +159,7 @@ def precond_operator(params: BSParams) -> FourierOperator:
     J M r come from one transform pair.
     """
     symbol = hermitian_2x2_function(*_linear_symbol(params), lambda lam: 1.0 / np.abs(lam))
-    return fourier_operator(symbol)
+    return fourier_operator(symbol, params.n)
 
 
 def periodic_wrap(v: float, half_length: float) -> float:
@@ -209,10 +209,10 @@ def translation_action(params: BSParams) -> GroupAction:
     n = params.n
     L = params.half_length
     xi, d1 = fourier_symbols(n, L)
-    derivative = fourier_operator(d1 * np.eye(2)[:, :, None])
+    derivative = fourier_operator(d1 * np.eye(2)[:, :, None], n)
 
     def act(alpha, w):
-        return fourier_operator(np.exp(-1j * xi * float(alpha)) * np.eye(2)[:, :, None]).apply(w)
+        return fourier_operator(np.exp(-1j * xi * float(alpha)) * np.eye(2)[:, :, None], n).apply(w)
 
     def generators(w):
         return [-derivative.apply(w)]
@@ -357,13 +357,11 @@ def _half_spectrum_symbols(params: BSParams):
     m P N weights the products by quad = (m/2, m): w_dot^ has the rows
     swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^.
     """
-    half = params.n // 2 + 1
     xi, d1 = fourier_symbols(params.n, params.half_length)
-    xi, d1 = xi[:half], d1[:half]
     a11, _, a22 = _linear_symbol(params)
     m = -d1 / (1.0 + params.b * xi ** 2)
     # -m a22 and -m a11 in the forms whose zeros carry the signs of m (1 - c xi^2) and m
-    return d1, np.stack([m * -a22[:half], -(m * a11)]), np.stack([0.5 * m, m])
+    return d1, np.stack([m * -a22, -(m * a11)]), np.stack([0.5 * m, m])
 
 
 def propagation_schedule(dt: float, t_end: float,

@@ -195,14 +195,15 @@ def _lifted_abs_inverse(lam: np.ndarray) -> np.ndarray:
 
 
 def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
-    """Per-mode symbol S(m) of the Jacobian at the unit polygon, shape (2, 2, n).
+    """Per-mode symbol S(m) of the Jacobian at the unit polygon, shape (2, 2, n//2 + 1).
 
     In each body's (radial, tangential) frame the polygon's Jacobian is
     block-circulant: body j's block against body j + d is the same 2x2
     matrix C_d for every j, since rotating by 2 pi/n and relabelling is a
     symmetry. A DFT over the bodies splits it into the Hermitian blocks
-    S(m) = sum_d C_d exp(2 pi i m d/n), laid out like np.fft.fftfreq. C_d
-    comes from one body's pair geometry, O(n).
+    S(m) = sum_d C_d exp(2 pi i m d/n), stored on the modes m = 0..n//2
+    of a real transform; C_d is real, so S(n - m) = conj S(m) holds the
+    rest. C_d comes from one body's pair geometry, O(n).
     """
     n = config.n
     a, b = config.coefficients
@@ -223,9 +224,7 @@ def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     w2 = config.omega ** 2
     blocks[:, :, 0] = [[w2 + 2.0 * a - hxx.sum(), -hxy.sum()],
                        [-hxy.sum(), w2 - a - hyy.sum()]]
-    # C_d is real, so S(m) = conj(rfft(C)[m]) and S(n - m) = conj(S(m))
-    half = np.fft.rfft(blocks)
-    return np.concatenate([half.conj(), half[..., 1:(n + 1) // 2][..., ::-1]], axis=-1)
+    return np.fft.rfft(blocks).conj()
 
 
 def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
@@ -240,10 +239,10 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
     the result is symmetric positive definite, and M maps the generator to
     a multiple of itself. Build O(n), apply O(n log n).
     """
+    n = config.n
     symbol = _polygon_symbol(config)
     product = fourier_operator(hermitian_2x2_function(
-        symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real, _lifted_abs_inverse)).apply
-    n = config.n
+        symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real, _lifted_abs_inverse), n).apply
     # body j's radial direction as a unit complex number; states are x + iy per body
     turn = np.exp(1j * (2.0 * np.pi * np.arange(1, n + 1) / n + alpha))
     unturn = turn.conj()

@@ -62,9 +62,11 @@ class LinearOperator:
 class FourierOperator(LinearOperator):
     """v -> symbol v mode by mode, minus fields v sample by sample.
 
-    Built by fourier_operator, whose apply computes exactly this map. MINRES
-    reads symbol and fields to check symmetry and to fuse a Fourier
-    preconditioner (preconditioned_product); reflection_blocks splits it.
+    symbol, (k, k, n//2 + 1), holds the modes of fourier_symbols and fields,
+    (k, k, n), the samples; n = dim/k. Built by fourier_operator, whose
+    apply computes exactly this map. MINRES reads symbol and fields to
+    check symmetry and to fuse a Fourier preconditioner
+    (preconditioned_product); reflection_blocks splits it.
     """
 
     symbol: np.ndarray
@@ -134,33 +136,32 @@ def fourier_symbols(n: int, half_length: float):
     """Wavenumbers xi and the symbol of d/dx on n samples of [-L, L).
 
     Returns read-only arrays (xi, d1) with d1 = i*xi, shared between
-    callers. On an even grid d1 zeroes the Nyquist mode, which has no
-    consistent odd-order derivative; an odd grid has no such mode.
+    callers, on modes 0..n//2 in np.fft.rfftfreq order: the layout of every
+    Fourier symbol. On an even grid d1 zeroes the Nyquist mode, the last,
+    which has no consistent odd-order derivative; an odd grid has none.
     """
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * half_length / n)
     d1 = 1j * xi
     if n % 2 == 0:
-        d1[n // 2] = 0.0
+        d1[-1] = 0.0
     for a in (xi, d1):
         a.flags.writeable = False
     return xi, d1
 
 
-def _symbol_product(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _symbol_product(symbol: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """v -> symbol v mode by mode, as an (m, n) buffer that the next call overwrites.
 
-    symbol, of shape (m, k, n), maps the k blocks of v to m rows: row i is the
-    sum over j, in j order, of symbol[i, j] times block j, from one forward and
-    one batched inverse transform. Its columns on modes 0..n/2 and the buffers
-    are made here. Real fields map to real fields when symbol(-xi) = conj
-    symbol(xi), in np.fft.fftfreq order: only modes 0..n/2 are read, and the
+    symbol, of shape (m, k, n//2 + 1) on the modes of fourier_symbols, maps
+    the k blocks of n samples of v to m rows: row i is the sum over j, in j
+    order, of symbol[i, j] times block j, from one forward and one batched
+    inverse real transform. Its columns and the buffers are made here. The
     imaginary parts of the mean and Nyquist terms are dropped.
     """
-    if symbol.ndim != 3:
-        raise ValueError("matrix symbol must have shape (m, k, n)")
-    m, k, n = symbol.shape
-    modes = n // 2 + 1
-    columns = [np.ascontiguousarray(symbol[:, j, :modes]) for j in range(k)]
+    if symbol.ndim != 3 or symbol.shape[-1] != n // 2 + 1:
+        raise ValueError(f"matrix symbol must have shape (m, k, {n // 2 + 1}) on {n} samples")
+    m, k, modes = symbol.shape
+    columns = [np.ascontiguousarray(symbol[:, j]) for j in range(k)]
     v_hat = np.empty((k, modes), dtype=complex)
     acc, term = np.empty((2, m, modes), dtype=complex)
     out = np.empty((m, n))
@@ -176,22 +177,23 @@ def _symbol_product(symbol: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
-def fourier_operator(symbol: np.ndarray, fields: Optional[np.ndarray] = None) -> FourierOperator:
+def fourier_operator(symbol: np.ndarray, n: int,
+                     fields: Optional[np.ndarray] = None) -> FourierOperator:
     """The map v -> symbol v mode by mode (_symbol_product, built once), minus fields v.
 
-    symbol and fields, when given, have shape (k, k, n): a k x k matrix per
-    mode and per sample; fields v is their product sample by sample
+    symbol has shape (k, k, n//2 + 1), a k x k matrix on each mode of
+    fourier_symbols for n samples, and fields, when given, shape (k, k, n),
+    one per sample; fields v is their product sample by sample
     (_fields_product), and s * np.eye(k)[:, :, None] is a scalar symbol s
-    on k stacked fields. symbol(-xi) = conj symbol(xi) keeps v real: only
-    modes 0..n/2 are read, and the imaginary parts of the mean and Nyquist
-    terms are dropped. Each apply returns a fresh vector.
+    on k stacked fields. The imaginary parts of the mean and Nyquist terms
+    are dropped. Each apply returns a fresh vector.
     """
     if symbol.ndim != 3 or symbol.shape[0] != symbol.shape[1]:
-        raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n)")
-    k, _, n = symbol.shape
-    if fields is not None and fields.shape != symbol.shape:
-        raise ValueError("fields must have the symbol's shape (k, k, n)")
-    product = _symbol_product(symbol)
+        raise ValueError("a Fourier operator needs a matrix symbol of shape (k, k, n//2 + 1)")
+    k = symbol.shape[0]
+    if fields is not None and fields.shape != (k, k, n):
+        raise ValueError(f"fields must have shape ({k}, {k}, {n})")
+    product = _symbol_product(symbol, n)
     coupling = None if fields is None else _fields_product(fields)
 
     def apply(v):
@@ -213,19 +215,20 @@ def _fields_product(fields):
 def preconditioned_product(A, M) -> Optional[Callable]:
     """r -> (M r, A M r) in one forward and one batched inverse transform, or None.
 
-    Defined when A and M are FourierOperators of the same shape and M has
-    no fields. One _symbol_product of M's symbol stacked over A's times
-    M's, built once, gives M r and the multiplier part of A M r; A's
-    fields times M r is then subtracted as A.apply subtracts it. Returns
-    one (2, dim) buffer, which the next call overwrites. Any other pair
-    returns None: its product is the composition, M then A.
+    Defined when A and M are FourierOperators of the same dimension and
+    symbol shape, and M has no fields. One _symbol_product of M's symbol
+    stacked over A's times M's, built once, gives M r and the multiplier
+    part of A M r; A's fields times M r is then subtracted as A.apply
+    subtracts it. Returns one (2, dim) buffer, which the next call
+    overwrites. Any other pair returns None: its product is the
+    composition, M then A.
     """
     if not (isinstance(A, FourierOperator) and isinstance(M, FourierOperator)
-            and M.fields is None and A.symbol.shape == M.symbol.shape):
+            and M.fields is None and A.dim == M.dim and A.symbol.shape == M.symbol.shape):
         return None
     k = M.symbol.shape[0]
     product = _symbol_product(
-        np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)]))
+        np.concatenate([M.symbol, np.einsum("ijn,jkn->ikn", A.symbol, M.symbol)]), M.dim // k)
     coupling = None if A.fields is None else _fields_product(A.fields)
 
     def apply(r):
@@ -238,14 +241,14 @@ def preconditioned_product(A, M) -> Optional[Callable]:
 
 
 def hermitian_2x2_function(a11, a12, a22, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-mode f(A) of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, n).
+    """Per-mode f(A) of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, modes).
 
     a11 and a22 are real; a12 may be complex, and then so is the result.
-    Scalar entries are shared by every block. A block has the eigenvalues
-    t +- h, with t the mean of its diagonal and h = |A - t I|, so
+    The entries broadcast to one value per mode, and a block has the
+    eigenvalues t +- h, with t the mean of its diagonal and h = |A - t I|, so
     f(A) = (f(t + h) + f(t - h))/2 I + (f(t + h) - f(t - h))/(2h) (A - t I),
     which is f(t) I where h = 0; no eigenvectors are formed. f maps the
-    stacked eigenvalues of every block at once, shape (2, n) with t + h
+    stacked eigenvalues of every block at once, shape (2, modes) with t + h
     first, to their values, so it may read all of them, such as their
     largest modulus.
     """
@@ -317,18 +320,19 @@ def reflection_blocks(op: FourierOperator) -> Iterator[np.ndarray]:
     ValueError at once past DENSE_DIM_LIMIT, on odd n, or when the symbol or
     fields are not even to 1e-12 relative.
     """
-    k, _, n = op.symbol.shape
+    k = op.symbol.shape[0]
+    n = op.dim // k
     check_dense_dim(k * (n // 2 + 1))
     if n % 2:
         raise ValueError("reflection blocks need an even number of samples")
-    half = op.symbol[..., :n // 2 + 1]
-    if not np.abs(np.imag(half)).max() <= 1e-12 * np.abs(half).max():
+    symbol = op.symbol
+    if not np.abs(np.imag(symbol)).max() <= 1e-12 * np.abs(symbol).max():
         raise ValueError("operator's symbol is not real on modes 0..n/2, so it is not even")
     fields = op.fields
     if fields is not None and (np.linalg.norm(fields[..., (-np.arange(n)) % n] - fields)
                                > 1e-12 * np.linalg.norm(fields)):
         raise ValueError("operator's fields are not even under the grid reflection")
-    columns = np.fft.irfft(np.real(half), n)  # column 0 of each entry's circulant
+    columns = np.fft.irfft(np.real(symbol), n)  # column 0 of each entry's circulant
     return (_reflection_block(columns, fields, sign) for sign in (1.0, -1.0))
 
 
@@ -372,14 +376,12 @@ def _check_symmetry(op: LinearOperator) -> None:
     """Refuse an operator that is not symmetric.
 
     A FourierOperator is judged by its data and applied not once: each
-    mode 0..n/2 of its symbol, the modes its product reads, must be
-    Hermitian, and each sample of its fields symmetric, each to 1e-12 of
-    its largest modulus. Any other operator must pass a probe:
-    <Au, w> = <u, Aw> for two seeded vectors, to 1e-8 relative.
+    mode of its symbol must be Hermitian and each sample of its fields
+    symmetric, each to 1e-12 of its largest modulus. Any other operator
+    must pass a probe: <Au, w> = <u, Aw> for two seeded vectors, to 1e-8 relative.
     """
     if isinstance(op, FourierOperator):
-        half = op.symbol[..., :op.symbol.shape[-1] // 2 + 1]
-        for name, part in (("Fourier symbol", half), ("fields", op.fields)):
+        for name, part in (("Fourier symbol", op.symbol), ("fields", op.fields)):
             # a NaN compares false, so a part holding one fails
             if part is not None and not (np.abs(part - part.transpose(1, 0, 2).conj()).max()
                                          <= 1e-12 * np.abs(part).max()):

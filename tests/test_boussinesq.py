@@ -128,6 +128,15 @@ def test_zero_wave_is_trivial_solution():
     assert np.linalg.norm(problem.F(np.zeros(2 * params.n))) < 1e-14
 
 
+def _full_grid_symbols(n, half_length):
+    # xi and d1 = i xi on all n modes, in np.fft.fftfreq order; d1 zeroes the Nyquist mode
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_length / n)
+    d1 = 1j * xi
+    if n % 2 == 0:
+        d1[n // 2] = 0.0
+    return xi, d1
+
+
 def _complex_fft_apply(symbol, v):
     # the product of a symbol through complex transforms, real part kept
     n = symbol.shape[-1]
@@ -141,7 +150,7 @@ def _d2_linear_part(params, v):
     # S v written out through d2, as F and the Jacobian used to apply it
     n = params.n
     u, eta = v[:n], v[n:]
-    xi = fourier_symbols(n, params.half_length)[0]
+    xi = _full_grid_symbols(n, params.half_length)[0]
     d2v = _complex_fft_apply(-(xi ** 2), v)
     d2u, d2eta = d2v[:n], d2v[n:]
     return np.concatenate([-u + params.speed * (eta - params.b * d2eta),
@@ -153,22 +162,37 @@ def _rel_err(a, b):
 
 
 def test_real_transforms_match_the_complex_fft_definition():
-    params = _params(n=512, half_length=50.0)
-    xi, d1 = fourier_symbols(512, 50.0)
+    n = 512
+    params = _params(n=n, half_length=50.0)
+    xi, d1 = _full_grid_symbols(n, 50.0)
     a12 = params.speed * (1.0 + params.b * xi ** 2)
     a22 = -(1.0 - params.c * xi ** 2)
-    s_symbol = np.array([[-np.ones(512), a12], [a12, a22]])
-    v = np.random.default_rng(18).standard_normal(1024)  # every mode, Nyquist included
+    s_symbol = np.array([[-np.ones(n), a12], [a12, a22]])
+    v = np.random.default_rng(18).standard_normal(2 * n)  # every mode, Nyquist included
     # the scalar symbols of a shift and of the generator -d/dx, on both fields
     action = translation_action(params)
     shift = np.exp(-1j * xi * 0.123)
     assert _rel_err(action.act(0.123, v), _complex_fft_apply(shift, v)) <= 1e-13
     assert _rel_err(action.generators(v)[0], _complex_fft_apply(-d1, v)) <= 1e-13
-    # every other symbol goes through its Fourier operator, a scalar one times the identity
+    # every other symbol goes through its Fourier operator, a scalar one times the
+    # identity, which stores modes 0..n/2 of the full-grid symbol
     for symbol in (s_symbol, -(xi ** 2) * np.eye(2)[:, :, None],
                    hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
                    hermitian_2x2_function(-1.0, a12, a22, lambda lam: 1.0 / np.abs(lam))):
-        assert _rel_err(fourier_operator(symbol).apply(v), _complex_fft_apply(symbol, v)) <= 1e-13
+        op = fourier_operator(symbol[..., :n // 2 + 1], n)
+        assert _rel_err(op.apply(v), _complex_fft_apply(symbol, v)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.123, 0.37, 1.0, 50.0 / 512],
+                         ids=["0.123", "0.37", "1", "half-step"])
+def test_shift_scales_the_nyquist_mode_by_its_cosine(alpha):
+    # a real field's Nyquist coefficient cannot carry the phase exp(-i xi_N alpha):
+    # the shift keeps cos(xi_N alpha) of it, xi_N = pi n/(2L), on both fields
+    n, L = 512, 50.0
+    nyquist = (-1.0) ** np.arange(n)
+    shifted = translation_action(_params(n=n, half_length=L)).act(alpha, np.tile(nyquist, 2))
+    want = np.cos(np.pi * n / (2.0 * L) * alpha) * nyquist
+    assert np.max(np.abs(shifted - np.tile(want, 2))) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
@@ -177,7 +201,7 @@ def test_generator_is_minus_the_spectral_derivative_bit_for_bit(n):
     params = _params(n=n, half_length=50.0)
     d1 = fourier_symbols(n, 50.0)[1]
     w = np.random.default_rng(n).standard_normal(2 * n)
-    want = -np.fft.irfft(np.fft.rfft(w.reshape(2, n)) * d1[:n // 2 + 1], n)
+    want = -np.fft.irfft(np.fft.rfft(w.reshape(2, n)) * d1, n)
     assert np.array_equal(translation_action(params).generators(w)[0], want.reshape(-1))
 
 
@@ -371,8 +395,7 @@ def _gathered_reflection_block(columns, fields, sign):
 
 
 def _circulant_columns(op):
-    n = op.symbol.shape[-1]
-    return np.fft.irfft(op.symbol[..., :n // 2 + 1].real, n)
+    return np.fft.irfft(op.symbol.real, op.dim // op.symbol.shape[0])
 
 
 @pytest.mark.parametrize("n, half_length", [(4, 10.0), (8, 10.0), (64, 10.0), (1024, 50.0)])
@@ -742,7 +765,7 @@ def test_exact_profile_wave_is_read_only():
 def _complex_fft_rk4(w, params, dt, nsteps):
     """RK4 with the right-hand side written as five complex transforms."""
     n = params.n
-    xi, d1 = fourier_symbols(n, params.half_length)
+    xi, d1 = _full_grid_symbols(n, params.half_length)
     lap = -(xi ** 2)
     mult_eta = d1 / (1.0 + params.b * xi ** 2)
     mult_u = d1 / (1.0 + params.b * xi ** 2)

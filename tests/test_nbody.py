@@ -446,11 +446,14 @@ def _dense_abs_inverse(J, kernel_tol=1e-8):
 @pytest.mark.parametrize("m0", [0.0, 10.0])
 def test_polygon_symbol_spectrum_is_the_dense_spectrum(n, m0):
     # the DFT over bodies splits J* into n Hermitian 2x2 blocks whose
-    # eigenvalues together are J*'s
+    # eigenvalues together are J*'s; the symbol stores modes 0..n/2, and
+    # S(n - m) = conj S(m) gives the rest
     cfg = NBodyConfig(n=n, m0=m0)
     symbol = _polygon_symbol(cfg)
-    assert symbol.shape == (2, 2, n)
-    blocks = np.moveaxis(symbol, -1, 0)
+    assert symbol.shape == (2, 2, n // 2 + 1)
+    full = np.concatenate([symbol, symbol[..., 1:(n + 1) // 2][..., ::-1].conj()], axis=-1)
+    assert full.shape == (2, 2, n)
+    blocks = np.moveaxis(full, -1, 0)
     assert np.allclose(blocks, blocks.conj().transpose(0, 2, 1), rtol=0.0,
                        atol=1e-13 * np.abs(blocks).max())
     by_mode = np.sort(np.linalg.eigvalsh(blocks).ravel())

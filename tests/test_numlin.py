@@ -26,7 +26,7 @@ def _derivative(v, half_length, order):
     n = v.shape[0]
     xi, d1 = fourier_symbols(n, half_length)
     symbol = d1 if order == 1 else -(xi ** 2)
-    return np.fft.irfft(np.fft.rfft(v) * symbol[:n // 2 + 1], n)
+    return np.fft.irfft(np.fft.rfft(v) * symbol, n)
 
 
 def test_spectral_derivative_trig_exact():
@@ -65,17 +65,18 @@ def test_fourier_symbols_are_cached_and_read_only():
 
 
 def test_fourier_symbols_zero_the_nyquist_first_derivative():
+    # modes 0..8 of 16 samples on [-2, 2): xi = m pi/2, the Nyquist mode last and positive
     xi, d1 = fourier_symbols(16, 2.0)
-    assert xi[8] != 0.0 and d1[8] == 0.0
-    keep = np.arange(16) != 8
-    assert np.array_equal(d1[keep], 1j * xi[keep])
+    assert np.allclose(xi, 0.5 * np.pi * np.arange(9), rtol=1e-15, atol=0.0)
+    assert xi[-1] > 0.0 and d1[-1] == 0.0
+    assert np.array_equal(d1[:-1], 1j * xi[:-1])
 
 
 def test_fourier_symbols_keep_the_highest_mode_of_an_odd_grid():
     # an odd grid has no Nyquist mode: its highest modes +-3 (n = 7) are a conjugate pair
     n, L = 7, np.pi
     xi, d1 = fourier_symbols(n, L)
-    assert np.array_equal(d1, 1j * xi)
+    assert xi.shape == (4,) and np.array_equal(d1, 1j * xi)
     x = -L + (2 * L / n) * np.arange(n)
     assert np.allclose(_derivative(np.sin(3 * x), L, 1), 3 * np.cos(3 * x), rtol=0.0, atol=1e-13)
 
@@ -92,19 +93,30 @@ def test_symbol_product_equals_per_mode_product():
     for m in range(n):
         out_hat[:, m] = symbol[:, :, m] @ v_hat[:, m]
     expected = np.fft.ifft(out_hat).real
-    assert np.allclose(_symbol_product(symbol)(v), expected, rtol=0.0, atol=1e-13)
-    assert np.allclose(fourier_operator(symbol).apply(v), expected.reshape(-1),
+    # the library's symbols hold modes 0..n/2 alone
+    half = symbol[..., :n // 2 + 1]
+    assert np.allclose(_symbol_product(half, n)(v), expected, rtol=0.0, atol=1e-13)
+    assert np.allclose(fourier_operator(half, n).apply(v), expected.reshape(-1),
                        rtol=0.0, atol=1e-13)
 
 
 def test_symbol_product_rejects_bad_shapes():
-    # the product refuses a vector that is not the symbol's field count times its length
-    product = _symbol_product(np.ones((2, 2, 8)))
+    # the product refuses a vector that is not the symbol's field count times the grid size
+    product = _symbol_product(np.ones((2, 2, 5)), 8)
     for bad in (np.ones(8), np.ones(24)):
         with pytest.raises(ValueError):
             product(bad)
     with pytest.raises(ValueError):
-        _symbol_product(np.ones((2, 8)))
+        _symbol_product(np.ones((2, 5)), 8)
+    # a symbol holds modes 0..n//2, 5 of 8 or 9 samples: a stale full-length
+    # one, or one of another grid, is refused by the product and the operator
+    for n in (8, 9):
+        for modes in (n, n // 2, n // 2 + 2):
+            with pytest.raises(ValueError, match="shape"):
+                _symbol_product(np.ones((2, 2, modes)), n)
+            with pytest.raises(ValueError, match="shape"):
+                fourier_operator(np.ones((2, 2, modes)), n)
+        assert fourier_operator(np.ones((2, 2, 5)), n).dim == 2 * n
 
 
 def _hermitian_symbol(rng, shape, complex_part):
@@ -124,16 +136,19 @@ def test_symbol_product_is_the_summed_broadcast_bit_for_bit(k, rows, complex_par
     v = rng.standard_normal(k * n)
     half = symbol[..., :n // 2 + 1]
     expected = np.fft.irfft((half * np.fft.rfft(v.reshape(k, n))).sum(axis=1), n)
-    out = _symbol_product(symbol)(v)
+    out = _symbol_product(half, n)(v)
     assert out.shape == (rows * k, n)
     assert np.array_equal(out, expected)
 
 
 def _even_symbol(rng, shape):
-    # real and even in the mode, so Hermitian; symmetric per mode when square
+    # real and even in the mode on shape[-1] samples, so Hermitian; symmetric per
+    # mode when square; returned on modes 0..n/2, the modes the library stores
+    n = shape[-1]
     symbol = rng.standard_normal(shape)
-    symbol = symbol + symbol[..., (-np.arange(shape[-1])) % shape[-1]]
-    return symbol + symbol.transpose(1, 0, 2) if shape[0] == shape[1] else symbol
+    symbol = symbol + symbol[..., (-np.arange(n)) % n]
+    symbol = symbol + symbol.transpose(1, 0, 2) if shape[0] == shape[1] else symbol
+    return symbol[..., :n // 2 + 1]
 
 
 def test_symbol_product_of_a_rectangular_symbol_stacks_its_rows():
@@ -142,10 +157,11 @@ def test_symbol_product_of_a_rectangular_symbol_stacks_its_rows():
     rng = np.random.default_rng(12)
     symbol = _even_symbol(rng, (3, 2, n))
     v = rng.standard_normal(2 * n)
-    out = _symbol_product(symbol)(v).copy()
+    out = _symbol_product(symbol, n)(v).copy()
     assert out.shape == (3, n)
     for i in range(3):
-        assert np.allclose(out[i], _symbol_product(symbol[i:i + 1])(v)[0], rtol=0.0, atol=1e-14)
+        assert np.allclose(out[i], _symbol_product(symbol[i:i + 1], n)(v)[0],
+                           rtol=0.0, atol=1e-14)
 
 
 # ---------------- Fourier operators ----------------
@@ -159,9 +175,9 @@ def _fourier_pair(n, seed):
     # A = symbol minus symmetric fields; M a symmetric positive definite multiplier
     rng = np.random.default_rng(seed)
     fields = _symmetric_fields(rng, 2, n)
-    A = fourier_operator(_even_symbol(rng, (2, 2, n)), fields)
+    A = fourier_operator(_even_symbol(rng, (2, 2, n)), n, fields)
     root = _even_symbol(rng, (2, 2, n))
-    M = fourier_operator(np.einsum("ijn,kjn->ikn", root, root) + np.eye(2)[:, :, None])
+    M = fourier_operator(np.einsum("ijn,kjn->ikn", root, root) + np.eye(2)[:, :, None], n)
     return A, M, fields, rng
 
 
@@ -174,15 +190,15 @@ def test_fourier_operator_applies_symbol_minus_pointwise():
     # the fields' sum in j order, as a hand-written coupling adds it
     coupling = np.concatenate([fields[0, 0] * vu + fields[0, 1] * ve,
                                fields[1, 0] * vu + fields[1, 1] * ve])
-    assert np.array_equal(A.apply(v), _symbol_product(A.symbol)(v).reshape(-1) - coupling)
-    assert np.array_equal(M.apply(v), _symbol_product(M.symbol)(v).reshape(-1))
+    assert np.array_equal(A.apply(v), _symbol_product(A.symbol, n)(v).reshape(-1) - coupling)
+    assert np.array_equal(M.apply(v), _symbol_product(M.symbol, n)(v).reshape(-1))
     dense = materialize(A)
     assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
-    for bad in (np.ones(8), np.ones((2, 3, 8))):
+    for bad in (np.ones(9), np.ones((2, 3, 9))):
         with pytest.raises(ValueError):
-            fourier_operator(bad)
+            fourier_operator(bad, n)
     with pytest.raises(ValueError, match="fields"):
-        fourier_operator(A.symbol, fields[:, :, :8])
+        fourier_operator(A.symbol, n, fields[:, :, :8])
 
 
 def test_fourier_operator_apply_returns_a_fresh_vector():
@@ -215,9 +231,13 @@ def test_preconditioned_product_declines_what_it_cannot_fuse():
     A, M, _, rng = _fourier_pair(n, 15)
     plain = LinearOperator(dim=M.dim, apply=M.apply)
     assert preconditioned_product(A, M) is not None
-    # a callable, a plain operator, an M with fields, a dense A, another grid
+    # a callable, a plain operator, an M with fields, a dense A, another grid, and
+    # grids of 16 and 17 samples, whose symbols share the shape (2, 2, 9)
+    odd = fourier_operator(_even_symbol(rng, (2, 2, n + 1)), n + 1)
+    assert odd.symbol.shape == M.symbol.shape
     for a, m in ((A, M.apply), (A, plain), (A, A), (plain, M), (materialize(A), M),
-                 (fourier_operator(_even_symbol(rng, (2, 2, 2 * n))), M)):
+                 (fourier_operator(_even_symbol(rng, (2, 2, 2 * n)), 2 * n), M),
+                 (odd, M), (A, odd)):
         assert preconditioned_product(a, m) is None
 
 
@@ -243,7 +263,8 @@ def _even_operator(rng, k, n):
     # a real even symbol, and even symmetric fields with Nyquist content
     nyquist = (-1.0) ** np.arange(n)
     fields = _symmetric_fields(rng, k, n) + 0.3 * nyquist * _symmetric_fields(rng, k, 1)
-    return fourier_operator(_even_symbol(rng, (k, k, n)), fields + fields[..., (-np.arange(n)) % n])
+    return fourier_operator(_even_symbol(rng, (k, k, n)), n,
+                            fields + fields[..., (-np.arange(n)) % n])
 
 
 @pytest.mark.parametrize("n", [4, 8, 64])
@@ -265,8 +286,8 @@ def test_reflection_blocks_refuse_an_operator_that_is_not_even():
     op = _even_operator(rng, 2, n)
     # d1 is odd in the mode; random fields are not even on the grid
     odd_symbol = op.symbol + 0.5 * fourier_symbols(n, 1.0)[1]
-    for bad in (fourier_operator(odd_symbol, op.fields),
-                fourier_operator(op.symbol, _symmetric_fields(rng, 2, n))):
+    for bad in (fourier_operator(odd_symbol, n, op.fields),
+                fourier_operator(op.symbol, n, _symmetric_fields(rng, 2, n))):
         with pytest.raises(ValueError, match="even"):
             reflection_blocks(bad)
 
@@ -602,7 +623,7 @@ def test_minres_rejects_a_fourier_operator_whose_symbol_is_not_hermitian():
     symbol = A.symbol.astype(complex)
     symbol[0, 1, 3] += 1e-6j  # mode 3 alone: its block is no longer Hermitian
     with pytest.raises(ValueError, match="symmetr"):
-        minres(fourier_operator(symbol, fields), np.ones(2 * n))
+        minres(fourier_operator(symbol, n, fields), np.ones(2 * n))
 
 
 def test_minres_rejects_a_fourier_operator_whose_fields_are_not_symmetric():
@@ -613,9 +634,9 @@ def test_minres_rejects_a_fourier_operator_whose_fields_are_not_symmetric():
     a, b = rng.standard_normal((2, n))
     fields = np.array([[a, b], [b * (1.0 + 1e-9), np.zeros(n)]])
     with pytest.raises(ValueError, match="symmetr"):
-        minres(fourier_operator(A.symbol, fields), np.ones(2 * n))
+        minres(fourier_operator(A.symbol, n, fields), np.ones(2 * n))
     fields[1, 0] = b
-    minres(fourier_operator(A.symbol, fields), np.ones(2 * n), maxit=1)
+    minres(fourier_operator(A.symbol, n, fields), np.ones(2 * n), maxit=1)
 
 
 def test_symmetry_check_of_a_fourier_operator_applies_it_zero_times():
