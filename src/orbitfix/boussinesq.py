@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numlin import FourierOperator, fourier_operator, fourier_symbols, hermitian_2x2_function
+from .numlin import FourierOperator, fourier_operator, fourier_symbols, matrix_2x2_function
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -107,10 +107,11 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
                         speed=float(speed), decay=float(decay), ratio=float(ratio))
 
 
-def _linear_symbol(params: BSParams):
-    """Entries (a11, a12, a22) of S's symmetric 2x2 block, per Fourier mode."""
+def _linear_symbol(params: BSParams, speed: float) -> np.ndarray:
+    """S's symmetric 2x2 block at the given speed, shape (2, 2, n//2 + 1)."""
     xi = fourier_symbols(params.n, params.half_length)[0]
-    return -1.0, params.speed * (1.0 + params.b * xi ** 2), -(1.0 - params.c * xi ** 2)
+    a12 = speed * (1.0 + params.b * xi ** 2)
+    return np.array([[np.full(xi.shape, -1.0), a12], [a12, -(1.0 - params.c * xi ** 2)]])
 
 
 def build_bs_problem(params: BSParams) -> ProblemSpec:
@@ -119,7 +120,7 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     F(w) = S w - N(w) with N(w) = (u eta, u^2/2), quadratic: the problem is
     the split (S, S^{-1}, N, degree 2), which gives F and G = S^{-1}N. S and
     S^{-1} are matrix symbols, one Fourier apply each; S^{-1} is
-    hermitian_2x2_function of S with f = 1/lambda. It exists on every mode:
+    matrix_2x2_function of S with f = 1/lambda. It exists on every mode:
     det S = (1 - c xi^2) - cs^2 (1 + b xi^2)^2 < 0 whenever cs > 1, as
     2b - |c| = 1/3.
     The Jacobian at w0 is the FourierOperator with symbol S and the
@@ -127,9 +128,8 @@ def build_bs_problem(params: BSParams) -> ProblemSpec:
     bs spectrum diagonalizes.
     """
     n = params.n
-    a11, a12, a22 = np.broadcast_arrays(*_linear_symbol(params))
-    s_symbol = np.array([[a11, a12], [a12, a22]])
-    s_inverse = hermitian_2x2_function(a11, a12, a22, np.reciprocal)
+    s_symbol = _linear_symbol(params, params.speed)
+    s_inverse = matrix_2x2_function(s_symbol, np.reciprocal)
 
     def nonlinear(w):
         w = np.asarray(w, dtype=float)
@@ -152,13 +152,14 @@ def precond_operator(params: BSParams) -> FourierOperator:
     Per Fourier mode S is the symmetric block [[-1, cs(1 + b xi^2)],
     [cs(1 + b xi^2), -(1 - c xi^2)]], indefinite with negative determinant.
     Its absolute value |S| has the same eigenvectors and the moduli of the
-    eigenvalues, so |S|^{-1}, hermitian_2x2_function of S with f = 1/|lambda|,
+    eigenvalues, so |S|^{-1}, matrix_2x2_function of S with f = 1/|lambda|,
     is symmetric positive definite and serves as the MINRES preconditioner
     for the indefinite Jacobian. Passed to minres as the operator itself,
     not its apply, it is fused with the Jacobian: each iteration's M r and
     J M r come from one transform pair.
     """
-    symbol = hermitian_2x2_function(*_linear_symbol(params), lambda lam: 1.0 / np.abs(lam))
+    symbol = matrix_2x2_function(_linear_symbol(params, params.speed),
+                                 lambda lam: 1.0 / np.abs(lam))
     return fourier_operator(symbol, params.n)
 
 
@@ -271,45 +272,37 @@ def _phis(z: np.ndarray) -> np.ndarray:
     return phis
 
 
-def _etdrk4_level(h: float, frame_speed: float, d1: np.ndarray, swap: np.ndarray,
-                  quad: np.ndarray) -> tuple:
-    """ETDRK4 coefficients of v_t = f(v) + frame_speed dx v for the step h.
+def _etdrk4_level(h: float, L: np.ndarray, W: np.ndarray) -> tuple:
+    """ETDRK4 coefficients of v_t = L v + W (u^2, eta u)^ for the step h (_evolution_symbols).
 
-    Per mode the linear part is L = frame_speed d1 I + K, with K the swap
-    multiplier [[0, swap[0]], [swap[1], 0]] and K^2 = -omega^2 I, so L has the
-    eigenvalues mu+- = frame_speed d1 +- i omega. A function of hL is then
-    (g(h mu+) + g(h mu-))/2 I + (g(h mu+) - g(h mu-))/(2 i omega) K, the
-    identity's part alone where omega = 0. Every coefficient is a 2x2 symbol
-    stored as its diagonal and anti-diagonal rows, applied as
-    diag * x + anti * x[::-1], and carries row weights: quad on those acting
-    on the nonlinear products (Cox and Matthews, J. Comput. Phys. 176,
-    2002), ones on the exponentials.
-    The level is the tuple (exp(hL/2), exp(hL), Q, f1, f2, f3): with
-    z = h mu, Q = (h/2) phi_1(z/2), f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
-    f2 = 2h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2), the phi_k at z.
+    The level is the tuple of 2x2 blocks (exp(hL/2), exp(hL), Q, f1, f2,
+    f3), all six from one matrix_2x2_function of L, the last four scaled
+    column by column by W (Cox and Matthews, J. Comput. Phys. 176, 2002):
+    at z = h lambda for each eigenvalue lambda of L, Q = (h/2) phi_1(z/2),
+    f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = 2h (phi_2 - 2 phi_3) and
+    f3 = h (4 phi_3 - phi_2), the phi_k at z.
     """
-    omega = np.sqrt(np.maximum(-(swap[0] * swap[1]).real, 0.0))
-    mu = np.stack([frame_speed * d1 + 1j * omega, frame_speed * d1 - 1j * omega])
-    k_scale = np.divide(1.0, 2j * omega, out=np.zeros_like(mu[0]), where=omega > 0.0)
-    z = h * mu
 
-    def symbol(at_mu, weights):
-        plus, minus = at_mu
-        return 0.5 * (plus + minus) * weights, (plus - minus) * k_scale * swap * weights[::-1]
+    def functions(lam):
+        z = h * lam
+        # one evaluation at z/2 and z; only phi_1 is needed at z/2
+        (half_phi1, phi1), (_, phi2), (_, phi3) = _phis(np.stack([0.5 * z, z]))
+        return np.stack([np.exp(0.5 * z), np.exp(z), 0.5 * h * half_phi1,
+                         h * (phi1 - 3.0 * phi2 + 4.0 * phi3), 2.0 * h * (phi2 - 2.0 * phi3),
+                         h * (4.0 * phi3 - phi2)], axis=1)
 
-    # one evaluation at z/2 and z; only phi_1 is needed at z/2
-    (half_phi1, phi1), (_, phi2), (_, phi3) = _phis(np.stack([0.5 * z, z]))
-    ones = np.ones(swap.shape)
-    return (symbol(np.exp(0.5 * z), ones), symbol(np.exp(z), ones),
-            *(symbol(at_mu, quad) for at_mu in (0.5 * h * half_phi1,
-                                                 h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
-                                                 2.0 * h * (phi2 - 2.0 * phi3),
-                                                 h * (4.0 * phi3 - phi2))))
+    coefficients = np.moveaxis(matrix_2x2_function(L, functions), 2, 0)
+    coefficients[2:] *= W
+    return tuple(coefficients)
 
 
 def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
-    """One in-place ETDRK4 step on the half spectrum, by the coefficients of _etdrk4_level."""
-    e_half, e_full, q, f1, f2, f3 = coefficients
+    """One in-place ETDRK4 step on the half spectrum, by the coefficients of _etdrk4_level.
+
+    A block acts as diag * x + anti * x[::-1], with its diagonal and anti-diagonal rows.
+    """
+    e_half, e_full, q, f1, f2, f3 = ((flat[[0, 3]], flat[1:3])
+                                     for flat in (c.reshape(4, -1) for c in coefficients))
     pv, pa, pb, pc, e2v, a, b, c, tmp = (np.empty(e_full[1].shape, dtype=complex)
                                          for _ in range(9))
 
@@ -350,18 +343,17 @@ def _etdrk4_stepper(coefficients: tuple, nonlinear_hat):
     return step
 
 
-def _half_spectrum_symbols(params: BSParams):
-    """(d1, swap, quad) on modes 0..n/2 of the lab-frame evolution -m P (S_0 v - N(v)).
+def _evolution_symbols(params: BSParams, frame_speed: float):
+    """(d1, L, W) on modes 0..n/2 of the evolution -m P (S v - N(v)) in the frame at frame_speed.
 
-    K = -m P S_0 has the rows swap = (-m a22, -m a11) of _linear_symbol, and
-    m P N weights the products by quad = (m/2, m): w_dot^ has the rows
-    swap[0] eta^ + quad[0] (u^2)^ and swap[1] u^ + quad[1] (eta u)^.
+    With m = -i xi/(1 + b xi^2) and P the row swap, v_dot^ = L v^ + W (u^2,
+    eta u)^: the linear part L = -m P S_0 + frame_speed d1 I is -m P S at
+    the speed frame_speed, and m P N weights the products by W = (m/2, m).
     """
     xi, d1 = fourier_symbols(params.n, params.half_length)
-    a11, _, a22 = _linear_symbol(params)
     m = -d1 / (1.0 + params.b * xi ** 2)
-    # -m a22 and -m a11 in the forms whose zeros carry the signs of m (1 - c xi^2) and m
-    return d1, np.stack([m * -a22, -(m * a11)]), np.stack([0.5 * m, m])
+    L = -m * _linear_symbol(params, 0.0)[::-1] + frame_speed * d1 * np.eye(2)[:, :, None]
+    return d1, L, np.stack([0.5 * m, m])
 
 
 def propagation_schedule(dt: float, t_end: float,
@@ -397,25 +389,25 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
 
     The state is the half spectrum (u^, eta^). With m = -i xi/(1 + b xi^2),
     P the row swap and S_0 the speed-0 part of S, the derivative is
-    -m P (S_0 w - N(w)): a linear part K = -m P S_0 that swaps the two rows,
-    with K^2 = -omega^2 I, plus weighted products. Each evaluation of the
-    products sends the state through one batched inverse real transform
-    to get u and eta, and (u^2, eta u) through one batched real transform
-    back: 4 transform rows, 4 evaluations a step. Stages are accumulated in
-    place in preallocated buffers; no stage allocates an array.
+    -m P (S_0 w - N(w)): a linear part -m P S_0 that swaps the two rows,
+    plus weighted products. Each evaluation of the products sends the state
+    through one batched inverse real transform to get u and eta, and
+    (u^2, eta u) through one batched real transform back: 4 transform rows,
+    4 evaluations a step. Stages are accumulated in place in preallocated
+    buffers; no stage allocates an array.
 
     The run steps the frame moving at frame_speed cs,
     v(x, t) = w(x + cs t, t), which obeys v_t = f(v) + cs dx v, by ETDRK4:
-    the linear part cs d1 I + K is integrated exactly per mode, with the
-    coefficients of Cox and Matthews built from the phi-functions at the
-    step (_etdrk4_level). The default cs = 0 is the lab frame. As
-    -m P S = cs d1 I + K for S at speed cs, the frame's evolution is
-    -m P (S v - N(v)): a solitary wave at speed cs is an equilibrium of its
-    frame by construction, which the exponential integrator keeps to the
-    size of its residual |F|; the step is bound only by the dynamics off
-    the wave. Snapshots are carried back to the lab frame by the symbol
-    exp(-cs t d1), 1 at cs = 0. m zeroes the Nyquist mode, so the Nyquist
-    coefficients never change.
+    the linear part L = -m P S_0 + cs d1 I of _evolution_symbols is
+    integrated exactly per mode, with the coefficients of Cox and Matthews
+    built from the phi-functions at the step (_etdrk4_level). The default
+    cs = 0 is the lab frame. As L = -m P S for S at speed cs, the frame's
+    evolution is -m P (S v - N(v)) = -m P F: a solitary wave at speed cs, a
+    zero of F, is an equilibrium of its frame by construction, which the
+    exponential integrator keeps to the size of its residual |F|; the step
+    is bound only by the dynamics off the wave. Snapshots are carried back
+    to the lab frame by the symbol exp(-cs t d1), 1 at cs = 0. m zeroes the
+    Nyquist mode, so the Nyquist coefficients never change.
 
     dt is the finest step. In a moving frame the run skips the steps that
     change nothing by step doubling: level j steps 2^j dt, and an interval
@@ -452,7 +444,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     nsteps, dt_eff, target_steps = propagation_schedule(dt, t_end, snapshot_times)
 
     n = params.n
-    d1, swap, quad = _half_spectrum_symbols(params)
+    d1, L, W = _evolution_symbols(params, frame_speed)
 
     samples = np.empty((2, n))
     products = np.empty((2, n))
@@ -470,7 +462,7 @@ def propagate(w0, params: BSParams, dt: float, t_end: float,
     def step(level, state):
         # level j steps 2^j dt; its stepper is built on first use
         if level not in steppers:
-            coefficients = _etdrk4_level(dt_eff * 2 ** level, frame_speed, d1, swap, quad)
+            coefficients = _etdrk4_level(dt_eff * 2 ** level, L, W)
             steppers[level] = _etdrk4_stepper(coefficients, nonlinear_hat)
         steppers[level](state)
         result.etdrk4_steps += 1

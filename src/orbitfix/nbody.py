@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .numlin import LinearOperator, fourier_operator, hermitian_2x2_function
+from .numlin import LinearOperator, fourier_operator, matrix_2x2_function
 from .solvers import DomainError, HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
@@ -224,7 +224,9 @@ def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     w2 = config.omega ** 2
     blocks[:, :, 0] = [[w2 + 2.0 * a - hxx.sum(), -hxy.sum()],
                        [-hxy.sum(), w2 - a - hyy.sum()]]
-    return np.fft.rfft(blocks).conj()
+    # the Hermitian part, which rfft's round-off leaves Hermitian only to about 1e-14 relative
+    symbol = np.fft.rfft(blocks).conj()
+    return 0.5 * (symbol + symbol.transpose(1, 0, 2).conj())
 
 
 def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
@@ -233,16 +235,15 @@ def precond_operator(config: NBodyConfig, alpha: float = 0.0) -> LinearOperator:
     The ring's counterpart of boussinesq.precond_operator: v is turned
     into the bodies' (radial, tangential) frames, multiplied mode by mode
     by |S(m)|^{-1} of _polygon_symbol through one FourierOperator, and
-    turned back. |S(m)|^{-1} is hermitian_2x2_function with f = _lifted_abs_inverse,
+    turned back. |S(m)|^{-1} is matrix_2x2_function with f = _lifted_abs_inverse,
     which gives kernel eigenvalues (the rotation generator, and every
     tangential motion at m0 = 0) the largest modulus over all modes. So
     the result is symmetric positive definite, and M maps the generator to
     a multiple of itself. Build O(n), apply O(n log n).
     """
     n = config.n
-    symbol = _polygon_symbol(config)
-    product = fourier_operator(hermitian_2x2_function(
-        symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real, _lifted_abs_inverse), n).apply
+    symbol = matrix_2x2_function(_polygon_symbol(config), _lifted_abs_inverse)
+    product = fourier_operator(symbol, n).apply
     # body j's radial direction as a unit complex number; states are x + iy per body
     turn = np.exp(1j * (2.0 * np.pi * np.arange(1, n + 1) / n + alpha))
     unturn = turn.conj()

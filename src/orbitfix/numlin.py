@@ -27,7 +27,7 @@ __all__ = [
     "fourier_symbols",
     "fourier_operator",
     "preconditioned_product",
-    "hermitian_2x2_function",
+    "matrix_2x2_function",
     "check_dense_dim",
     "dense_eigenvalues",
     "reflection_blocks",
@@ -240,26 +240,28 @@ def preconditioned_product(A, M) -> Optional[Callable]:
     return apply
 
 
-def hermitian_2x2_function(a11, a12, a22, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-mode f(A) of Hermitian 2x2 blocks [[a11, a12], [conj a12, a22]], shape (2, 2, modes).
+def matrix_2x2_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-mode f(A) of the 2x2 blocks a, shape (2, 2, modes): the matrix symbols' layout.
 
-    a11 and a22 are real; a12 may be complex, and then so is the result.
-    The entries broadcast to one value per mode, and a block has the
-    eigenvalues t +- h, with t the mean of its diagonal and h = |A - t I|, so
+    A block has the eigenvalues t +- h, with t and d the mean and
+    half-difference of its diagonal and h = sqrt(d^2 + a12 a21), the
+    principal root in a's dtype, so
     f(A) = (f(t + h) + f(t - h))/2 I + (f(t + h) - f(t - h))/(2h) (A - t I),
-    which is f(t) I where h = 0; no eigenvectors are formed. f maps the
-    stacked eigenvalues of every block at once, shape (2, modes) with t + h
-    first, to their values, so it may read all of them, such as their
-    largest modulus.
+    which is symmetric in +-h; no eigenvectors are formed. The formula
+    holds when a block whose eigenvalues coincide is t I, where the slope
+    is 0, and when a real a has real eigenvalues, as a symmetric one does.
+    f maps the stacked eigenvalues of every block at once, shape (2, modes)
+    with t + h first, to values of shape (2, ..., modes), so it may read all
+    of them, such as their largest modulus, and may return several
+    functions; the result then has shape (2, 2, ..., modes).
     """
-    t, d = 0.5 * (a11 + a22), 0.5 * (a11 - a22)
-    h = np.hypot(d, np.abs(a12))
+    t, d = 0.5 * (a[0, 0] + a[1, 1]), 0.5 * (a[0, 0] - a[1, 1])
+    h = np.sqrt(d * d + a[0, 1] * a[1, 0])
     f_up, f_down = f(np.stack([t + h, t - h]))
     mean = 0.5 * (f_up + f_down)
-    # where h = 0 the two values are equal, so the slope is 0
-    slope = 0.5 * (f_up - f_down) / np.where(h > 0.0, h, 1.0)
-    b12 = slope * a12
-    return np.stack([np.stack([mean + slope * d, b12]), np.stack([b12.conj(), mean - slope * d])])
+    slope = (f_up - f_down) * np.divide(0.5, h, out=np.zeros_like(h), where=h != 0.0)
+    return np.stack([np.stack([mean + slope * d, slope * a[0, 1]]),
+                     np.stack([slope * a[1, 0], mean - slope * d])])
 
 
 def check_dense_dim(dim: int) -> None:

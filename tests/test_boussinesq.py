@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper,
-                                 _half_spectrum_symbols, build_bs_problem, exact_profile, grid,
+from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper, _evolution_symbols,
+                                 _phis, build_bs_problem, exact_profile, grid,
                                  periodic_wrap, precond_operator, propagate, propagation_schedule,
                                  translation_action, translation_shift)
 from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_operator,
-                             fourier_symbols, hermitian_2x2_function, materialize, minres,
+                             fourier_symbols, materialize, matrix_2x2_function, minres,
                              preconditioned_product, reflection_blocks)
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
@@ -177,8 +177,8 @@ def test_real_transforms_match_the_complex_fft_definition():
     # every other symbol goes through its Fourier operator, a scalar one times the
     # identity, which stores modes 0..n/2 of the full-grid symbol
     for symbol in (s_symbol, -(xi ** 2) * np.eye(2)[:, :, None],
-                   hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
-                   hermitian_2x2_function(-1.0, a12, a22, lambda lam: 1.0 / np.abs(lam))):
+                   matrix_2x2_function(s_symbol, np.reciprocal),
+                   matrix_2x2_function(s_symbol, lambda lam: 1.0 / np.abs(lam))):
         op = fourier_operator(symbol[..., :n // 2 + 1], n)
         assert _rel_err(op.apply(v), _complex_fft_apply(symbol, v)) <= 1e-13
 
@@ -994,13 +994,13 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     """
     nsteps, h, _ = propagation_schedule(dt, t_end)
     n = params.n
-    d1, swap, quad = _half_spectrum_symbols(params)
+    d1, L, W = _evolution_symbols(params, frame_speed)
 
     def nonlinear_hat(state, out):
         u, eta = np.fft.irfft(state, n)
         out[...] = np.fft.rfft(np.stack([u * u, eta * u]))
 
-    step = _etdrk4_stepper(_etdrk4_level(h, frame_speed, d1, swap, quad), nonlinear_hat)
+    step = _etdrk4_stepper(_etdrk4_level(h, L, W), nonlinear_hat)
     v = np.fft.rfft(np.asarray(w0, dtype=float).reshape(2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, nsteps + 1):
@@ -1010,17 +1010,19 @@ def _fixed_step_propagate(w0, params, dt, t_end, frame_speed=0.0):
     return np.fft.irfft(np.exp(-frame_speed * nsteps * h * d1) * v, n).reshape(2 * n), nsteps
 
 
-def _mp_level(mp, h, frame_speed, d1, swap, quad, modes):
-    """_etdrk4_level's six (diag, anti) pairs on the given modes, in mpmath.
+def _mp_level(mp, h, frame_speed, d1, L, W, modes):
+    """_etdrk4_level's six blocks on the given modes, in mpmath.
 
-    Taken from the closed forms of exp and phi_1..phi_3 at h mu+- on the
+    L's off-diagonal entries K12 and K21, the same in every frame, give
+    the eigenvalues mu+- = frame_speed d1 +- i omega, omega^2 = -K12 K21. The blocks are
+    taken from the closed forms of exp and phi_1..phi_3 at h mu+- on the
     float inputs, with every later operation in mpmath too.
     """
     h, frame_speed = mp.mpf(h), mp.mpf(frame_speed)
     ref = np.zeros((6, 2, 2, len(modes)), dtype=complex)
     for col, m in enumerate(modes):
-        sw = [mp.mpc(swap[0, m]), mp.mpc(swap[1, m])]
-        weights = [mp.mpc(quad[0, m]), mp.mpc(quad[1, m])]
+        sw = [mp.mpc(L[0, 1, m]), mp.mpc(L[1, 0, m])]
+        weights = [mp.mpc(W[0, m]), mp.mpc(W[1, m])]
         omega = mp.sqrt(max(-mp.re(sw[0] * sw[1]), 0))
         at_mu = []
         for sign in (1, -1):
@@ -1042,7 +1044,7 @@ def _mp_level(mp, h, frame_speed, d1, swap, quad, modes):
                 diag, anti = (plus + minus) / 2, (plus - minus) * k_scale * sw[r]
                 if i >= 2:
                     diag, anti = diag * weights[r], anti * weights[1 - r]
-                ref[i, :, r, col] = complex(diag), complex(anti)
+                ref[i, r, r, col], ref[i, r, 1 - r, col] = complex(diag), complex(anti)
     return ref
 
 
@@ -1054,18 +1056,77 @@ def test_etdrk4_levels_match_mpmath(theta2, n, half_length):
     # of exp(z) to the rounding of z = h mu, |z| up to 700 at level 9
     mpmath = pytest.importorskip("mpmath")
     prof, params = _wave_params(theta2, n, half_length)
-    d1, swap, quad = _half_spectrum_symbols(params)
-    modes = list(range(0, d1.size, 7))
+    modes = list(range(0, n // 2 + 1, 7))
     with mpmath.mp.workdps(50):
         for frame_speed in (0.0, params.speed):
+            d1, L, W = _evolution_symbols(params, frame_speed)
             for j in range(10):
                 h = 0.05 * 2 ** j
-                got = np.array(_etdrk4_level(h, frame_speed, d1, swap, quad))[..., modes]
-                ref = _mp_level(mpmath.mp, h, frame_speed, d1, swap, quad, modes)
+                got = np.array(_etdrk4_level(h, L, W))[..., modes]
+                ref = _mp_level(mpmath.mp, h, frame_speed, d1, L, W, modes)
                 for coefficient, exact in zip(got, ref):
-                    # a coefficient's diagonal and anti-diagonal rows together
                     err = np.max(np.abs(coefficient - exact))
                     assert err <= 1e-12 * np.max(np.abs(exact)), (frame_speed, j)
+
+
+def _closed_form_level(h, frame_speed, d1, swap, quad):
+    """ETDRK4 coefficients in the closed form for the swap multiplier K, as (diag, anti) rows.
+
+    K = [[0, swap[0]], [swap[1], 0]] has K^2 = -omega^2 I, so the linear part
+    frame_speed d1 I + K has the eigenvalues mu+- = frame_speed d1 +- i omega,
+    and g(hL) = (g(h mu+) + g(h mu-))/2 I + (g(h mu+) - g(h mu-))/(2 i omega) K.
+    The comoving step counts ride on the round-off of this form.
+    """
+    omega = np.sqrt(np.maximum(-(swap[0] * swap[1]).real, 0.0))
+    mu = np.stack([frame_speed * d1 + 1j * omega, frame_speed * d1 - 1j * omega])
+    k_scale = np.divide(1.0, 2j * omega, out=np.zeros_like(mu[0]), where=omega > 0.0)
+    z = h * mu
+
+    def symbol(at_mu, weights):
+        plus, minus = at_mu
+        return 0.5 * (plus + minus) * weights, (plus - minus) * k_scale * swap * weights[::-1]
+
+    (half_phi1, phi1), (_, phi2), (_, phi3) = _phis(np.stack([0.5 * z, z]))
+    ones = np.ones(swap.shape)
+    return (symbol(np.exp(0.5 * z), ones), symbol(np.exp(z), ones),
+            *(symbol(at_mu, quad) for at_mu in (0.5 * h * half_phi1,
+                                                h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+                                                2.0 * h * (phi2 - 2.0 * phi3),
+                                                h * (4.0 * phi3 - phi2))))
+
+
+@pytest.mark.parametrize("theta2, n, half_length", [(0.84, 512, 50.0), (THETA2, 256, 25.0),
+                                                     (1.0, 64, 10.0)])
+def test_etdrk4_levels_equal_the_closed_form_bit_for_bit(theta2, n, half_length):
+    # every coefficient of levels 0-9 in both frames equals the closed form of the
+    # swap multiplier -m P S_0, the lab frame's L, which the comoving step counts ride on
+    params = BSParams(theta2=theta2, speed=1.3, n=n, half_length=half_length)
+    lab = _evolution_symbols(params, 0.0)[1]
+    swap = np.stack([lab[0, 1], lab[1, 0]])
+    for frame_speed in (0.0, 1.3):
+        d1, L, W = _evolution_symbols(params, frame_speed)
+        for j in range(10):
+            h = 0.05 * 2 ** j
+            for block, (diag, anti) in zip(_etdrk4_level(h, L, W),
+                                           _closed_form_level(h, frame_speed, d1, swap, W)):
+                flat = block.reshape(4, -1)
+                assert np.array_equal(flat[[0, 3]], diag) and np.array_equal(flat[1:3], anti)
+
+
+@pytest.mark.parametrize("speed", [1.5, None], ids=["1.5", "closed-form"])
+def test_evolution_is_the_travelling_wave_residual(speed):
+    # the flow in the frame at speed c is -m P F_c: a zero of F_c is its fixed point
+    params = _params(n=64, half_length=10.0, speed=speed)
+    n, c = params.n, params.speed
+    w = np.random.default_rng(23).standard_normal(2 * n)
+    d1, L, W = _evolution_symbols(params, c)
+    w_hat = np.fft.rfft(w.reshape(2, n))
+    u, eta = w.reshape(2, n)
+    flow = np.einsum("ijk,jk->ik", L, w_hat) + W * np.fft.rfft(np.stack([u * u, eta * u]))
+    xi = fourier_symbols(n, 10.0)[0]
+    m = -d1 / (1.0 + params.b * xi ** 2)
+    expected = -m * np.fft.rfft(build_bs_problem(params).F(w).reshape(2, n))[::-1]
+    assert np.linalg.norm(flow - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _bumped_wave(theta2, n, half_length, amplitude):

@@ -9,7 +9,7 @@ from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, b
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
                              _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues,
                              fourier_operator, fourier_symbols,
-                             hermitian_2x2_function, materialize, minres, pcg,
+                             matrix_2x2_function, materialize, minres, pcg,
                              preconditioned_product, reflection_blocks)
 from reference import fd_jacobian
 
@@ -296,10 +296,15 @@ def _abs_inverse(lam):
     return 1.0 / np.abs(lam)
 
 
+def _hermitian(a11, a12, a22):
+    # Hermitian blocks [[a11, a12], [conj a12, a22]] in the layout of matrix symbols
+    return np.array([[a11, a12], [np.conj(a12), a22]])
+
+
 def test_abs_inverse_2x2_matches_eigendecomposition():
     rng = np.random.default_rng(12)
     a11, a12, a22 = rng.standard_normal((3, 200)) * np.array([[1.0], [3.0], [0.1]])
-    blocks = hermitian_2x2_function(a11, a12, a22, _abs_inverse)
+    blocks = matrix_2x2_function(_hermitian(a11, a12, a22), _abs_inverse)
     assert blocks.shape == (2, 2, 200)
     for m in range(200):
         lam, vec = np.linalg.eigh(np.array([[a11[m], a12[m]], [a12[m], a22[m]]]))
@@ -320,7 +325,7 @@ def test_abs_inverse_2x2_hermitian_blocks_match_eigh():
     rng = np.random.default_rng(14)
     a11, a22 = rng.standard_normal((2, 200))
     a12 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    blocks = hermitian_2x2_function(a11, a12, a22, _abs_inverse)
+    blocks = matrix_2x2_function(_hermitian(a11, a12, a22), _abs_inverse)
     assert blocks.shape == (2, 2, 200) and np.iscomplexobj(blocks)
     for m in range(200):
         expected = _eigh_abs_inverse(np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]))
@@ -341,7 +346,7 @@ def test_abs_inverse_2x2_kernel_stand_in():
                           rng.standard_normal(4) + 1j * rng.standard_normal(4)])
     hermitian = [np.array([[a11[m], a12[m]], [a12[m].conjugate(), a22[m]]]) for m in range(9)]
     largest = max(np.abs(np.linalg.eigvalsh(h)).max() for h in hermitian)
-    blocks = hermitian_2x2_function(a11, a12, a22, _lifted_abs_inverse)
+    blocks = matrix_2x2_function(_hermitian(a11, a12, a22), _lifted_abs_inverse)
     for m, h in enumerate(hermitian):
         expected = _eigh_abs_inverse(h, 1e-8, largest)
         assert np.allclose(blocks[:, :, m], expected, rtol=0.0,
@@ -351,52 +356,57 @@ def test_abs_inverse_2x2_kernel_stand_in():
 def test_inverse_2x2_inverts_each_block():
     rng = np.random.default_rng(13)
     a11, a12, a22 = rng.standard_normal((3, 200))
-    blocks = hermitian_2x2_function(a11, a12, a22, np.reciprocal)
+    blocks = matrix_2x2_function(_hermitian(a11, a12, a22), np.reciprocal)
     assert blocks.shape == (2, 2, 200)
     for m in range(200):
         a = np.array([[a11[m], a12[m]], [a12[m], a22[m]]])
         assert np.allclose(blocks[:, :, m] @ a, np.eye(2), rtol=0.0, atol=1e-12 * np.linalg.cond(a))
-    # a scalar entry is shared by every block
-    assert np.array_equal(hermitian_2x2_function(-1.0, a12, a22, np.reciprocal),
-                          hermitian_2x2_function(np.full(200, -1.0), a12, a22, np.reciprocal))
 
 
-def _eigh_function(a11, a12, a22, f):
+def test_matrix_2x2_function_of_general_blocks_matches_eig():
+    # non-normal complex blocks, exp and 1/lambda from one call of f, against V f(L) V^{-1}
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((2, 2, 300)) + 1j * rng.standard_normal((2, 2, 300))
+    a *= np.exp(rng.uniform(-2.0, 2.0, 300))
+    blocks = matrix_2x2_function(a, lambda lam: np.stack([np.exp(lam), 1.0 / lam], axis=1))
+    assert blocks.shape == (2, 2, 2, 300)
+    for m in range(300):
+        lam, vec = np.linalg.eig(a[:, :, m])
+        for k, f in enumerate((np.exp, np.reciprocal)):
+            expected = (vec * f(lam)) @ np.linalg.inv(vec)
+            err = np.max(np.abs(blocks[:, :, k, m] - expected))
+            assert err <= 1e-13 * np.max(np.abs(expected)), (m, k)
+
+
+def _eigh_function(blocks, f):
     # f(A) block by block from batched eigh, f applied to all eigenvalues at once
-    a11, a12, a22 = np.broadcast_arrays(a11, a12, a22)
-    blocks = np.stack([np.stack([a11, a12], -1), np.stack([a12.conj(), a22], -1)], -2)
-    lam, vec = np.linalg.eigh(blocks.astype(complex))
+    lam, vec = np.linalg.eigh(np.moveaxis(blocks, -1, 0).astype(complex))
     f_lam = f(lam.T).T
     return (vec * f_lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("n", [128, 2048])
-def test_hermitian_2x2_function_lifts_the_ring_kernel_to_round_off(n):
+def test_matrix_2x2_function_lifts_the_ring_kernel_to_round_off(n):
     # the polygon's symbol at m0 = 10 has the rotation generator in its kernel
     # and eigenvalues spread over orders of magnitude; every block of the lifted
     # |S|^{-1} must agree with eigh to round-off
     symbol = _polygon_symbol(NBodyConfig(n=n, m0=10.0))
-    a11, a12, a22 = symbol[0, 0].real, symbol[0, 1], symbol[1, 1].real
-    got = np.moveaxis(hermitian_2x2_function(a11, a12, a22, _lifted_abs_inverse), -1, 0)
-    expected = _eigh_function(a11, a12, a22, _lifted_abs_inverse)
+    got = np.moveaxis(matrix_2x2_function(symbol, _lifted_abs_inverse), -1, 0)
+    expected = _eigh_function(symbol, _lifted_abs_inverse)
     err = np.linalg.norm(got - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
     assert err.max() <= 1e-14
 
 
-def test_hermitian_2x2_function_on_scalar_blocks_and_shared_entries():
-    # blocks t I (h = 0) give f(t) I, with f reading every block's eigenvalues
+def test_matrix_2x2_function_on_scalar_blocks():
+    # blocks t I (h = 0) give f(t) I exactly, with f reading every block's eigenvalues
     t = np.array([3.0, -2.0, 0.0, 5.0])
-    blocks = hermitian_2x2_function(t, np.zeros(4), t, _lifted_abs_inverse)
+    blocks = matrix_2x2_function(np.eye(2)[:, :, None] * t, _lifted_abs_inverse)
     # the zero block is a kernel block and takes the largest modulus, 5
     expected = 1.0 / np.array([3.0, 2.0, 5.0, 5.0])
     assert np.array_equal(blocks, np.eye(2)[:, :, None] * expected)
-    # a scalar a11, as _linear_symbol gives it, is broadcast against array entries
-    rng = np.random.default_rng(16)
-    a12, a22 = rng.standard_normal((2, 64))
-    shared = hermitian_2x2_function(-1.0, a12, a22, _abs_inverse)
-    assert shared.shape == (2, 2, 64)
-    assert np.allclose(np.moveaxis(shared, -1, 0), _eigh_function(-1.0, a12, a22, _abs_inverse),
-                       rtol=0.0, atol=1e-14 * np.abs(shared).max())
+    t = np.array([0.3 - 2.0j, -1.5 + 0.25j, 4.0j, 0.7])
+    blocks = matrix_2x2_function(np.eye(2)[:, :, None] * t, np.exp)
+    assert np.array_equal(blocks, np.eye(2)[:, :, None] * np.exp(t))
 
 
 # ---------------- fd_jacobian ----------------
