@@ -10,7 +10,8 @@ waves of a symmetric two-component long-wave system (`boussinesq`).
 """
 
 from .numlin import (DENSE_DIM_LIMIT, KrylovStats, LinearOperator, SpectrumReport,
-                     dense_eigenvalues, fourier_symbols, materialize, minres)
+                     dense_eigenvalues, materialize, minres)
+from .periodic import fourier_symbols
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED,
                       MAX_ITERATIONS, STATUSES, HomogeneousSplit, ProblemSpec,
                       SolveOutcome, SolverConfig, TraceRow, fixed_point_solve,

@@ -1,12 +1,12 @@
 """Solitary-wave profiles of a symmetric two-component long-wave system.
 
-States stack velocity and elevation samples as w = (u, eta) on a uniform
-periodic grid over [-L, L). The travelling-wave system
+States stack velocity and elevation samples as w = (u, eta) on the
+periodic grid of [-L, L) (orbitfix.periodic). The travelling-wave system
 F(w) = S(w) - (u*eta, u^2/2) = 0 couples both fields through a
 constant-coefficient symmetric operator S built from the wave speed and
-the dispersion coefficients; its Jacobian stays symmetric, and spatial
+the dispersion coefficients; its Jacobian stays symmetric, and the grid's
 translations act on the solution set, so profiles are determined only up
-to a shift.
+to a shift, which this module aligns on eta.
 """
 
 from __future__ import annotations
@@ -16,34 +16,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numlin import FourierOperator, fourier_operator, fourier_symbols, matrix_2x2_function
+from .numlin import FourierOperator, fourier_operator, matrix_2x2_function
+from .periodic import check_grid, field_center, fourier_symbols, grid, periodic_wrap, translations
 from .solvers import HomogeneousSplit, ProblemSpec
 from .symmetry import GroupAction
 
 __all__ = [
     "BSParams",
     "ExactProfile",
-    "grid",
     "exact_profile",
     "build_bs_problem",
     "precond_operator",
     "translation_action",
-    "translation_shift",
-    "periodic_wrap",
     "PropagationResult",
     "propagation_schedule",
     "propagate",
 ]
-
-
-def grid(n: int, half_length: float) -> np.ndarray:
-    """Uniform samples of [-L, L), left endpoint included."""
-    return -half_length + (2.0 * half_length / n) * np.arange(n)
-
-
-def _check_grid_size(n: int):
-    if n < 4 or n % 2:
-        raise ValueError("grid size must be even and >= 4")
 
 
 @dataclass(frozen=True)
@@ -67,9 +55,7 @@ class BSParams:
             raise ValueError("theta2 must lie in (2/3, 1]")
         if not 1.0 < self.speed < np.inf:
             raise ValueError("wave speed must be finite and exceed 1")
-        _check_grid_size(self.n)
-        if not 0.0 < self.half_length < np.inf:
-            raise ValueError("half_length must be positive and finite")
+        check_grid(self.n, self.half_length)
         object.__setattr__(self, "c", 2.0 / 3.0 - self.theta2)
         object.__setattr__(self, "b", 0.5 * (self.theta2 - 1.0 / 3.0))
 
@@ -92,9 +78,7 @@ def exact_profile(theta2: float, n: int, half_length: float, x0: float = 0.0) ->
     """Squared-secant solitary wave, available for theta2 in (7/9, 1)."""
     if not (7.0 / 9.0 < theta2 < 1.0):
         raise ValueError("closed-form profiles require theta2 in (7/9, 1)")
-    _check_grid_size(n)
-    if not 0.0 < half_length < np.inf:
-        raise ValueError("half_length must be positive and finite")
+    check_grid(n, half_length)
     eta0 = 4.5 * (theta2 - 7.0 / 9.0) / (1.0 - theta2)
     speed = 4.0 * (theta2 - 2.0 / 3.0) / np.sqrt(2.0 * (1.0 - theta2) * (theta2 - 1.0 / 3.0))
     decay = 0.5 * np.sqrt(3.0 * (theta2 - 7.0 / 9.0) / ((theta2 - 1.0 / 3.0) * (theta2 - 2.0 / 3.0)))
@@ -163,66 +147,21 @@ def precond_operator(params: BSParams) -> FourierOperator:
     return fourier_operator(symbol, params.n)
 
 
-def periodic_wrap(v: float, half_length: float) -> float:
-    """The point of (-L, L] that v reaches by whole periods 2L; -L itself reads L."""
-    v = (v + half_length) % (2.0 * half_length) - half_length
-    return half_length if v == -half_length else v
-
-
-def _field_center(v: np.ndarray, half_length: float) -> Optional[float]:
-    # first Fourier mode relative to the cell center locates the bump; None if it is too small
-    m1 = -np.fft.rfft(np.asarray(v, dtype=float))[1]
-    if abs(m1) < 1e-13:
-        return None
-    return periodic_wrap(-(half_length / np.pi) * float(np.angle(m1)), half_length)
-
-
-def translation_shift(w, half_length: float, component: str = "eta") -> float:
-    """Position of the wave crest in the stacked state w = (u, eta).
-
-    The crest is read from the chosen component's first Fourier mode.
-    Raises when w is not a 1-D array of even length, or when the
-    component carries no usable first mode.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] % 2:
-        raise ValueError("state vector must have even length")
-    if component not in ("eta", "u"):
-        raise ValueError("component must be 'eta' or 'u'")
-    u, eta = w.reshape(2, -1)
-    center = _field_center(eta if component == "eta" else u, half_length)
-    if center is None:
-        raise ValueError("first Fourier mode too small to locate the wave")
-    return center
-
-
 def translation_action(params: BSParams) -> GroupAction:
-    """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields.
+    """Spatial shifts act(alpha, w)(x) = w(x - alpha) on both fields (periodic.translations).
 
-    A real field's Nyquist coefficient c is real and cannot carry the phase
-    exp(-i xi_N alpha), so act keeps c cos(xi_N alpha) and obeys act(a,
-    act(b, w)) = act(a + b, w) only on fields without a Nyquist mode (or at
-    whole multiples of the grid step). align reads the shift from the first
-    Fourier mode of eta: exact between translates, and otherwise an element
-    whose distance bounds the L2 orbit distance from above. An eta with no
-    first mode, as at w = 0, a one-point orbit, aligns at 0: the reference.
+    align reads the shift from the first Fourier mode of eta: exact between
+    translates, and otherwise an element whose distance bounds the L2 orbit
+    distance from above. An eta with no first mode, as at w = 0, a one-point
+    orbit, aligns at 0: the reference.
     """
-    n = params.n
-    L = params.half_length
-    xi, d1 = fourier_symbols(n, L)
-    derivative = fourier_operator(d1 * np.eye(2)[:, :, None], n)
-
-    def act(alpha, w):
-        return fourier_operator(np.exp(-1j * xi * float(alpha)) * np.eye(2)[:, :, None], n).apply(w)
-
-    def generators(w):
-        return [-derivative.apply(w)]
+    n, L = params.n, params.half_length
 
     def align(x, xref):
-        center, ref_center = _field_center(x[n:], L), _field_center(xref[n:], L)
+        center, ref_center = field_center(x[n:], L), field_center(xref[n:], L)
         return 0.0 if None in (center, ref_center) else periodic_wrap(center - ref_center, L)
 
-    return GroupAction(act=act, generators=generators, align=align)
+    return GroupAction(*translations(n, L), align)
 
 
 @dataclass

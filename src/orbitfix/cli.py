@@ -29,6 +29,7 @@ import numpy as np
 from . import boussinesq as bq
 from . import nbody as nb
 from .numlin import dense_eigenvalues, reflection_blocks
+from .periodic import field_center, grid, periodic_wrap
 from .solvers import (CONVERGED_REFERENCE, CONVERGED_RESIDUAL, DIVERGED, MAX_ITERATIONS,
                       STATUSES, ProblemSpec, SolverConfig, TraceRow, fixed_point_solve,
                       iteration_matrix_spectrum, newton_solve, petviashvili_solve)
@@ -318,19 +319,21 @@ def _closed_form_solves(args, profile) -> bool:
 
 
 def _centers(w, params):
-    out = {}
-    for component in ("u", "eta"):
-        try:
-            out["x_" + component] = bq.translation_shift(w, params.half_length,
-                                                         component=component)
-        except ValueError:
-            out["x_" + component] = None
-    return out
+    return {name: field_center(field, params.half_length)
+            for name, field in zip(("x_u", "x_eta"), w.reshape(2, params.n))}
+
+
+def _wave_center(w, params) -> float:
+    # bs propagate measures the translation from eta's first mode
+    center = field_center(w[params.n:], params.half_length)
+    if center is None:
+        raise ValueError("first Fourier mode too small to locate the wave")
+    return center
 
 
 def _write_profile(out: Path, w, params):
     u, eta = w.reshape(2, params.n)
-    x = bq.grid(params.n, params.half_length)
+    x = grid(params.n, params.half_length)
     _write_csv(out / "profile.csv", ("x", "eta", "u"),
                zip(x.tolist(), eta.tolist(), u.tolist()))
 
@@ -347,7 +350,7 @@ def _bs_problem(args) -> _Problem:
         if kind == "generator-discrete":
             return w - eps * action.generators(w)[0]
         # the gauss kinds, which only solve and orbit offer, bump both fields at --x0
-        x = bq.grid(params.n, params.half_length) - args.x0
+        x = grid(params.n, params.half_length) - args.x0
         bump = (eps * x if kind == "gauss-derivative" else eps) * np.exp(-x ** 2)
         return w + np.concatenate([bump, bump])
 
@@ -416,11 +419,13 @@ def cmd_bs_propagate(args, out: Path) -> dict:
             return found
         w0 = outcome.x
 
+    # refuse a wave whose centre cannot be read before propagating it
+    start_center = _wave_center(w0, params)
     # the wave is an equilibrium of the frame moving at its speed
     result = bq.propagate(w0, params, args.dt, args.t_end, snapshot_times,
                           frame_speed=params.speed)
 
-    x = bq.grid(params.n, params.half_length).tolist()
+    x = grid(params.n, params.half_length).tolist()
     rows = []
     for t, w in zip(result.times, result.states):
         u, eta = w.reshape(2, params.n).tolist()
@@ -431,17 +436,15 @@ def cmd_bs_propagate(args, out: Path) -> dict:
     extras.update(completed=result.completed, dt=args.dt, t_end=args.t_end,
                   frame_speed=params.speed, steps=result.steps,
                   etdrk4_steps=result.etdrk4_steps, longest_step=result.longest_step)
-    start_center = bq.translation_shift(w0, params.half_length)
     extras["start_center"] = start_center
     if result.states and result.completed:
         final = result.states[-1]
-        final_center = bq.translation_shift(final, params.half_length)
-        expected = bq.periodic_wrap(start_center + params.speed * result.times[-1],
-                                    params.half_length)
+        final_center = _wave_center(final, params)
+        expected = periodic_wrap(start_center + params.speed * result.times[-1],
+                                 params.half_length)
         extras["final_center"] = final_center
         extras["expected_center"] = expected
-        extras["center_error"] = abs(bq.periodic_wrap(final_center - expected,
-                                                      params.half_length))
+        extras["center_error"] = abs(periodic_wrap(final_center - expected, params.half_length))
         aligned = p.action.act(final_center - start_center, w0)
         extras["shape_error"] = float(
             np.linalg.norm(final - aligned) / np.linalg.norm(w0))

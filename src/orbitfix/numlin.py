@@ -2,7 +2,9 @@
 
 Vectors are 1-D numpy arrays. A linear map the solvers apply is a
 LinearOperator; dense spectra are taken of matrices, and materialize turns
-an operator into one.
+an operator into one. A Fourier operator takes its sample count n and a
+symbol on the modes of periodic.fourier_symbols; nothing here knows a
+grid's length.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "KrylovStats",
     "SpectrumReport",
     "materialize",
-    "fourier_symbols",
     "fourier_operator",
     "preconditioned_product",
     "matrix_2x2_function",
@@ -62,11 +63,11 @@ class LinearOperator:
 class FourierOperator(LinearOperator):
     """v -> symbol v mode by mode, minus fields v sample by sample.
 
-    symbol, (k, k, n//2 + 1), holds the modes of fourier_symbols and fields,
-    (k, k, n), the samples; n = dim/k. Built by fourier_operator, whose
-    apply computes exactly this map. MINRES reads symbol and fields to
-    check symmetry and to fuse a Fourier preconditioner
-    (preconditioned_product); reflection_blocks splits it.
+    symbol, (k, k, n//2 + 1), holds the modes of periodic.fourier_symbols
+    and fields, (k, k, n), the samples; n = dim/k. Built by
+    fourier_operator, whose apply computes exactly this map. MINRES reads
+    symbol and fields to check symmetry and to fuse a Fourier
+    preconditioner (preconditioned_product); reflection_blocks splits it.
     """
 
     symbol: np.ndarray
@@ -131,32 +132,15 @@ def materialize(op: LinearOperator) -> np.ndarray:
     return M
 
 
-@lru_cache(maxsize=16)
-def fourier_symbols(n: int, half_length: float):
-    """Wavenumbers xi and the symbol of d/dx on n samples of [-L, L).
-
-    Returns read-only arrays (xi, d1) with d1 = i*xi, shared between
-    callers, on modes 0..n//2 in np.fft.rfftfreq order: the layout of every
-    Fourier symbol. On an even grid d1 zeroes the Nyquist mode, the last,
-    which has no consistent odd-order derivative; an odd grid has none.
-    """
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * half_length / n)
-    d1 = 1j * xi
-    if n % 2 == 0:
-        d1[-1] = 0.0
-    for a in (xi, d1):
-        a.flags.writeable = False
-    return xi, d1
-
-
 def _symbol_product(symbol: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """v -> symbol v mode by mode, as an (m, n) buffer that the next call overwrites.
 
-    symbol, of shape (m, k, n//2 + 1) on the modes of fourier_symbols, maps
-    the k blocks of n samples of v to m rows: row i is the sum over j, in j
-    order, of symbol[i, j] times block j, from one forward and one batched
-    inverse real transform. Its columns and the buffers are made here. The
-    imaginary parts of the mean and Nyquist terms are dropped.
+    symbol, of shape (m, k, n//2 + 1) on the modes of
+    periodic.fourier_symbols, maps the k blocks of n samples of v to m rows:
+    row i is the sum over j, in j order, of symbol[i, j] times block j, from
+    one forward and one batched inverse real transform. Its columns and the
+    buffers are made here. The imaginary parts of the mean and Nyquist
+    terms are dropped.
     """
     if symbol.ndim != 3 or symbol.shape[-1] != n // 2 + 1:
         raise ValueError(f"matrix symbol must have shape (m, k, {n // 2 + 1}) on {n} samples")
@@ -182,8 +166,8 @@ def fourier_operator(symbol: np.ndarray, n: int,
     """The map v -> symbol v mode by mode (_symbol_product, built once), minus fields v.
 
     symbol has shape (k, k, n//2 + 1), a k x k matrix on each mode of
-    fourier_symbols for n samples, and fields, when given, shape (k, k, n),
-    one per sample; fields v is their product sample by sample
+    periodic.fourier_symbols for n samples, and fields, when given, shape
+    (k, k, n), one per sample; fields v is their product sample by sample
     (_fields_product), and s * np.eye(k)[:, :, None] is a scalar symbol s
     on k stacked fields. The imaginary parts of the mean and Nyquist terms
     are dropped. Each apply returns a fresh vector.
@@ -256,12 +240,20 @@ def matrix_2x2_function(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) ->
     functions; the result then has shape (2, 2, ..., modes).
     """
     t, d = 0.5 * (a[0, 0] + a[1, 1]), 0.5 * (a[0, 0] - a[1, 1])
-    h = np.sqrt(d * d + a[0, 1] * a[1, 0])
+    off = a[[0, 1], [1, 0]]
+    # d^2 + a12 a21 stays finite for entries below 2^511; past that, (A - t I)/h,
+    # which is scale-free, and the root are taken of A over its largest entry
+    scale = np.abs(a).max(axis=(0, 1))
+    big = scale >= 2.0 ** 511
+    d[big] /= scale[big]
+    off[:, big] /= scale[big]
+    root = np.sqrt(d * d + off[0] * off[1])
+    h = np.where(big, scale * root, root)
     f_up, f_down = f(np.stack([t + h, t - h]))
     mean = 0.5 * (f_up + f_down)
-    slope = (f_up - f_down) * np.divide(0.5, h, out=np.zeros_like(h), where=h != 0.0)
-    return np.stack([np.stack([mean + slope * d, slope * a[0, 1]]),
-                     np.stack([slope * a[1, 0], mean - slope * d])])
+    slope = (f_up - f_down) * np.divide(0.5, root, out=np.zeros_like(root), where=root != 0.0)
+    return np.stack([np.stack([mean + slope * d, slope * off[0]]),
+                     np.stack([slope * off[1], mean - slope * d])])
 
 
 def check_dense_dim(dim: int) -> None:

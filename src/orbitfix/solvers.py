@@ -312,7 +312,8 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
     """The stabilized step in _fixed_point_iteration's form, from the split alone.
 
     The next iterate is s^gamma A^{-1}N(x), s = <Ax,x>/<N(x),x>, gamma =
-    d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once.
+    d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once,
+    and raises DomainError where a number it forms overflows.
     """
     split = problem.homogeneous_split
     if split is None:
@@ -322,13 +323,17 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
     def step(x):
         nx = np.asarray(split.nonlinear(x), dtype=float)
         gx = split.inverse.apply(nx)
-        den = float(np.dot(nx, x))
-        s = float(np.dot(split.linear.apply(x), x) / den) if den != 0.0 else None
-        if s is None:
-            return gx, s, "stabilizing factor has zero denominator"
-        if s < 0.0 and not float(gamma).is_integer():
-            return gx, s, "negative stabilizing factor with non-integer exponent"
-        return gx, s, (s ** gamma) * gx
+        try:
+            with np.errstate(over="raise"):
+                den = float(np.dot(nx, x))
+                s = float(np.dot(split.linear.apply(x), x) / den) if den != 0.0 else None
+                if s is None:
+                    return gx, s, "stabilizing factor has zero denominator"
+                if s < 0.0 and not float(gamma).is_integer():
+                    return gx, s, "negative stabilizing factor with non-integer exponent"
+                return gx, s, (s ** gamma) * gx
+        except (OverflowError, FloatingPointError):
+            raise DomainError("the stabilizing step overflows the float range") from None
 
     return step
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from orbitfix.boussinesq import (BSParams, _etdrk4_level, _etdrk4_stepper, _evolution_symbols,
-                                 _phis, build_bs_problem, exact_profile, grid,
-                                 periodic_wrap, precond_operator, propagate, propagation_schedule,
-                                 translation_action, translation_shift)
-from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_operator,
-                             fourier_symbols, materialize, matrix_2x2_function, minres,
-                             preconditioned_product, reflection_blocks)
+                                 _phis, build_bs_problem, exact_profile, precond_operator,
+                                 propagate, propagation_schedule, translation_action)
+from orbitfix.numlin import (_check_symmetry, dense_eigenvalues, fourier_operator, materialize,
+                             matrix_2x2_function, minres, preconditioned_product,
+                             reflection_blocks)
+from orbitfix.periodic import field_center, fourier_symbols, grid, periodic_wrap
 from orbitfix.solvers import SolverConfig, newton_solve, petviashvili_solve
 from orbitfix.symmetry import kernel_check
 from reference import fd_jacobian
@@ -99,7 +99,7 @@ def test_profile_even_and_localized():
 
 def test_profile_offset_center():
     prof = exact_profile(THETA2, 512, 50.0, x0=1.5)
-    assert abs(translation_shift(prof.wave, 50.0) - 1.5) < 1e-10
+    assert abs(field_center(prof.wave[512:], 50.0) - 1.5) < 1e-10
 
 
 def test_measured_center_wraps_into_domain():
@@ -109,7 +109,7 @@ def test_measured_center_wraps_into_domain():
     # 300 grid cells = 58.59...: lands at 58.59 - 100 on (-50, 50]
     h = 2 * params.half_length / params.n
     shifted = action.act(300 * h, w)
-    measured = translation_shift(shifted, 50.0)
+    measured = field_center(shifted[512:], 50.0)
     assert abs(measured - (300 * h - 100.0)) < 1e-8
 
 
@@ -606,7 +606,7 @@ def test_deflated_newton_converges_from_small_generator_seed():
     out = _wave_newton(params, w0, 1e-11)
     assert out.status == "ConvergedResidual"
     assert out.iterations <= 4
-    assert abs(translation_shift(out.x, 50.0) - (-0.01)) < 1e-6
+    assert abs(field_center(out.x[1024:], 50.0) - (-0.01)) < 1e-6
 
 
 def test_deflated_newton_steps_are_orthogonal_to_the_generator():
@@ -737,21 +737,12 @@ def test_shift_act_is_exact_roll_on_grid_multiples():
 
 
 def test_translation_shift_components_agree():
+    # the shift read from u's first mode and from eta's
     prof = exact_profile(THETA2, 512, 50.0, x0=0.8)
-    xu = translation_shift(prof.wave, 50.0, component="u")
-    xe = translation_shift(prof.wave, 50.0, component="eta")
+    u, eta = prof.wave.reshape(2, 512)
+    xu, xe = field_center(u, 50.0), field_center(eta, 50.0)
     assert abs(xu - 0.8) < 1e-8
     assert abs(xu - xe) < 1e-10
-
-
-def test_translation_shift_errors():
-    with pytest.raises(ValueError, match="component"):
-        translation_shift(exact_profile(THETA2, 64, 10.0).wave, 10.0, component="w")
-    with pytest.raises(ValueError, match="mode"):
-        translation_shift(np.zeros(128), 10.0)
-    for bad in (np.zeros(127), np.zeros((2, 64))):
-        with pytest.raises(ValueError, match="even length"):
-            translation_shift(bad, 10.0)
 
 
 def test_exact_profile_wave_is_read_only():
@@ -855,7 +846,7 @@ def test_propagate_travelling_wave():
     result = propagate(prof.wave, params, dt=0.005, t_end=t_end)
     assert result.completed
     final = result.states[-1]
-    center = translation_shift(final, 50.0)
+    center = field_center(final[512:], 50.0)
     assert abs(center - prof.speed * t_end) < 1e-3
 
     # aligned shape error: compare against the analytic profile recentred
@@ -959,7 +950,7 @@ def test_comoving_propagate_keeps_the_closed_form_wave(theta2):
     # that rides on round-off in the doubling checks
     assert result.etdrk4_steps <= 600
     final = result.states[-1]
-    center = translation_shift(final, 50.0)
+    center = field_center(final[params.n:], 50.0)
     expected = prof.speed * t_end
     assert abs(periodic_wrap(center - expected, 50.0)) <= 1e-10
     moved = translation_action(params).act(center, prof.wave)
@@ -1173,7 +1164,7 @@ def test_comoving_snapshots_land_on_odd_grid_steps_between_longer_steps():
     assert result.etdrk4_steps < 100
     act = translation_action(params).act
     for t, w in zip(result.times, result.states):
-        center = translation_shift(w, 25.0)
+        center = field_center(w[256:], 25.0)
         assert abs(periodic_wrap(center - prof.speed * t, 25.0)) <= 1e-10
         assert np.linalg.norm(w - act(center, prof.wave)) / np.linalg.norm(prof.wave) <= 1e-10
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from orbitfix import cli
 from orbitfix import nbody as nb
 from orbitfix import numlin
 from orbitfix.cli import _EXIT_CODES, SUMMARY_SCHEMA, _build_parser, _write_csv, main
+from orbitfix.periodic import periodic_wrap
 from orbitfix.solvers import SolverConfig, TraceRow, newton_solve
 
 try:
@@ -680,7 +682,7 @@ def test_bs_propagate_reports_on_the_final_state(tmp_path):
     assert code == 0
     extras = _read_summary(tmp_path)["extras"]
     speed = bq.exact_profile(0.9, 256, 25.0).speed
-    expected = bq.periodic_wrap(extras["start_center"] + 5.0 * speed, 25.0)
+    expected = periodic_wrap(extras["start_center"] + 5.0 * speed, 25.0)
     assert extras["expected_center"] == pytest.approx(expected, abs=1e-12)
     assert abs(extras["final_center"] - expected) <= 1e-10
     assert extras["center_error"] <= 1e-10
@@ -696,6 +698,30 @@ def test_bs_propagate_blowup_exits_diverged(tmp_path):
     assert extras["completed"] is False
     assert 0 < extras["steps"] < 20
     assert "center_error" not in extras
+
+
+@pytest.mark.parametrize("cs, iterate", [("1e155", 0), ("1e150", 1)])
+def test_bs_solve_at_a_huge_speed_ends_diverged_on_the_overflow(tmp_path, capsys, cs, iterate):
+    # at 1e155 s^2 passes the float range at once; at 1e150 the step makes an
+    # iterate of size 1e150, whose <N(x), x> overflows next; warnings are errors here
+    code = main(["bs", "solve", "--grid-n", "64", "--cs", cs, "--out", str(tmp_path)])
+    summary = _read_summary(tmp_path)
+    assert code == 3 and summary["status"] == "Diverged" and summary["iterations"] == iterate
+    assert summary["extras"]["message"] == (f"iterate {iterate}: the stabilizing step "
+                                            f"overflows the float range")
+    assert capsys.readouterr().err == ""
+
+
+def test_bs_propagate_refuses_a_wave_without_a_first_mode(tmp_path, capsys, monkeypatch):
+    # the rigid-translation check reads eta's first mode; the zero state has none
+    profile = bq.exact_profile(0.9, 64, 10.0)
+    monkeypatch.setattr(bq, "exact_profile",
+                        lambda *args: replace(profile, wave=np.zeros_like(profile.wave)))
+    code = main(["bs", "propagate", "--grid-n", "64", "--half-length", "10", "--t-end", "1",
+                 "--out", str(tmp_path)])
+    assert code == 1 and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == ("orbitfix: invalid configuration: first Fourier mode "
+                                       "too small to locate the wave\n")
 
 
 @pytest.mark.parametrize("sub", [None, "sub"], ids=["file", "below-file"])

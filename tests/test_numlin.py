@@ -8,9 +8,9 @@ from orbitfix.nbody import (NBodyConfig, _lifted_abs_inverse, _polygon_symbol, b
                             polygon_solution)
 from orbitfix.numlin import (_SYMMETRY_BAND, DENSE_DIM_LIMIT, KrylovStats, LinearOperator,
                              _check_symmetry, _is_symmetric, _symbol_product, dense_eigenvalues,
-                             fourier_operator, fourier_symbols,
-                             matrix_2x2_function, materialize, minres, pcg,
-                             preconditioned_product, reflection_blocks)
+                             fourier_operator, matrix_2x2_function, materialize, minres,
+                             pcg, preconditioned_product, reflection_blocks)
+from orbitfix.periodic import fourier_symbols
 from reference import fd_jacobian
 
 
@@ -54,32 +54,7 @@ def test_spectral_derivative_nyquist_zeroed():
     assert np.allclose(_derivative(nyquist, L, 1), 0.0, atol=1e-12)
 
 
-# ---------------- fourier_symbols / _symbol_product ----------------
-
-def test_fourier_symbols_are_cached_and_read_only():
-    xi, d1 = fourier_symbols(16, 2.0)
-    assert all(a is b for a, b in zip(fourier_symbols(16, 2.0), (xi, d1)))
-    for a in (xi, d1):
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-
-
-def test_fourier_symbols_zero_the_nyquist_first_derivative():
-    # modes 0..8 of 16 samples on [-2, 2): xi = m pi/2, the Nyquist mode last and positive
-    xi, d1 = fourier_symbols(16, 2.0)
-    assert np.allclose(xi, 0.5 * np.pi * np.arange(9), rtol=1e-15, atol=0.0)
-    assert xi[-1] > 0.0 and d1[-1] == 0.0
-    assert np.array_equal(d1[:-1], 1j * xi[:-1])
-
-
-def test_fourier_symbols_keep_the_highest_mode_of_an_odd_grid():
-    # an odd grid has no Nyquist mode: its highest modes +-3 (n = 7) are a conjugate pair
-    n, L = 7, np.pi
-    xi, d1 = fourier_symbols(n, L)
-    assert xi.shape == (4,) and np.array_equal(d1, 1j * xi)
-    x = -L + (2 * L / n) * np.arange(n)
-    assert np.allclose(_derivative(np.sin(3 * x), L, 1), 3 * np.cos(3 * x), rtol=0.0, atol=1e-13)
-
+# ---------------- _symbol_product ----------------
 
 def test_symbol_product_equals_per_mode_product():
     # a real-to-real map needs a Hermitian symbol; a real one must be even in the mode
