@@ -88,47 +88,62 @@ def _positions(config: NBodyConfig, q: np.ndarray):
     return x, y, r2
 
 
-def _pairs(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
-    """Pair offsets of bodies lo..hi-1 against every body; DomainError on a collision.
+# the pair walk's block of body pairs (32 KiB an array): a few cache-sized temporaries
+# instead of whole-ring n x n arrays; rings of up to 64 bodies take one block
+_PAIR_BLOCK = 4096
 
-    dx[k, i] = x_{lo+k} - x_i and likewise dy; the squared pair distances d2
-    carry inf at the self-pairs, so they vanish from every inverse power.
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """Rows lo..hi-1 of the pair offsets, _PAIR_BLOCK pairs at a time; DomainError on a collision.
+
+    Yields lo, hi, dx, dy, d2 with dx[k, i] = x_{lo+k} - x_i, likewise dy, and
+    the squared distances d2, inf at the self-pairs so they vanish from every
+    inverse power. fmin skips a NaN body's pairs, so other bodies' collisions show.
     """
-    dx = x[lo:hi, None] - x[None, :]
-    dy = y[lo:hi, None] - y[None, :]
-    d2 = dx * dx + dy * dy
-    d2.flat[lo::x.size + 1] = np.inf
-    if (d2 < _COLLISION_EPS ** 2).any():
-        raise DomainError("two ring bodies collide")
-    return dx, dy, d2
+    n = x.size
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dx = x[lo:hi, None] - x
+        dy = y[lo:hi, None] - y
+        d2 = dx * dx + dy * dy
+        d2.flat[lo::n + 1] = np.inf
+        if np.fmin.reduce(d2, axis=None) < _COLLISION_EPS ** 2:
+            raise DomainError("two ring bodies collide")
+        yield lo, hi, dx, dy, d2
+
+
+def _pair_hessian(b: float, dx: np.ndarray, dy: np.ndarray, d2: np.ndarray):
+    """The xx, xy and yy entries of the pair blocks b (I/d^3 - 3 r r^T/d^5), r = (dx, dy)."""
+    inv3 = d2 ** -1.5
+    inv5 = inv3 / d2
+    return (b * (inv3 - 3.0 * dx * dx * inv5), -3.0 * b * dx * dy * inv5,
+            b * (inv3 - 3.0 * dy * dy * inv5))
 
 
 def grad_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Gradient of the interaction potential at q."""
     a, b = config.coefficients
     x, y, r2 = _positions(config, q)
-    dx, dy, d2 = _pairs(x, y, 0, config.n)
-    central = a * r2 ** -1.5
-    pair = b * d2 ** -1.5
+    pull = -a * r2 ** -1.5  # the central term of the gradient is pull * (x, y)
     g = np.empty(2 * config.n)
-    g[0::2] = -central * x - (pair * dx).sum(axis=1)
-    g[1::2] = -central * y - (pair * dy).sum(axis=1)
+    gx, gy = g[0::2], g[1::2]
+    np.multiply(pull, x, out=gx)
+    np.multiply(pull, y, out=gy)
+    for lo, hi, dx, dy, d2 in _pair_blocks(x, y):
+        pair = b * d2 ** -1.5
+        gx[lo:hi] -= (pair * dx).sum(axis=1)
+        gy[lo:hi] -= (pair * dy).sum(axis=1)
     return g
-
-
-# hess_U forms its pair terms this many body pairs (32 KiB an array) at a
-# time, so its temporaries stay a few cache-sized blocks beside the output
-# instead of eight whole-ring n x n arrays; rings of up to 64 bodies take one
-_PAIR_BLOCK = 4096
 
 
 def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     """Hessian of the interaction potential at q (dense, symmetric).
 
-    Body j's 2x2 block against body i != j is b (I/d^3 - 3 r r^T/d^5)
-    with r = q_j - q_i; each diagonal block is the central term
-    -a (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair blocks. The
-    rows are built _PAIR_BLOCK pairs at a time, straight into H.
+    Body j's 2x2 block against body i != j is _pair_hessian's
+    b (I/d^3 - 3 r r^T/d^5) with r = q_j - q_i; each diagonal block is the
+    central term -a (I/r_j^3 - 3 q_j q_j^T/r_j^5) minus the row's pair
+    blocks. The rows are built a _pair_blocks block at a time, straight into H.
     """
     a, b = config.coefficients
     x, y, r2 = _positions(config, q)
@@ -139,25 +154,14 @@ def hess_U(config: NBodyConfig, q: np.ndarray) -> np.ndarray:
     cxy = central5 * x * y
     cyy = central5 * y * y - central3
     H = np.empty((n, 2, n, 2))
-    rows = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        dx, dy, d2 = _pairs(x, y, lo, hi)
-        inv3 = d2 ** -1.5
-        inv5 = inv3 / d2
-        hxx = b * (inv3 - 3.0 * dx * dx * inv5)
-        hxy = -3.0 * b * dx * dy * inv5
-        hyy = b * (inv3 - 3.0 * dy * dy * inv5)
+    for lo, hi, dx, dy, d2 in _pair_blocks(x, y):
+        hxx, hxy, hyy = _pair_hessian(b, dx, dy, d2)
         hxx.flat[lo::n + 1] = cxx[lo:hi] - hxx.sum(axis=1)
         hxy.flat[lo::n + 1] = cxy[lo:hi] - hxy.sum(axis=1)
         hyy.flat[lo::n + 1] = cyy[lo:hi] - hyy.sum(axis=1)
         block = H[lo:hi]
-        block[:, 0, :, 0] = hxx
-        block[:, 0, :, 1] = hxy
-        block[:, 1, :, 0] = hxy
-        block[:, 1, :, 1] = hyy
-        # free this block's arrays before the next block forms its own
-        del dx, dy, d2, inv3, inv5, hxx, hxy, hyy
+        block[:, 0, :, 0], block[:, 1, :, 1] = hxx, hyy
+        block[:, 0, :, 1] = block[:, 1, :, 0] = hxy
     return H.reshape(2 * n, 2 * n)
 
 
@@ -210,13 +214,7 @@ def _polygon_symbol(config: NBodyConfig) -> np.ndarray:
     phi = 2.0 * np.pi * np.arange(1, n) / n
     c, s = np.cos(phi), np.sin(phi)
     # the body at (1, 0) against the one at angle phi: r = (1 - c, -s), |r|^2 = 2 - 2c
-    rx, ry = 1.0 - c, -s
-    d2 = 2.0 - 2.0 * c
-    inv3 = b * d2 ** -1.5
-    inv5 = 3.0 * inv3 / d2
-    hxx = inv3 - inv5 * rx * rx
-    hxy = -inv5 * rx * ry
-    hyy = inv3 - inv5 * ry * ry
+    hxx, hxy, hyy = _pair_hessian(b, 1.0 - c, -s, 2.0 - 2.0 * c)
     # C_d = H R(phi): the partner's frame is turned by phi
     blocks = np.empty((2, 2, n))
     blocks[:, :, 1:] = [[hxx * c + hxy * s, hxy * c - hxx * s],

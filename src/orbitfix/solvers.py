@@ -232,6 +232,8 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     a (status, message) pair that ends the run. A DomainError in either ends
     the run Diverged, keeping what measure gave: NaN where measure raised. F
     is evaluated at the returned iterate only when measure gave no |F(x)|.
+    The distance to the reference is formed after measure, so an iterate
+    whose measure overflows ends there, with a distance of inf, unwarned.
 
     A stop on the reference, whatever |F| is, and a stop at the budget whose
     last residual (the fixed-point drivers' gap) met tolerance while |F| did
@@ -240,14 +242,20 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     x = np.asarray(x0, dtype=float).copy()
     trace: List[TraceRow] = []
     tol = config.tol_residual
+
+    def distance(x):
+        return None if reference is None else _norm(x - reference)
+
     for n in range(config.max_outer + 1):  # _classify ends the run at n == max_outer
-        ref_error = None if reference is None else _norm(x - reference)
         residual, f_norm, s = math.nan, math.nan, None  # what a DomainError in measure leaves
         try:
             residual, f_norm, s, reused = measure(x)
+            ref_error = distance(x)
             status = _classify(n, residual, ref_error, config, f_norm)
             result = (status, "") if status is not None else advance(x, residual, reused)
         except DomainError as error:
+            with np.errstate(over="ignore"):
+                ref_error = distance(x)
             result = (DIVERGED, f"iterate {n}: {error}")
         if isinstance(result[0], str):
             break
@@ -423,7 +431,8 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     inner solve runs to config.inner_tol.
 
     Three consecutive steps whose inner solve exhausts its budget without
-    reducing the residual classify the run as MaxIterations.
+    reducing the residual classify the run as MaxIterations. An iterate
+    whose F(x) or |F(x)| overflows ends the run Diverged, as a DomainError.
     """
     if problem.jacobian_at is None:
         raise ValueError("newton_solve requires jacobian_at")
@@ -431,8 +440,12 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     stall, prev_residual, prev_budget_hit = 0, None, False
 
     def measure(x):
-        fx = np.asarray(problem.F(x), dtype=float)
-        residual = _norm(fx)
+        try:
+            with np.errstate(over="raise"):
+                fx = np.asarray(problem.F(x), dtype=float)
+                residual = _norm(fx)
+        except FloatingPointError:
+            raise DomainError("the residual |F(x)| overflows the float range") from None
         return residual, residual, None, fx
 
     def advance(x, residual, fx):

@@ -219,8 +219,6 @@ PROPAGATE_EXTRAS = {"anderson", "method", "completed", "dt", "t_end", "frame_spe
                     "expected_center", "center_error", "shape_error"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("argv, code, keys", [
     (["nbody", "solve", "--m0", "5", "--perturb", "ones", "--eps", "0.1"], 0,
      SOLVE_EXTRAS | {"omega"}),
@@ -244,7 +242,9 @@ def test_each_command_reports_a_fixed_extras_key_set(tmp_path, argv, code, keys)
     extras = _read_summary(tmp_path)["extras"]
     assert set(extras) == keys
     for row in extras.get("table", []):
-        assert set(row) == {"eps", "final_residual", "status", "x_eta", "x_u"}
+        # a row that ends on an overflow names it
+        message = {"message"} if row["status"] == "Diverged" else set()
+        assert set(row) == {"eps", "final_residual", "status", "x_eta", "x_u"} | message
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -282,12 +282,15 @@ def test_summary_status_enum_names_every_status_and_null():
         "ConvergedResidual", "ConvergedReference", "MaxIterations", "Diverged", None]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("method", ["newton", "petviashvili"])
+@pytest.mark.parametrize("method", [
+    "newton",
+    # the stabilized step's N(x) overflows before its own overflow check
+    pytest.param("petviashvili", marks=pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")),
+])
 def test_non_finite_residual_is_written_as_null(tmp_path, method):
-    # the seed overflows: |F| is Infinity under Newton and NaN under Petviashvili,
-    # neither of which JSON can carry
+    # the seed overflows: Newton's |F| overflows and Petviashvili's gap is NaN, so
+    # neither run has a residual that JSON can carry
     code = main(["bs", "shift-table", "--grid-n", "64", "--half-length", "25",
                  "--eps", "1e160", "--max-outer", "20", "--method", method,
                  "--out", str(tmp_path)])
@@ -700,15 +703,21 @@ def test_bs_propagate_blowup_exits_diverged(tmp_path):
     assert "center_error" not in extras
 
 
-@pytest.mark.parametrize("cs, iterate", [("1e155", 0), ("1e150", 1)])
-def test_bs_solve_at_a_huge_speed_ends_diverged_on_the_overflow(tmp_path, capsys, cs, iterate):
+@pytest.mark.parametrize("cs, method, iterate, what", [
+    ("1e155", "petviashvili", 0, "the stabilizing step"),
+    ("1e150", "petviashvili", 1, "the stabilizing step"),
+    ("1e155", "newton", 0, "the residual |F(x)|"),
+], ids=["1e155-0", "1e150-1", "newton-1e155-0"])
+def test_bs_solve_at_a_huge_speed_ends_diverged_on_the_overflow(tmp_path, capsys, cs, method,
+                                                                 iterate, what):
     # at 1e155 s^2 passes the float range at once; at 1e150 the step makes an
-    # iterate of size 1e150, whose <N(x), x> overflows next; warnings are errors here
-    code = main(["bs", "solve", "--grid-n", "64", "--cs", cs, "--out", str(tmp_path)])
+    # iterate of size 1e150, whose <N(x), x> overflows next; Newton's |F| of
+    # about 1e155 |w| overflows at the seed; warnings are errors here
+    code = main(["bs", "solve", "--grid-n", "64", "--cs", cs, "--method", method,
+                 "--out", str(tmp_path)])
     summary = _read_summary(tmp_path)
     assert code == 3 and summary["status"] == "Diverged" and summary["iterations"] == iterate
-    assert summary["extras"]["message"] == (f"iterate {iterate}: the stabilizing step "
-                                            f"overflows the float range")
+    assert summary["extras"]["message"] == f"iterate {iterate}: {what} overflows the float range"
     assert capsys.readouterr().err == ""
 
 

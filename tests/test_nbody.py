@@ -281,22 +281,27 @@ def test_collision_raises():
         q[240:244] = q[200:204]
         with pytest.raises(ValueError, match="two ring bodies collide"):
             potential(NBodyConfig(n=130, m0=1.0), q)
+        # body 1 at NaN, bodies 2 and 3 coincide: the NaN pairs must not hide
+        # the collision, as a bare d2.min() would
+        with pytest.raises(ValueError, match="two ring bodies collide"):
+            potential(three, np.array([np.nan, np.nan, -1.0, 0.0, -1.0, 0.0]))
 
 
 def test_hessian_temporaries_stay_bounded():
     import tracemalloc
 
-    cfg = NBodyConfig(n=256, m0=10.0)
-    q = polygon_solution(256)
-    tracemalloc.start()
-    try:
-        H = hess_U(cfg, q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # row blocks of _PAIR_BLOCK pairs beside the 2 MiB output; whole-ring
-    # pair arrays would add 0.5 MiB each
-    assert peak <= 1.5 * H.nbytes
+    # hess_U: row blocks of _PAIR_BLOCK pairs beside the 2 MiB output; whole-ring
+    # pair arrays would add 0.5 MiB each. grad_U: the same blocks beside a 16 KiB
+    # output, where whole-ring arrays take 40 MiB a call
+    for potential, n, bound in ((hess_U, 256, 3 * 2 ** 20), (grad_U, 1024, 2 ** 20)):
+        q = polygon_solution(n)
+        tracemalloc.start()
+        try:
+            potential(NBodyConfig(n=n, m0=10.0), q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, potential.__name__
 
 
 # ---------------- fixed-point map ----------------
