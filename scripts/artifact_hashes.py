@@ -5,8 +5,9 @@
 
 For each seed, every op of every workload in TREE/perfbench/workloads.py
 runs at the pass count of a default benchmark run, through TREE's own
-orbitfix.cli.main in this process. OUT.json lists each op's argv, exit code
-and, for every file it wrote, the file's SHA-256; a summary.json is stored as
+orbitfix.cli.main in this process. OUT.json lists each op's argv, exit code,
+the warnings it raised (category and message, in order) and, for every file
+it wrote, the file's SHA-256; a summary.json is stored as
 its parsed content instead, without wall_time_s and config.out, the two
 fields that differ between runs of the same code, and its numbers
 round-trip exactly. Two trees give the same artifacts, file for file, when
@@ -25,6 +26,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 # the run length that sets each workload's pass count: perfbench/run.py's
@@ -72,12 +74,16 @@ def artifact_hashes(tree: Path, seeds) -> dict:
                 for k in range(passes):
                     for i, op in enumerate(workloads.pass_ops(workload, seed, k, passes)):
                         out = Path(work) / f"{name}-{seed}-{k}-{i}"
-                        code = cli.main(list(op.argv) + ["--out", str(out)])
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            code = cli.main(list(op.argv) + ["--out", str(out)])
                         files = {} if not out.exists() else {
                             str(p.relative_to(out)): _file_record(p)
                             for p in sorted(out.rglob("*")) if p.is_file()}
                         ops.append({"workload": name, "seed": seed, "pass": k, "op": op.name,
-                                    "argv": list(op.argv), "exit_code": code, "files": files})
+                                    "argv": list(op.argv), "exit_code": code, "files": files,
+                                    "warnings": [[w.category.__name__, str(w.message)]
+                                                 for w in caught]})
     return {"seeds": list(seeds), "seconds": RUN_SECONDS, "ops": ops}
 
 

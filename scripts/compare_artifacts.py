@@ -10,7 +10,8 @@ summary.json field named status, iterations, inner_iterations, steps or
 etdrk4_steps, wherever it sits (the rows of a shift table included).
 Otherwise prints how many ops wrote identical files; for each summary field
 that moved, the number of ops it moved in and its largest absolute and
-relative change; and, per op name, the other files that changed. Exits 0.
+relative change; per op name, the other files that changed; and each op
+whose warnings differ, with both lists. Exits 0.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ def _largest(values):
     return float("nan") if any(v != v for v in values) else max(values)
 
 
+def _label(op) -> str:
+    return f"{op['workload']} seed {op['seed']} pass {op['pass']} {op['op']}"
+
+
 def compare(parent: dict, change: dict) -> int:
     if [op["argv"] for op in parent["ops"]] != [op["argv"] for op in change["ops"]]:
         print("the two files do not list the same ops")
@@ -63,8 +68,7 @@ def compare(parent: dict, change: dict) -> int:
         if old["exit_code"] != new["exit_code"]:
             moved.insert(0, "exit code")
         if moved:
-            count_moves.append(f"{old['workload']} seed {old['seed']} pass {old['pass']} "
-                               f"{old['op']}: {', '.join(moved)}")
+            count_moves.append(f"{_label(old)}: {', '.join(moved)}")
     if count_moves:
         print("counts differ:", *count_moves, sep="\n  ")
         return 1
@@ -72,8 +76,12 @@ def compare(parent: dict, change: dict) -> int:
     identical = 0
     fields = defaultdict(list)  # path -> (abs, rel) of each change, one list entry per op
     files = defaultdict(lambda: defaultdict(int))  # op name -> file -> ops it changed in
+    warned = []  # one line per op whose warnings differ
     for old, new, a, b in pairs:
         identical += old["files"] == new["files"]
+        # records written before warnings were recorded have none
+        if old.get("warnings", []) != new.get("warnings", []):
+            warned.append(f"{_label(old)}: {old.get('warnings', [])} -> {new.get('warnings', [])}")
         for path in set(a) | set(b):
             if a.get(path) == b.get(path):
                 continue
@@ -94,6 +102,8 @@ def compare(parent: dict, change: dict) -> int:
         print("other files that changed: op name, file (ops)")
         for op, changed in sorted(files.items()):
             print(f"  {op}: " + ", ".join(f"{name} ({n})" for name, n in sorted(changed.items())))
+    if warned:
+        print("warnings that differ: op, parent's -> change's", *warned, sep="\n  ")
     return 0
 
 

@@ -255,8 +255,13 @@ def cmd_solve(args, out: Path) -> dict:
     _write_trace(out, outcome.trace)
     finite = _finite(outcome.x)
     p.write(out, outcome.x if finite else p.seed("none", 0.0))
-    found["orbit"] = (align_to_orbit(outcome.x, p.reference, p.action)
-                      if finite and p.reference is not None else None)
+    found["orbit"] = None
+    if finite and p.reference is not None:
+        # a finite state may still lie too far out for its distances to be floats
+        with np.errstate(over="ignore"):
+            orbit = align_to_orbit(outcome.x, p.reference, p.action)
+        if _finite([orbit.orbital_distance, orbit.raw_distance]):
+            found["orbit"] = orbit
     found["extras"].update(inner_iterations=outcome.inner_iterations,
                            **p.extras(x0, outcome.x))
     return found

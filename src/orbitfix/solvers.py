@@ -171,19 +171,22 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _classify(n, residual, ref_error, config, f_norm=None):
-    """Shared stopping logic; returns a status or None to continue.
+    """Shared stopping logic; returns (status, message) or None to continue.
 
     A residual below tolerance counts as converged only when f_norm, the
     |F(x)| measured with it if any, meets tolerance too.
     """
-    if not math.isfinite(residual) or residual > DIVERGENCE_CAP:
-        return DIVERGED
+    if not math.isfinite(residual):
+        return DIVERGED, f"iterate {n}: the residual {residual:.3g} is not finite"
+    if residual > DIVERGENCE_CAP:
+        return DIVERGED, (f"iterate {n}: the residual {residual:.3g} exceeds the divergence "
+                          f"cap {DIVERGENCE_CAP:.3g}")
     if residual <= config.tol_residual and (f_norm is None or f_norm <= config.tol_residual):
-        return CONVERGED_RESIDUAL
+        return CONVERGED_RESIDUAL, ""
     if ref_error is not None and ref_error <= config.tol_residual:
-        return CONVERGED_REFERENCE
+        return CONVERGED_REFERENCE, ""
     if n == config.max_outer:
-        return MAX_ITERATIONS
+        return MAX_ITERATIONS, ""
     return None
 
 
@@ -229,15 +232,17 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     measure(x) returns the residual the run classifies on, |F(x)| or None,
     the stabilizing factor or None, and what advance reuses. advance(x,
     residual, reused) returns the next iterate and its row's own fields, or
-    a (status, message) pair that ends the run. A DomainError in either ends
-    the run Diverged, keeping what measure gave: NaN where measure raised. F
-    is evaluated at the returned iterate only when measure gave no |F(x)|.
-    The distance to the reference is formed after measure, so an iterate
-    whose measure overflows ends there, with a distance of inf, unwarned.
+    a (status, message) pair that ends the run. This is the one float-range
+    guard: a DomainError, or arithmetic that overflows, in either closure or
+    in the distance to the reference ends the run Diverged, keeping what
+    measure gave (NaN where measure raised) and the distance formed with
+    overflow ignored. F is evaluated at the returned iterate only when
+    measure gave no |F(x)|; its overflow, ignored there too, reads as inf.
 
-    A stop on the reference, whatever |F| is, and a stop at the budget whose
-    last residual (the fixed-point drivers' gap) met tolerance while |F| did
-    not, name their numbers in the message: nothing else would say so.
+    Every Diverged run names its reason in the message. So do a stop on the
+    reference, whatever |F| is, and a stop at the budget whose last residual
+    (the fixed-point drivers' gap) met tolerance while |F| did not: nothing
+    else would say so.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace: List[TraceRow] = []
@@ -246,25 +251,29 @@ def _outer_loop(F: Callable, measure: Callable, advance: Callable, x0: np.ndarra
     def distance(x):
         return None if reference is None else _norm(x - reference)
 
-    for n in range(config.max_outer + 1):  # _classify ends the run at n == max_outer
-        residual, f_norm, s = math.nan, math.nan, None  # what a DomainError in measure leaves
-        try:
-            residual, f_norm, s, reused = measure(x)
-            ref_error = distance(x)
-            status = _classify(n, residual, ref_error, config, f_norm)
-            result = (status, "") if status is not None else advance(x, residual, reused)
-        except DomainError as error:
-            with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
+        for n in range(config.max_outer + 1):  # _classify ends the run at n == max_outer
+            residual, f_norm, s = math.nan, math.nan, None  # what a raise in measure leaves
+            try:
+                residual, f_norm, s, reused = measure(x)
                 ref_error = distance(x)
-            result = (DIVERGED, f"iterate {n}: {error}")
-        if isinstance(result[0], str):
-            break
-        x, fields = result
-        trace.append(TraceRow(n, residual, ref_error, s, **fields))
+                result = (_classify(n, residual, ref_error, config, f_norm)
+                          or advance(x, residual, reused))
+            except (DomainError, FloatingPointError, OverflowError) as error:
+                with np.errstate(over="ignore"):
+                    ref_error = distance(x)
+                reason = error if isinstance(error, DomainError) else (
+                    f"the arithmetic overflows the float range ({error.args[-1]})")
+                result = (DIVERGED, f"iterate {n}: {reason}")
+            if isinstance(result[0], str):
+                break
+            x, fields = result
+            trace.append(TraceRow(n, residual, ref_error, s, **fields))
     status, message = result
     trace.append(TraceRow(n, residual, ref_error, s))
     if f_norm is None:
-        f_norm = float(np.linalg.norm(F(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_norm = float(np.linalg.norm(F(x)))
     if status == CONVERGED_REFERENCE:
         message = (f"stopped on the reference: |x - reference| = {ref_error:.3g} <= tol "
                    f"{tol:.3g}, |F(x)| = {f_norm:.3g}")
@@ -320,8 +329,7 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
     """The stabilized step in _fixed_point_iteration's form, from the split alone.
 
     The next iterate is s^gamma A^{-1}N(x), s = <Ax,x>/<N(x),x>, gamma =
-    d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once,
-    and raises DomainError where a number it forms overflows.
+    d/(d-1) from the split's degree d; a step applies N, A^{-1} and A once.
     """
     split = problem.homogeneous_split
     if split is None:
@@ -331,17 +339,13 @@ def _stabilized_step(problem: ProblemSpec) -> Callable:
     def step(x):
         nx = np.asarray(split.nonlinear(x), dtype=float)
         gx = split.inverse.apply(nx)
-        try:
-            with np.errstate(over="raise"):
-                den = float(np.dot(nx, x))
-                s = float(np.dot(split.linear.apply(x), x) / den) if den != 0.0 else None
-                if s is None:
-                    return gx, s, "stabilizing factor has zero denominator"
-                if s < 0.0 and not float(gamma).is_integer():
-                    return gx, s, "negative stabilizing factor with non-integer exponent"
-                return gx, s, (s ** gamma) * gx
-        except (OverflowError, FloatingPointError):
-            raise DomainError("the stabilizing step overflows the float range") from None
+        den = float(np.dot(nx, x))
+        s = float(np.dot(split.linear.apply(x), x) / den) if den != 0.0 else None
+        if s is None:
+            return gx, s, "stabilizing factor has zero denominator"
+        if s < 0.0 and not float(gamma).is_integer():
+            return gx, s, "negative stabilizing factor with non-integer exponent"
+        return gx, s, (s ** gamma) * gx
 
     return step
 
@@ -431,8 +435,7 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     inner solve runs to config.inner_tol.
 
     Three consecutive steps whose inner solve exhausts its budget without
-    reducing the residual classify the run as MaxIterations. An iterate
-    whose F(x) or |F(x)| overflows ends the run Diverged, as a DomainError.
+    reducing the residual classify the run as MaxIterations.
     """
     if problem.jacobian_at is None:
         raise ValueError("newton_solve requires jacobian_at")
@@ -440,12 +443,8 @@ def newton_solve(problem: ProblemSpec, x0: np.ndarray,
     stall, prev_residual, prev_budget_hit = 0, None, False
 
     def measure(x):
-        try:
-            with np.errstate(over="raise"):
-                fx = np.asarray(problem.F(x), dtype=float)
-                residual = _norm(fx)
-        except FloatingPointError:
-            raise DomainError("the residual |F(x)| overflows the float range") from None
+        fx = np.asarray(problem.F(x), dtype=float)
+        residual = _norm(fx)
         return residual, residual, None, fx
 
     def advance(x, residual, fx):

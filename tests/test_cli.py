@@ -222,9 +222,9 @@ PROPAGATE_EXTRAS = {"anderson", "method", "completed", "dt", "t_end", "frame_spe
 @pytest.mark.parametrize("argv, code, keys", [
     (["nbody", "solve", "--m0", "5", "--perturb", "ones", "--eps", "0.1"], 0,
      SOLVE_EXTRAS | {"omega"}),
-    # omega is reported on a diverged run too
+    # omega is reported on a diverged run too, and the message says why it diverged
     (["nbody", "solve", "--m0", "1", "--perturb", "ones", "--eps", "0.1"], 3,
-     SOLVE_EXTRAS | {"omega"}),
+     SOLVE_EXTRAS | {"omega", "message"}),
     (["nbody", "orbit", "--perturb", "generator", "--eps", "1"], 0,
      SOLVE_EXTRAS | {"omega", "alpha_predicted", "kernel_residual"}),
     (["bs", "solve", *BS_SMALL, "--perturb", "gauss", "--eps", "0.01", "--tol", "1e-8"], 0,
@@ -282,15 +282,10 @@ def test_summary_status_enum_names_every_status_and_null():
         "ConvergedResidual", "ConvergedReference", "MaxIterations", "Diverged", None]
 
 
-@pytest.mark.parametrize("method", [
-    "newton",
-    # the stabilized step's N(x) overflows before its own overflow check
-    pytest.param("petviashvili", marks=pytest.mark.filterwarnings(
-        "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")),
-])
+@pytest.mark.parametrize("method", ["newton", "petviashvili"])
 def test_non_finite_residual_is_written_as_null(tmp_path, method):
-    # the seed overflows: Newton's |F| overflows and Petviashvili's gap is NaN, so
-    # neither run has a residual that JSON can carry
+    # the seed overflows in either method's first measure, so neither run has a
+    # residual that JSON can carry
     code = main(["bs", "shift-table", "--grid-n", "64", "--half-length", "25",
                  "--eps", "1e160", "--max-outer", "20", "--method", method,
                  "--out", str(tmp_path)])
@@ -703,22 +698,49 @@ def test_bs_propagate_blowup_exits_diverged(tmp_path):
     assert "center_error" not in extras
 
 
-@pytest.mark.parametrize("cs, method, iterate, what", [
-    ("1e155", "petviashvili", 0, "the stabilizing step"),
-    ("1e150", "petviashvili", 1, "the stabilizing step"),
-    ("1e155", "newton", 0, "the residual |F(x)|"),
-], ids=["1e155-0", "1e150-1", "newton-1e155-0"])
-def test_bs_solve_at_a_huge_speed_ends_diverged_on_the_overflow(tmp_path, capsys, cs, method,
-                                                                 iterate, what):
-    # at 1e155 s^2 passes the float range at once; at 1e150 the step makes an
-    # iterate of size 1e150, whose <N(x), x> overflows next; Newton's |F| of
-    # about 1e155 |w| overflows at the seed; warnings are errors here
-    code = main(["bs", "solve", "--grid-n", "64", "--cs", cs, "--method", method,
-                 "--out", str(tmp_path)])
+def _ends_diverged_on_the_overflow(tmp_path, capsys, argv, iterate, overflow):
+    # warnings are errors here, and stderr must stay empty as well
+    code = main([*argv, "--out", str(tmp_path)])
     summary = _read_summary(tmp_path)
     assert code == 3 and summary["status"] == "Diverged" and summary["iterations"] == iterate
-    assert summary["extras"]["message"] == f"iterate {iterate}: {what} overflows the float range"
+    found = summary["extras"]["table"][-1] if argv[1] == "shift-table" else summary["extras"]
+    assert found["message"] == (f"iterate {iterate}: the arithmetic overflows the float range "
+                                f"({overflow})")
+    assert summary["orbit"] is None
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cs, method, iterate, overflow", [
+    ("1e155", "petviashvili", 0, "Numerical result out of range"),
+    ("1e150", "petviashvili", 1, "overflow encountered in dot"),
+    ("1e155", "newton", 0, "overflow encountered in dot"),
+], ids=["1e155-0", "1e150-1", "newton-1e155-0"])
+def test_bs_solve_at_a_huge_speed_ends_diverged_on_the_overflow(tmp_path, capsys, cs, method,
+                                                                 iterate, overflow):
+    # at 1e155 s^2 passes the float range at once; at 1e150 the step makes an
+    # iterate of size 1e150, whose <N(x), x> overflows next; Newton's |F| of
+    # about 1e155 |w| overflows at the seed
+    _ends_diverged_on_the_overflow(tmp_path, capsys, ["bs", "solve", "--grid-n", "64",
+                                                      "--cs", cs, "--method", method],
+                                   iterate, overflow)
+
+
+@pytest.mark.parametrize("argv", [
+    ["nbody", "solve", "--method", "fixed-point", "--perturb", "ones", "--eps", "1e200"],
+    ["nbody", "solve", "--method", "petviashvili", "--perturb", "ones", "--eps", "1e200"],
+    ["nbody", "solve", "--method", "newton", "--perturb", "ones", "--eps", "1e200"],
+    ["bs", "solve", "--grid-n", "64", "--perturb", "gauss", "--eps", "1e200",
+     "--method", "petviashvili"],
+    ["bs", "solve", "--grid-n", "64", "--perturb", "gauss", "--eps", "1e200",
+     "--method", "newton"],
+    ["bs", "shift-table", "--grid-n", "64", "--half-length", "25", "--eps", "1e160",
+     "--method", "petviashvili"],
+], ids=["nbody-fixed-point", "nbody-petviashvili", "nbody-newton", "bs-petviashvili",
+        "bs-newton", "shift-table-petviashvili"])
+def test_a_huge_seed_ends_diverged_on_the_overflow(tmp_path, capsys, argv):
+    # the ring's radii, the wave's N(x) and the seed's distance to the reference
+    # all square past the float range; the seed is finite, so its orbit is null
+    _ends_diverged_on_the_overflow(tmp_path, capsys, argv, 0, "overflow encountered in multiply")
 
 
 def test_bs_propagate_refuses_a_wave_without_a_first_mode(tmp_path, capsys, monkeypatch):

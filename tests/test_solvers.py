@@ -81,6 +81,24 @@ def test_fixed_point_divergence_cap():
     out = fixed_point_solve(problem, np.ones(1),
                             SolverConfig(tol_residual=1e-12, max_outer=500))
     assert out.status == DIVERGED
+    assert out.message == (f"iterate {out.iterations}: the residual "
+                           f"{out.trace[-1].residual:.3g} exceeds the divergence cap 1e+08")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_residual_is_named(value):
+    problem = ProblemSpec(F=lambda x: x - 3 * x, G=lambda x: np.full_like(x, value))
+    out = fixed_point_solve(problem, np.ones(1), SolverConfig())
+    assert (out.status, out.iterations) == (DIVERGED, 0)
+    assert out.message == f"iterate 0: the residual {value} is not finite"
+
+
+def test_the_closing_F_of_a_fixed_point_run_reads_inf_on_an_overflow(recwarn):
+    # the gap is not finite at the seed, where F squares past the float range
+    problem = ProblemSpec(F=lambda x: 1e300 * x * x, G=lambda x: np.full_like(x, np.nan))
+    out = fixed_point_solve(problem, np.array([1e10]), SolverConfig())
+    assert (out.status, out.f_norm) == (DIVERGED, np.inf)
+    assert not recwarn.list
 
 
 def test_fixed_point_reference_stop():
@@ -122,7 +140,8 @@ def test_every_driver_reports_F_at_the_returned_iterate(driver):
     if driver == "newton":
         assert out.iterations == 5
     assert out.f_norm == float(np.linalg.norm(problem.F(out.x)))
-    assert not out.message
+    # only the diverged plain run has a reason to give
+    assert bool(out.message) == (out.status == DIVERGED)
 
 
 @pytest.mark.parametrize("driver", ["fixed-point", "petviashvili", "newton"])
@@ -139,6 +158,38 @@ def test_every_driver_ends_diverged_outside_the_domain(driver):
     assert out.trace[-1].ref_error == pytest.approx(np.linalg.norm(x0 - reference), rel=1e-15)
     assert out.trace[-1].step_norm is None and out.trace[-1].inner_iterations is None
     np.testing.assert_array_equal(out.x, x0)
+
+
+def _split_overflowing_at_iterate_2():
+    # A = I and N(x) = x^2, componentwise, on the way to (1, 1); every driver
+    # evaluates N once an iterate, and the third evaluation, at iterate 2,
+    # squares 1e300 x past the float range
+    calls = []
+
+    def nonlinear(x):
+        calls.append(None)
+        if len(calls) == 3:
+            x = 1e300 * x
+        return x * x
+
+    identity = LinearOperator(dim=2, apply=lambda v: v)
+    split = HomogeneousSplit(identity, identity, nonlinear, 2.0)
+    return ProblemSpec(F=split.residual, G=split.fixed_point_map, homogeneous_split=split,
+                       jacobian_at=lambda x: LinearOperator(dim=2, apply=lambda v: v - 2 * x * v))
+
+
+@pytest.mark.parametrize("driver, anderson", [
+    ("fixed-point", 0), ("petviashvili", 0), ("petviashvili", 2), ("newton", 0),
+], ids=["fixed-point", "petviashvili", "petviashvili-anderson", "newton"])
+def test_every_driver_ends_diverged_on_an_overflow(recwarn, driver, anderson):
+    x0 = np.array([3.0, 4.0])
+    out = _DRIVERS[driver](_split_overflowing_at_iterate_2(), x0,
+                           SolverConfig(tol_residual=1e-12, anderson=anderson))
+    assert (out.status, out.iterations) == (DIVERGED, 2)
+    assert out.message == ("iterate 2: the arithmetic overflows the float range "
+                           "(overflow encountered in multiply)")
+    assert np.isnan(out.f_norm) and np.all(np.isfinite(out.x))
+    assert not recwarn.list
 
 
 def test_a_domain_error_in_the_step_keeps_what_the_iterate_measured():
